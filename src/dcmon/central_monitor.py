@@ -69,31 +69,48 @@ def state_size(gs: GlobalState) -> Dict[str, object]:
     return {"vars": vars_report, "attrs": attrs_report, "total_bytes": total}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonitorRequest:
+    """One round trip for the NeedsGlobal rules of one batch. The truth map
+    holds the app-side conditions of all the rules, the bindings every
+    event parameter any of them forwards."""
+
     seq: int
     app_id: str
-    rule_id: int
+    rule_ids: Tuple[int, ...]
     t: int
     appside_truth: Dict[int, bool]
     forwarded_bindings: Dict[str, Value]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonitorReply:
+    """Per-rule results, parallel to the request's rule ids."""
+
     seq: int
-    guard_result: bool
-    appside_actions_to_run: Tuple[int, ...]
-    fault: Optional[str] = None
+    guard_results: Tuple[bool, ...]
+    appside_actions_to_run: Tuple[Tuple[int, ...], ...]
+    faults: Tuple[Optional[str], ...]
+
+    @property
+    def guard_result(self) -> bool:
+        """Whether any rule's guard held."""
+        return True in self.guard_results
+
+    @property
+    def fault(self) -> Optional[str]:
+        """The first rule's fault, if any rule faulted."""
+        return next((f for f in self.faults if f is not None), None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelLogEntry:
     direction: str
     seq: int
     t: int
     app_id: str
-    rule_id: int
+    # the request's rule ids, in batch order
+    rule_id: Tuple[int, ...]
     payload: Dict[str, object]
 
     def to_json(self) -> str:
@@ -152,10 +169,10 @@ class CentralMonitor:
                     seq=req.seq,
                     t=req.t,
                     app_id=req.app_id,
-                    rule_id=req.rule_id,
+                    rule_id=req.rule_ids,
                     payload={
-                        "appside_truth": {str(k): v for k, v in sorted(req.appside_truth.items())},
-                        "forwarded_bindings": dict(sorted(req.forwarded_bindings.items())),
+                        "appside_truth": req.appside_truth,
+                        "forwarded_bindings": req.forwarded_bindings,
                     },
                 )
             )
@@ -166,47 +183,57 @@ class CentralMonitor:
                     seq=reply.seq,
                     t=req.t,
                     app_id=req.app_id,
-                    rule_id=req.rule_id,
+                    rule_id=req.rule_ids,
                     payload={
-                        "guard_result": reply.guard_result,
-                        "appside_actions_to_run": list(reply.appside_actions_to_run),
-                        "fault": reply.fault,
+                        "guard_result": reply.guard_results,
+                        "appside_actions_to_run": reply.appside_actions_to_run,
+                        "fault": reply.faults,
                     },
                 )
             )
             return reply
 
     def _evaluate(self, req: MonitorRequest) -> MonitorReply:
-        rule = self.cp.rule_by_id(req.rule_id)
-        if rule is None:
-            return MonitorReply(req.seq, False, (), fault="UnknownRule")
-        if set(req.appside_truth) != set(rule.app_condition_ids):
-            return MonitorReply(req.seq, False, (), fault="StaleTruthMap")
+        """Run the request's rules in order in one context. A condition is
+        evaluated once until a rule's GlobalSide actions run."""
+        cp = self.cp
+        rules = [cp.rule_by_id(rid) for rid in req.rule_ids]
+        expected = {cid for rule in rules if rule is not None for cid in rule.app_condition_ids}
+        stale = expected != req.appside_truth.keys()
         ctx = EvalContext(
             side=GLOBAL_SIDE,
             now=req.t,
-            state_types=self.cp.state_types,
-            event_bindings=dict(req.forwarded_bindings),
+            state_types=cp.state_types,
+            event_bindings=req.forwarded_bindings,
             global_vars=self.gs.vars,
             attrs=self.gs.attrs,
         )
         truth = dict(req.appside_truth)
-        try:
-            for cid in rule.global_condition_ids:
-                truth[cid] = bool(eval_expr(self.cp.conditions[cid].body, ctx))
-            guard = evaluate_guard(rule.guard, truth)
-        except (EvalError, MissingTruthValue) as ex:
-            return MonitorReply(req.seq, False, (), fault=f"EvalFault:{ex}")
-        if not guard:
-            return MonitorReply(req.seq, False, ())
-        try:
-            for aid in rule.action_ids:
-                if aid in rule.global_action_ids:
-                    exec_stmts(self.cp.actions[aid].body, ctx)
-        except EvalError as ex:
-            return MonitorReply(req.seq, False, (), fault=f"EvalFault:{ex}")
-        app_actions = tuple(aid for aid in rule.action_ids if aid in rule.app_action_ids)
-        return MonitorReply(req.seq, True, app_actions)
+        guards: List[bool] = []
+        actions: List[Tuple[int, ...]] = []
+        faults: List[Optional[str]] = []
+        for rule in rules:
+            guard, fault = False, None
+            if rule is None:
+                fault = "UnknownRule"
+            elif stale:
+                fault = "StaleTruthMap"
+            else:
+                try:
+                    for cid in rule.global_condition_ids:
+                        if cid not in truth:
+                            truth[cid] = bool(eval_expr(cp.conditions[cid].body, ctx))
+                    guard = evaluate_guard(rule.guard, truth)
+                    if guard and rule.global_action_ids:
+                        truth = dict(req.appside_truth)
+                        for aid in rule.global_action_ids:
+                            exec_stmts(cp.actions[aid].body, ctx)
+                except (EvalError, MissingTruthValue) as ex:
+                    guard, fault = False, f"EvalFault:{ex}"
+            guards.append(guard)
+            actions.append(rule.app_action_ids if guard else ())
+            faults.append(fault)
+        return MonitorReply(req.seq, tuple(guards), tuple(actions), tuple(faults))
 
 
 class Channel:
@@ -227,11 +254,13 @@ class Channel:
     def request(
         self,
         app_id: str,
-        rule_id: int,
+        rule_ids: Tuple[int, ...],
         t: int,
         appside_truth: Dict[int, bool],
         forwarded_bindings: Dict[str, Value],
     ) -> MonitorReply:
+        """One round trip for the rules `rule_ids`. The request and the log
+        keep both maps as given; the caller must not change them later."""
         if not self.connected:
             raise ChannelError("central monitor unreachable")
         with self._seq_lock:
@@ -240,10 +269,10 @@ class Channel:
         req = MonitorRequest(
             seq=seq,
             app_id=app_id,
-            rule_id=rule_id,
+            rule_ids=rule_ids,
             t=t,
-            appside_truth=dict(appside_truth),
-            forwarded_bindings=dict(forwarded_bindings),
+            appside_truth=appside_truth,
+            forwarded_bindings=forwarded_bindings,
         )
         return self.central.handle_request(req)
 
@@ -269,7 +298,7 @@ def replay_requests(
             MonitorRequest(
                 seq=e.seq,
                 app_id=e.app_id,
-                rule_id=e.rule_id,
+                rule_ids=tuple(e.rule_id),
                 t=e.t,
                 appside_truth=truth,
                 forwarded_bindings=bindings,

@@ -2,15 +2,19 @@
 
 Each rule is classified by locality: a rule whose guard conditions and
 actions are all ApplicationSide can be decided entirely inside the app's
-own monitor; anything touching GlobalSide state needs one round trip to
-the central monitor per occurrence.
+own monitor; anything touching GlobalSide state needs the central monitor.
+
+The rules of one dispatch key are split into batches at compile time. The
+NeedsGlobal rules of a batch share one channel round trip per occurrence;
+a batch ends only where running its rules in two phases (every app-side
+condition first, every outcome afterwards) could change what a rule sees.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .dsl.analysis import infer_policy_state, StateTypes
 from .dsl.ast import (
@@ -27,7 +31,7 @@ from .dsl.ast import (
     Side,
     guard_refs,
 )
-from .lang.nodes import BlockStmt, VarRef, walk_exprs
+from .lang.nodes import AppendStmt, Assign, BlockStmt, PruneStmt, VarRef, walk_exprs
 
 
 class Locality(enum.Enum):
@@ -83,13 +87,39 @@ class CompiledRule:
     blocks: bool
 
 
+class Batch:
+    """Consecutive rules of one dispatch key. The local monitor evaluates
+    all their app-side conditions first, sends one request for their
+    NeedsGlobal rules, then applies each rule's outcome in order."""
+
+    __slots__ = ("rules", "rule_ids")
+
+    def __init__(self, rules: Sequence[CompiledRule]):
+        self.rules = tuple(rules)
+        # the request's rule ids when every NeedsGlobal rule is sent
+        self.rule_ids = tuple(r.rule_id for r in self.rules if r.locality is Locality.NEEDS_GLOBAL)
+
+
+class DispatchEntry(tuple):
+    """The rules of one dispatch key, in declaration order. `batches` is
+    the key's batch plan, or None when no rule of the key needs the
+    central monitor and the rules simply run one after another."""
+
+    batches: Optional[Tuple[Batch, ...]]
+
+    def __new__(cls, rules: Sequence[CompiledRule], batches: Optional[Tuple[Batch, ...]]):
+        entry = super().__new__(cls, rules)
+        entry.batches = batches
+        return entry
+
+
 @dataclass(frozen=True, eq=False)
 class CompiledPolicy:
     events: Tuple[EventDecl, ...]
     conditions: Tuple[ConditionDecl, ...]
     actions: Tuple[ActionDecl, ...]
     rules: Tuple[CompiledRule, ...]
-    dispatch: Dict[Tuple[str, str, Phase], Tuple[CompiledRule, ...]]
+    dispatch: Dict[Tuple[str, str, Phase], DispatchEntry]
     state_types: StateTypes
     source: PolicySpec
 
@@ -157,14 +187,68 @@ def compile_policy(spec: PolicySpec) -> CompiledPolicy:
         conditions=spec.conditions,
         actions=spec.actions,
         rules=tuple(rules),
-        dispatch={k: tuple(v) for k, v in dispatch.items()},
+        dispatch={k: DispatchEntry(v, plan_batches(spec, v)) for k, v in dispatch.items()},
         state_types=state_types,
         source=spec,
     )
 
 
 def rules_for(cp: CompiledPolicy, namespace: str, method: str, phase: Phase) -> Tuple[CompiledRule, ...]:
+    """The key's DispatchEntry, or an empty tuple when no event intercepts it."""
     return cp.dispatch.get((namespace, method, phase), ())
+
+
+def plan_batches(spec: PolicySpec, rules: Sequence[CompiledRule]) -> Optional[Tuple[Batch, ...]]:
+    """Split one key's rules, in declaration order, into batches; None when
+    none of them needs the central monitor.
+
+    A batch is cut before a rule whose app-side conditions read a local
+    variable that an app-side action of an earlier rule of the batch
+    writes, and before a rule whose trigger binds event parameters
+    otherwise than the batch's: the batch's rules share condition values
+    and forwarded bindings.
+    """
+    if all(r.locality is Locality.LOCAL_ONLY for r in rules):
+        return None
+    batches: List[Batch] = []
+    current: List[CompiledRule] = []
+    written: set = set()
+    for rule in rules:
+        if current and (
+            _local_reads(spec, rule) & written
+            or _bindings(spec.events[rule.trigger_id]) != _bindings(spec.events[current[0].trigger_id])
+        ):
+            batches.append(Batch(current))
+            current, written = [], set()
+        current.append(rule)
+        written |= _local_writes(spec, rule)
+    batches.append(Batch(current))
+    return tuple(batches)
+
+
+def _local_reads(spec: PolicySpec, rule: CompiledRule) -> FrozenSet[str]:
+    return frozenset(
+        e.name
+        for cid in rule.app_condition_ids
+        for e in walk_exprs(spec.conditions[cid].body)
+        if isinstance(e, VarRef) and e.ns == "local"
+    )
+
+
+def _local_writes(spec: PolicySpec, rule: CompiledRule) -> FrozenSet[str]:
+    return frozenset(
+        s.name
+        for aid in rule.app_action_ids
+        for s in spec.actions[aid].body
+        if isinstance(s, (Assign, AppendStmt, PruneStmt)) and s.ns == "local"
+    )
+
+
+def _bindings(event: EventDecl) -> Tuple[Optional[Tuple[str, ...]], Optional[str]]:
+    """What `bind_params` binds under `event`: its positional names and its
+    return binding."""
+    params = event.pattern.params
+    return (None if params is None else tuple(p.name for p in params)), event.return_binding
 
 
 def _lower_guard(g: Guard, cond_ids: Dict[str, int]) -> GuardTree:

@@ -1,23 +1,25 @@
 """Per-application monitor.
 
 Each app owns one LocalMonitor with isolated local state. LocalOnly rules
-are decided entirely here; NeedsGlobal rules evaluate their ApplicationSide
-conditions locally, ship the truth values (plus any explicitly forwarded
-event bindings) to the central monitor, and run whatever ApplicationSide
-actions the reply instructs.
+are decided entirely here. For a dispatch key with NeedsGlobal rules, each
+batch of its compile-time plan evaluates its rules' ApplicationSide
+conditions locally, ships the truth values (plus any explicitly forwarded
+event bindings) to the central monitor in one request, and runs whatever
+ApplicationSide actions the reply instructs, rule by rule.
 
 Failure handling is fail-closed: if the channel is down, any occurrence
-that triggers a NeedsGlobal rule is blocked.
+that triggers a NeedsGlobal rule is blocked, with one ChannelError fault
+per such rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .central_monitor import Channel, ChannelError
 from .dsl.ast import EventDecl, Phase
-from .engine import CompiledPolicy, CompiledRule, Locality, evaluate_guard, rules_for
+from .engine import Batch, CompiledPolicy, CompiledRule, Locality, evaluate_guard, rules_for
 from .lang.eval import (
     APP_SIDE,
     BlockCall,
@@ -95,6 +97,10 @@ def pattern_matches(decl: EventDecl, occ: EventOccurrence) -> bool:
     return arity is None or arity == len(occ.args)
 
 
+# marks a NeedsGlobal rule whose outcome comes from the batch's reply
+_SENT = object()
+
+
 class LocalMonitor:
     def __init__(self, app_id: str, app_name: str, cp: CompiledPolicy, channel: Optional[Channel]):
         self.app_id = app_id
@@ -107,11 +113,17 @@ class LocalMonitor:
         """Run every rule triggered by this occurrence, in declaration
         order, each guard seeing the state left by earlier rules."""
         result = InterceptResult(decision=PROCEED)
-        for rule in rules_for(self.cp, occ.namespace, occ.method, occ.phase):
-            event = self.cp.event_of(rule)
-            if not pattern_matches(event, occ):
-                continue
-            self._run_rule(rule, event, occ, result)
+        rules = rules_for(self.cp, occ.namespace, occ.method, occ.phase)
+        if not rules:
+            return result
+        if rules.batches is None:
+            for rule in rules:
+                event = self.cp.event_of(rule)
+                if pattern_matches(event, occ):
+                    self._run_local_rule(rule, event, occ, result)
+        else:
+            for batch in rules.batches:
+                self._run_batch(batch, occ, result)
         return result
 
     # internals
@@ -135,16 +147,14 @@ class LocalMonitor:
     def _fault(self, result: InterceptResult, fault: str) -> None:
         result.faults = result.faults + (fault,)
 
-    def _run_rule(
+    def _run_local_rule(
         self,
         rule: CompiledRule,
         event: EventDecl,
         occ: EventOccurrence,
         result: InterceptResult,
     ) -> None:
-        bindings = bind_params(occ, event)
-        ctx = self._ctx(occ, bindings)
-
+        ctx = self._ctx(occ, bind_params(occ, event))
         truth: Dict[int, bool] = {}
         try:
             for cid in rule.app_condition_ids:
@@ -154,30 +164,77 @@ class LocalMonitor:
             self._fault(result, fault)
             self._block(result, fault)
             return
+        if evaluate_guard(rule.guard, truth):
+            self._run_app_actions(rule, rule.action_ids, ctx, occ, result)
 
-        if rule.locality is Locality.LOCAL_ONLY:
-            if evaluate_guard(rule.guard, truth):
+    def _run_batch(self, batch: Batch, occ: EventOccurrence, result: InterceptResult) -> None:
+        # Phase 1: every app-side condition of the batch. The plan
+        # guarantees no earlier rule's action writes what these read.
+        values: Dict[int, bool] = {}
+        truth: Dict[int, bool] = {}
+        forwarded: Dict[str, Value] = {}
+        sent: List[int] = []
+        steps = []
+        events, conditions = self.cp.events, self.cp.conditions
+        event = ctx = bindings = None
+        matches = False
+        for rule in batch.rules:
+            if events[rule.trigger_id] is not event:
+                event = events[rule.trigger_id]
+                matches = pattern_matches(event, occ)
+                if matches:
+                    bindings = bind_params(occ, event)
+                    ctx = self._ctx(occ, bindings)
+            if not matches:
+                continue
+            try:
+                for cid in rule.app_condition_ids:
+                    if cid not in values:
+                        values[cid] = bool(eval_expr(conditions[cid].body, ctx))
+            except EvalError as ex:
+                steps.append((rule, ctx, f"EvalError:{ex.code}"))
+                continue
+            if rule.locality is Locality.LOCAL_ONLY:
+                steps.append((rule, ctx, evaluate_guard(rule.guard, values)))
+            else:
+                for cid in rule.app_condition_ids:
+                    truth[cid] = values[cid]
+                for p in rule.forwarded_params:
+                    if p in bindings:
+                        forwarded[p] = bindings[p]
+                sent.append(rule.rule_id)
+                steps.append((rule, ctx, _SENT))
+
+        # One round trip for the batch's NeedsGlobal rules.
+        reply = None
+        if sent and self.channel is not None:
+            rule_ids = batch.rule_ids if len(sent) == len(batch.rule_ids) else tuple(sent)
+            try:
+                reply = self.channel.request(self.app_id, rule_ids, occ.t, truth, forwarded)
+            except ChannelError:
+                pass
+
+        # Phase 2: each rule's outcome, in declaration order.
+        k = 0
+        for rule, ctx, outcome in steps:
+            if outcome is _SENT:
+                if reply is None:
+                    self._fault(result, "ChannelError")
+                    self._block(result, "ChannelError")
+                    continue
+                fault = reply.faults[k]
+                if fault is not None:
+                    self._fault(result, fault)
+                    if rule.blocks:
+                        self._block(result, fault)
+                elif reply.guard_results[k]:
+                    self._run_app_actions(rule, reply.appside_actions_to_run[k], ctx, occ, result)
+                k += 1
+            elif outcome is True:
                 self._run_app_actions(rule, rule.action_ids, ctx, occ, result)
-            return
-
-        forwarded = {p: bindings[p] for p in rule.forwarded_params if p in bindings}
-        if self.channel is None:
-            self._fault(result, "ChannelError")
-            self._block(result, "ChannelError")
-            return
-        try:
-            reply = self.channel.request(self.app_id, rule.rule_id, occ.t, truth, forwarded)
-        except ChannelError:
-            self._fault(result, "ChannelError")
-            self._block(result, "ChannelError")
-            return
-        if reply.fault is not None:
-            self._fault(result, reply.fault)
-            if rule.blocks:
-                self._block(result, reply.fault)
-            return
-        if reply.guard_result:
-            self._run_app_actions(rule, reply.appside_actions_to_run, ctx, occ, result)
+            elif outcome is not False:
+                self._fault(result, outcome)
+                self._block(result, outcome)
 
     def _run_app_actions(
         self,

@@ -33,7 +33,7 @@ from .dsl.ast import Phase
 from .engine import CompiledPolicy
 from .lang.eval import SetAttr
 from .lang.state import VarStore
-from .lang.values import Value
+from .lang.values import INT64_MAX, Value
 
 ALLOWED = "Allowed"
 BLOCKED = "Blocked"
@@ -118,6 +118,8 @@ def parse_trace(text: str) -> List[TraceEvent]:
         t = doc["t_ms"]
         if not isinstance(t, int) or isinstance(t, bool) or t < 0:
             raise TraceFormatError(lineno, "t_ms must be a nonnegative integer")
+        if t > INT64_MAX:
+            raise TraceFormatError(lineno, "t_ms must not exceed 2**63-1")
         app = doc["app"]
         if not isinstance(app, str) or not app:
             raise TraceFormatError(lineno, "app must be a nonempty string")

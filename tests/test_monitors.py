@@ -84,9 +84,10 @@ def test_bind_arity_mismatch(wifi_listing_policy):
 def test_quota_reached_reply_instructs_block(quota_setup):
     cp, gs, central, channel, _ = quota_setup
     gs.vars.set("msgCount", VType.INT, 500)
-    reply = channel.request("Messenger", 0, 0, {}, {})
-    assert reply.guard_result is True
-    assert reply.appside_actions_to_run == (0,)  # blockRequest
+    reply = channel.request("Messenger", (0,), 0, {}, {})
+    assert reply.guard_results == (True,)
+    assert reply.appside_actions_to_run == ((0,),)  # blockRequest
+    assert reply.faults == (None,)
     assert cp.actions[0].name == "blockRequest"
 
 
@@ -94,31 +95,80 @@ def test_increment_request_mutates_state(quota_setup):
     cp, gs, central, channel, _ = quota_setup
     gs.vars.set("msgCount", VType.INT, 41)
     successful_id = next(i for i, c in enumerate(cp.conditions) if c.name == "successful")
-    reply = channel.request("Messenger", 1, 0, {successful_id: True}, {})
-    assert reply.guard_result is True
-    assert reply.appside_actions_to_run == ()
+    reply = channel.request("Messenger", (1,), 0, {successful_id: True}, {})
+    assert reply.guard_results == (True,)
+    assert reply.appside_actions_to_run == ((),)
+    assert reply.faults == (None,)
     assert gs.vars.get("msgCount", VType.INT) == 42
 
 
 def test_false_guard_leaves_state_unchanged(quota_setup):
     cp, gs, central, channel, _ = quota_setup
     before = snapshot(gs)
-    reply = channel.request("Messenger", 0, 0, {}, {})  # count 0 < 500
-    assert reply.guard_result is False
+    reply = channel.request("Messenger", (0,), 0, {}, {})  # count 0 < 500
+    assert reply.guard_results == (False,)
+    assert reply.appside_actions_to_run == ((),)
+    assert reply.faults == (None,)
     assert snapshot(gs) == before
 
 
 def test_unknown_rule_fault(quota_setup):
     _, _, central, channel, _ = quota_setup
-    reply = channel.request("Messenger", 99, 0, {}, {})
-    assert reply.fault == "UnknownRule"
-    assert reply.guard_result is False
+    reply = channel.request("Messenger", (99,), 0, {}, {})
+    assert reply.faults == ("UnknownRule",)
+    assert reply.guard_results == (False,)
+    assert reply.appside_actions_to_run == ((),)
 
 
 def test_stale_truth_map_fault(quota_setup):
     _, _, _, channel, _ = quota_setup
-    reply = channel.request("Messenger", 1, 0, {}, {})  # missing `successful`
-    assert reply.fault == "StaleTruthMap"
+    reply = channel.request("Messenger", (1,), 0, {}, {})  # missing `successful`
+    assert reply.faults == ("StaleTruthMap",)
+    assert reply.guard_results == (False,)
+
+
+def test_extra_truth_value_is_stale(quota_setup):
+    cp, gs, _, channel, _ = quota_setup
+    successful_id = next(i for i, c in enumerate(cp.conditions) if c.name == "successful")
+    before = snapshot(gs)
+    reply = channel.request("Messenger", (0,), 0, {successful_id: True}, {})  # rule 0 has no app condition
+    assert reply.faults == ("StaleTruthMap",)
+    assert reply.guard_results == (False,)
+    assert snapshot(gs) == before
+
+
+def test_batch_request_answers_each_rule_in_order(quota_setup):
+    cp, gs, _, channel, _ = quota_setup
+    successful_id = next(i for i, c in enumerate(cp.conditions) if c.name == "successful")
+    gs.vars.set("msgCount", VType.INT, 499)
+    # rule 1 counts the send, so rule 0 sees the quota reached
+    reply = channel.request("Messenger", (1, 0), 0, {successful_id: True}, {})
+    assert reply.guard_results == (True, True)
+    assert reply.appside_actions_to_run == ((), (0,))
+    assert reply.faults == (None, None)
+    assert gs.vars.get("msgCount", VType.INT) == 500
+
+
+def test_unknown_rule_in_batch_faults_alone(quota_setup):
+    _, gs, _, channel, _ = quota_setup
+    gs.vars.set("msgCount", VType.INT, 500)
+    reply = channel.request("Messenger", (99, 0), 0, {}, {})
+    assert reply.faults == ("UnknownRule", None)
+    assert reply.guard_results == (False, True)
+    assert reply.appside_actions_to_run == ((), (0,))
+
+
+def test_batch_log_entries_carry_rule_ids_and_parallel_results(quota_setup):
+    _, _, central, channel, _ = quota_setup
+    channel.request("Messenger", (99, 0), 7, {}, {})
+    request, reply = central.log
+    assert (request.rule_id, reply.rule_id) == ((99, 0), (99, 0))
+    assert json.loads(request.to_json())["payload"] == {"appside_truth": {}, "forwarded_bindings": {}}
+    assert json.loads(reply.to_json())["payload"] == {
+        "guard_result": [False, False],
+        "appside_actions_to_run": [[], []],
+        "fault": ["UnknownRule", None],
+    }
 
 
 # intercept through the channel
@@ -243,7 +293,7 @@ def test_requests_serialize_under_contention(msg_quota_policy):
 
     def spam(app):
         for _ in range(50):
-            channel.request(app, 1, 0, {successful_id: True}, {})
+            channel.request(app, (1,), 0, {successful_id: True}, {})
 
     threads = [threading.Thread(target=spam, args=(f"App{i}",)) for i in range(4)]
     for th in threads:

@@ -67,6 +67,24 @@ def test_malformed_lines_rejected(line):
         parse_trace(line)
 
 
+def _send_at(t):
+    return f'{{"t_ms": {t}, "app": "A", "call": "SmsManager.sendTextMessage", "args": ["x", "y"]}}'
+
+
+@pytest.mark.parametrize("t", [2**63, 2**70])
+def test_timestamp_beyond_int64_rejected(t):
+    # the value model's timestamps are int64; a larger clock would make
+    # `global.msgDay := now` fault with Overflow halfway through a rule
+    with pytest.raises(TraceFormatError) as err:
+        parse_trace(_send_at(0) + "\n" + _send_at(t))
+    assert err.value.line == 2
+
+
+def test_largest_int64_timestamp_accepted():
+    (ev,) = parse_trace(_send_at(2**63 - 1))
+    assert ev.t == 2**63 - 1
+
+
 def test_trace_roundtrip_through_file(tmp_path):
     from dcmon.sim import write_trace
 
