@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .engine import CompiledPolicy, MissingTruthValue, evaluate_guard
-from .lang.eval import GLOBAL_SIDE, EvalContext, EvalError, eval_expr, exec_stmts
+from .lang.eval import GLOBAL_SIDE, EvalContext, EvalError, eval_expr, exec_stmts, rollback
 from .lang.state import VarStore
 from .lang.values import Value, VType, value_to_json
 
@@ -195,7 +195,8 @@ class CentralMonitor:
 
     def _evaluate(self, req: MonitorRequest) -> MonitorReply:
         """Run the request's rules in order in one context. A condition is
-        evaluated once until a rule's GlobalSide actions run."""
+        evaluated once until a rule's GlobalSide actions run. A rule that
+        faults leaves no write behind."""
         cp = self.cp
         rules = [cp.rule_by_id(rid) for rid in req.rule_ids]
         expected = {cid for rule in rules if rule is not None for cid in rule.app_condition_ids}
@@ -228,7 +229,9 @@ class CentralMonitor:
                         truth = dict(req.appside_truth)
                         for aid in rule.global_action_ids:
                             exec_stmts(cp.actions[aid].body, ctx)
+                        ctx.undo.clear()  # the rule's writes stand
                 except (EvalError, MissingTruthValue) as ex:
+                    rollback(ctx.undo)
                     guard, fault = False, f"EvalFault:{ex}"
             guards.append(guard)
             actions.append(rule.app_action_ids if guard else ())

@@ -4,10 +4,12 @@ Each rule is classified by locality: a rule whose guard conditions and
 actions are all ApplicationSide can be decided entirely inside the app's
 own monitor; anything touching GlobalSide state needs the central monitor.
 
-The rules of one dispatch key are split into batches at compile time. The
-NeedsGlobal rules of a batch share one channel round trip per occurrence;
-a batch ends only where running its rules in two phases (every app-side
-condition first, every outcome afterwards) could change what a rule sees.
+The rules of one dispatch key are split into batches at compile time, and
+every rule runs through its batch. The NeedsGlobal rules of a batch share
+one channel round trip per occurrence, and a batch without any sends
+nothing; a batch ends only where running its rules in two phases (every
+app-side condition first, every outcome afterwards) could change what a
+rule sees.
 """
 
 from __future__ import annotations
@@ -96,18 +98,18 @@ class Batch:
 
     def __init__(self, rules: Sequence[CompiledRule]):
         self.rules = tuple(rules)
-        # the request's rule ids when every NeedsGlobal rule is sent
+        # the request's rule ids when every NeedsGlobal rule is sent; empty
+        # for a batch of LocalOnly rules, which sends nothing
         self.rule_ids = tuple(r.rule_id for r in self.rules if r.locality is Locality.NEEDS_GLOBAL)
 
 
 class DispatchEntry(tuple):
     """The rules of one dispatch key, in declaration order. `batches` is
-    the key's batch plan, or None when no rule of the key needs the
-    central monitor and the rules simply run one after another."""
+    the key's batch plan, which covers every rule."""
 
-    batches: Optional[Tuple[Batch, ...]]
+    batches: Tuple[Batch, ...]
 
-    def __new__(cls, rules: Sequence[CompiledRule], batches: Optional[Tuple[Batch, ...]]):
+    def __new__(cls, rules: Sequence[CompiledRule], batches: Tuple[Batch, ...]):
         entry = super().__new__(cls, rules)
         entry.batches = batches
         return entry
@@ -198,9 +200,8 @@ def rules_for(cp: CompiledPolicy, namespace: str, method: str, phase: Phase) -> 
     return cp.dispatch.get((namespace, method, phase), ())
 
 
-def plan_batches(spec: PolicySpec, rules: Sequence[CompiledRule]) -> Optional[Tuple[Batch, ...]]:
-    """Split one key's rules, in declaration order, into batches; None when
-    none of them needs the central monitor.
+def plan_batches(spec: PolicySpec, rules: Sequence[CompiledRule]) -> Tuple[Batch, ...]:
+    """Split one key's rules, in declaration order, into batches.
 
     A batch is cut before a rule whose app-side conditions read a local
     variable that an app-side action of an earlier rule of the batch
@@ -208,8 +209,6 @@ def plan_batches(spec: PolicySpec, rules: Sequence[CompiledRule]) -> Optional[Tu
     otherwise than the batch's: the batch's rules share condition values
     and forwarded bindings.
     """
-    if all(r.locality is Locality.LOCAL_ONLY for r in rules):
-        return None
     batches: List[Batch] = []
     current: List[CompiledRule] = []
     written: set = set()
@@ -222,7 +221,8 @@ def plan_batches(spec: PolicySpec, rules: Sequence[CompiledRule]) -> Optional[Tu
             current, written = [], set()
         current.append(rule)
         written |= _local_writes(spec, rule)
-    batches.append(Batch(current))
+    if current:
+        batches.append(Batch(current))
     return tuple(batches)
 
 

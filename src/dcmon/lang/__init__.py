@@ -23,18 +23,13 @@ from .state import VarStore
 from .eval import (
     APP_SIDE,
     GLOBAL_SIDE,
-    BlockCall,
-    Effect,
-    EffectList,
     EvalContext,
     EvalError,
-    SetAttr,
     SideFault,
-    StateWrite,
-    apply_effects,
     eval_expr,
     exec_stmt,
     exec_stmts,
+    rollback,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

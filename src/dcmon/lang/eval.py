@@ -1,15 +1,15 @@
 """Evaluation of typed condition expressions and action statements.
 
-Expressions are pure. Statements mutate the writable stores attached to the
-context and additionally return the ordered effect list, so a caller can
-route blocking decisions and device-attribute writes without re-inspecting
-state.
+Expressions are pure. Statements write the stores attached to the context
+in place, and record in the context's undo log what each write overwrote,
+so that a caller can roll a faulting rule back to the state it started
+from.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .nodes import (
@@ -53,7 +53,11 @@ class SideFault(Exception):
     """Statement executed on the wrong side; unreachable after validation."""
 
 
-@dataclass
+# (store, name, overwritten kind or None if the name was absent, overwritten value)
+UndoEntry = Tuple[VarStore, str, Optional[VType], Value]
+
+
+@dataclass(slots=True)
 class EvalContext:
     side: str  # APP_SIDE or GLOBAL_SIDE
     now: int
@@ -64,30 +68,8 @@ class EvalContext:
     local: Optional[VarStore] = None
     global_vars: Optional[VarStore] = None
     attrs: Optional[VarStore] = None
-
-
-@dataclass(frozen=True)
-class StateWrite:
-    ns: str
-    name: str
-    kind: VType
-    value: Value
-
-
-@dataclass(frozen=True)
-class BlockCall:
-    pass
-
-
-@dataclass(frozen=True)
-class SetAttr:
-    name: str
-    kind: VType
-    value: Value
-
-
-Effect = object
-EffectList = List[Effect]
+    # every write since the caller last cleared the log or rolled it back
+    undo: List[UndoEntry] = field(default_factory=list)
 
 
 def _checked_int(n: int) -> int:
@@ -224,52 +206,47 @@ def eval_typed(expr: Expr, ctx: EvalContext, kind: VType) -> Value:
     return v
 
 
-def exec_stmt(stmt: Stmt, ctx: EvalContext) -> EffectList:
-    """Run one statement, mutating the context's writable stores.
-
-    Returns the effects in execution order so the caller can apply blocking
-    and attribute routing. Replaying the returned StateWrite/SetAttr effects
-    against a copy of the pre-state reproduces the post-state.
-    """
+def exec_stmt(stmt: Stmt, ctx: EvalContext) -> bool:
+    """Run one statement, writing the context's stores in place and logging
+    each overwritten entry in `ctx.undo`. Returns whether it was block()."""
     if isinstance(stmt, BlockStmt):
         if ctx.side != APP_SIDE:
             raise SideFault("block() outside application side")
-        return [BlockCall()]
+        return True
     if isinstance(stmt, Assign):
         kind = ctx.state_types[(stmt.ns, stmt.name)]
         value = eval_typed(stmt.value, ctx, kind)
-        store = _writable(ctx, stmt.ns)
-        store.set(stmt.name, kind, copy_value(value))
-        return [StateWrite(stmt.ns, stmt.name, kind, copy_value(value))]
-    if isinstance(stmt, AppendStmt):
+        _write(ctx, _writable(ctx, stmt.ns), stmt.name, kind, copy_value(value))
+    elif isinstance(stmt, AppendStmt):
         store = _writable(ctx, stmt.ns)
         ts = eval_typed(stmt.value, ctx, VType.TIMESTAMP)
         lst = list(store.get(stmt.name, VType.TS_LIST))
         bisect.insort(lst, ts)
-        store.set(stmt.name, VType.TS_LIST, lst)
-        return [StateWrite(stmt.ns, stmt.name, VType.TS_LIST, list(lst))]
-    if isinstance(stmt, PruneStmt):
+        _write(ctx, store, stmt.name, VType.TS_LIST, lst)
+    elif isinstance(stmt, PruneStmt):
         store = _writable(ctx, stmt.ns)
         horizon = eval_typed(stmt.horizon, ctx, VType.DURATION)
-        lst = store.get(stmt.name, VType.TS_LIST)
         cutoff = ctx.now - horizon
-        kept = [t for t in lst if t >= cutoff]
-        store.set(stmt.name, VType.TS_LIST, kept)
-        return [StateWrite(stmt.ns, stmt.name, VType.TS_LIST, list(kept))]
-    if isinstance(stmt, SetAttrStmt):
+        kept = [t for t in store.get(stmt.name, VType.TS_LIST) if t >= cutoff]
+        _write(ctx, store, stmt.name, VType.TS_LIST, kept)
+    elif isinstance(stmt, SetAttrStmt):
         kind = ctx.state_types.get(("attr", stmt.attr), VType.BOOL)
         value = eval_typed(stmt.value, ctx, kind)
-        if ctx.attrs is not None:
-            ctx.attrs.set(stmt.attr, kind, value)
-        return [SetAttr(stmt.attr, kind, value)]
-    raise AssertionError(f"unknown statement node {stmt!r}")
+        if ctx.attrs is None:
+            raise SideFault("no attribute store in this context")
+        _write(ctx, ctx.attrs, stmt.attr, kind, value)
+    else:
+        raise AssertionError(f"unknown statement node {stmt!r}")
+    return False
 
 
-def exec_stmts(stmts, ctx: EvalContext) -> EffectList:
-    effects: EffectList = []
+def exec_stmts(stmts, ctx: EvalContext) -> bool:
+    """Run statements in order; returns whether any of them was block()."""
+    blocked = False
     for stmt in stmts:
-        effects.extend(exec_stmt(stmt, ctx))
-    return effects
+        if exec_stmt(stmt, ctx):
+            blocked = True
+    return blocked
 
 
 def _writable(ctx: EvalContext, ns: str) -> VarStore:
@@ -279,11 +256,18 @@ def _writable(ctx: EvalContext, ns: str) -> VarStore:
     return store
 
 
-def apply_effects(effects: EffectList, local: VarStore, global_vars: VarStore, attrs: VarStore) -> None:
-    """Replay recorded effects against fresh stores (bit-for-bit)."""
-    for eff in effects:
-        if isinstance(eff, StateWrite):
-            target = local if eff.ns == "local" else global_vars
-            target.set(eff.name, eff.kind, copy_value(eff.value))
-        elif isinstance(eff, SetAttr):
-            attrs.set(eff.name, eff.kind, eff.value)
+def _write(ctx: EvalContext, store: VarStore, name: str, kind: VType, value: Value) -> None:
+    old_kind = store.kind_of(name)
+    ctx.undo.append((store, name, old_kind, None if old_kind is None else store.get(name, old_kind)))
+    store.set(name, kind, value)
+
+
+def rollback(undo: List[UndoEntry]) -> None:
+    """Undo the logged writes, newest first, and empty the log. A name the
+    writes created is removed again."""
+    while undo:
+        store, name, kind, value = undo.pop()
+        if kind is None:
+            store.discard(name)
+        else:
+            store.set(name, kind, value)

@@ -30,6 +30,11 @@ class VarStore:
         self._vals[name] = value
         self._kinds[name] = kind
 
+    def discard(self, name: str) -> None:
+        """Forget `name`, so that reading it yields the typed zero again."""
+        self._vals.pop(name, None)
+        self._kinds.pop(name, None)
+
     def kind_of(self, name: str) -> "VType | None":
         return self._kinds.get(name)
 

@@ -1,11 +1,16 @@
 """Per-application monitor.
 
-Each app owns one LocalMonitor with isolated local state. LocalOnly rules
-are decided entirely here. For a dispatch key with NeedsGlobal rules, each
-batch of its compile-time plan evaluates its rules' ApplicationSide
-conditions locally, ships the truth values (plus any explicitly forwarded
-event bindings) to the central monitor in one request, and runs whatever
-ApplicationSide actions the reply instructs, rule by rule.
+Each app owns one LocalMonitor with isolated local state. Every rule of a
+dispatch key runs through the key's compile-time batch plan: each batch
+evaluates its rules' ApplicationSide conditions locally, ships the truth
+values of its NeedsGlobal rules (plus any explicitly forwarded event
+bindings) to the central monitor in one request, and then, rule by rule,
+runs the ApplicationSide actions its guard or the reply calls for. A batch
+of LocalOnly rules is decided entirely here and sends nothing.
+
+A rule is atomic: if one of its actions faults, its local-variable and
+device-attribute writes are rolled back and its block() is dropped, and the
+fault blocks the call instead.
 
 Failure handling is fail-closed: if the channel is down, any occurrence
 that triggers a NeedsGlobal rule is blocked, with one ChannelError fault
@@ -14,21 +19,13 @@ per such rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from .central_monitor import Channel, ChannelError
 from .dsl.ast import EventDecl, Phase
 from .engine import Batch, CompiledPolicy, CompiledRule, Locality, evaluate_guard, rules_for
-from .lang.eval import (
-    APP_SIDE,
-    BlockCall,
-    EffectList,
-    EvalContext,
-    EvalError,
-    eval_expr,
-    exec_stmts,
-)
+from .lang.eval import APP_SIDE, EvalContext, EvalError, eval_expr, exec_stmts, rollback
 from .lang.state import VarStore
 from .lang.values import Value
 
@@ -62,7 +59,6 @@ class EventOccurrence:
 @dataclass
 class InterceptResult:
     decision: str
-    effects: EffectList = field(default_factory=list)
     reason: Optional[str] = None
     faults: Tuple[str, ...] = ()
 
@@ -102,11 +98,15 @@ _SENT = object()
 
 
 class LocalMonitor:
-    def __init__(self, app_id: str, app_name: str, cp: CompiledPolicy, channel: Optional[Channel]):
+    """`attrs` is the device attribute store, which app-side set_attr
+    writes directly."""
+
+    def __init__(self, app_id: str, app_name: str, cp: CompiledPolicy, channel: Optional[Channel], attrs: VarStore):
         self.app_id = app_id
         self.app_name = app_name
         self.cp = cp
         self.channel = channel
+        self.attrs = attrs
         self.local = LocalState()
 
     def intercept(self, occ: EventOccurrence) -> InterceptResult:
@@ -114,14 +114,7 @@ class LocalMonitor:
         order, each guard seeing the state left by earlier rules."""
         result = InterceptResult(decision=PROCEED)
         rules = rules_for(self.cp, occ.namespace, occ.method, occ.phase)
-        if not rules:
-            return result
-        if rules.batches is None:
-            for rule in rules:
-                event = self.cp.event_of(rule)
-                if pattern_matches(event, occ):
-                    self._run_local_rule(rule, event, occ, result)
-        else:
+        if rules:
             for batch in rules.batches:
                 self._run_batch(batch, occ, result)
         return result
@@ -129,15 +122,10 @@ class LocalMonitor:
     # internals
 
     def _ctx(self, occ: EventOccurrence, bindings: Dict[str, Value]) -> EvalContext:
-        return EvalContext(
-            side=APP_SIDE,
-            now=occ.t,
-            state_types=self.cp.state_types,
-            app_id=self.app_id,
-            app_name=self.app_name,
-            event_bindings=bindings,
-            local=self.local,
-        )
+        # positional (side, now, state_types, app_id, app_name, bindings,
+        # local, global_vars, attrs): matching keywords made building the
+        # context about 0.35 us slower on Python 3.11
+        return EvalContext(APP_SIDE, occ.t, self.cp.state_types, self.app_id, self.app_name, bindings, self.local, None, self.attrs)
 
     def _block(self, result: InterceptResult, reason: str) -> None:
         if not result.blocked:
@@ -147,44 +135,20 @@ class LocalMonitor:
     def _fault(self, result: InterceptResult, fault: str) -> None:
         result.faults = result.faults + (fault,)
 
-    def _run_local_rule(
-        self,
-        rule: CompiledRule,
-        event: EventDecl,
-        occ: EventOccurrence,
-        result: InterceptResult,
-    ) -> None:
-        ctx = self._ctx(occ, bind_params(occ, event))
-        truth: Dict[int, bool] = {}
-        try:
-            for cid in rule.app_condition_ids:
-                truth[cid] = bool(eval_expr(self.cp.conditions[cid].body, ctx))
-        except EvalError as ex:
-            fault = f"EvalError:{ex.code}"
-            self._fault(result, fault)
-            self._block(result, fault)
-            return
-        if evaluate_guard(rule.guard, truth):
-            self._run_app_actions(rule, rule.action_ids, ctx, occ, result)
-
     def _run_batch(self, batch: Batch, occ: EventOccurrence, result: InterceptResult) -> None:
         # Phase 1: every app-side condition of the batch. The plan
         # guarantees no earlier rule's action writes what these read.
         values: Dict[int, bool] = {}
-        truth: Dict[int, bool] = {}
-        forwarded: Dict[str, Value] = {}
-        sent: List[int] = []
         steps = []
         events, conditions = self.cp.events, self.cp.conditions
-        event = ctx = bindings = None
+        event = ctx = None
         matches = False
         for rule in batch.rules:
             if events[rule.trigger_id] is not event:
                 event = events[rule.trigger_id]
                 matches = pattern_matches(event, occ)
                 if matches:
-                    bindings = bind_params(occ, event)
-                    ctx = self._ctx(occ, bindings)
+                    ctx = self._ctx(occ, bind_params(occ, event))
             if not matches:
                 continue
             try:
@@ -197,22 +161,21 @@ class LocalMonitor:
             if rule.locality is Locality.LOCAL_ONLY:
                 steps.append((rule, ctx, evaluate_guard(rule.guard, values)))
             else:
-                for cid in rule.app_condition_ids:
-                    truth[cid] = values[cid]
-                for p in rule.forwarded_params:
-                    if p in bindings:
-                        forwarded[p] = bindings[p]
-                sent.append(rule.rule_id)
                 steps.append((rule, ctx, _SENT))
 
-        # One round trip for the batch's NeedsGlobal rules.
+        # One round trip for the batch's NeedsGlobal rules; a batch of
+        # LocalOnly rules names none.
         reply = None
-        if sent and self.channel is not None:
-            rule_ids = batch.rule_ids if len(sent) == len(batch.rule_ids) else tuple(sent)
-            try:
-                reply = self.channel.request(self.app_id, rule_ids, occ.t, truth, forwarded)
-            except ChannelError:
-                pass
+        if batch.rule_ids and self.channel is not None:
+            sent = [(rule, ctx.event_bindings) for rule, ctx, outcome in steps if outcome is _SENT]
+            if sent:
+                truth = {cid: values[cid] for rule, _ in sent for cid in rule.app_condition_ids}
+                forwarded = {p: b[p] for rule, b in sent for p in rule.forwarded_params if p in b}
+                rule_ids = batch.rule_ids if len(sent) == len(batch.rule_ids) else tuple(r.rule_id for r, _ in sent)
+                try:
+                    reply = self.channel.request(self.app_id, rule_ids, occ.t, truth, forwarded)
+                except ChannelError:
+                    pass
 
         # Phase 2: each rule's outcome, in declaration order.
         k = 0
@@ -244,19 +207,19 @@ class LocalMonitor:
         occ: EventOccurrence,
         result: InterceptResult,
     ) -> None:
-        for aid in action_ids:
-            if aid not in rule.app_action_ids:
-                continue
-            try:
-                effects = exec_stmts(self.cp.actions[aid].body, ctx)
-            except EvalError as ex:
-                fault = f"EvalError:{ex.code}"
-                self._fault(result, fault)
-                self._block(result, fault)
-                return
-            for eff in effects:
-                result.effects.append(eff)
-                if isinstance(eff, BlockCall) and occ.phase is Phase.BEFORE:
-                    # validation rejects blocking actions on after-phase
-                    # rules; nothing to suppress once the call returned
-                    self._block(result, rule.name)
+        blocked = False
+        try:
+            for aid in action_ids:
+                if aid in rule.app_action_ids and exec_stmts(self.cp.actions[aid].body, ctx):
+                    blocked = True
+        except EvalError as ex:
+            rollback(ctx.undo)
+            fault = f"EvalError:{ex.code}"
+            self._fault(result, fault)
+            self._block(result, fault)
+            return
+        ctx.undo.clear()  # the rule's writes stand
+        if blocked and occ.phase is Phase.BEFORE:
+            # validation rejects blocking actions on after-phase rules;
+            # nothing to suppress once the call returned
+            self._block(result, rule.name)

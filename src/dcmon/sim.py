@@ -31,7 +31,6 @@ from .central_monitor import (
 from .config import SimConfig
 from .dsl.ast import Phase
 from .engine import CompiledPolicy
-from .lang.eval import SetAttr
 from .lang.state import VarStore
 from .lang.values import INT64_MAX, Value
 
@@ -240,8 +239,10 @@ def run(
     channel = Channel(central)
     if not channel_connected:
         channel.disconnect()
+    # app-side set_attr models the monitor driving a device API: it writes
+    # the device attributes directly, without channel traffic
     monitors: Dict[str, LocalMonitor] = {
-        app: LocalMonitor(app, app, cp, channel) for app in sorted({ev.app for ev in trace})
+        app: LocalMonitor(app, app, cp, channel, device.attrs) for app in sorted({ev.app for ev in trace})
     }
     verdicts: List[Optional[VerdictEntry]] = [None] * len(trace)
     faults: List[Tuple[int, str]] = []
@@ -257,7 +258,6 @@ def run(
             phase=Phase.BEFORE, args=ev.args, return_value=None, t=ev.t,
         )
         before = monitor.intercept(occ_before)
-        _route_attr_effects(before.effects, device)
         event_faults = list(before.faults)
         if before.blocked:
             decision, reason = BLOCKED, before.reason or NO_RULE
@@ -268,7 +268,6 @@ def run(
                 phase=Phase.AFTER, args=ev.args, return_value=ret, t=ev.t,
             )
             after = monitor.intercept(occ_after)
-            _route_attr_effects(after.effects, device)
             event_faults.extend(after.faults)
             decision, reason = ALLOWED, NO_RULE
         latency = time.perf_counter_ns() - t0 if measure_latency else 0
@@ -346,14 +345,6 @@ def _execution_order(trace, concurrent_same_t, arrival_order, process) -> List[i
                 raise worker_errors[0]
         i = j
     return order
-
-
-def _route_attr_effects(effects, device: DeviceState) -> None:
-    # App-side set_attr effects model the monitor driving a device API;
-    # they reach the attribute table without any channel traffic.
-    for eff in effects:
-        if isinstance(eff, SetAttr):
-            device.attrs.set(eff.name, eff.kind, eff.value)
 
 
 def run_unmonitored(

@@ -2,8 +2,9 @@
 
 The NeedsGlobal rules of one batch share a single channel round trip.
 Cutting every batch down to one rule gives the reference protocol, one
-request per NeedsGlobal rule. Both must give the same verdicts, snapshot
-and faults, and each run's channel log must rebuild its snapshot.
+request per NeedsGlobal rule, and runs LocalOnly rules one by one. Both
+must give the same verdicts, snapshot and faults, and each run's channel
+log must rebuild its snapshot.
 """
 
 import dataclasses
@@ -27,7 +28,7 @@ from conftest import compile_src, send, sends_every
 def one_rule_batches(cp: CompiledPolicy) -> CompiledPolicy:
     """The same policy with every batch of its plan cut to one rule."""
     dispatch = {
-        key: DispatchEntry(rules, None if rules.batches is None else tuple(Batch([r]) for r in rules))
+        key: DispatchEntry(rules, tuple(Batch([r]) for r in rules))
         for key, rules in cp.dispatch.items()
     }
     return dataclasses.replace(cp, dispatch=dispatch)
@@ -36,7 +37,7 @@ def one_rule_batches(cp: CompiledPolicy) -> CompiledPolicy:
 def single_batch(cp: CompiledPolicy) -> CompiledPolicy:
     """The same policy with each key's rules forced into one batch."""
     dispatch = {
-        key: DispatchEntry(rules, None if rules.batches is None else (Batch(rules),))
+        key: DispatchEntry(rules, (Batch(rules),) if rules else ())
         for key, rules in cp.dispatch.items()
     }
     return dataclasses.replace(cp, dispatch=dispatch)
@@ -90,9 +91,14 @@ def test_sitting_policy_sends_one_request_per_occurrence():
     assert requests(want) == 4 * 30
 
 
-def test_local_only_keys_have_no_plan():
-    cp = compile_corpus_policy("WiFiLmt")
-    assert all(rules.batches is None for rules in cp.dispatch.values())
+def test_every_key_has_a_plan():
+    for pid in CORPUS_IDS:
+        cp = compile_corpus_policy(pid)
+        for key, rules in cp.dispatch.items():
+            assert [r for b in rules.batches for r in b.rules] == list(rules), (pid, key)
+    # WiFiLmt is LocalOnly: its batches name no rule, so they send nothing
+    batches = [b for rules in compile_corpus_policy("WiFiLmt").dispatch.values() for b in rules.batches]
+    assert batches and all(b.rule_ids == () for b in batches)
 
 
 # a write that a later condition reads cuts the batch

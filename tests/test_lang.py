@@ -1,4 +1,4 @@
-"""Expression language: typing rules, evaluation, statement effects."""
+"""Expression language: typing rules, evaluation, statements and rollback."""
 
 import pytest
 import hypothesis.strategies as st
@@ -7,15 +7,12 @@ from hypothesis import given, settings
 from dcmon.lang import (
     APP_SIDE,
     GLOBAL_SIDE,
-    BlockCall,
     EvalContext,
     EvalError,
-    SetAttr,
-    StateWrite,
     VarStore,
-    apply_effects,
     eval_expr,
     exec_stmt,
+    rollback,
     type_check,
 )
 from dcmon.lang.check import TypeMismatch, UnboundVariable
@@ -226,13 +223,16 @@ def test_increment_produces_state_write():
     gv.set("msgCount", VType.INT, 41)
     stmt = Assign("global", "msgCount", Binary("+", VarRef("global", "msgCount"), lit(1)))
     c = ctx(side=GLOBAL_SIDE, global_vars=gv, state_types={("global", "msgCount"): VType.INT})
-    effects = exec_stmt(stmt, c)
-    assert effects == [StateWrite("global", "msgCount", VType.INT, 42)]
-    assert gv.get("msgCount", VType.INT) == 42
+    assert exec_stmt(stmt, c) is False
+    assert gv.get("msgCount", VType.INT) == 42 and gv.kind_of("msgCount") is VType.INT
+    assert c.undo == [(gv, "msgCount", VType.INT, 41)]
 
 
 def test_block_in_app_context():
-    assert exec_stmt(BlockStmt(), ctx(local=VarStore())) == [BlockCall()]
+    lv = VarStore()
+    c = ctx(local=lv)
+    assert exec_stmt(BlockStmt(), c) is True
+    assert len(lv) == 0 and c.undo == []
 
 
 def test_block_in_global_context_is_side_fault():
@@ -245,9 +245,10 @@ def test_set_attr_effect():
     attrs = VarStore()
     c = ctx(side=GLOBAL_SIDE, global_vars=VarStore(), attrs=attrs,
             state_types={("attr", "wifi_enabled"): VType.BOOL})
-    effects = exec_stmt(stmt, c)
-    assert effects == [SetAttr("wifi_enabled", VType.BOOL, False)]
-    assert attrs.get("wifi_enabled", VType.BOOL) is False and "wifi_enabled" in attrs
+    assert exec_stmt(stmt, c) is False
+    assert attrs.get("wifi_enabled", VType.BOOL) is False and attrs.kind_of("wifi_enabled") is VType.BOOL
+    # the name was absent before, so rolling back removes it
+    assert c.undo == [(attrs, "wifi_enabled", None, None)]
 
 
 def test_append_keeps_list_sorted():
@@ -269,30 +270,74 @@ def test_prune_removes_strictly_older():
     assert gv.get("xs", VType.TS_LIST) == [100]
 
 
-def test_effect_replay_reproduces_post_state():
-    gv = VarStore()
-    lv = VarStore()
-    attrs = VarStore()
-    st_types = {
-        ("global", "n"): VType.INT,
-        ("global", "xs"): VType.TS_LIST,
-        ("attr", "bright"): VType.INT,
-    }
-    pre_g, pre_l, pre_a = gv.copy(), lv.copy(), attrs.copy()
-    c = ctx(side=GLOBAL_SIDE, now=50, global_vars=gv, attrs=attrs, state_types=st_types)
-    effects = []
-    effects += exec_stmt(Assign("global", "n", lit(3)), c)
-    effects += exec_stmt(AppendStmt("global", "xs", VarRef("ctx", "now")), c)
-    effects += exec_stmt(SetAttrStmt("bright", lit(9)), c)
-    apply_effects(effects, pre_l, pre_g, pre_a)
-    assert pre_g == gv and pre_l == lv and pre_a == attrs
-
-
 # property tests
 
 timestamps = st.lists(st.integers(min_value=0, max_value=10**10), max_size=60).map(sorted)
 durations = st.integers(min_value=0, max_value=10**10)
 nows = st.integers(min_value=0, max_value=10**10)
+
+# Statements write "n" and "xs" in the local and global stores and the
+# attributes "bright" and "wifi_enabled". A drawn pre-state may lack any of
+# them, or hold a scalar name under another kind than the one written.
+ROLLBACK_TYPES = {
+    ("local", "n"): VType.INT,
+    ("global", "n"): VType.INT,
+    ("local", "xs"): VType.TS_LIST,
+    ("global", "xs"): VType.TS_LIST,
+    ("attr", "bright"): VType.INT,
+    ("attr", "wifi_enabled"): VType.BOOL,
+}
+scalars = st.one_of(
+    st.booleans().map(lambda v: (VType.BOOL, v)),
+    st.integers(-5, 5).map(lambda v: (VType.INT, v)),
+    durations.map(lambda v: (VType.DURATION, v)),
+)
+
+
+@st.composite
+def stores(draw, scalar_names, list_names=()):
+    store = VarStore()
+    for name in scalar_names:
+        if draw(st.booleans()):
+            store.set(name, *draw(scalars))
+    for name in list_names:
+        if draw(st.booleans()):
+            store.set(name, VType.TS_LIST, draw(timestamps))
+    return store
+
+
+namespaces = st.sampled_from(["local", "global"])
+statements = st.lists(
+    st.one_of(
+        st.builds(lambda ns, v: Assign(ns, "n", lit(v)), namespaces, st.integers(-9, 9)),
+        st.builds(lambda ns, t: AppendStmt(ns, "xs", Literal(VType.TIMESTAMP, t)), namespaces, nows),
+        st.builds(lambda ns, d: PruneStmt(ns, "xs", Literal(VType.DURATION, d)), namespaces, durations),
+        st.builds(lambda v: SetAttrStmt("bright", lit(v)), st.integers(-9, 9)),
+        st.builds(lambda v: SetAttrStmt("wifi_enabled", lit(v)), st.booleans()),
+        st.just(BlockStmt()),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lv=stores(("n", "m"), ("xs",)),
+    gv=stores(("n", "m"), ("xs",)),
+    attrs=stores(("bright", "wifi_enabled")),
+    stmts=statements,
+    now=nows,
+)
+def test_rollback_restores_pre_state(lv, gv, attrs, stmts, now):
+    pre = [lv.copy(), gv.copy(), attrs.copy()]
+    c = ctx(now=now, local=lv, global_vars=gv, attrs=attrs, state_types=ROLLBACK_TYPES)
+    for stmt in stmts:
+        exec_stmt(stmt, c)
+    assert len(c.undo) == sum(not isinstance(s, BlockStmt) for s in stmts)
+    rollback(c.undo)
+    # VarStore equality compares the kinds too
+    assert [lv, gv, attrs] == pre
+    assert c.undo == []
 
 
 @settings(max_examples=200, deadline=None)

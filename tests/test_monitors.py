@@ -24,6 +24,7 @@ from dcmon.local_monitor import (
     LocalMonitor,
     bind_params,
 )
+from dcmon.lang.state import VarStore
 from dcmon.lang.values import MS_PER_HOUR, VType
 
 from conftest import compile_src
@@ -49,7 +50,7 @@ def quota_setup(msg_quota_policy):
     gs = GlobalState()
     central = CentralMonitor(msg_quota_policy, gs)
     channel = Channel(central)
-    monitor = LocalMonitor("Messenger", "Messenger", msg_quota_policy, channel)
+    monitor = LocalMonitor("Messenger", "Messenger", msg_quota_policy, channel, gs.attrs)
     return msg_quota_policy, gs, central, channel, monitor
 
 
@@ -110,6 +111,33 @@ def test_false_guard_leaves_state_unchanged(quota_setup):
     assert reply.appside_actions_to_run == ((),)
     assert reply.faults == (None,)
     assert snapshot(gs) == before
+
+
+GSTEP_BATCH_SRC = """
+Events { ApplicationSide { sendB() = { SmsManager *.sendTextMessage(...) } } }
+Conditions { GlobalSide { always = { true } } }
+Actions { GlobalSide {
+    gstep = { global.g := global.g + 1; global.q := 100 / (global.g - 2); }
+    look = { global.seen := global.g; }
+} }
+Rules {
+    step = sendB() | always -> gstep;
+    copy = sendB() | always -> look;
+}
+"""
+
+
+def test_central_fault_rolls_back_before_the_next_rule_of_the_batch():
+    cp = compile_src(GSTEP_BATCH_SRC)
+    gs = GlobalState()
+    gs.vars.set("g", VType.INT, 1)
+    gs.vars.set("q", VType.INT, -100)
+    channel = Channel(CentralMonitor(cp, gs))
+    reply = channel.request("Messenger", (0, 1), 0, {}, {})
+    assert reply.faults == ("EvalFault:DivisionByZero", None)
+    assert reply.guard_results == (False, True)
+    # `copy` reads g as it was before `step`, not the 2 that step wrote
+    assert [gs.vars.get(n, VType.INT) for n in ("g", "q", "seen")] == [1, -100, 1]
 
 
 def test_unknown_rule_fault(quota_setup):
@@ -194,7 +222,7 @@ def test_after_occurrence_increments(quota_setup):
 def test_unmatched_occurrence_proceeds(quota_setup):
     *_, monitor = quota_setup
     result = monitor.intercept(occ("Camera", "takePicture", Phase.BEFORE))
-    assert not result.blocked and result.effects == []
+    assert not result.blocked and result.faults == ()
 
 
 def test_fail_closed_on_disconnected_channel(quota_setup):
@@ -207,11 +235,13 @@ def test_fail_closed_on_disconnected_channel(quota_setup):
 
 
 def test_local_only_policy_ignores_channel_state(wifi_listing_policy):
-    monitor = LocalMonitor("Maps", "Maps", wifi_listing_policy, channel=None)
+    attrs = VarStore()
+    monitor = LocalMonitor("Maps", "Maps", wifi_listing_policy, channel=None, attrs=attrs)
     blocked = monitor.intercept(
         occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,), t=14 * MS_PER_HOUR, app="Maps")
     )
     assert blocked.blocked and blocked.reason == "blockWifiAfterHours"
+    assert attrs.get("wifi_enabled", VType.BOOL) is False and "wifi_enabled" in attrs
     allowed = monitor.intercept(
         occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,), t=9 * MS_PER_HOUR, app="Maps")
     )
@@ -252,7 +282,7 @@ def test_explicit_arity_pattern_gates_rule_matching():
     }
     """
     cp = compile_src(src)
-    monitor = LocalMonitor("Maps", "Maps", cp, channel=None)
+    monitor = LocalMonitor("Maps", "Maps", cp, channel=None, attrs=VarStore())
     monitor.intercept(occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,)))
     assert monitor.local.get("typed", VType.INT) == 1
     assert monitor.local.get("any", VType.INT) == 1

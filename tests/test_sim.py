@@ -1,10 +1,16 @@
-"""Device simulator: trace loading, the run loop, effect gating."""
+"""Device simulator: trace loading, the run loop, effect gating, rule
+atomicity and channel outages."""
+
+import dataclasses
 
 import pytest
 
-from dcmon.central_monitor import replay_requests, snapshot
+from dcmon.central_monitor import Channel, ChannelError, GlobalState, check_asymmetry, replay_requests, snapshot
 from dcmon.corpus import compile_corpus_policy
+from dcmon.dsl import Phase
+from dcmon.engine import Locality, rules_for
 from dcmon.lang.values import MS_PER_HOUR, MS_PER_MINUTE, MS_PER_SECOND, VType
+from dcmon.local_monitor import EventOccurrence, pattern_matches
 from dcmon.sim import (
     CatalogMismatch,
     TraceEvent,
@@ -17,6 +23,7 @@ from dcmon.sim import (
     run_unmonitored,
     usage_sessions,
 )
+from dcmon.tracegen import make_trace
 
 from conftest import compile_src, dial, send, sends_every, wifi
 
@@ -278,6 +285,113 @@ def test_local_only_policy_unaffected_by_disconnected_channel():
     res = run([wifi(9 * MS_PER_HOUR, True), wifi(14 * MS_PER_HOUR, True)], cp, channel_connected=False)
     assert res.decisions() == ["Allowed", "Blocked"]
     assert res.channel_entries == []
+
+
+# a rule that faults leaves no write behind
+
+STEP_SRC = """
+Events { ApplicationSide { sendB() = { SmsManager *.sendTextMessage(...) } } }
+Conditions { SIDE { always = { true } } }
+Actions { SIDE { step = { NS.g := NS.g + 1; NS.q := 100 / (NS.g - 2); } } }
+Rules { stepRule = sendB() | always -> step; }
+"""
+
+
+def test_faulting_global_rule_leaves_no_write():
+    cp = compile_src(STEP_SRC.replace("SIDE", "GlobalSide").replace("NS", "global"))
+    res = run(sends_every(1000, 3), cp)
+    # the second and third sends set g to 2 and then divide by zero
+    assert res.decisions() == ["Allowed"] * 3
+    assert res.faults == [(1, "EvalFault:DivisionByZero"), (2, "EvalFault:DivisionByZero")]
+    assert [res.global_state.vars.get(n, VType.INT) for n in ("g", "q")] == [1, -100]
+    assert snapshot(replay_requests(cp, res.channel_entries, res.initial_global)) == res.snapshot
+
+
+def test_faulting_local_rule_leaves_no_write():
+    cp = compile_src(STEP_SRC.replace("SIDE", "ApplicationSide").replace("NS", "local"))
+    res = run(sends_every(1000, 3), cp)
+    assert res.decisions() == ["Allowed", "Blocked", "Blocked"]
+    assert [v.reason for v in res.verdicts[1:]] == ["EvalError:DivisionByZero"] * 2
+    local = res.local_states["Messenger"]
+    assert [local.get(n, VType.INT) for n in ("g", "q")] == [1, -100]
+
+
+def test_faulting_rule_drops_its_attribute_write_and_block():
+    src = """
+    Events { ApplicationSide { sendB() = { SmsManager *.sendTextMessage(...) } } }
+    Conditions { ApplicationSide { always = { true } } }
+    Actions { ApplicationSide {
+        wifiOn = { set_attr("wifi_enabled", true); }
+        deny = { block(); }
+        crash = { local.z := 10 / local.z; }
+    } }
+    Rules { denySend = sendB() | always -> wifiOn, deny, crash; }
+    """
+    res = run([send(0)], compile_src(src))
+    assert (res.verdicts[0].decision, res.verdicts[0].reason) == ("Blocked", "EvalError:DivisionByZero")
+    assert res.faults == [(0, "EvalError:DivisionByZero")]
+    assert res.device.attrs.get("wifi_enabled", VType.BOOL) is False
+    assert "z" not in res.local_states["Messenger"]
+
+
+# a channel outage in the middle of a trace
+
+def strictly_increasing(trace):
+    out, last = [], -1
+    for ev in trace:
+        last = max(ev.t, last + 1)
+        out.append(dataclasses.replace(ev, t=last))
+    return out
+
+
+def needs_global_rules(cp, ev, phase):
+    occ = EventOccurrence(ev.app, ev.app, ev.namespace, ev.method, phase, ev.args, None, ev.t)
+    return [
+        r for r in rules_for(cp, ev.namespace, ev.method, phase)
+        if r.locality is Locality.NEEDS_GLOBAL and pattern_matches(cp.event_of(r), occ)
+    ]
+
+
+@pytest.mark.parametrize(
+    "pid, trace",
+    [
+        ("MsgCntLmtHr", sends_every(10 * MS_PER_SECOND, 300)),
+        ("OneHrPerSittingOnly", strictly_increasing(make_trace(9, profile="long_sitting", max_events=400))),
+    ],
+)
+def test_channel_outage_mid_trace_fails_closed(monkeypatch, pid, trace):
+    cp = compile_corpus_policy(pid)
+    lo, hi = trace[len(trace) // 5].t, trace[len(trace) // 2].t
+    uninterrupted = run(trace, cp)
+
+    request = Channel.request
+
+    def flaky_request(self, app_id, rule_ids, t, appside_truth, forwarded_bindings):
+        if lo <= t < hi:
+            raise ChannelError("outage")
+        return request(self, app_id, rule_ids, t, appside_truth, forwarded_bindings)
+
+    monkeypatch.setattr(Channel, "request", flaky_request)
+    res = run(trace, cp)
+
+    assert not any(lo <= e.t < hi for e in res.channel_entries)
+    faults = {}
+    for idx, fault in res.faults:
+        faults.setdefault(idx, []).append(fault)
+    inside = [idx for idx, ev in enumerate(trace) if lo <= ev.t < hi]
+    assert len(inside) > 50
+    for idx in inside:
+        before = needs_global_rules(cp, trace[idx], Phase.BEFORE)
+        if before:
+            verdict = res.verdicts[idx]
+            assert (verdict.decision, verdict.reason) == ("Blocked", "ChannelError"), idx
+        triggered = before or needs_global_rules(cp, trace[idx], Phase.AFTER)
+        assert faults.get(idx, []) == ["ChannelError"] * len(triggered), idx
+    first = inside[0]
+    assert res.verdict_lines().splitlines()[:first] == uninterrupted.verdict_lines().splitlines()[:first]
+    assert check_asymmetry(res.channel_entries) == []
+    rebuilt = replay_requests(cp, res.channel_entries, res.initial_global)
+    assert snapshot(GlobalState(vars=rebuilt.vars, attrs=res.global_state.attrs)) == res.snapshot
 
 
 # sittings
