@@ -1,7 +1,7 @@
 """Command-line front end.
 
     dcmon compile <policy.dcp>
-    dcmon run <policy.dcp> <trace.jsonl> [--config cfg.json] --out <dir>
+    dcmon run <policy.dcp> <trace.jsonl> --out <dir>
     dcmon bench --policies all|Id[,Id...] --trace <file> [--reps N] --out <report.json>
     dcmon report <report.json>
 
@@ -71,9 +71,6 @@ def cmd_run(args) -> int:
     cp, code = _read_policy(args.policy)
     if cp is None:
         return code
-    config = _read_config(args.config)
-    if config is None:
-        return EXIT_IO
     try:
         trace = load_trace(args.trace)
     except OSError as ex:
@@ -83,7 +80,7 @@ def cmd_run(args) -> int:
         print(f"error: bad trace: {ex}", file=sys.stderr)
         return EXIT_TRACE
     try:
-        result = run(trace, cp, config, measure_latency=args.measure_latency)
+        result = run(trace, cp, measure_latency=args.measure_latency)
     except CatalogMismatch as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_TRACE
@@ -157,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="replay a trace under a policy")
     p.add_argument("policy")
     p.add_argument("trace")
-    p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--measure-latency", action="store_true", help="record wall-clock latencies (output no longer byte-stable)")
     p.set_defaults(func=cmd_run)

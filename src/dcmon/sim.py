@@ -14,10 +14,9 @@ occurrence.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import CATALOG, DeviceState, arg_matches, execute_effect
 from .central_monitor import (
@@ -222,9 +221,10 @@ def run(
     arrival_order: Optional[List[int]] = None,
     channel_connected: bool = True,
 ) -> RunResult:
-    """Monitored replay. Deterministic for a given (trace, policy, config,
-    arrival order); latencies are reported as 0 unless measurement is on,
-    keeping output files byte-stable across runs."""
+    """Monitored replay. Deterministic for a given trace, policy and
+    execution order; latencies are reported as 0 unless measurement is on,
+    keeping output files byte-stable across runs. `config` is not read:
+    it shapes a policy only when the corpus compiles it."""
     check_policy_against_catalog(cp)
     _check_trace_against_catalog(trace)
 
@@ -246,9 +246,8 @@ def run(
     }
     verdicts: List[Optional[VerdictEntry]] = [None] * len(trace)
     faults: List[Tuple[int, str]] = []
-    faults_lock = threading.Lock()
-
-    def process(idx: int) -> None:
+    order = _execution_order(trace, concurrent_same_t, arrival_order)
+    for idx in order:
         ev = trace[idx]
         entry = CATALOG[(ev.namespace, ev.method)]
         monitor = monitors[ev.app]
@@ -273,10 +272,7 @@ def run(
         latency = time.perf_counter_ns() - t0 if measure_latency else 0
         verdicts[idx] = VerdictEntry(ev.t, ev.app, ev.call, decision, reason, latency)
         if event_faults:
-            with faults_lock:
-                faults.extend((idx, f) for f in event_faults)
-
-    order = _execution_order(trace, concurrent_same_t, arrival_order, process)
+            faults.extend((idx, f) for f in event_faults)
 
     problems = check_asymmetry(log)
     if problems:
@@ -289,62 +285,49 @@ def run(
         initial_global=initial,
         device=device,
         local_states={app: m.local for app, m in monitors.items()},
-        arrival_order=order,
+        arrival_order=list(order),
         faults=sorted(faults),
     )
 
 
-def _execution_order(trace, concurrent_same_t, arrival_order, process) -> List[int]:
-    if arrival_order is not None:
-        if sorted(arrival_order) != list(range(len(trace))):
-            raise ValueError("arrival_order must be a permutation of trace indices")
-        for idx in arrival_order:
-            process(idx)
-        return list(arrival_order)
-    if not concurrent_same_t:
-        for idx in range(len(trace)):
-            process(idx)
-        return list(range(len(trace)))
+def _execution_order(
+    trace: List[TraceEvent], concurrent_same_t: bool, arrival_order: Optional[List[int]]
+) -> Sequence[int]:
+    """The order in which run() processes the trace events.
 
-    # Same-timestamp events of different apps race; a device-wide lock
-    # keeps each whole event (before, effect, after) atomic and the grant
-    # order is recorded so the run can be replayed exactly.
-    order: List[int] = []
-    event_lock = threading.Lock()
-    worker_errors: List[BaseException] = []
-
-    def worker(indices: List[int]) -> None:
-        try:
-            for idx in indices:
-                with event_lock:
-                    order.append(idx)
-                    process(idx)
-        except BaseException as ex:  # re-raised on the main thread
-            worker_errors.append(ex)
-
-    i = 0
-    while i < len(trace):
-        j = i
-        while j < len(trace) and trace[j].t == trace[i].t:
-            j += 1
-        group = list(range(i, j))
-        by_app: Dict[str, List[int]] = {}
-        for idx in group:
-            by_app.setdefault(trace[idx].app, []).append(idx)
-        if len(by_app) <= 1:
-            for idx in group:
-                order.append(idx)
-                process(idx)
-        else:
-            threads = [threading.Thread(target=worker, args=(indices,)) for indices in by_app.values()]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join()
-            if worker_errors:
-                raise worker_errors[0]
-        i = j
-    return order
+    Sequential mode keeps trace order. Concurrent mode models apps as
+    independent components whose calls one device-wide monitor puts in
+    order: within each group of same-timestamp events the apps take turns
+    in the order of their first event in the group, and each app's events
+    run as one block, in trace order. A given arrival_order replays a
+    recorded order; it must keep timestamps nondecreasing and each app's
+    events in trace order.
+    """
+    if arrival_order is None:
+        if not concurrent_same_t:
+            # run() lists the order only after the replay: a list built
+            # here keeps one int object per event alive through it
+            return range(len(trace))
+        # the trace is sorted, so an app's first index in a timestamp group
+        # orders the groups as well as the apps within one; the stable sort
+        # keeps each app's events in trace order
+        first: Dict[Tuple[int, str], int] = {}
+        for idx, ev in enumerate(trace):
+            first.setdefault((ev.t, ev.app), idx)
+        return sorted(range(len(trace)), key=lambda idx: first[trace[idx].t, trace[idx].app])
+    if sorted(arrival_order) != list(range(len(trace))):
+        raise ValueError("arrival_order must be a permutation of trace indices")
+    last_t = 0
+    last_of_app: Dict[str, int] = {}
+    for idx in arrival_order:
+        ev = trace[idx]
+        if ev.t < last_t:
+            raise ValueError(f"arrival_order runs event {idx} (t={ev.t}) after an event at t={last_t}")
+        if last_of_app.get(ev.app, -1) > idx:
+            raise ValueError(f"arrival_order runs event {idx} of {ev.app} after its event {last_of_app[ev.app]}")
+        last_t = ev.t
+        last_of_app[ev.app] = idx
+    return arrival_order
 
 
 def run_unmonitored(

@@ -252,6 +252,43 @@ def test_concurrent_request_log_rebuilds_snapshot():
     assert snapshot(rebuilt) == res.snapshot
 
 
+@pytest.mark.parametrize(
+    "trace, expected",
+    [
+        (
+            [send(0, "A"), send(0, "B"), send(0, "A"), send(5, "C"), send(5, "B"), send(5, "C")],
+            [0, 2, 1, 3, 5, 4],
+        ),
+        # one group long enough that threads racing for it would interleave
+        (sends_every(0, 3000, apps=[f"App{i}" for i in range(5)]), [i for a in range(5) for i in range(a, 3000, 5)]),
+    ],
+    ids=["two-groups", "3000-sends"],
+)
+def test_concurrent_schedule_runs_app_by_app(trace, expected):
+    cp = compile_corpus_policy("MsgCntLmtHr")
+    runs = [run(trace, cp, concurrent_same_t=True) for _ in range(3)]
+    assert [r.arrival_order for r in runs] == [expected] * 3
+    assert len({r.verdict_lines() for r in runs}) == 1
+
+
+@pytest.mark.parametrize(
+    "trace, order, accepted",
+    [
+        (sends_every(MS_PER_SECOND, 50), list(reversed(range(50))), False),
+        (sends_every(0, 4, apps=["A", "B"]), [2, 1, 0, 3], False),
+        (sends_every(0, 4, apps=["A", "B"]), [1, 0, 2, 3], True),
+    ],
+    ids=["clock-runs-backwards", "same-app-swapped", "other-apps-swapped"],
+)
+def test_arrival_order_keeps_time_and_app_order(trace, order, accepted):
+    cp = compile_corpus_policy("MsgCntLmtHr")
+    if accepted:
+        assert run(trace, cp, arrival_order=order).arrival_order == order
+    else:
+        with pytest.raises(ValueError):
+            run(trace, cp, arrival_order=order)
+
+
 def test_isolation_local_state_per_app():
     # a per-app counter kept in local state: interleaving two apps must
     # leave each app's local state as if it ran alone
