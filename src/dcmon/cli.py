@@ -90,6 +90,7 @@ def cmd_run(args) -> int:
         (out / "verdicts.jsonl").write_text(result.verdict_lines(), encoding="utf-8")
         (out / "snapshot.json").write_text(result.snapshot + "\n", encoding="utf-8")
         (out / "channel.jsonl").write_text(result.channel_lines(), encoding="utf-8")
+        (out / "faults.jsonl").write_text(result.fault_lines(), encoding="utf-8")
     except OSError as ex:
         print(f"error: cannot write outputs: {ex}", file=sys.stderr)
         return EXIT_IO

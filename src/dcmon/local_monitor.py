@@ -40,7 +40,7 @@ class ArityMismatch(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EventOccurrence:
     app_id: str
     app_name: str

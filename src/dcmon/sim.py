@@ -8,7 +8,8 @@ For each trace event the clock advances to the event time, the before-phase
 occurrence is intercepted, and only if no rule blocked it does the catalog
 effect execute, followed by the after-phase occurrence carrying the return
 value. A blocked call therefore leaves no device effect and no after
-occurrence.
+occurrence. A phase of a call that no rule listens to builds no occurrence
+and is not intercepted.
 """
 
 from __future__ import annotations
@@ -210,6 +211,34 @@ class RunResult:
     def channel_lines(self) -> str:
         return "".join(e.to_json() + "\n" for e in self.channel_entries)
 
+    def fault_lines(self) -> str:
+        """One JSON line per fault, in the order of `faults`."""
+        return "".join(
+            json.dumps(
+                {"event": idx, "t_ms": self.verdicts[idx].t, "app": self.verdicts[idx].app, "fault": fault},
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            + "\n"
+            for idx, fault in self.faults
+        )
+
+
+_UNWATCHED = (False, False)
+
+
+def _watched_phases(cp: CompiledPolicy) -> Dict[Tuple[str, str], Tuple[bool, bool]]:
+    """For each (namespace, method) with rules, whether its before and its
+    after phase have any. A phase without rules proceeds with no fault and
+    no write, so run() builds no occurrence for it and does not intercept
+    it. The key holds no Phase, which the loop would otherwise hash."""
+    watched: Dict[Tuple[str, str], Tuple[bool, bool]] = {}
+    for (namespace, method, phase), rules in cp.dispatch.items():
+        if rules:
+            before, after = watched.get((namespace, method), _UNWATCHED)
+            watched[namespace, method] = (before or phase is Phase.BEFORE, after or phase is Phase.AFTER)
+    return watched
+
 
 def run(
     trace: List[TraceEvent],
@@ -246,29 +275,27 @@ def run(
     }
     verdicts: List[Optional[VerdictEntry]] = [None] * len(trace)
     faults: List[Tuple[int, str]] = []
+    watched = _watched_phases(cp)
     order = _execution_order(trace, concurrent_same_t, arrival_order)
     for idx in order:
         ev = trace[idx]
         entry = CATALOG[(ev.namespace, ev.method)]
         monitor = monitors[ev.app]
         t0 = time.perf_counter_ns() if measure_latency else 0
-        occ_before = EventOccurrence(
-            app_id=ev.app, app_name=ev.app, namespace=ev.namespace, method=ev.method,
-            phase=Phase.BEFORE, args=ev.args, return_value=None, t=ev.t,
-        )
-        before = monitor.intercept(occ_before)
-        event_faults = list(before.faults)
-        if before.blocked:
-            decision, reason = BLOCKED, before.reason or NO_RULE
-        else:
+        watch_before, watch_after = watched.get((ev.namespace, ev.method), _UNWATCHED)
+        event_faults = ()
+        decision, reason = ALLOWED, NO_RULE
+        if watch_before:
+            # positional: (app_id, app_name, namespace, method, phase, args, return_value, t)
+            before = monitor.intercept(EventOccurrence(ev.app, ev.app, ev.namespace, ev.method, Phase.BEFORE, ev.args, None, ev.t))
+            event_faults = before.faults
+            if before.blocked:
+                decision, reason = BLOCKED, before.reason or NO_RULE
+        if decision == ALLOWED:
             ret = execute_effect(entry, ev.args, device)
-            occ_after = EventOccurrence(
-                app_id=ev.app, app_name=ev.app, namespace=ev.namespace, method=ev.method,
-                phase=Phase.AFTER, args=ev.args, return_value=ret, t=ev.t,
-            )
-            after = monitor.intercept(occ_after)
-            event_faults.extend(after.faults)
-            decision, reason = ALLOWED, NO_RULE
+            if watch_after:
+                after = monitor.intercept(EventOccurrence(ev.app, ev.app, ev.namespace, ev.method, Phase.AFTER, ev.args, ret, ev.t))
+                event_faults += after.faults
         latency = time.perf_counter_ns() - t0 if measure_latency else 0
         verdicts[idx] = VerdictEntry(ev.t, ev.app, ev.call, decision, reason, latency)
         if event_faults:

@@ -73,6 +73,33 @@ def test_run_writes_outputs(tmp_path, capsys, msg_policy_file, small_trace_file)
     assert (out / "channel.jsonl").exists()
 
 
+# `reset` is in no rule; it gives local.n its kind, so `inverse` divides by zero
+DIVIDE_BY_ZERO_SRC = """
+Events { ApplicationSide { sendB() = { SmsManager *.sendTextMessage(...) } } }
+Conditions { ApplicationSide { inverse = { 10 / local.n > 1 } } }
+Actions { ApplicationSide { deny = { block(); } reset = { local.n := 0; } } }
+Rules { sendB() | inverse -> deny; }
+"""
+
+
+def test_run_writes_one_fault_line_per_fault(tmp_path, msg_policy_file):
+    policy = tmp_path / "broken.dcp"
+    policy.write_text(DIVIDE_BY_ZERO_SRC, encoding="utf-8")
+    trace = tmp_path / "trace.jsonl"
+    write_trace(trace, sends_every(1000, 3, apps=["A", "B"]))
+    out = tmp_path / "out"
+    assert main(["run", str(policy), str(trace), "--out", str(out)]) == 0
+    lines = (out / "faults.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines == [
+        '{"app":"A","event":0,"fault":"EvalError:DivisionByZero","t_ms":0}',
+        '{"app":"B","event":1,"fault":"EvalError:DivisionByZero","t_ms":1000}',
+        '{"app":"A","event":2,"fault":"EvalError:DivisionByZero","t_ms":2000}',
+    ]
+    # a run without faults writes an empty file
+    assert main(["run", str(msg_policy_file), str(trace), "--out", str(tmp_path / "ok")]) == 0
+    assert (tmp_path / "ok" / "faults.jsonl").read_text(encoding="utf-8") == ""
+
+
 def test_run_exit_zero_with_blocked_events(tmp_path, msg_policy_file, small_trace_file):
     assert main(["run", str(msg_policy_file), str(small_trace_file), "--out", str(tmp_path / "o")]) == 0
 

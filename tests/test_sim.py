@@ -1,21 +1,39 @@
-"""Device simulator: trace loading, the run loop, effect gating, rule
-atomicity and channel outages."""
+"""Device simulator: trace loading, the run loop, the phases it intercepts,
+effect gating, rule atomicity and channel outages."""
 
 import dataclasses
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
-from dcmon.central_monitor import Channel, ChannelError, GlobalState, check_asymmetry, replay_requests, snapshot
-from dcmon.corpus import compile_corpus_policy
-from dcmon.dsl import Phase
-from dcmon.engine import Locality, rules_for
+from dcmon.catalog import CATALOG, DeviceState, execute_effect
+from dcmon.central_monitor import (
+    Channel,
+    ChannelError,
+    CentralMonitor,
+    GlobalState,
+    check_asymmetry,
+    replay_requests,
+    snapshot,
+)
+from dcmon.corpus import CORPUS_IDS, compile_corpus_policy
+from dcmon.dsl import Phase, parse_policy, validate_policy
+from dcmon.engine import CompiledPolicy, Locality, rules_for
+from dcmon.lang.state import VarStore
 from dcmon.lang.values import MS_PER_HOUR, MS_PER_MINUTE, MS_PER_SECOND, VType
-from dcmon.local_monitor import EventOccurrence, pattern_matches
+from dcmon.local_monitor import EventOccurrence, LocalMonitor, pattern_matches
 from dcmon.sim import (
+    ALLOWED,
+    BLOCKED,
+    NO_RULE,
     CatalogMismatch,
+    RunResult,
     TraceEvent,
     TraceFormatError,
     UnsortedTrace,
+    VerdictEntry,
+    _execution_order,
     check_policy_against_catalog,
     load_trace,
     parse_trace,
@@ -23,9 +41,10 @@ from dcmon.sim import (
     run_unmonitored,
     usage_sessions,
 )
-from dcmon.tracegen import make_trace
+from dcmon.tracegen import make_bench_trace, make_trace
 
 from conftest import compile_src, dial, send, sends_every, wifi
+from test_batch_plan import policy_source, rule_lists
 
 
 # trace parsing
@@ -429,6 +448,110 @@ def test_channel_outage_mid_trace_fails_closed(monkeypatch, pid, trace):
     assert check_asymmetry(res.channel_entries) == []
     rebuilt = replay_requests(cp, res.channel_entries, res.initial_global)
     assert snapshot(GlobalState(vars=rebuilt.vars, attrs=res.global_state.attrs)) == res.snapshot
+
+
+# only the phases a rule listens to are intercepted
+
+BENCH_TRACE = make_bench_trace(per_kind=120)
+
+
+def assert_intercepts_only_phases_with_rules(monkeypatch, cp, trace):
+    phases = []
+    intercept = LocalMonitor.intercept
+
+    def counting_intercept(self, occ):
+        phases.append(occ.phase)
+        return intercept(self, occ)
+
+    monkeypatch.setattr(LocalMonitor, "intercept", counting_intercept)
+    res = run(trace, cp)
+    before = sum(1 for ev in trace if rules_for(cp, ev.namespace, ev.method, Phase.BEFORE))
+    after = sum(
+        1 for ev, v in zip(trace, res.verdicts)
+        if v.decision == ALLOWED and rules_for(cp, ev.namespace, ev.method, Phase.AFTER)
+    )
+    assert len(phases) == before + after
+    assert phases.count(Phase.BEFORE) == before
+
+
+@pytest.mark.parametrize("pid", CORPUS_IDS)
+def test_intercepts_only_phases_with_rules(monkeypatch, pid):
+    assert_intercepts_only_phases_with_rules(monkeypatch, compile_corpus_policy(pid), BENCH_TRACE)
+
+
+def test_event_without_rules_is_not_intercepted(monkeypatch):
+    cp = compile_src(
+        """
+        Events { ApplicationSide {
+            sendB() = { SmsManager *.sendTextMessage(...) }
+            wifiB() = { WifiManager *.setWifiEnabled(boolean on) }
+        } }
+        Conditions { ApplicationSide { always = { true } } }
+        Actions { ApplicationSide { note = { local.n := local.n + 1; } } }
+        Rules { sendB() | always -> note; }
+        """
+    )
+    assert not rules_for(cp, "WifiManager", "setWifiEnabled", Phase.BEFORE)
+    trace = [send(0), wifi(1, False), send(2), wifi(3, True)]
+    assert_intercepts_only_phases_with_rules(monkeypatch, cp, trace)
+
+
+def intercept_every_phase(trace, cp, concurrent_same_t=False) -> RunResult:
+    """run() as it was before it skipped phases without rules: both phases
+    of every call are intercepted. The reference for run()."""
+    device = DeviceState()
+    gs = GlobalState(vars=VarStore(), attrs=device.attrs)
+    initial = gs.copy()
+    log = []
+    channel = Channel(CentralMonitor(cp, gs, log))
+    monitors = {app: LocalMonitor(app, app, cp, channel, device.attrs) for app in sorted({ev.app for ev in trace})}
+    verdicts = [None] * len(trace)
+    faults = []
+    order = list(_execution_order(trace, concurrent_same_t, None))
+    for idx in order:
+        ev = trace[idx]
+        monitor = monitors[ev.app]
+        before = monitor.intercept(EventOccurrence(ev.app, ev.app, ev.namespace, ev.method, Phase.BEFORE, ev.args, None, ev.t))
+        event_faults = list(before.faults)
+        if before.blocked:
+            decision, reason = BLOCKED, before.reason or NO_RULE
+        else:
+            ret = execute_effect(CATALOG[(ev.namespace, ev.method)], ev.args, device)
+            after = monitor.intercept(EventOccurrence(ev.app, ev.app, ev.namespace, ev.method, Phase.AFTER, ev.args, ret, ev.t))
+            event_faults.extend(after.faults)
+            decision, reason = ALLOWED, NO_RULE
+        verdicts[idx] = VerdictEntry(ev.t, ev.app, ev.call, decision, reason, 0)
+        faults.extend((idx, f) for f in event_faults)
+    local_states = {app: m.local for app, m in monitors.items()}
+    return RunResult(verdicts, snapshot(gs), log, gs, initial, device, local_states, order, sorted(faults))
+
+
+def assert_same_as_every_phase(trace, cp, concurrent_same_t=False):
+    got = run(trace, cp, concurrent_same_t=concurrent_same_t)
+    want = intercept_every_phase(trace, cp, concurrent_same_t)
+    assert got.verdict_lines() == want.verdict_lines()
+    assert got.snapshot == want.snapshot
+    assert got.channel_lines() == want.channel_lines()
+    assert got.faults == want.faults
+    assert got.local_states == want.local_states
+    assert got.arrival_order == want.arrival_order
+
+
+@pytest.mark.parametrize("pid", CORPUS_IDS)
+@pytest.mark.parametrize("concurrent_same_t", [False, True], ids=["sequential", "concurrent"])
+def test_corpus_matches_intercepting_every_phase(pid, concurrent_same_t):
+    cp = compile_corpus_policy(pid)
+    for seed in range(60_000, 60_010):
+        assert_same_as_every_phase(make_trace(seed, max_events=400), cp, concurrent_same_t)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(rule_lists(), st.integers(0, 10_000), st.booleans())
+def test_random_policy_matches_intercepting_every_phase(rule_list, seed, concurrent_same_t):
+    cp = validate_policy(parse_policy(policy_source(rule_list)))
+    assume(isinstance(cp, CompiledPolicy))
+    check_policy_against_catalog(cp)
+    assert_same_as_every_phase(make_trace(seed, max_apps=2, max_events=80), cp, concurrent_same_t)
 
 
 # sittings
