@@ -3,17 +3,24 @@
 The channel is app-initiated only. A local monitor submits a request and
 blocks for the reply; the central monitor handles one request at a time and
 never sends anything unsolicited, so every central-to-app log entry is the
-reply to the immediately preceding request with the same seq.
+reply to the immediately preceding request with the same seq, app, time
+and rule ids.
+
+A `Channel` serves one caller at a time and takes no lock: the simulator
+runs every app in one loop. A log entry points at the request or reply it
+logs, so it keeps the request's truth map and forwarded bindings as given;
+the caller must not change them after the request. `MonitorReply` keeps
+`guard_result` and `fault`, one-value summaries of a reply, for the
+benchmark's tracer, which reads them by name.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from .engine import CompiledPolicy, MissingTruthValue, evaluate_guard
+from .engine import CompiledPolicy, CompiledRule, MissingTruthValue, evaluate_guard
 from .lang.eval import GLOBAL_SIDE, EvalContext, EvalError, eval_expr, exec_stmts, rollback
 from .lang.state import VarStore
 from .lang.values import Value, VType, value_to_json
@@ -69,7 +76,7 @@ def state_size(gs: GlobalState) -> Dict[str, object]:
     return {"vars": vars_report, "attrs": attrs_report, "total_bytes": total}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MonitorRequest:
     """One round trip for the NeedsGlobal rules of one batch. The truth map
     holds the app-side conditions of all the rules, the bindings every
@@ -82,8 +89,12 @@ class MonitorRequest:
     appside_truth: Dict[int, bool]
     forwarded_bindings: Dict[str, Value]
 
+    @property
+    def payload(self) -> Dict[str, object]:
+        return {"appside_truth": self.appside_truth, "forwarded_bindings": self.forwarded_bindings}
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(slots=True)
 class MonitorReply:
     """Per-rule results, parallel to the request's rule ids."""
 
@@ -102,8 +113,16 @@ class MonitorReply:
         """The first rule's fault, if any rule faulted."""
         return next((f for f in self.faults if f is not None), None)
 
+    @property
+    def payload(self) -> Dict[str, object]:
+        return {
+            "guard_result": self.guard_results,
+            "appside_actions_to_run": self.appside_actions_to_run,
+            "fault": self.faults,
+        }
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(slots=True)
 class ChannelLogEntry:
     direction: str
     seq: int
@@ -111,7 +130,12 @@ class ChannelLogEntry:
     app_id: str
     # the request's rule ids, in batch order
     rule_id: Tuple[int, ...]
-    payload: Dict[str, object]
+    # the MonitorRequest or MonitorReply logged, not a copy
+    message: Union[MonitorRequest, MonitorReply]
+
+    @property
+    def payload(self) -> Dict[str, object]:
+        return self.message.payload
 
     def to_json(self) -> str:
         return json.dumps(
@@ -121,7 +145,7 @@ class ChannelLogEntry:
                 "t": self.t,
                 "app_id": self.app_id,
                 "rule_id": self.rule_id,
-                "payload": self.payload,
+                "payload": self.message.payload,
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -145,6 +169,11 @@ def check_asymmetry(entries: List[ChannelLogEntry]) -> List[str]:
                     f"entry {i}: reply seq {e.seq} to {e.app_id} does not match request seq "
                     f"{open_request.seq} from {open_request.app_id}"
                 )
+            elif e.t != open_request.t or e.rule_id != open_request.rule_id:
+                problems.append(
+                    f"entry {i}: reply seq {e.seq} at t={e.t} for rules {e.rule_id} does not match "
+                    f"its request at t={open_request.t} for rules {open_request.rule_id}"
+                )
             open_request = None
     if open_request is not None:
         problems.append(f"request seq {open_request.seq} never answered")
@@ -153,53 +182,36 @@ def check_asymmetry(entries: List[ChannelLogEntry]) -> List[str]:
 
 class CentralMonitor:
     """Evaluates GlobalSide guard parts and runs GlobalSide actions,
-    strictly one request at a time."""
+    one request at a time."""
 
     def __init__(self, cp: CompiledPolicy, gs: GlobalState, log: Optional[List[ChannelLogEntry]] = None):
         self.cp = cp
         self.gs = gs
         self.log: List[ChannelLogEntry] = log if log is not None else []
-        self._lock = threading.Lock()
+        # per rule_ids tuple: its rules (None for an unknown id) and the
+        # app-side condition ids a fresh truth map holds. A local monitor
+        # sends only sub-sequences of its plan's batches, so this stays small.
+        self._plans: Dict[Tuple[int, ...], Tuple[List[Optional[CompiledRule]], FrozenSet[int]]] = {}
 
     def handle_request(self, req: MonitorRequest) -> MonitorReply:
-        with self._lock:
-            self.log.append(
-                ChannelLogEntry(
-                    direction=APP_TO_CENTRAL,
-                    seq=req.seq,
-                    t=req.t,
-                    app_id=req.app_id,
-                    rule_id=req.rule_ids,
-                    payload={
-                        "appside_truth": req.appside_truth,
-                        "forwarded_bindings": req.forwarded_bindings,
-                    },
-                )
-            )
-            reply = self._evaluate(req)
-            self.log.append(
-                ChannelLogEntry(
-                    direction=CENTRAL_TO_APP,
-                    seq=reply.seq,
-                    t=req.t,
-                    app_id=req.app_id,
-                    rule_id=req.rule_ids,
-                    payload={
-                        "guard_result": reply.guard_results,
-                        "appside_actions_to_run": reply.appside_actions_to_run,
-                        "fault": reply.faults,
-                    },
-                )
-            )
-            return reply
+        log = self.log
+        log.append(ChannelLogEntry(APP_TO_CENTRAL, req.seq, req.t, req.app_id, req.rule_ids, req))
+        reply = self._evaluate(req)
+        log.append(ChannelLogEntry(CENTRAL_TO_APP, reply.seq, req.t, req.app_id, req.rule_ids, reply))
+        return reply
+
+    def _plan(self, rule_ids: Tuple[int, ...]) -> Tuple[List[Optional[CompiledRule]], FrozenSet[int]]:
+        rules = [self.cp.rule_by_id(rid) for rid in rule_ids]
+        expected = frozenset(cid for rule in rules if rule is not None for cid in rule.app_condition_ids)
+        plan = self._plans[rule_ids] = (rules, expected)
+        return plan
 
     def _evaluate(self, req: MonitorRequest) -> MonitorReply:
         """Run the request's rules in order in one context. A condition is
         evaluated once until a rule's GlobalSide actions run. A rule that
         faults leaves no write behind."""
         cp = self.cp
-        rules = [cp.rule_by_id(rid) for rid in req.rule_ids]
-        expected = {cid for rule in rules if rule is not None for cid in rule.app_condition_ids}
+        rules, expected = self._plans.get(req.rule_ids) or self._plan(req.rule_ids)
         stale = expected != req.appside_truth.keys()
         # positional, as in LocalMonitor._ctx: (side, now, state_types,
         # app_id, app_name, bindings, local, global_vars, attrs)
@@ -235,12 +247,13 @@ class CentralMonitor:
 
 
 class Channel:
-    """Synchronous in-process request/reply port shared by local monitors."""
+    """Synchronous in-process request/reply port shared by local monitors.
+    It serves one caller at a time: nothing here is safe to call from two
+    threads at once."""
 
     def __init__(self, central: CentralMonitor):
         self.central = central
         self.connected = True
-        self._seq_lock = threading.Lock()
         self._next_seq = 0
 
     def disconnect(self) -> None:
@@ -261,18 +274,10 @@ class Channel:
         keep both maps as given; the caller must not change them later."""
         if not self.connected:
             raise ChannelError("central monitor unreachable")
-        with self._seq_lock:
-            seq = self._next_seq
-            self._next_seq += 1
-        req = MonitorRequest(
-            seq=seq,
-            app_id=app_id,
-            rule_ids=rule_ids,
-            t=t,
-            appside_truth=appside_truth,
-            forwarded_bindings=forwarded_bindings,
-        )
-        return self.central.handle_request(req)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        # positional: (seq, app_id, rule_ids, t, appside_truth, forwarded_bindings)
+        return self.central.handle_request(MonitorRequest(seq, app_id, rule_ids, t, appside_truth, forwarded_bindings))
 
 
 def replay_requests(
@@ -288,18 +293,6 @@ def replay_requests(
     gs = initial.copy() if initial is not None else GlobalState()
     central = CentralMonitor(cp, gs)
     for e in entries:
-        if e.direction != APP_TO_CENTRAL:
-            continue
-        truth = {int(k): v for k, v in e.payload["appside_truth"].items()}
-        bindings = dict(e.payload["forwarded_bindings"])
-        central.handle_request(
-            MonitorRequest(
-                seq=e.seq,
-                app_id=e.app_id,
-                rule_ids=tuple(e.rule_id),
-                t=e.t,
-                appside_truth=truth,
-                forwarded_bindings=bindings,
-            )
-        )
+        if e.direction == APP_TO_CENTRAL:
+            central.handle_request(e.message)
     return gs

@@ -1,7 +1,7 @@
 """Local and central monitors plus the request/reply channel."""
 
 import json
-import threading
+import random
 
 import pytest
 
@@ -12,6 +12,7 @@ from dcmon.central_monitor import (
     ChannelLogEntry,
     CentralMonitor,
     GlobalState,
+    MonitorRequest,
     check_asymmetry,
     replay_requests,
     snapshot,
@@ -305,34 +306,64 @@ def test_channel_log_pairs(quota_setup):
 
 
 def test_asymmetry_checker_flags_unsolicited():
-    bad = [ChannelLogEntry(CENTRAL_TO_APP, 0, 0, "X", 0, {})]
+    bad = [ChannelLogEntry(CENTRAL_TO_APP, 0, 0, "X", 0, None)]
     assert check_asymmetry(bad)
     mismatched = [
-        ChannelLogEntry(APP_TO_CENTRAL, 0, 0, "X", 0, {}),
-        ChannelLogEntry(CENTRAL_TO_APP, 1, 0, "X", 0, {}),
+        ChannelLogEntry(APP_TO_CENTRAL, 0, 0, "X", 0, None),
+        ChannelLogEntry(CENTRAL_TO_APP, 1, 0, "X", 0, None),
     ]
     assert check_asymmetry(mismatched)
+    request = ChannelLogEntry(APP_TO_CENTRAL, 3, 10, "X", (0, 1), None)
+    assert check_asymmetry([request, ChannelLogEntry(CENTRAL_TO_APP, 3, 10, "X", (0, 1), None)]) == []
+    # a reply must also answer at its request's time, for its rules
+    assert check_asymmetry([request, ChannelLogEntry(CENTRAL_TO_APP, 3, 11, "X", (0, 1), None)])
+    assert check_asymmetry([request, ChannelLogEntry(CENTRAL_TO_APP, 3, 10, "X", (0,), None)])
+    assert check_asymmetry([request, ChannelLogEntry(CENTRAL_TO_APP, 3, 10, "X", (1, 0), None)])
 
 
 def test_requests_serialize_under_contention(msg_quota_policy):
+    # a Channel serves one caller at a time; four apps' requests arrive
+    # interleaved, in a seeded order
     gs = GlobalState()
     central = CentralMonitor(msg_quota_policy, gs)
     channel = Channel(central)
     cp = msg_quota_policy
     successful_id = next(i for i, c in enumerate(cp.conditions) if c.name == "successful")
-
-    def spam(app):
-        for _ in range(50):
-            channel.request(app, (1,), 0, {successful_id: True}, {})
-
-    threads = [threading.Thread(target=spam, args=(f"App{i}",)) for i in range(4)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
+    callers = [f"App{i}" for i in range(4) for _ in range(50)]
+    random.Random(4).shuffle(callers)
+    for app in callers:
+        channel.request(app, (1,), 0, {successful_id: True}, {})
     assert gs.vars.get("msgCount", VType.INT) == 200
     assert check_asymmetry(central.log) == []
     assert len(central.log) == 400
+
+
+def test_cached_plans_answer_like_a_fresh_monitor(msg_quota_policy):
+    # one rule_ids tuple sent stale, fresh, then stale again, and a tuple
+    # with an unknown id twice: a plan cache must not memoize staleness,
+    # faults or replies
+    cp = msg_quota_policy
+    successful_id = next(i for i, c in enumerate(cp.conditions) if c.name == "successful")
+    gs = GlobalState()
+    gs.vars.set("msgCount", VType.INT, 498)
+    channel = Channel(CentralMonitor(cp, gs))
+    fresh_truth = {successful_id: True}
+    sends = [((1, 0), {}), ((1, 0), fresh_truth), ((1, 0), {}), ((99, 1), fresh_truth), ((99, 1), fresh_truth)]
+    replies = []
+    for seq, (rule_ids, truth) in enumerate(sends):
+        fresh_gs = gs.copy()
+        want = CentralMonitor(cp, fresh_gs).handle_request(MonitorRequest(seq, "Messenger", rule_ids, 0, truth, {}))
+        got = channel.request("Messenger", rule_ids, 0, truth, {})
+        assert got == want
+        assert snapshot(gs) == snapshot(fresh_gs)
+        replies.append((got.guard_results, got.faults))
+    assert replies == [
+        ((False, False), ("StaleTruthMap", "StaleTruthMap")),
+        ((True, False), (None, None)),
+        ((False, False), ("StaleTruthMap", "StaleTruthMap")),
+        ((False, True), ("UnknownRule", None)),
+        ((False, False), ("UnknownRule", None)),
+    ]
 
 
 def test_replay_requests_reproduces_snapshot(quota_setup):
