@@ -2,15 +2,15 @@
 """Benchmark a git revision against the working tree in alternating pairs.
 
     python3 scripts/bench_pairs.py --rev HEAD~1 --workload sitting_dense \\
-        --seeds 9900-9909 --seconds 30 --out BENCH_n.json
+        --seeds 9900-9909 --out BENCH_n.json
 
 The revision's committed files are extracted with ``git archive`` into a
 temporary directory (``TMPDIR`` chooses where), so nothing is registered
 in the repository and an interrupted run leaves nothing behind in it.
-Each pair runs ``perfbench/run.py`` once on the revision and once on the
-working tree with one seed; the side that runs first alternates, the
-revision first in even pairs. ``--pairs`` takes the first seeds of the
-range (default: all of them).
+There is one pair per seed of ``--seeds``. Each pair runs
+``perfbench/run.py`` once on the revision and once on the working tree,
+for the ``run_seconds`` of ``BENCHMARK.json``; the side that runs first
+alternates, the revision first in even pairs.
 
 The report has, per workload and metric, the values of both sides in pair
 order, their inclusive quartiles, the pairs the working tree won and lost
@@ -63,9 +63,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     return result
 
 
-def directions() -> dict:
+def benchmark_spec() -> tuple:
+    """The run length and each metric's direction, from BENCHMARK.json."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return spec["run_seconds"], {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
 def summarize(parent: list, change: list, better: str) -> dict:
@@ -98,17 +99,11 @@ def main(argv=None) -> int:
     parser.add_argument("--rev", required=True, help="the revision to compare the working tree with")
     parser.add_argument("--workload", action="append", required=True, help="repeat for several workloads")
     parser.add_argument("--seeds", required=True, help="FIRST-LAST, one seed per pair")
-    parser.add_argument("--pairs", type=int, default=None)
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
-    if args.pairs is not None:
-        if not 0 < args.pairs <= len(seeds):
-            parser.error(f"--pairs must be between 1 and the {len(seeds)} seeds of --seeds")
-        seeds = seeds[: args.pairs]
-    better = directions()
+    seconds, better = benchmark_spec()
 
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
@@ -121,7 +116,7 @@ def main(argv=None) -> int:
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result = run_once(sides[side], workload, seed, args.seconds, args.trace)
+                    result = run_once(sides[side], workload, seed, seconds, args.trace)
                     all_correct = all_correct and result["correct"] and result["failed"] == 0
                     for name, metric in result["metrics"].items():
                         values[side].setdefault(name, []).append(round(metric["value"], 6))
@@ -142,10 +137,10 @@ def main(argv=None) -> int:
     doc.setdefault("metric_fields", "per metric: parent and change values in pair order, [q1, median, q3] of each "
                    "side (inclusive quartiles), the pairs the change won and lost, and the median change in %")
     doc["traced" if args.trace else "final"] = {
-        "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {args.seconds:g} --trace {args.trace}",
+        "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds:g} --trace {args.trace}",
         "protocol": f"{len(seeds)} pairs per workload, one seed per pair, the parent first in even pairs",
         "parent": sha,
-        "seeds": args.seeds if args.pairs is None else f"{seeds[0]}-{seeds[-1]}",
+        "seeds": args.seeds,
         "all_correct": all_correct,
         "workloads": workloads,
     }

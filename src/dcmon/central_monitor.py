@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from .engine import CompiledPolicy, CompiledRule, MissingTruthValue, evaluate_guard
+from .engine import CompiledPolicy, MissingTruthValue, evaluate_guard
 from .lang.eval import GLOBAL_SIDE, EvalContext, EvalError, eval_expr, exec_stmts, rollback
 from .lang.state import VarStore
 from .lang.values import Value, VType, value_to_json
@@ -145,7 +145,7 @@ class ChannelLogEntry:
                 "t": self.t,
                 "app_id": self.app_id,
                 "rule_id": self.rule_id,
-                "payload": self.message.payload,
+                "payload": self.payload,
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -188,10 +188,6 @@ class CentralMonitor:
         self.cp = cp
         self.gs = gs
         self.log: List[ChannelLogEntry] = log if log is not None else []
-        # per rule_ids tuple: its rules (None for an unknown id) and the
-        # app-side condition ids a fresh truth map holds. A local monitor
-        # sends only sub-sequences of its plan's batches, so this stays small.
-        self._plans: Dict[Tuple[int, ...], Tuple[List[Optional[CompiledRule]], FrozenSet[int]]] = {}
 
     def handle_request(self, req: MonitorRequest) -> MonitorReply:
         log = self.log
@@ -200,18 +196,13 @@ class CentralMonitor:
         log.append(ChannelLogEntry(CENTRAL_TO_APP, reply.seq, req.t, req.app_id, req.rule_ids, reply))
         return reply
 
-    def _plan(self, rule_ids: Tuple[int, ...]) -> Tuple[List[Optional[CompiledRule]], FrozenSet[int]]:
-        rules = [self.cp.rule_by_id(rid) for rid in rule_ids]
-        expected = frozenset(cid for rule in rules if rule is not None for cid in rule.app_condition_ids)
-        plan = self._plans[rule_ids] = (rules, expected)
-        return plan
-
     def _evaluate(self, req: MonitorRequest) -> MonitorReply:
         """Run the request's rules in order in one context. A condition is
         evaluated once until a rule's GlobalSide actions run. A rule that
         faults leaves no write behind."""
         cp = self.cp
-        rules, expected = self._plans.get(req.rule_ids) or self._plan(req.rule_ids)
+        rules = [cp.rule_by_id(rid) for rid in req.rule_ids]
+        expected = {cid for rule in rules if rule is not None for cid in rule.app_condition_ids}
         stale = expected != req.appside_truth.keys()
         # positional, as in LocalMonitor._ctx: (side, now, state_types,
         # app_id, app_name, bindings, local, global_vars, attrs)
@@ -247,9 +238,7 @@ class CentralMonitor:
 
 
 class Channel:
-    """Synchronous in-process request/reply port shared by local monitors.
-    It serves one caller at a time: nothing here is safe to call from two
-    threads at once."""
+    """Synchronous in-process request/reply port shared by local monitors."""
 
     def __init__(self, central: CentralMonitor):
         self.central = central
@@ -270,8 +259,7 @@ class Channel:
         appside_truth: Dict[int, bool],
         forwarded_bindings: Dict[str, Value],
     ) -> MonitorReply:
-        """One round trip for the rules `rule_ids`. The request and the log
-        keep both maps as given; the caller must not change them later."""
+        """One round trip for the rules `rule_ids`."""
         if not self.connected:
             raise ChannelError("central monitor unreachable")
         seq = self._next_seq

@@ -338,10 +338,10 @@ def test_requests_serialize_under_contention(msg_quota_policy):
     assert len(central.log) == 400
 
 
-def test_cached_plans_answer_like_a_fresh_monitor(msg_quota_policy):
+def test_repeated_rule_ids_answer_like_a_fresh_monitor(msg_quota_policy):
     # one rule_ids tuple sent stale, fresh, then stale again, and a tuple
-    # with an unknown id twice: a plan cache must not memoize staleness,
-    # faults or replies
+    # with an unknown id twice: no staleness, fault or reply may carry over
+    # from one request of a tuple to the next
     cp = msg_quota_policy
     successful_id = next(i for i, c in enumerate(cp.conditions) if c.name == "successful")
     gs = GlobalState()
