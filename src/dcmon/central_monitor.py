@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from .engine import CompiledPolicy, MissingTruthValue, evaluate_guard
+from .engine import CompiledPolicy, evaluate_guard
 from .lang.eval import GLOBAL_SIDE, EvalContext, EvalError, eval_expr, exec_stmts, rollback
 from .lang.state import VarStore
 from .lang.values import Value, VType, value_to_json
@@ -228,7 +228,7 @@ class CentralMonitor:
                         for aid in rule.global_action_ids:
                             exec_stmts(cp.actions[aid].body, ctx)
                         ctx.undo.clear()  # the rule's writes stand
-                except (EvalError, MissingTruthValue) as ex:
+                except EvalError as ex:
                     rollback(ctx.undo)
                     guard, fault = False, f"EvalFault:{ex}"
             guards.append(guard)

@@ -5,11 +5,12 @@ actions are all ApplicationSide can be decided entirely inside the app's
 own monitor; anything touching GlobalSide state needs the central monitor.
 
 The rules of one dispatch key are split into batches at compile time, and
-every rule runs through its batch. The NeedsGlobal rules of a batch share
-one channel round trip per occurrence, and a batch without any sends
-nothing; a batch ends only where running its rules in two phases (every
-app-side condition first, every outcome afterwards) could change what a
-rule sees.
+a dispatch key maps to that batch plan and nothing else: `rules_for`
+returns the plan. The NeedsGlobal rules of a batch share one channel round
+trip per occurrence, and a batch without any sends nothing; a batch ends
+only where running its rules in two phases (every app-side condition
+first, every outcome afterwards) could change what a rule sees, and where
+two triggers bind an occurrence differently.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ class Locality(enum.Enum):
         return self.value
 
 
-class MissingTruthValue(Exception):
-    pass
-
-
 # Guard formula over dense condition ids, as nested tuples:
 #   ("ref", cid) | ("not", g) | ("and", g, g) | ("or", g, g)
 GuardTree = tuple
@@ -56,10 +53,7 @@ GuardTree = tuple
 def evaluate_guard(guard: GuardTree, truth: Dict[int, bool]) -> bool:
     tag = guard[0]
     if tag == "ref":
-        cid = guard[1]
-        if cid not in truth:
-            raise MissingTruthValue(f"no truth value for condition {cid}")
-        return truth[cid]
+        return truth[guard[1]]
     if tag == "not":
         return not evaluate_guard(guard[1], truth)
     if tag == "and":
@@ -90,8 +84,9 @@ class CompiledRule:
 
 
 class Batch:
-    """Consecutive rules of one dispatch key. The local monitor evaluates
-    all their app-side conditions first, sends one request for their
+    """Consecutive rules of one dispatch key whose triggers bind an
+    occurrence alike. The local monitor binds the occurrence once,
+    evaluates all their app-side conditions, sends one request for their
     NeedsGlobal rules, then applies each rule's outcome in order."""
 
     __slots__ = ("rules", "rule_ids")
@@ -103,25 +98,14 @@ class Batch:
         self.rule_ids = tuple(r.rule_id for r in self.rules if r.locality is Locality.NEEDS_GLOBAL)
 
 
-class DispatchEntry(tuple):
-    """The rules of one dispatch key, in declaration order. `batches` is
-    the key's batch plan, which covers every rule."""
-
-    batches: Tuple[Batch, ...]
-
-    def __new__(cls, rules: Sequence[CompiledRule], batches: Tuple[Batch, ...]):
-        entry = super().__new__(cls, rules)
-        entry.batches = batches
-        return entry
-
-
 @dataclass(frozen=True, eq=False)
 class CompiledPolicy:
     events: Tuple[EventDecl, ...]
     conditions: Tuple[ConditionDecl, ...]
     actions: Tuple[ActionDecl, ...]
     rules: Tuple[CompiledRule, ...]
-    dispatch: Dict[Tuple[str, str, Phase], DispatchEntry]
+    # each key's batch plan; its batches cover the key's rules in order
+    dispatch: Dict[Tuple[str, str, Phase], Tuple[Batch, ...]]
     state_types: StateTypes
     source: PolicySpec
 
@@ -129,9 +113,6 @@ class CompiledPolicy:
         if 0 <= rule_id < len(self.rules):
             return self.rules[rule_id]
         return None
-
-    def event_of(self, rule: CompiledRule) -> EventDecl:
-        return self.events[rule.trigger_id]
 
 
 def compile_policy(spec: PolicySpec) -> CompiledPolicy:
@@ -189,14 +170,14 @@ def compile_policy(spec: PolicySpec) -> CompiledPolicy:
         conditions=spec.conditions,
         actions=spec.actions,
         rules=tuple(rules),
-        dispatch={k: DispatchEntry(v, plan_batches(spec, v)) for k, v in dispatch.items()},
+        dispatch={k: plan_batches(spec, v) for k, v in dispatch.items()},
         state_types=state_types,
         source=spec,
     )
 
 
-def rules_for(cp: CompiledPolicy, namespace: str, method: str, phase: Phase) -> Tuple[CompiledRule, ...]:
-    """The key's DispatchEntry, or an empty tuple when no event intercepts it."""
+def rules_for(cp: CompiledPolicy, namespace: str, method: str, phase: Phase) -> Tuple[Batch, ...]:
+    """The key's batch plan, or an empty tuple when no rule listens to it."""
     return cp.dispatch.get((namespace, method, phase), ())
 
 

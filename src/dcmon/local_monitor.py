@@ -2,11 +2,17 @@
 
 Each app owns one LocalMonitor with isolated local state. Every rule of a
 dispatch key runs through the key's compile-time batch plan: each batch
-evaluates its rules' ApplicationSide conditions locally, ships the truth
-values of its NeedsGlobal rules (plus any explicitly forwarded event
-bindings) to the central monitor in one request, and then, rule by rule,
-runs the ApplicationSide actions its guard or the reply calls for. A batch
-of LocalOnly rules is decided entirely here and sends nothing.
+binds the occurrence once, evaluates its rules' ApplicationSide conditions
+locally, ships the truth values of its NeedsGlobal rules (plus any
+explicitly forwarded event bindings) to the central monitor in one request,
+and then, rule by rule, runs the ApplicationSide actions its guard or the
+reply calls for. A batch of LocalOnly rules is decided entirely here and
+sends nothing.
+
+The plan puts only triggers that bind alike in one batch, so the batch's
+first trigger binds the occurrence for every rule. run() checks each call's
+arity against the catalog, which the triggers match; an occurrence from a
+direct caller whose arity differs from the batch's trigger skips the batch.
 
 A rule is atomic: if one of its actions faults, its local-variable and
 device-attribute writes are rolled back and its block() is dropped, and the
@@ -42,18 +48,15 @@ class ArityMismatch(Exception):
 
 @dataclass(slots=True)
 class EventOccurrence:
-    app_id: str
-    app_name: str
+    """One phase of a call, as the app's own LocalMonitor sees it; the
+    monitor knows which app it belongs to."""
+
     namespace: str
     method: str
     phase: Phase
     args: Tuple[Value, ...]
     return_value: Optional[Value]
     t: int
-
-    @property
-    def call(self) -> str:
-        return f"{self.namespace}.{self.method}"
 
 
 @dataclass
@@ -83,16 +86,6 @@ def bind_params(occ: EventOccurrence, decl: EventDecl) -> Dict[str, Value]:
     return out
 
 
-def pattern_matches(decl: EventDecl, occ: EventOccurrence) -> bool:
-    pattern = decl.pattern
-    if pattern.api_namespace != occ.namespace or pattern.method != occ.method:
-        return False
-    if decl.phase is not occ.phase:
-        return False
-    arity = pattern.arg_arity
-    return arity is None or arity == len(occ.args)
-
-
 # marks a NeedsGlobal rule whose outcome comes from the batch's reply
 _SENT = object()
 
@@ -113,19 +106,11 @@ class LocalMonitor:
         """Run every rule triggered by this occurrence, in declaration
         order, each guard seeing the state left by earlier rules."""
         result = InterceptResult(decision=PROCEED)
-        rules = rules_for(self.cp, occ.namespace, occ.method, occ.phase)
-        if rules:
-            for batch in rules.batches:
-                self._run_batch(batch, occ, result)
+        for batch in rules_for(self.cp, occ.namespace, occ.method, occ.phase):
+            self._run_batch(batch, occ, result)
         return result
 
     # internals
-
-    def _ctx(self, occ: EventOccurrence, bindings: Dict[str, Value]) -> EvalContext:
-        # positional (side, now, state_types, app_id, app_name, bindings,
-        # local, global_vars, attrs): matching keywords made building the
-        # context about 0.35 us slower on Python 3.11
-        return EvalContext(APP_SIDE, occ.t, self.cp.state_types, self.app_id, self.app_name, bindings, self.local, None, self.attrs)
 
     def _block(self, result: InterceptResult, reason: str) -> None:
         if not result.blocked:
@@ -136,42 +121,46 @@ class LocalMonitor:
         result.faults = result.faults + (fault,)
 
     def _run_batch(self, batch: Batch, occ: EventOccurrence, result: InterceptResult) -> None:
+        # The dispatch key decides everything the triggers match on except
+        # arity, and the plan gives every trigger of the batch the same
+        # bindings: the first one binds the occurrence for all.
+        event = self.cp.events[batch.rules[0].trigger_id]
+        arity = event.pattern.arg_arity
+        if arity is not None and arity != len(occ.args):
+            return
+        bindings = bind_params(occ, event)
+        # positional (side, now, state_types, app_id, app_name, bindings,
+        # local, global_vars, attrs): matching keywords made building the
+        # context about 0.35 us slower on Python 3.11
+        ctx = EvalContext(APP_SIDE, occ.t, self.cp.state_types, self.app_id, self.app_name, bindings, self.local, None, self.attrs)
+
         # Phase 1: every app-side condition of the batch. The plan
         # guarantees no earlier rule's action writes what these read.
         values: Dict[int, bool] = {}
         steps = []
-        events, conditions = self.cp.events, self.cp.conditions
-        event = ctx = None
-        matches = False
+        conditions = self.cp.conditions
         for rule in batch.rules:
-            if events[rule.trigger_id] is not event:
-                event = events[rule.trigger_id]
-                matches = pattern_matches(event, occ)
-                if matches:
-                    ctx = self._ctx(occ, bind_params(occ, event))
-            if not matches:
-                continue
             try:
                 for cid in rule.app_condition_ids:
                     if cid not in values:
                         values[cid] = bool(eval_expr(conditions[cid].body, ctx))
             except EvalError as ex:
-                steps.append((rule, ctx, f"EvalError:{ex.code}"))
+                steps.append((rule, f"EvalError:{ex.code}"))
                 continue
             if rule.locality is Locality.LOCAL_ONLY:
-                steps.append((rule, ctx, evaluate_guard(rule.guard, values)))
+                steps.append((rule, evaluate_guard(rule.guard, values)))
             else:
-                steps.append((rule, ctx, _SENT))
+                steps.append((rule, _SENT))
 
         # One round trip for the batch's NeedsGlobal rules; a batch of
         # LocalOnly rules names none.
         reply = None
         if batch.rule_ids and self.channel is not None:
-            sent = [(rule, ctx.event_bindings) for rule, ctx, outcome in steps if outcome is _SENT]
+            sent = [rule for rule, outcome in steps if outcome is _SENT]
             if sent:
-                truth = {cid: values[cid] for rule, _ in sent for cid in rule.app_condition_ids}
-                forwarded = {p: b[p] for rule, b in sent for p in rule.forwarded_params if p in b}
-                rule_ids = batch.rule_ids if len(sent) == len(batch.rule_ids) else tuple(r.rule_id for r, _ in sent)
+                truth = {cid: values[cid] for rule in sent for cid in rule.app_condition_ids}
+                forwarded = {p: bindings[p] for rule in sent for p in rule.forwarded_params if p in bindings}
+                rule_ids = batch.rule_ids if len(sent) == len(batch.rule_ids) else tuple(r.rule_id for r in sent)
                 try:
                     reply = self.channel.request(self.app_id, rule_ids, occ.t, truth, forwarded)
                 except ChannelError:
@@ -179,7 +168,7 @@ class LocalMonitor:
 
         # Phase 2: each rule's outcome, in declaration order.
         k = 0
-        for rule, ctx, outcome in steps:
+        for rule, outcome in steps:
             if outcome is _SENT:
                 if reply is None:
                     self._fault(result, "ChannelError")

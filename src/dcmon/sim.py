@@ -33,6 +33,7 @@ from .dsl.ast import Phase
 from .engine import CompiledPolicy
 from .lang.state import VarStore
 from .lang.values import INT64_MAX, Value
+from .local_monitor import EventOccurrence, LocalMonitor
 
 ALLOWED = "Allowed"
 BLOCKED = "Blocked"
@@ -233,8 +234,8 @@ def _watched_phases(cp: CompiledPolicy) -> Dict[Tuple[str, str], Tuple[bool, boo
     no write, so run() builds no occurrence for it and does not intercept
     it. The key holds no Phase, which the loop would otherwise hash."""
     watched: Dict[Tuple[str, str], Tuple[bool, bool]] = {}
-    for (namespace, method, phase), rules in cp.dispatch.items():
-        if rules:
+    for (namespace, method, phase), plan in cp.dispatch.items():
+        if plan:
             before, after = watched.get((namespace, method), _UNWATCHED)
             watched[namespace, method] = (before or phase is Phase.BEFORE, after or phase is Phase.AFTER)
     return watched
@@ -257,9 +258,6 @@ def run(
     check_policy_against_catalog(cp)
     _check_trace_against_catalog(trace)
 
-    # imported here to keep module load order simple
-    from .local_monitor import EventOccurrence, LocalMonitor
-
     device = DeviceState()
     gs = GlobalState(vars=VarStore(), attrs=device.attrs)
     initial = gs.copy()
@@ -273,6 +271,7 @@ def run(
     monitors: Dict[str, LocalMonitor] = {
         app: LocalMonitor(app, app, cp, channel, device.attrs) for app in sorted({ev.app for ev in trace})
     }
+    # the execution order is a checked permutation, so it fills every slot
     verdicts: List[Optional[VerdictEntry]] = [None] * len(trace)
     faults: List[Tuple[int, str]] = []
     watched = _watched_phases(cp)
@@ -286,15 +285,15 @@ def run(
         event_faults = ()
         decision, reason = ALLOWED, NO_RULE
         if watch_before:
-            # positional: (app_id, app_name, namespace, method, phase, args, return_value, t)
-            before = monitor.intercept(EventOccurrence(ev.app, ev.app, ev.namespace, ev.method, Phase.BEFORE, ev.args, None, ev.t))
+            # positional: (namespace, method, phase, args, return_value, t)
+            before = monitor.intercept(EventOccurrence(ev.namespace, ev.method, Phase.BEFORE, ev.args, None, ev.t))
             event_faults = before.faults
             if before.blocked:
                 decision, reason = BLOCKED, before.reason or NO_RULE
         if decision == ALLOWED:
             ret = execute_effect(entry, ev.args, device)
             if watch_after:
-                after = monitor.intercept(EventOccurrence(ev.app, ev.app, ev.namespace, ev.method, Phase.AFTER, ev.args, ret, ev.t))
+                after = monitor.intercept(EventOccurrence(ev.namespace, ev.method, Phase.AFTER, ev.args, ret, ev.t))
                 event_faults += after.faults
         latency = time.perf_counter_ns() - t0 if measure_latency else 0
         verdicts[idx] = VerdictEntry(ev.t, ev.app, ev.call, decision, reason, latency)
@@ -305,7 +304,7 @@ def run(
     if problems:
         raise RuntimeError("channel asymmetry violated: " + "; ".join(problems))
     return RunResult(
-        verdicts=[v for v in verdicts if v is not None],
+        verdicts=verdicts,
         snapshot=snapshot(gs),
         channel_entries=log,
         global_state=gs,

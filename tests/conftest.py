@@ -65,6 +65,11 @@ rules {
 EMPTY_SRC = "Events { } Conditions { } Actions { } Rules { }"
 
 
+def plan_rules(plan) -> list:
+    """The rules of one dispatch key's batch plan, in declaration order."""
+    return [rule for batch in plan for rule in batch.rules]
+
+
 def compile_src(src: str) -> CompiledPolicy:
     result = validate_policy(parse_policy(src))
     assert isinstance(result, CompiledPolicy), result

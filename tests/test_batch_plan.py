@@ -14,32 +14,28 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
+from dcmon import local_monitor
 from dcmon.central_monitor import APP_TO_CENTRAL, CENTRAL_TO_APP, GlobalState, replay_requests, snapshot
 from dcmon.corpus import CORPUS_IDS, compile_corpus_policy
 from dcmon.dsl import parse_policy, validate_policy
-from dcmon.engine import Batch, CompiledPolicy, DispatchEntry
+from dcmon.engine import Batch, CompiledPolicy
 from dcmon.lang.values import MS_PER_SECOND, VType
+from dcmon.local_monitor import bind_params
 from dcmon.sim import check_policy_against_catalog, run
 from dcmon.tracegen import PROFILES, make_trace
 
-from conftest import compile_src, send, sends_every
+from conftest import compile_src, plan_rules, send, sends_every
 
 
 def one_rule_batches(cp: CompiledPolicy) -> CompiledPolicy:
     """The same policy with every batch of its plan cut to one rule."""
-    dispatch = {
-        key: DispatchEntry(rules, tuple(Batch([r]) for r in rules))
-        for key, rules in cp.dispatch.items()
-    }
+    dispatch = {key: tuple(Batch([r]) for r in plan_rules(plan)) for key, plan in cp.dispatch.items()}
     return dataclasses.replace(cp, dispatch=dispatch)
 
 
 def single_batch(cp: CompiledPolicy) -> CompiledPolicy:
     """The same policy with each key's rules forced into one batch."""
-    dispatch = {
-        key: DispatchEntry(rules, (Batch(rules),) if rules else ())
-        for key, rules in cp.dispatch.items()
-    }
+    dispatch = {key: (Batch(plan_rules(plan)),) if plan else () for key, plan in cp.dispatch.items()}
     return dataclasses.replace(cp, dispatch=dispatch)
 
 
@@ -82,9 +78,8 @@ def test_corpus_plan_matches_one_rule_batches(pid):
 
 def test_sitting_policy_sends_one_request_per_occurrence():
     cp = compile_corpus_policy("OneHrPerSittingOnly")
-    for key, rules in cp.dispatch.items():
-        assert [b.rules for b in rules.batches] == [tuple(rules)], key
-        assert len(rules) == 4
+    for key, plan in cp.dispatch.items():
+        assert [len(b.rules) for b in plan] == [4], key
     trace = sends_every(MS_PER_SECOND, 30)
     got, want = assert_same_as_one_rule_batches(cp, trace)
     assert requests(got) == 30
@@ -94,10 +89,12 @@ def test_sitting_policy_sends_one_request_per_occurrence():
 def test_every_key_has_a_plan():
     for pid in CORPUS_IDS:
         cp = compile_corpus_policy(pid)
-        for key, rules in cp.dispatch.items():
-            assert [r for b in rules.batches for r in b.rules] == list(rules), (pid, key)
+        triggers = [cp.events[r.trigger_id] for r in cp.rules]
+        listened = {(e.pattern.api_namespace, e.pattern.method, e.phase) for e in triggers}
+        for key, plan in cp.dispatch.items():
+            assert bool(plan) == (key in listened) and all(b.rules for b in plan), (pid, key)
     # WiFiLmt is LocalOnly: its batches name no rule, so they send nothing
-    batches = [b for rules in compile_corpus_policy("WiFiLmt").dispatch.values() for b in rules.batches]
+    batches = [b for plan in compile_corpus_policy("WiFiLmt").dispatch.values() for b in plan]
     assert batches and all(b.rule_ids == () for b in batches)
 
 
@@ -126,8 +123,8 @@ Rules {
 
 def test_local_write_read_cuts_the_batch():
     cp = compile_src(LOCAL_WRITE_SRC)
-    (entry,) = cp.dispatch.values()
-    assert [[r.name for r in b.rules] for b in entry.batches] == [["noteSend"], ["denySecond", "countAgain"]]
+    (plan,) = cp.dispatch.values()
+    assert [[r.name for r in b.rules] for b in plan] == [["noteSend"], ["denySecond", "countAgain"]]
 
     trace = [send(i * MS_PER_SECOND, app) for i, app in enumerate(["A", "A", "B", "A", "B"])]
     got, _ = assert_same_as_one_rule_batches(cp, trace)
@@ -142,40 +139,57 @@ def test_local_write_read_cuts_the_batch():
     assert uncut.decisions() == ["Allowed", "Allowed", "Allowed", "Blocked", "Allowed"]
 
 
+# triggers that bind otherwise cut the batch
+
+BINDING_CUT_SRC = """
+Events { ApplicationSide {
+    byDest() = { SmsManager *.sendTextMessage(string dest, string body) }
+    alsoByDest() = { SmsManager *.sendTextMessage(string dest, string body) }
+    byBody() = { SmsManager *.sendTextMessage(string body, string dest) }
+    anySend() = { SmsManager *.sendTextMessage(...) }
+} }
+Conditions {
+    ApplicationSide { home = { starts_with(dest, "+356") } }
+    GlobalSide {
+        fwdHome = { starts_with(event.dest, "+356") }
+        always = { true }
+    }
+}
+Actions { GlobalSide { count = { global.n := global.n + 1; } } }
+Rules {
+    homeA = byDest() | home -> count;
+    fwdA = alsoByDest() | fwdHome -> count;
+    homeB = byBody() | home -> count;
+    fwdB = byBody() | fwdHome -> count;
+    any = anySend() | always -> count;
+}
+"""
+
+
 def test_triggers_that_bind_otherwise_cut_the_batch():
-    src = """
-    Events { ApplicationSide {
-        byDest() = { SmsManager *.sendTextMessage(string dest, string body) }
-        alsoByDest() = { SmsManager *.sendTextMessage(string dest, string body) }
-        byBody() = { SmsManager *.sendTextMessage(string body, string dest) }
-        anySend() = { SmsManager *.sendTextMessage(...) }
-    } }
-    Conditions {
-        ApplicationSide { home = { starts_with(dest, "+356") } }
-        GlobalSide {
-            fwdHome = { starts_with(event.dest, "+356") }
-            always = { true }
-        }
-    }
-    Actions { GlobalSide { count = { global.n := global.n + 1; } } }
-    Rules {
-        homeA = byDest() | home -> count;
-        fwdA = alsoByDest() | fwdHome -> count;
-        homeB = byBody() | home -> count;
-        fwdB = byBody() | fwdHome -> count;
-        any = anySend() | always -> count;
-    }
-    """
-    cp = compile_src(src)
-    (entry,) = cp.dispatch.values()
+    cp = compile_src(BINDING_CUT_SRC)
+    (plan,) = cp.dispatch.values()
     # byBody binds `dest` to the other argument, anySend binds nothing
-    assert [[r.name for r in b.rules] for b in entry.batches] == [["homeA", "fwdA"], ["homeB", "fwdB"], ["any"]]
+    assert [[r.name for r in b.rules] for b in plan] == [["homeA", "fwdA"], ["homeB", "fwdB"], ["any"]]
     trace = [send(0, dest="+35621123456"), send(1, dest="21234567")]
     got, _ = assert_same_as_one_rule_batches(cp, trace)
     # homeA and fwdA count the first send, `any` both; byBody reads "hi"
     # as dest
     assert got.global_state.vars.get("n", VType.INT) == 4
     assert requests(got) == 3 * 2
+
+
+def test_a_batch_binds_its_occurrence_once(monkeypatch):
+    calls = []
+
+    def counted(occ, decl):
+        calls.append(decl.name)
+        return bind_params(occ, decl)
+
+    monkeypatch.setattr(local_monitor, "bind_params", counted)
+    run([send(0, dest="+35621123456")], compile_src(BINDING_CUT_SRC))
+    # homeA's byDest binds for fwdA too, though fwdA's trigger is alsoByDest
+    assert calls == ["byDest", "byBody", "anySend"]
 
 
 # fail-closed holds for every rule of a batch
@@ -212,8 +226,8 @@ Rules {
 
 def test_central_fault_in_a_batch_leaves_other_rules_alone():
     cp = compile_src(CENTRAL_FAULT_SRC)
-    (entry,) = cp.dispatch.values()
-    assert len(entry.batches) == 1
+    (plan,) = cp.dispatch.values()
+    assert len(plan) == 1
     trace = sends_every(MS_PER_SECOND, 4)
     got, want = assert_same_as_one_rule_batches(cp, trace)
     assert requests(got) == 4 and requests(want) == 16

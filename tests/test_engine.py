@@ -1,17 +1,26 @@
 import itertools
 import random
+from contextlib import contextmanager
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
-from dcmon.dsl import Phase
+from dcmon import central_monitor, local_monitor
+from dcmon.corpus import CORPUS_IDS, compile_corpus_policy
+from dcmon.dsl import Phase, parse_policy, validate_policy
 from dcmon.engine import (
+    CompiledPolicy,
     Locality,
-    MissingTruthValue,
     evaluate_guard,
     rules_for,
 )
+from dcmon.lang.values import MS_PER_SECOND
+from dcmon.sim import check_policy_against_catalog, run
+from dcmon.tracegen import make_bench_trace, make_trace
 
-from conftest import EMPTY_SRC, compile_src
+from conftest import EMPTY_SRC, compile_src, plan_rules, sends_every
+from test_batch_plan import CENTRAL_FAULT_SRC, policy_source, rule_lists
 
 
 def test_msg_quota_dispatch(msg_quota_policy):
@@ -20,8 +29,8 @@ def test_msg_quota_dispatch(msg_quota_policy):
         ("SmsManager", "sendTextMessage", Phase.BEFORE),
         ("SmsManager", "sendTextMessage", Phase.AFTER),
     }
-    before_rules = rules_for(cp, "SmsManager", "sendTextMessage", Phase.BEFORE)
-    after_rules = rules_for(cp, "SmsManager", "sendTextMessage", Phase.AFTER)
+    before_rules = plan_rules(rules_for(cp, "SmsManager", "sendTextMessage", Phase.BEFORE))
+    after_rules = plan_rules(rules_for(cp, "SmsManager", "sendTextMessage", Phase.AFTER))
     assert [r.rule_id for r in before_rules] == [0]
     assert [r.rule_id for r in after_rules] == [1]
     assert all(r.locality is Locality.NEEDS_GLOBAL for r in cp.rules)
@@ -30,7 +39,7 @@ def test_msg_quota_dispatch(msg_quota_policy):
 def test_wifi_listing_local_only(wifi_listing_policy):
     cp = wifi_listing_policy
     assert set(cp.dispatch) == {("WifiManager", "setWifiEnabled", Phase.BEFORE)}
-    (rule,) = rules_for(cp, "WifiManager", "setWifiEnabled", Phase.BEFORE)
+    (rule,) = plan_rules(rules_for(cp, "WifiManager", "setWifiEnabled", Phase.BEFORE))
     assert rule.locality is Locality.LOCAL_ONLY
     assert rule.blocks
 
@@ -56,13 +65,11 @@ def test_rules_in_declaration_order():
     }
     """
     cp = compile_src(src)
-    names = [r.name for r in rules_for(cp, "SmsManager", "sendTextMessage", Phase.BEFORE)]
+    names = [r.name for r in plan_rules(rules_for(cp, "SmsManager", "sendTextMessage", Phase.BEFORE))]
     assert names == ["first", "second", "third"]
 
 
 def test_dispatch_lookup_equals_linear_scan():
-    from dcmon.corpus import CORPUS_IDS, compile_corpus_policy
-
     for pid in CORPUS_IDS:
         cp = compile_corpus_policy(pid)
         keys = {
@@ -78,15 +85,13 @@ def test_dispatch_lookup_equals_linear_scan():
                     cp.events[r.trigger_id].phase,
                 ) == key
             ]
-            assert list(rules_for(cp, *key)) == scan
+            assert plan_rules(rules_for(cp, *key)) == scan
 
 
 def test_every_rule_under_exactly_one_key():
-    from dcmon.corpus import CORPUS_IDS, compile_corpus_policy
-
     for pid in CORPUS_IDS:
         cp = compile_corpus_policy(pid)
-        seen = [r.rule_id for rules in cp.dispatch.values() for r in rules]
+        seen = [r.rule_id for plan in cp.dispatch.values() for r in plan_rules(plan)]
         assert sorted(seen) == [r.rule_id for r in cp.rules]
 
 
@@ -96,9 +101,54 @@ def test_guard_not_and():
     assert evaluate_guard(g, {0: True, 1: True}) is False
 
 
-def test_missing_truth_value():
-    with pytest.raises(MissingTruthValue):
-        evaluate_guard(("ref", 3), {0: True})
+# every guard run() reaches has a truth value for each condition it names
+
+def _refs(guard):
+    if guard[0] == "ref":
+        yield guard[1]
+    else:
+        for sub in guard[1:]:
+            yield from _refs(sub)
+
+
+@contextmanager
+def guards_checked_for_truth_values():
+    """Both monitors' evaluate_guard, failing on a guard that names a
+    condition without a truth value. Yields the list of guards checked."""
+    checked = []
+
+    def checking(guard, truth):
+        missing = set(_refs(guard)) - truth.keys()
+        assert not missing, f"guard {guard!r} has no truth value for {sorted(missing)}"
+        checked.append(guard)
+        return evaluate_guard(guard, truth)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local_monitor, "evaluate_guard", checking)
+        mp.setattr(central_monitor, "evaluate_guard", checking)
+        yield checked
+
+
+@pytest.mark.parametrize("concurrent_same_t", [False, True], ids=["sequential", "concurrent"])
+def test_every_corpus_guard_sees_all_its_truth_values(concurrent_same_t):
+    trace = make_bench_trace(per_kind=120)
+    with guards_checked_for_truth_values() as checked:
+        for pid in CORPUS_IDS:
+            run(trace, compile_corpus_policy(pid), concurrent_same_t=concurrent_same_t)
+        # a global condition that faults on every send, before its guard runs
+        res = run(sends_every(MS_PER_SECOND, 4), compile_src(CENTRAL_FAULT_SRC), concurrent_same_t=concurrent_same_t)
+    assert res.faults and checked
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(rule_lists(), st.integers(0, 10_000), st.booleans())
+def test_every_random_guard_sees_all_its_truth_values(rule_list, seed, concurrent_same_t):
+    # the pools hold conditions and actions that fault
+    cp = validate_policy(parse_policy(policy_source(rule_list)))
+    assume(isinstance(cp, CompiledPolicy))
+    check_policy_against_catalog(cp)
+    with guards_checked_for_truth_values():
+        run(make_trace(seed, max_apps=2, max_events=80), cp, concurrent_same_t=concurrent_same_t)
 
 
 def _random_guard(rng, depth, n_conds):

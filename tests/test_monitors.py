@@ -31,19 +31,18 @@ from dcmon.lang.values import MS_PER_HOUR, VType
 from conftest import compile_src
 
 
-def occ(namespace, method, phase, args=(), ret=None, t=0, app="Messenger"):
+def occ(namespace, method, phase, args=(), ret=None, t=0):
     return EventOccurrence(
-        app_id=app, app_name=app, namespace=namespace, method=method,
-        phase=phase, args=tuple(args), return_value=ret, t=t,
+        namespace=namespace, method=method, phase=phase, args=tuple(args), return_value=ret, t=t,
     )
 
 
-def send_before(t=0, app="Messenger"):
-    return occ("SmsManager", "sendTextMessage", Phase.BEFORE, ("21234567", "hi"), t=t, app=app)
+def send_before(t=0):
+    return occ("SmsManager", "sendTextMessage", Phase.BEFORE, ("21234567", "hi"), t=t)
 
 
-def send_after(t=0, ret=True, app="Messenger"):
-    return occ("SmsManager", "sendTextMessage", Phase.AFTER, ("21234567", "hi"), ret=ret, t=t, app=app)
+def send_after(t=0, ret=True):
+    return occ("SmsManager", "sendTextMessage", Phase.AFTER, ("21234567", "hi"), ret=ret, t=t)
 
 
 @pytest.fixture()
@@ -239,12 +238,12 @@ def test_local_only_policy_ignores_channel_state(wifi_listing_policy):
     attrs = VarStore()
     monitor = LocalMonitor("Maps", "Maps", wifi_listing_policy, channel=None, attrs=attrs)
     blocked = monitor.intercept(
-        occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,), t=14 * MS_PER_HOUR, app="Maps")
+        occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,), t=14 * MS_PER_HOUR)
     )
     assert blocked.blocked and blocked.reason == "blockWifiAfterHours"
     assert attrs.get("wifi_enabled", VType.BOOL) is False and "wifi_enabled" in attrs
     allowed = monitor.intercept(
-        occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,), t=9 * MS_PER_HOUR, app="Maps")
+        occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,), t=9 * MS_PER_HOUR)
     )
     assert not allowed.blocked
 

@@ -22,7 +22,7 @@ from dcmon.dsl import Phase, parse_policy, validate_policy
 from dcmon.engine import CompiledPolicy, Locality, rules_for
 from dcmon.lang.state import VarStore
 from dcmon.lang.values import MS_PER_HOUR, MS_PER_MINUTE, MS_PER_SECOND, VType
-from dcmon.local_monitor import EventOccurrence, LocalMonitor, pattern_matches
+from dcmon.local_monitor import EventOccurrence, LocalMonitor
 from dcmon.sim import (
     ALLOWED,
     BLOCKED,
@@ -43,7 +43,7 @@ from dcmon.sim import (
 )
 from dcmon.tracegen import make_bench_trace, make_trace
 
-from conftest import compile_src, dial, send, sends_every, wifi
+from conftest import compile_src, dial, plan_rules, send, sends_every, wifi
 from test_batch_plan import policy_source, rule_lists
 
 
@@ -401,11 +401,9 @@ def strictly_increasing(trace):
 
 
 def needs_global_rules(cp, ev, phase):
-    occ = EventOccurrence(ev.app, ev.app, ev.namespace, ev.method, phase, ev.args, None, ev.t)
-    return [
-        r for r in rules_for(cp, ev.namespace, ev.method, phase)
-        if r.locality is Locality.NEEDS_GLOBAL and pattern_matches(cp.event_of(r), occ)
-    ]
+    # run() checks every event's arity against the catalog, which every
+    # trigger matches, so each rule of the key fires
+    return [r for r in plan_rules(rules_for(cp, ev.namespace, ev.method, phase)) if r.locality is Locality.NEEDS_GLOBAL]
 
 
 @pytest.mark.parametrize(
@@ -511,13 +509,13 @@ def intercept_every_phase(trace, cp, concurrent_same_t=False) -> RunResult:
     for idx in order:
         ev = trace[idx]
         monitor = monitors[ev.app]
-        before = monitor.intercept(EventOccurrence(ev.app, ev.app, ev.namespace, ev.method, Phase.BEFORE, ev.args, None, ev.t))
+        before = monitor.intercept(EventOccurrence(ev.namespace, ev.method, Phase.BEFORE, ev.args, None, ev.t))
         event_faults = list(before.faults)
         if before.blocked:
             decision, reason = BLOCKED, before.reason or NO_RULE
         else:
             ret = execute_effect(CATALOG[(ev.namespace, ev.method)], ev.args, device)
-            after = monitor.intercept(EventOccurrence(ev.app, ev.app, ev.namespace, ev.method, Phase.AFTER, ev.args, ret, ev.t))
+            after = monitor.intercept(EventOccurrence(ev.namespace, ev.method, Phase.AFTER, ev.args, ret, ev.t))
             event_faults.extend(after.faults)
             decision, reason = ALLOWED, NO_RULE
         verdicts[idx] = VerdictEntry(ev.t, ev.app, ev.call, decision, reason, 0)
