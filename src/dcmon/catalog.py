@@ -101,15 +101,6 @@ class DeviceState:
         if "wifi_enabled" not in self.attrs:
             self.attrs.set("wifi_enabled", VType.BOOL, False)
 
-    def tallies(self) -> Dict[str, int]:
-        return {
-            "messages_sent": self.messages_sent,
-            "pages_requested": self.pages_requested,
-            "files_opened": self.files_opened,
-            "calls_dialed": self.calls_dialed,
-            "apps_launched": self.apps_launched,
-        }
-
 
 def execute_effect(entry: ApiCatalogEntry, args: Tuple[Value, ...], device: DeviceState) -> Value:
     method = entry.method

@@ -248,9 +248,6 @@ class Channel:
     def disconnect(self) -> None:
         self.connected = False
 
-    def reconnect(self) -> None:
-        self.connected = True
-
     def request(
         self,
         app_id: str,

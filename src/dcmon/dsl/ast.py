@@ -148,14 +148,3 @@ class PolicySpec:
     conditions: Tuple[ConditionDecl, ...]
     actions: Tuple[ActionDecl, ...]
     rules: Tuple[RuleDecl, ...]
-
-    @property
-    def source_spans(self):
-        spans = {}
-        for decl in (*self.events, *self.conditions, *self.actions, *self.rules):
-            key = getattr(decl, "name", None) or f"rule@{decl.span[0]}"
-            spans[(type(decl).__name__, key)] = decl.span
-        return spans
-
-
-EMPTY_POLICY = PolicySpec(events=(), conditions=(), actions=(), rules=())

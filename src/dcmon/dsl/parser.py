@@ -61,8 +61,6 @@ from .lexer import EOF, IDENT, INT, PUNCT, STRING, Token, side_tag, tokenize
 
 MAX_NESTING = 200
 
-_BLOCK_ORDER = ("events", "conditions", "actions", "rules")
-
 _STMT_HEADS = ("block", "append", "prune_older", "set_attr", "local", "global")
 
 

@@ -16,6 +16,7 @@ from ..lang.nodes import (
     AppendStmt,
     Binary,
     BlockStmt,
+    CMP_OPS,
     Call,
     Expr,
     Literal,
@@ -46,7 +47,6 @@ _IND = "    "
 
 _PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3, "+": 4, "-": 4, "*": 5, "/": 5}
 _UNARY_PREC = 6
-_CMP = ("==", "!=", "<", "<=", ">", ">=")
 
 
 def pretty_print(spec: PolicySpec) -> str:
@@ -164,7 +164,7 @@ def _expr(e: Expr, side: Side, parent_prec: int, right_of: int) -> str:
         prec = _PREC[e.op]
         # comparisons are non-associative: a cmp b cmp c never reparses, so
         # any comparison operand of a comparison needs parentheses
-        left = _expr(e.left, side, parent_prec=prec, right_of=prec if e.op in _CMP else 0)
+        left = _expr(e.left, side, parent_prec=prec, right_of=prec if e.op in CMP_OPS else 0)
         right = _expr(e.right, side, parent_prec=prec, right_of=prec)
         text = f"{left} {e.op} {right}"
         if prec < parent_prec or (right_of and prec == right_of):

@@ -61,7 +61,7 @@ def validate_policy(spec: PolicySpec):
 
     from ..engine import compile_policy
 
-    return compile_policy(spec)
+    return compile_policy(spec, state_types)
 
 
 def _check_duplicates(spec: PolicySpec, errors: List[ValidationError]) -> None:

@@ -4,13 +4,15 @@ Each rule is classified by locality: a rule whose guard conditions and
 actions are all ApplicationSide can be decided entirely inside the app's
 own monitor; anything touching GlobalSide state needs the central monitor.
 
-The rules of one dispatch key are split into batches at compile time, and
-a dispatch key maps to that batch plan and nothing else: `rules_for`
-returns the plan. The NeedsGlobal rules of a batch share one channel round
-trip per occurrence, and a batch without any sends nothing; a batch ends
-only where running its rules in two phases (every app-side condition
-first, every outcome afterwards) could change what a rule sees, and where
-two triggers bind an occurrence differently.
+The rules of each phase of a call are split into batches at compile time.
+The dispatch table maps a call, `(namespace, method)`, to the batch plans
+of its before and its after phase, and a phase that no rule listens to
+holds an empty plan; `rules_for` returns one phase's plan. The NeedsGlobal
+rules of a batch share one channel round trip per occurrence, and a batch
+without any sends nothing; a batch ends only where running its rules in
+two phases (every app-side condition first, every outcome afterwards)
+could change what a rule sees, and where two triggers bind an occurrence
+differently.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .dsl.analysis import infer_policy_state, StateTypes
+from .dsl.analysis import StateTypes
 from .dsl.ast import (
     ActionDecl,
     ConditionDecl,
@@ -69,7 +71,6 @@ class CompiledRule:
     name: str
     trigger_id: int
     guard: GuardTree
-    action_ids: Tuple[int, ...]
     locality: Locality
     app_condition_ids: Tuple[int, ...]
     global_condition_ids: Tuple[int, ...]
@@ -84,7 +85,7 @@ class CompiledRule:
 
 
 class Batch:
-    """Consecutive rules of one dispatch key whose triggers bind an
+    """Consecutive rules of one phase of a call whose triggers bind an
     occurrence alike. The local monitor binds the occurrence once,
     evaluates all their app-side conditions, sends one request for their
     NeedsGlobal rules, then applies each rule's outcome in order."""
@@ -104,10 +105,10 @@ class CompiledPolicy:
     conditions: Tuple[ConditionDecl, ...]
     actions: Tuple[ActionDecl, ...]
     rules: Tuple[CompiledRule, ...]
-    # each key's batch plan; its batches cover the key's rules in order
-    dispatch: Dict[Tuple[str, str, Phase], Tuple[Batch, ...]]
+    # each call's (before, after) batch plans; a plan's batches cover the
+    # phase's rules in order
+    dispatch: Dict[Tuple[str, str], Tuple[Tuple[Batch, ...], Tuple[Batch, ...]]]
     state_types: StateTypes
-    source: PolicySpec
 
     def rule_by_id(self, rule_id: int) -> Optional[CompiledRule]:
         if 0 <= rule_id < len(self.rules):
@@ -115,14 +116,12 @@ class CompiledPolicy:
         return None
 
 
-def compile_policy(spec: PolicySpec) -> CompiledPolicy:
-    """Build dispatch tables for a policy that already passed validation."""
+def compile_policy(spec: PolicySpec, state_types: StateTypes) -> CompiledPolicy:
+    """Build the dispatch table of a policy that passed validation, which
+    inferred `state_types`, the kinds of its state variables."""
     event_ids = {e.name: i for i, e in enumerate(spec.events)}
     cond_ids = {c.name: i for i, c in enumerate(spec.conditions)}
     action_ids = {a.name: i for i, a in enumerate(spec.actions)}
-    state_types, issues = infer_policy_state(spec)
-    if issues:
-        raise ValueError("compile_policy called on an unvalidated policy")
 
     rules: List[CompiledRule] = []
     for idx, rule in enumerate(spec.rules):
@@ -145,7 +144,6 @@ def compile_policy(spec: PolicySpec) -> CompiledPolicy:
                 name=rule.name or f"rule#{idx}",
                 trigger_id=event_ids[rule.trigger],
                 guard=guard_tree,
-                action_ids=acts,
                 locality=Locality.LOCAL_ONLY if local_only else Locality.NEEDS_GLOBAL,
                 app_condition_ids=app_conds,
                 global_condition_ids=global_conds,
@@ -156,33 +154,32 @@ def compile_policy(spec: PolicySpec) -> CompiledPolicy:
             )
         )
 
-    dispatch: Dict[Tuple[str, str, Phase], List[CompiledRule]] = {}
+    dispatch: Dict[Tuple[str, str], Tuple[List[CompiledRule], List[CompiledRule]]] = {}
     for event in spec.events:
-        key = (event.pattern.api_namespace, event.pattern.method, event.phase)
-        dispatch.setdefault(key, [])
+        dispatch.setdefault((event.pattern.api_namespace, event.pattern.method), ([], []))
     for rule in rules:
         event = spec.events[rule.trigger_id]
-        key = (event.pattern.api_namespace, event.pattern.method, event.phase)
-        dispatch[key].append(rule)
+        dispatch[event.pattern.api_namespace, event.pattern.method][event.phase is Phase.AFTER].append(rule)
 
     return CompiledPolicy(
         events=spec.events,
         conditions=spec.conditions,
         actions=spec.actions,
         rules=tuple(rules),
-        dispatch={k: plan_batches(spec, v) for k, v in dispatch.items()},
+        dispatch={k: (plan_batches(spec, before), plan_batches(spec, after)) for k, (before, after) in dispatch.items()},
         state_types=state_types,
-        source=spec,
     )
 
 
 def rules_for(cp: CompiledPolicy, namespace: str, method: str, phase: Phase) -> Tuple[Batch, ...]:
-    """The key's batch plan, or an empty tuple when no rule listens to it."""
-    return cp.dispatch.get((namespace, method, phase), ())
+    """The batch plan of the call's phase, or an empty tuple when no rule
+    listens to it."""
+    plans = cp.dispatch.get((namespace, method))
+    return () if plans is None else plans[phase is Phase.AFTER]
 
 
 def plan_batches(spec: PolicySpec, rules: Sequence[CompiledRule]) -> Tuple[Batch, ...]:
-    """Split one key's rules, in declaration order, into batches.
+    """Split one phase's rules, in declaration order, into batches.
 
     A batch is cut before a rule whose app-side conditions read a local
     variable that an app-side action of an earlier rule of the batch

@@ -23,8 +23,6 @@ NS_CTX = "ctx"
 CTX_VARS = {"now": VType.TIMESTAMP, "app_name": VType.STRING, "app_id": VType.STRING}
 
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-ARITH_OPS = ("+", "-", "*", "/")
-BOOL_OPS = ("&&", "||")
 
 
 @dataclass(frozen=True)
@@ -136,14 +134,3 @@ def walk_exprs(node) -> "list[Expr]":
     elif isinstance(node, SetAttrStmt):
         go(node.value)
     return out
-
-
-def stmt_exprs(stmts) -> "list[Expr]":
-    out: list[Expr] = []
-    for s in stmts:
-        out.extend(walk_exprs(s))
-    return out
-
-
-def free_event_params(node) -> "set[str]":
-    return {e.name for e in walk_exprs(node) if isinstance(e, VarRef) and e.ns == NS_EVENT}

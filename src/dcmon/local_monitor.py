@@ -1,13 +1,15 @@
 """Per-application monitor.
 
 Each app owns one LocalMonitor with isolated local state. Every rule of a
-dispatch key runs through the key's compile-time batch plan: each batch
+phase of a call runs through that phase's compile-time batch plan, which
+`rules_for` looks up in the policy's dispatch table: each batch
 binds the occurrence once, evaluates its rules' ApplicationSide conditions
 locally, ships the truth values of its NeedsGlobal rules (plus any
 explicitly forwarded event bindings) to the central monitor in one request,
 and then, rule by rule, runs the ApplicationSide actions its guard or the
-reply calls for. A batch of LocalOnly rules is decided entirely here and
-sends nothing.
+reply calls for: the rule's own ApplicationSide actions for a LocalOnly
+rule whose guard holds, the reply's list for a NeedsGlobal rule. A batch of
+LocalOnly rules is decided entirely here and sends nothing.
 
 The plan puts only triggers that bind alike in one batch, so the batch's
 first trigger binds the occurrence for every rule. run() checks each call's
@@ -35,9 +37,6 @@ from .lang.eval import APP_SIDE, EvalContext, EvalError, eval_expr, exec_stmts, 
 from .lang.state import VarStore
 from .lang.values import Value
 
-PROCEED = "Proceed"
-BLOCK = "Block"
-
 # per-app monitor store, never shared between apps
 LocalState = VarStore
 
@@ -61,13 +60,15 @@ class EventOccurrence:
 
 @dataclass
 class InterceptResult:
-    decision: str
+    """`reason` names the first rule or fault that blocked the call, and is
+    None while nothing has."""
+
     reason: Optional[str] = None
     faults: Tuple[str, ...] = ()
 
     @property
     def blocked(self) -> bool:
-        return self.decision == BLOCK
+        return self.reason is not None
 
 
 def bind_params(occ: EventOccurrence, decl: EventDecl) -> Dict[str, Value]:
@@ -94,7 +95,7 @@ class LocalMonitor:
     """`attrs` is the device attribute store, which app-side set_attr
     writes directly."""
 
-    def __init__(self, app_id: str, app_name: str, cp: CompiledPolicy, channel: Optional[Channel], attrs: VarStore):
+    def __init__(self, app_id: str, app_name: str, cp: CompiledPolicy, channel: Channel, attrs: VarStore):
         self.app_id = app_id
         self.app_name = app_name
         self.cp = cp
@@ -105,7 +106,7 @@ class LocalMonitor:
     def intercept(self, occ: EventOccurrence) -> InterceptResult:
         """Run every rule triggered by this occurrence, in declaration
         order, each guard seeing the state left by earlier rules."""
-        result = InterceptResult(decision=PROCEED)
+        result = InterceptResult()
         for batch in rules_for(self.cp, occ.namespace, occ.method, occ.phase):
             self._run_batch(batch, occ, result)
         return result
@@ -113,15 +114,14 @@ class LocalMonitor:
     # internals
 
     def _block(self, result: InterceptResult, reason: str) -> None:
-        if not result.blocked:
-            result.decision = BLOCK
+        if result.reason is None:
             result.reason = reason
 
     def _fault(self, result: InterceptResult, fault: str) -> None:
         result.faults = result.faults + (fault,)
 
     def _run_batch(self, batch: Batch, occ: EventOccurrence, result: InterceptResult) -> None:
-        # The dispatch key decides everything the triggers match on except
+        # The call and phase decide everything the triggers match on except
         # arity, and the plan gives every trigger of the batch the same
         # bindings: the first one binds the occurrence for all.
         event = self.cp.events[batch.rules[0].trigger_id]
@@ -155,7 +155,7 @@ class LocalMonitor:
         # One round trip for the batch's NeedsGlobal rules; a batch of
         # LocalOnly rules names none.
         reply = None
-        if batch.rule_ids and self.channel is not None:
+        if batch.rule_ids:
             sent = [rule for rule, outcome in steps if outcome is _SENT]
             if sent:
                 truth = {cid: values[cid] for rule in sent for cid in rule.app_condition_ids}
@@ -183,7 +183,7 @@ class LocalMonitor:
                     self._run_app_actions(rule, reply.appside_actions_to_run[k], ctx, occ, result)
                 k += 1
             elif outcome is True:
-                self._run_app_actions(rule, rule.action_ids, ctx, occ, result)
+                self._run_app_actions(rule, rule.app_action_ids, ctx, occ, result)
             elif outcome is not False:
                 self._fault(result, outcome)
                 self._block(result, outcome)
@@ -199,7 +199,7 @@ class LocalMonitor:
         blocked = False
         try:
             for aid in action_ids:
-                if aid in rule.app_action_ids and exec_stmts(self.cp.actions[aid].body, ctx):
+                if exec_stmts(self.cp.actions[aid].body, ctx):
                     blocked = True
         except EvalError as ex:
             rollback(ctx.undo)

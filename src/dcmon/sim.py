@@ -225,22 +225,6 @@ class RunResult:
         )
 
 
-_UNWATCHED = (False, False)
-
-
-def _watched_phases(cp: CompiledPolicy) -> Dict[Tuple[str, str], Tuple[bool, bool]]:
-    """For each (namespace, method) with rules, whether its before and its
-    after phase have any. A phase without rules proceeds with no fault and
-    no write, so run() builds no occurrence for it and does not intercept
-    it. The key holds no Phase, which the loop would otherwise hash."""
-    watched: Dict[Tuple[str, str], Tuple[bool, bool]] = {}
-    for (namespace, method, phase), plan in cp.dispatch.items():
-        if plan:
-            before, after = watched.get((namespace, method), _UNWATCHED)
-            watched[namespace, method] = (before or phase is Phase.BEFORE, after or phase is Phase.AFTER)
-    return watched
-
-
 def run(
     trace: List[TraceEvent],
     cp: CompiledPolicy,
@@ -274,25 +258,27 @@ def run(
     # the execution order is a checked permutation, so it fills every slot
     verdicts: List[Optional[VerdictEntry]] = [None] * len(trace)
     faults: List[Tuple[int, str]] = []
-    watched = _watched_phases(cp)
+    dispatch = cp.dispatch
     order = _execution_order(trace, concurrent_same_t, arrival_order)
     for idx in order:
         ev = trace[idx]
         entry = CATALOG[(ev.namespace, ev.method)]
         monitor = monitors[ev.app]
         t0 = time.perf_counter_ns() if measure_latency else 0
-        watch_before, watch_after = watched.get((ev.namespace, ev.method), _UNWATCHED)
+        # A phase without rules proceeds with no fault and no write, so it
+        # builds no occurrence and is not intercepted.
+        before_plan, after_plan = dispatch.get((ev.namespace, ev.method), ((), ()))
         event_faults = ()
         decision, reason = ALLOWED, NO_RULE
-        if watch_before:
+        if before_plan:
             # positional: (namespace, method, phase, args, return_value, t)
             before = monitor.intercept(EventOccurrence(ev.namespace, ev.method, Phase.BEFORE, ev.args, None, ev.t))
             event_faults = before.faults
             if before.blocked:
-                decision, reason = BLOCKED, before.reason or NO_RULE
+                decision, reason = BLOCKED, before.reason
         if decision == ALLOWED:
             ret = execute_effect(entry, ev.args, device)
-            if watch_after:
+            if after_plan:
                 after = monitor.intercept(EventOccurrence(ev.namespace, ev.method, Phase.AFTER, ev.args, ret, ev.t))
                 event_faults += after.faults
         latency = time.perf_counter_ns() - t0 if measure_latency else 0

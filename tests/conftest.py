@@ -1,8 +1,9 @@
+import dataclasses
 from typing import List, Optional
 
 import pytest
 
-from dcmon.dsl import parse_policy, validate_policy
+from dcmon.dsl import Phase, parse_policy, validate_policy
 from dcmon.engine import CompiledPolicy
 from dcmon.lang.values import MS_PER_DAY, MS_PER_HOUR, MS_PER_MINUTE, MS_PER_SECOND
 from dcmon.sim import TraceEvent
@@ -68,6 +69,23 @@ EMPTY_SRC = "Events { } Conditions { } Actions { } Rules { }"
 def plan_rules(plan) -> list:
     """The rules of one dispatch key's batch plan, in declaration order."""
     return [rule for batch in plan for rule in batch.rules]
+
+
+def phase_plans(cp: CompiledPolicy) -> dict:
+    """Each `(namespace, method, phase)` of the dispatch table mapped to
+    its batch plan."""
+    return {
+        (namespace, method, phase): plan
+        for (namespace, method), plans in cp.dispatch.items()
+        for phase, plan in zip((Phase.BEFORE, Phase.AFTER), plans)
+    }
+
+
+def replan(cp: CompiledPolicy, plan_of) -> CompiledPolicy:
+    """The same policy with `plan_of` applied to every batch plan of its
+    dispatch table."""
+    dispatch = {call: tuple(plan_of(plan) for plan in plans) for call, plans in cp.dispatch.items()}
+    return dataclasses.replace(cp, dispatch=dispatch)
 
 
 def compile_src(src: str) -> CompiledPolicy:

@@ -7,7 +7,6 @@ must give the same verdicts, snapshot and faults, and each run's channel
 log must rebuild its snapshot.
 """
 
-import dataclasses
 import re
 
 import hypothesis.strategies as st
@@ -17,26 +16,24 @@ from hypothesis import HealthCheck, assume, given, settings
 from dcmon import local_monitor
 from dcmon.central_monitor import APP_TO_CENTRAL, CENTRAL_TO_APP, GlobalState, replay_requests, snapshot
 from dcmon.corpus import CORPUS_IDS, compile_corpus_policy
-from dcmon.dsl import parse_policy, validate_policy
+from dcmon.dsl import Phase, parse_policy, validate_policy
 from dcmon.engine import Batch, CompiledPolicy
 from dcmon.lang.values import MS_PER_SECOND, VType
 from dcmon.local_monitor import bind_params
 from dcmon.sim import check_policy_against_catalog, run
 from dcmon.tracegen import PROFILES, make_trace
 
-from conftest import compile_src, plan_rules, send, sends_every
+from conftest import compile_src, phase_plans, plan_rules, replan, send, sends_every
 
 
 def one_rule_batches(cp: CompiledPolicy) -> CompiledPolicy:
     """The same policy with every batch of its plan cut to one rule."""
-    dispatch = {key: tuple(Batch([r]) for r in plan_rules(plan)) for key, plan in cp.dispatch.items()}
-    return dataclasses.replace(cp, dispatch=dispatch)
+    return replan(cp, lambda plan: tuple(Batch([r]) for r in plan_rules(plan)))
 
 
 def single_batch(cp: CompiledPolicy) -> CompiledPolicy:
-    """The same policy with each key's rules forced into one batch."""
-    dispatch = {key: (Batch(plan_rules(plan)),) if plan else () for key, plan in cp.dispatch.items()}
-    return dataclasses.replace(cp, dispatch=dispatch)
+    """The same policy with each phase's rules forced into one batch."""
+    return replan(cp, lambda plan: (Batch(plan_rules(plan)),) if plan else ())
 
 
 def requests(res) -> int:
@@ -78,8 +75,8 @@ def test_corpus_plan_matches_one_rule_batches(pid):
 
 def test_sitting_policy_sends_one_request_per_occurrence():
     cp = compile_corpus_policy("OneHrPerSittingOnly")
-    for key, plan in cp.dispatch.items():
-        assert [len(b.rules) for b in plan] == [4], key
+    for key, plan in phase_plans(cp).items():
+        assert [len(b.rules) for b in plan] == ([4] if key[2] is Phase.BEFORE else []), key
     trace = sends_every(MS_PER_SECOND, 30)
     got, want = assert_same_as_one_rule_batches(cp, trace)
     assert requests(got) == 30
@@ -91,10 +88,10 @@ def test_every_key_has_a_plan():
         cp = compile_corpus_policy(pid)
         triggers = [cp.events[r.trigger_id] for r in cp.rules]
         listened = {(e.pattern.api_namespace, e.pattern.method, e.phase) for e in triggers}
-        for key, plan in cp.dispatch.items():
+        for key, plan in phase_plans(cp).items():
             assert bool(plan) == (key in listened) and all(b.rules for b in plan), (pid, key)
     # WiFiLmt is LocalOnly: its batches name no rule, so they send nothing
-    batches = [b for plan in compile_corpus_policy("WiFiLmt").dispatch.values() for b in plan]
+    batches = [b for plan in phase_plans(compile_corpus_policy("WiFiLmt")).values() for b in plan]
     assert batches and all(b.rule_ids == () for b in batches)
 
 
@@ -123,7 +120,7 @@ Rules {
 
 def test_local_write_read_cuts_the_batch():
     cp = compile_src(LOCAL_WRITE_SRC)
-    (plan,) = cp.dispatch.values()
+    ((plan, _),) = cp.dispatch.values()
     assert [[r.name for r in b.rules] for b in plan] == [["noteSend"], ["denySecond", "countAgain"]]
 
     trace = [send(i * MS_PER_SECOND, app) for i, app in enumerate(["A", "A", "B", "A", "B"])]
@@ -168,7 +165,7 @@ Rules {
 
 def test_triggers_that_bind_otherwise_cut_the_batch():
     cp = compile_src(BINDING_CUT_SRC)
-    (plan,) = cp.dispatch.values()
+    ((plan, _),) = cp.dispatch.values()
     # byBody binds `dest` to the other argument, anySend binds nothing
     assert [[r.name for r in b.rules] for b in plan] == [["homeA", "fwdA"], ["homeB", "fwdB"], ["any"]]
     trace = [send(0, dest="+35621123456"), send(1, dest="21234567")]
@@ -226,7 +223,7 @@ Rules {
 
 def test_central_fault_in_a_batch_leaves_other_rules_alone():
     cp = compile_src(CENTRAL_FAULT_SRC)
-    (plan,) = cp.dispatch.values()
+    ((plan, _),) = cp.dispatch.values()
     assert len(plan) == 1
     trace = sends_every(MS_PER_SECOND, 4)
     got, want = assert_same_as_one_rule_batches(cp, trace)
@@ -244,7 +241,7 @@ def test_central_fault_in_a_batch_leaves_other_rules_alone():
     replies = [e.payload for e in got.channel_entries if e.direction == CENTRAL_TO_APP]
     assert replies[2] == {
         "guard_result": (True, False, True, False),
-        "appside_actions_to_run": ((), (), (cp.rules[2].action_ids[0],), ()),
+        "appside_actions_to_run": ((), (), (cp.rules[2].app_action_ids[0],), ()),
         "fault": (None, "EvalFault:DivisionByZero", None, "EvalFault:DivisionByZero"),
     }
 

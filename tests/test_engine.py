@@ -19,16 +19,13 @@ from dcmon.lang.values import MS_PER_SECOND
 from dcmon.sim import check_policy_against_catalog, run
 from dcmon.tracegen import make_bench_trace, make_trace
 
-from conftest import EMPTY_SRC, compile_src, plan_rules, sends_every
+from conftest import EMPTY_SRC, compile_src, phase_plans, plan_rules, sends_every
 from test_batch_plan import CENTRAL_FAULT_SRC, policy_source, rule_lists
 
 
 def test_msg_quota_dispatch(msg_quota_policy):
     cp = msg_quota_policy
-    assert set(cp.dispatch) == {
-        ("SmsManager", "sendTextMessage", Phase.BEFORE),
-        ("SmsManager", "sendTextMessage", Phase.AFTER),
-    }
+    assert set(cp.dispatch) == {("SmsManager", "sendTextMessage")}
     before_rules = plan_rules(rules_for(cp, "SmsManager", "sendTextMessage", Phase.BEFORE))
     after_rules = plan_rules(rules_for(cp, "SmsManager", "sendTextMessage", Phase.AFTER))
     assert [r.rule_id for r in before_rules] == [0]
@@ -38,8 +35,9 @@ def test_msg_quota_dispatch(msg_quota_policy):
 
 def test_wifi_listing_local_only(wifi_listing_policy):
     cp = wifi_listing_policy
-    assert set(cp.dispatch) == {("WifiManager", "setWifiEnabled", Phase.BEFORE)}
+    assert set(cp.dispatch) == {("WifiManager", "setWifiEnabled")}
     (rule,) = plan_rules(rules_for(cp, "WifiManager", "setWifiEnabled", Phase.BEFORE))
+    assert rules_for(cp, "WifiManager", "setWifiEnabled", Phase.AFTER) == ()
     assert rule.locality is Locality.LOCAL_ONLY
     assert rule.blocks
 
@@ -91,7 +89,7 @@ def test_dispatch_lookup_equals_linear_scan():
 def test_every_rule_under_exactly_one_key():
     for pid in CORPUS_IDS:
         cp = compile_corpus_policy(pid)
-        seen = [r.rule_id for plan in cp.dispatch.values() for r in plan_rules(plan)]
+        seen = [r.rule_id for plan in phase_plans(cp).values() for r in plan_rules(plan)]
         assert sorted(seen) == [r.rule_id for r in cp.rules]
 
 
@@ -207,5 +205,7 @@ def test_locality_is_local_iff_all_parts_app_side():
             parts_app = all(
                 cp.conditions[cid].side is Side.APPLICATION
                 for cid in rule.app_condition_ids + rule.global_condition_ids
-            ) and all(cp.actions[aid].side is Side.APPLICATION for aid in rule.action_ids)
+            ) and all(
+                cp.actions[aid].side is Side.APPLICATION for aid in rule.app_action_ids + rule.global_action_ids
+            )
             assert (rule.locality is Locality.LOCAL_ONLY) == parts_app

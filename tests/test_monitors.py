@@ -236,7 +236,9 @@ def test_fail_closed_on_disconnected_channel(quota_setup):
 
 def test_local_only_policy_ignores_channel_state(wifi_listing_policy):
     attrs = VarStore()
-    monitor = LocalMonitor("Maps", "Maps", wifi_listing_policy, channel=None, attrs=attrs)
+    channel = Channel(CentralMonitor(wifi_listing_policy, GlobalState()))
+    channel.disconnect()
+    monitor = LocalMonitor("Maps", "Maps", wifi_listing_policy, channel=channel, attrs=attrs)
     blocked = monitor.intercept(
         occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,), t=14 * MS_PER_HOUR)
     )
@@ -282,7 +284,8 @@ def test_explicit_arity_pattern_gates_rule_matching():
     }
     """
     cp = compile_src(src)
-    monitor = LocalMonitor("Maps", "Maps", cp, channel=None, attrs=VarStore())
+    channel = Channel(CentralMonitor(cp, GlobalState()))
+    monitor = LocalMonitor("Maps", "Maps", cp, channel=channel, attrs=VarStore())
     monitor.intercept(occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,)))
     assert monitor.local.get("typed", VType.INT) == 1
     assert monitor.local.get("any", VType.INT) == 1

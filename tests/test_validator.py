@@ -1,4 +1,5 @@
-from dcmon.dsl import parse_policy, validate_policy
+from dcmon.corpus import build_policy_source
+from dcmon.dsl import analysis, parse_policy, validate_policy
 from dcmon.engine import CompiledPolicy
 
 from conftest import MSG_QUOTA_SRC, WIFI_LISTING_SRC
@@ -225,3 +226,17 @@ def test_validation_is_deterministic():
     first = errors_of(src)
     second = errors_of(src)
     assert first == second
+
+
+def test_validation_infers_kinds_once(monkeypatch):
+    calls = []
+    infer_state_types = analysis.infer_state_types
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return infer_state_types(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "infer_state_types", counted)
+    # compiling reuses the kinds that validation inferred
+    assert isinstance(validate_policy(parse_policy(build_policy_source("MsgCntLmtHr"))), CompiledPolicy)
+    assert len(calls) == 1
