@@ -50,12 +50,24 @@ def _read_policy(path: str):
     return result, EXIT_OK
 
 
+def _read_trace(path: str):
+    """Returns (trace, exit_code); prints the error on failure."""
+    try:
+        return load_trace(path), EXIT_OK
+    except (OSError, UnicodeDecodeError) as ex:
+        print(f"error: cannot read trace: {ex}", file=sys.stderr)
+        return None, EXIT_IO
+    except TraceFormatError as ex:
+        print(f"error: bad trace: {ex}", file=sys.stderr)
+        return None, EXIT_TRACE
+
+
 def _read_config(path: Optional[str]) -> Optional[SimConfig]:
     if path is None:
         return DEFAULT_CONFIG
     try:
         return load_config(path)
-    except (OSError, ConfigError) as ex:
+    except (OSError, UnicodeDecodeError, ConfigError) as ex:
         print(f"error: bad config {path}: {ex}", file=sys.stderr)
         return None
 
@@ -71,14 +83,9 @@ def cmd_run(args) -> int:
     cp, code = _read_policy(args.policy)
     if cp is None:
         return code
-    try:
-        trace = load_trace(args.trace)
-    except OSError as ex:
-        print(f"error: cannot read trace: {ex}", file=sys.stderr)
-        return EXIT_IO
-    except TraceFormatError as ex:
-        print(f"error: bad trace: {ex}", file=sys.stderr)
-        return EXIT_TRACE
+    trace, code = _read_trace(args.trace)
+    if trace is None:
+        return code
     try:
         result = run(trace, cp, measure_latency=args.measure_latency)
     except CatalogMismatch as ex:
@@ -107,14 +114,9 @@ def cmd_bench(args) -> int:
     config = _read_config(args.config)
     if config is None:
         return EXIT_IO
-    try:
-        trace = load_trace(args.trace)
-    except OSError as ex:
-        print(f"error: cannot read trace: {ex}", file=sys.stderr)
-        return EXIT_IO
-    except TraceFormatError as ex:
-        print(f"error: bad trace: {ex}", file=sys.stderr)
-        return EXIT_TRACE
+    trace, code = _read_trace(args.trace)
+    if trace is None:
+        return code
     try:
         report = run_bench(policy_ids, trace, config, repetitions=args.reps, trace_label=args.trace)
     except UnknownPolicyId as ex:
@@ -137,7 +139,7 @@ def cmd_bench(args) -> int:
 def cmd_report(args) -> int:
     try:
         doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as ex:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as ex:
         print(f"error: cannot read report: {ex}", file=sys.stderr)
         return EXIT_IO
     print(render_table(doc))

@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
+from .lang.values import MS_PER_SECOND
+
 
 class ConfigError(Exception):
     pass
@@ -39,6 +41,9 @@ class SimConfig:
             raise ConfigError(f"msg_gap_anchor must be 'allowed' or 'attempt', not {self.msg_gap_anchor!r}")
         if self.idle_threshold_ms <= 0:
             raise ConfigError("idle_threshold_ms must be positive")
+        if self.idle_threshold_ms % MS_PER_SECOND:
+            # a policy writes the threshold with seconds() or minutes()
+            raise ConfigError(f"idle_threshold_ms must be a whole number of seconds, not {self.idle_threshold_ms}")
         if self.work_hours is not None:
             start, end = self.work_hours
             if not (0 <= start < 24 and 0 < end <= 24 and start < end):

@@ -3,11 +3,6 @@ from .ast import (
     CallPattern,
     ConditionDecl,
     EventDecl,
-    Guard,
-    GuardAnd,
-    GuardNot,
-    GuardOr,
-    GuardRef,
     Param,
     Phase,
     PolicySpec,

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from ..lang.nodes import Expr, Span, Stmt
+from ..lang.nodes import Expr, Span, Stmt, VarRef, walk_exprs
 from ..lang.values import VType
 
 
@@ -96,48 +96,16 @@ class ActionDecl:
     span: Span = field(default=(0, 0), compare=False)
 
 
-class Guard:
-    """Boolean formula over condition names."""
-
-
-@dataclass(frozen=True)
-class GuardRef(Guard):
-    name: str
-    span: Span = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class GuardNot(Guard):
-    operand: Guard
-
-
-@dataclass(frozen=True)
-class GuardAnd(Guard):
-    left: Guard
-    right: Guard
-
-
-@dataclass(frozen=True)
-class GuardOr(Guard):
-    left: Guard
-    right: Guard
-
-
-def guard_refs(g: Guard) -> Tuple[GuardRef, ...]:
-    if isinstance(g, GuardRef):
-        return (g,)
-    if isinstance(g, GuardNot):
-        return guard_refs(g.operand)
-    if isinstance(g, (GuardAnd, GuardOr)):
-        return guard_refs(g.left) + guard_refs(g.right)
-    raise AssertionError(f"unknown guard node {g!r}")
+def guard_refs(guard: Expr) -> Tuple[VarRef, ...]:
+    """The condition references of a guard, left to right."""
+    return tuple(e for e in walk_exprs(guard) if isinstance(e, VarRef))
 
 
 @dataclass(frozen=True)
 class RuleDecl:
     name: Optional[str]
     trigger: str
-    guard: Guard
+    guard: Expr
     actions: Tuple[str, ...]
     span: Span = field(default=(0, 0), compare=False)
 

@@ -14,6 +14,8 @@ required, in order):
     act        := NAME '=' '{' [SIDETAG '{'] stmt* ['}'] '}'
     rules      := 'Rules' '{' rule* '}'
     rule       := [NAME '='] NAME '(' ')' '|' guard '->' aref (',' aref)* [';']
+    guard      := the '||' / '&&' chain of expr, over gterm in place of comparisons
+    gterm      := '!' gterm | '(' guard ')' | NAME ['(' ')']
 
 Declarations outside a side group default to ApplicationSide. Nesting of
 expressions and guards is depth-capped so that arbitrary input can never
@@ -32,6 +34,7 @@ from ..lang.nodes import (
     Call,
     Expr,
     Literal,
+    NS_COND,
     PruneStmt,
     SetAttrStmt,
     Stmt,
@@ -45,11 +48,6 @@ from .ast import (
     CallPattern,
     ConditionDecl,
     EventDecl,
-    Guard,
-    GuardAnd,
-    GuardNot,
-    GuardOr,
-    GuardRef,
     Param,
     Phase,
     PolicySpec,
@@ -336,26 +334,29 @@ class _Parser:
 
     # expressions
 
-    def expr(self, depth: int) -> Expr:
+    def expr(self, depth: int, operand=None) -> Expr:
+        """An `||` chain of `&&` chains. Their operand is a comparison in a
+        condition or action body, and `guard_operand` in a guard."""
+        operand = operand or self.cmp_expr
         self.check_depth(depth)
-        node = self.and_expr(depth + 1)
+        node = self.and_expr(depth + 1, operand)
         chain = 0
         while self.at_punct("||"):
             chain += 1
             self.check_depth(depth + chain)
             op = self.advance()
-            right = self.and_expr(depth + chain)
+            right = self.and_expr(depth + chain, operand)
             node = Binary("||", node, right, span=op.span)
         return node
 
-    def and_expr(self, depth: int) -> Expr:
-        node = self.cmp_expr(depth + 1)
+    def and_expr(self, depth: int, operand) -> Expr:
+        node = operand(depth + 1)
         chain = 0
         while self.at_punct("&&"):
             chain += 1
             self.check_depth(depth + chain)
             op = self.advance()
-            right = self.cmp_expr(depth + chain)
+            right = operand(depth + chain)
             node = Binary("&&", node, right, span=op.span)
         return node
 
@@ -479,7 +480,7 @@ class _Parser:
         self.expect_punct("(")
         self.expect_punct(")")
         self.expect_punct("|")
-        guard = self.guard(0)
+        guard = self.expr(0, self.guard_operand)
         self.expect_punct("->")
         actions = [self.action_ref()]
         while self.at_punct(","):
@@ -502,42 +503,21 @@ class _Parser:
             self.expect_punct(")")
         return name.text
 
-    def guard(self, depth: int) -> Guard:
-        self.check_depth(depth)
-        node = self.guard_and(depth + 1)
-        chain = 0
-        while self.at_punct("||"):
-            chain += 1
-            self.check_depth(depth + chain)
-            self.advance()
-            node = GuardOr(node, self.guard_and(depth + chain))
-        return node
-
-    def guard_and(self, depth: int) -> Guard:
-        node = self.guard_unary(depth + 1)
-        chain = 0
-        while self.at_punct("&&"):
-            chain += 1
-            self.check_depth(depth + chain)
-            self.advance()
-            node = GuardAnd(node, self.guard_unary(depth + chain))
-        return node
-
-    def guard_unary(self, depth: int) -> Guard:
+    def guard_operand(self, depth: int) -> Expr:
         self.check_depth(depth)
         if self.at_punct("!"):
-            self.advance()
-            return GuardNot(self.guard_unary(depth + 1))
+            op = self.advance()
+            return Unary("!", self.guard_operand(depth + 1), span=op.span)
         if self.at_punct("("):
             self.advance()
-            node = self.guard(depth + 1)
+            node = self.expr(depth + 1, self.guard_operand)
             self.expect_punct(")")
             return node
         name = self.expect_ident("condition name")
         if self.at_punct("("):
             self.advance()
             self.expect_punct(")")
-        return GuardRef(name.text, span=name.span)
+        return VarRef(NS_COND, name.text, span=name.span)
 
 
 def _describe(tok: Token) -> str:

@@ -20,6 +20,8 @@ from ..lang.nodes import (
     Call,
     Expr,
     Literal,
+    NS_COND,
+    NS_CTX,
     PruneStmt,
     SetAttrStmt,
     Stmt,
@@ -32,10 +34,6 @@ from .ast import (
     CallPattern,
     ConditionDecl,
     EventDecl,
-    Guard,
-    GuardAnd,
-    GuardNot,
-    GuardRef,
     Phase,
     PolicySpec,
     RuleDecl,
@@ -119,25 +117,7 @@ def _action_lines(decl: ActionDecl) -> List[str]:
 def _rule_line(rule: RuleDecl) -> str:
     prefix = f"{rule.name} = " if rule.name else ""
     actions = ", ".join(f"{a}()" for a in rule.actions)
-    return f"{prefix}{rule.trigger}() | {format_guard(rule.guard)} -> {actions};"
-
-
-# guards
-
-def format_guard(g: Guard, parent_prec: int = 0, right_of: int = 0) -> str:
-    if isinstance(g, GuardRef):
-        return g.name
-    if isinstance(g, GuardNot):
-        return "!" + format_guard(g.operand, parent_prec=3, right_of=0)
-    op, prec = ("&&", 2) if isinstance(g, GuardAnd) else ("||", 1)
-    text = (
-        format_guard(g.left, parent_prec=prec, right_of=0)
-        + f" {op} "
-        + format_guard(g.right, parent_prec=prec, right_of=prec)
-    )
-    if prec < parent_prec or (right_of and prec == right_of):
-        return f"({text})"
-    return text
+    return f"{prefix}{rule.trigger}() | {format_expr(rule.guard, Side.APPLICATION)} -> {actions};"
 
 
 # expressions
@@ -150,7 +130,7 @@ def _expr(e: Expr, side: Side, parent_prec: int, right_of: int) -> str:
     if isinstance(e, Literal):
         return _literal(e)
     if isinstance(e, VarRef):
-        if e.ns == "ctx":
+        if e.ns in (NS_CTX, NS_COND):
             return e.name
         if e.ns == "event":
             return f"event.{e.name}" if side is Side.GLOBAL else e.name

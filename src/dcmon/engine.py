@@ -1,4 +1,4 @@
-"""Compilation of validated policies into per-event rule tables.
+"""Compilation of validated policies into a rule table keyed by call.
 
 Each rule is classified by locality: a rule whose guard conditions and
 actions are all ApplicationSide can be decided entirely inside the app's
@@ -26,17 +26,12 @@ from .dsl.ast import (
     ActionDecl,
     ConditionDecl,
     EventDecl,
-    Guard,
-    GuardAnd,
-    GuardNot,
-    GuardOr,
-    GuardRef,
     Phase,
     PolicySpec,
     Side,
     guard_refs,
 )
-from .lang.nodes import AppendStmt, Assign, BlockStmt, PruneStmt, VarRef, walk_exprs
+from .lang.nodes import NS_COND, AppendStmt, Assign, Binary, BlockStmt, Expr, PruneStmt, Unary, VarRef, walk_exprs
 
 
 class Locality(enum.Enum):
@@ -50,6 +45,8 @@ class Locality(enum.Enum):
 # Guard formula over dense condition ids, as nested tuples:
 #   ("ref", cid) | ("not", g) | ("and", g, g) | ("or", g, g)
 GuardTree = tuple
+
+_GUARD_TAGS = {"&&": "and", "||": "or"}
 
 
 def evaluate_guard(guard: GuardTree, truth: Dict[int, bool]) -> bool:
@@ -229,15 +226,13 @@ def _bindings(event: EventDecl) -> Tuple[Optional[Tuple[str, ...]], Optional[str
     return (None if params is None else tuple(p.name for p in params)), event.return_binding
 
 
-def _lower_guard(g: Guard, cond_ids: Dict[str, int]) -> GuardTree:
-    if isinstance(g, GuardRef):
+def _lower_guard(g: Expr, cond_ids: Dict[str, int]) -> GuardTree:
+    if isinstance(g, VarRef) and g.ns == NS_COND:
         return ("ref", cond_ids[g.name])
-    if isinstance(g, GuardNot):
+    if isinstance(g, Unary) and g.op == "!":
         return ("not", _lower_guard(g.operand, cond_ids))
-    if isinstance(g, GuardAnd):
-        return ("and", _lower_guard(g.left, cond_ids), _lower_guard(g.right, cond_ids))
-    if isinstance(g, GuardOr):
-        return ("or", _lower_guard(g.left, cond_ids), _lower_guard(g.right, cond_ids))
+    if isinstance(g, Binary) and g.op in _GUARD_TAGS:
+        return (_GUARD_TAGS[g.op], _lower_guard(g.left, cond_ids), _lower_guard(g.right, cond_ids))
     raise AssertionError(f"unknown guard node {g!r}")
 
 

@@ -82,7 +82,8 @@ def _trunc_div(a: int, b: int) -> int:
     if b == 0:
         raise EvalError("DivisionByZero")
     q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
+    # INT64_MIN / -1 is the one quotient out of range
+    return _checked_int(q if (a >= 0) == (b >= 0) else -q)
 
 
 def _duration(n: int) -> int:

@@ -1,4 +1,4 @@
-"""AST nodes for condition and action bodies.
+"""AST nodes for condition and action bodies and for rule guards.
 
 Spans and surface-syntax details carry compare=False so that two policies
 that differ only in layout compare structurally equal.
@@ -19,6 +19,9 @@ NS_EVENT = "event"
 NS_LOCAL = "local"
 NS_GLOBAL = "global"
 NS_CTX = "ctx"
+# "cond" appears only in guards: a guard's leaves are VarRef(NS_COND, name)
+# under `!`, `&&` and `||`.
+NS_COND = "cond"
 
 CTX_VARS = {"now": VType.TIMESTAMP, "app_name": VType.STRING, "app_id": VType.STRING}
 

@@ -166,3 +166,25 @@ def test_bench_trace_must_exercise_policy(tmp_path):
     write_trace(trace, [])
     trace.write_text('{"t_ms": 0, "app": "A", "call": "WifiManager.setWifiEnabled", "args": [true]}\n', encoding="utf-8")
     assert main(["bench", "--policies", "MsgCntLmt", "--trace", str(trace), "--out", str(tmp_path / "r.json")]) == 3
+
+
+def test_bench_sub_second_idle_threshold_exit_2(tmp_path, capsys, small_trace_file):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"idle_threshold_ms": 1500}', encoding="utf-8")
+    argv = ["bench", "--policies", "OneHrPerSittingOnly", "--trace", str(small_trace_file), "--config", str(config)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad config {config}: ")
+
+
+@pytest.mark.parametrize("bad_input", ["run_trace", "bench_trace", "bench_config", "report"])
+def test_undecodable_input_exit_2(tmp_path, capsys, msg_policy_file, small_trace_file, bad_input):
+    bad = tmp_path / "utf16.bin"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    argv = {
+        "run_trace": ["run", str(msg_policy_file), str(bad), "--out", str(tmp_path / "o")],
+        "bench_trace": ["bench", "--policies", "MsgCntLmt", "--trace", str(bad)],
+        "bench_config": ["bench", "--policies", "MsgCntLmt", "--trace", str(small_trace_file), "--config", str(bad)],
+        "report": ["report", str(bad)],
+    }[bad_input]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

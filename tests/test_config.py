@@ -35,6 +35,13 @@ def test_bad_work_hours_rejected():
         config_from_dict({"work_hours": [9]})
 
 
+def test_sub_second_idle_threshold_rejected():
+    with pytest.raises(ConfigError, match="whole number of seconds"):
+        SimConfig(idle_threshold_ms=1500)
+    with pytest.raises(ConfigError, match="whole number of seconds"):
+        config_from_dict({"idle_threshold_ms": 1500})
+
+
 def test_authorized_apps_must_reference_protected_prefix():
     with pytest.raises(ConfigError):
         SimConfig(protected_paths=(), authorized_apps={"/x": ("A",)})

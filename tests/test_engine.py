@@ -12,10 +12,12 @@ from dcmon.dsl import Phase, parse_policy, validate_policy
 from dcmon.engine import (
     CompiledPolicy,
     Locality,
+    _lower_guard,
     evaluate_guard,
     rules_for,
 )
-from dcmon.lang.values import MS_PER_SECOND
+from dcmon.lang.nodes import Binary, Literal, Unary, VarRef
+from dcmon.lang.values import MS_PER_SECOND, VType
 from dcmon.sim import check_policy_against_catalog, run
 from dcmon.tracegen import make_bench_trace, make_trace
 
@@ -97,6 +99,24 @@ def test_guard_not_and():
     g = ("and", ("not", ("ref", 0)), ("ref", 1))
     assert evaluate_guard(g, {0: False, 1: True}) is True
     assert evaluate_guard(g, {0: True, 1: True}) is False
+
+
+A = VarRef("cond", "a")
+
+
+def test_lower_guard_maps_guard_operators():
+    guard = Binary("||", Unary("!", A), Binary("&&", A, VarRef("cond", "b")))
+    assert _lower_guard(guard, {"a": 0, "b": 1}) == ("or", ("not", ("ref", 0)), ("and", ("ref", 0), ("ref", 1)))
+
+
+@pytest.mark.parametrize(
+    "node",
+    [Binary("==", A, A), Binary("+", A, A), Unary("-", A), VarRef("event", "a"), Literal(VType.BOOL, True)],
+    ids=["eq", "plus", "minus", "event_ref", "literal"],
+)
+def test_lower_guard_rejects_other_nodes(node):
+    with pytest.raises(AssertionError):
+        _lower_guard(Binary("&&", A, node), {"a": 0})
 
 
 # every guard run() reaches has a truth value for each condition it names

@@ -30,6 +30,9 @@ from dcmon.lang.nodes import (
 )
 from dcmon.lang.eval import SideFault
 from dcmon.lang.values import MS_PER_HOUR, VType
+from dcmon.sim import run
+
+from conftest import compile_src, sends_every
 
 
 def lit(v):
@@ -186,6 +189,27 @@ def test_overflow_checked():
     with pytest.raises(EvalError) as err:
         eval_expr(Binary("*", big, lit(4)), ctx())
     assert err.value.code == "Overflow"
+
+
+def test_int64_min_divided_by_minus_one_overflows():
+    int64_min = Binary("-", Binary("-", lit(0), lit(2**63 - 1)), lit(1))
+    with pytest.raises(EvalError) as err:
+        eval_expr(Binary("/", int64_min, Binary("-", lit(0), lit(1))), ctx())
+    assert err.value.code == "Overflow"
+
+
+MIN_DIV_SRC = """
+Events { ApplicationSide { sendB() = { SmsManager *.sendTextMessage(...) } } }
+Conditions { GlobalSide { always = { true } } }
+Actions { GlobalSide { div = { global.x := 0 - 9223372036854775807 - 1; global.y := global.x / (0 - 1); } } }
+Rules { divRule = sendB() | always -> div; }
+"""
+
+
+def test_int64_min_divided_by_minus_one_faults_and_rolls_back():
+    res = run(sends_every(1000, 1), compile_src(MIN_DIV_SRC))
+    assert res.faults == [(0, "EvalFault:Overflow")]
+    assert [res.global_state.vars.get(n, VType.INT) for n in ("x", "y")] == [0, 0]
 
 
 def test_negative_duration_constructor_rejected():

@@ -72,10 +72,7 @@ def test_guard_parens_on_condition_refs_optional():
         "Rules { e() | a() && b -> act; }"
     )
     rule = parse_policy(src).rules[0]
-    from dcmon.dsl import GuardAnd, GuardRef
-
-    assert isinstance(rule.guard, GuardAnd)
-    assert isinstance(rule.guard.left, GuardRef) and rule.guard.left.name == "a"
+    assert rule.guard == Binary("&&", VarRef("cond", "a"), VarRef("cond", "b"))
 
 
 def test_multiple_actions_comma_separated():
@@ -138,6 +135,29 @@ def test_deep_nesting_capped():
     with pytest.raises(ParseError) as err:
         parse_policy(src)
     assert "nested" in err.value.message
+
+
+@pytest.mark.parametrize(
+    "make_guard, limit",
+    [
+        (lambda n: "(" * n + "a" + ")" * n, 66),
+        (lambda n: "!" * n + "a", 198),
+        (lambda n: " && ".join(["a"] * n), 200),
+        (lambda n: " || ".join(["a"] * n), 200),
+    ],
+    ids=["parens", "not", "and_chain", "or_chain"],
+)
+def test_guard_nesting_capped(make_guard, limit):
+    def rule_src(n):
+        return (
+            "Events { e() = { SmsManager *.sendTextMessage(...) } } "
+            f"Conditions {{ a = {{ true }} }} Actions {{ act = {{ }} }} Rules {{ e() | {make_guard(n)} -> act; }}"
+        )
+
+    parse_policy(rule_src(limit))
+    with pytest.raises(ParseError) as err:
+        parse_policy(rule_src(limit + 1))
+    assert err.value.message == "expression nested too deeply"
 
 
 def test_long_or_chain_capped_not_crashing():

@@ -8,10 +8,6 @@ from dcmon.dsl import (
     CallPattern,
     ConditionDecl,
     EventDecl,
-    GuardAnd,
-    GuardNot,
-    GuardOr,
-    GuardRef,
     Param,
     Phase,
     PolicySpec,
@@ -172,11 +168,11 @@ condition_decl = st.builds(ConditionDecl, name=ident, side=side, body=expr)
 action_decl = st.builds(ActionDecl, name=ident, side=side, body=st.lists(stmt, max_size=4).map(tuple))
 
 guard = st.recursive(
-    ident.map(lambda n: GuardRef(n)),
+    ident.map(lambda n: VarRef("cond", n)),
     lambda g: st.one_of(
-        g.map(GuardNot),
-        st.tuples(g, g).map(lambda t: GuardAnd(t[0], t[1])),
-        st.tuples(g, g).map(lambda t: GuardOr(t[0], t[1])),
+        g.map(lambda e: Unary("!", e)),
+        st.tuples(g, g).map(lambda t: Binary("&&", t[0], t[1])),
+        st.tuples(g, g).map(lambda t: Binary("||", t[0], t[1])),
     ),
     max_leaves=8,
 )
