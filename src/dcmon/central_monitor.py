@@ -20,8 +20,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from .engine import CompiledPolicy, evaluate_guard
-from .lang.eval import GLOBAL_SIDE, EvalContext, EvalError, eval_expr, exec_stmts, rollback
+from .engine import CompiledPolicy, eval_expr, evaluate_guard, exec_stmts
+from .lang.eval import GLOBAL_SIDE, EvalContext, EvalError, rollback
 from .lang.state import VarStore
 from .lang.values import Value, VType, value_to_json
 
@@ -221,12 +221,12 @@ class CentralMonitor:
                 try:
                     for cid in rule.global_condition_ids:
                         if cid not in truth:
-                            truth[cid] = bool(eval_expr(cp.conditions[cid].body, ctx))
+                            truth[cid] = bool(eval_expr(cp.condition_code[cid], ctx))
                     guard = evaluate_guard(rule.guard, truth)
                     if guard and rule.global_action_ids:
                         truth = dict(req.appside_truth)
                         for aid in rule.global_action_ids:
-                            exec_stmts(cp.actions[aid].body, ctx)
+                            exec_stmts(cp.action_code[aid], ctx)
                         ctx.undo.clear()  # the rule's writes stand
                 except EvalError as ex:
                     rollback(ctx.undo)

@@ -142,7 +142,13 @@ def cmd_report(args) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as ex:
         print(f"error: cannot read report: {ex}", file=sys.stderr)
         return EXIT_IO
-    print(render_table(doc))
+    try:
+        table = render_table(doc)
+    except (LookupError, TypeError, ValueError, AttributeError) as ex:
+        # valid JSON of another shape
+        print(f"error: {args.report} is not a bench report: {type(ex).__name__}: {ex}", file=sys.stderr)
+        return EXIT_IO
+    print(table)
     return EXIT_OK
 
 

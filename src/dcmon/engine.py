@@ -13,6 +13,13 @@ without any sends nothing; a batch ends only where running its rules in
 two phases (every app-side condition first, every outcome afterwards)
 could change what a rule sees, and where two triggers bind an occurrence
 differently.
+
+`compile_policy` also compiles each condition body, guard and action body
+once, to a closure (see `lang/closures.py`): a condition body becomes
+`code(ctx) -> value`, an action body `code(ctx) -> blocked`, and a guard
+`code(truth) -> bool` over the truth values of its conditions. The monitors
+run them through the runners `eval_expr`, `evaluate_guard` and `exec_stmts`
+below.
 """
 
 from __future__ import annotations
@@ -31,7 +38,10 @@ from .dsl.ast import (
     Side,
     guard_refs,
 )
-from .lang.nodes import NS_COND, AppendStmt, Assign, Binary, BlockStmt, Expr, PruneStmt, Unary, VarRef, walk_exprs
+from .lang.closures import Code, compile_expr, compile_guard, compile_stmts
+from .lang.eval import EvalContext
+from .lang.nodes import AppendStmt, Assign, BlockStmt, PruneStmt, VarRef, walk_exprs
+from .lang.values import Value
 
 
 class Locality(enum.Enum):
@@ -42,24 +52,21 @@ class Locality(enum.Enum):
         return self.value
 
 
-# Guard formula over dense condition ids, as nested tuples:
-#   ("ref", cid) | ("not", g) | ("and", g, g) | ("or", g, g)
-GuardTree = tuple
+# The monitors run compiled code only through these three runners, one call
+# per condition body, guard and action body. They exist only so that the
+# benchmark's tracer, which wraps these names in both monitor modules, can
+# time each layer; they can go once its hooks point elsewhere.
 
-_GUARD_TAGS = {"&&": "and", "||": "or"}
+def eval_expr(code: Code, ctx: EvalContext) -> Value:
+    return code(ctx)
 
 
-def evaluate_guard(guard: GuardTree, truth: Dict[int, bool]) -> bool:
-    tag = guard[0]
-    if tag == "ref":
-        return truth[guard[1]]
-    if tag == "not":
-        return not evaluate_guard(guard[1], truth)
-    if tag == "and":
-        return evaluate_guard(guard[1], truth) and evaluate_guard(guard[2], truth)
-    if tag == "or":
-        return evaluate_guard(guard[1], truth) or evaluate_guard(guard[2], truth)
-    raise AssertionError(f"unknown guard node {guard!r}")
+def evaluate_guard(guard: Code, truth: Dict[int, bool]) -> bool:
+    return guard(truth)
+
+
+def exec_stmts(code: Code, ctx: EvalContext) -> bool:
+    return code(ctx)
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,8 @@ class CompiledRule:
     rule_id: int
     name: str
     trigger_id: int
-    guard: GuardTree
+    # code(truth) -> bool over the truth values of the rule's conditions
+    guard: Code
     locality: Locality
     app_condition_ids: Tuple[int, ...]
     global_condition_ids: Tuple[int, ...]
@@ -101,6 +109,10 @@ class CompiledPolicy:
     events: Tuple[EventDecl, ...]
     conditions: Tuple[ConditionDecl, ...]
     actions: Tuple[ActionDecl, ...]
+    # each condition's body as code(ctx) -> value, and each action's as
+    # code(ctx) -> blocked, parallel to `conditions` and `actions`
+    condition_code: Tuple[Code, ...]
+    action_code: Tuple[Code, ...]
     rules: Tuple[CompiledRule, ...]
     # each call's (before, after) batch plans; a plan's batches cover the
     # phase's rules in order
@@ -123,7 +135,6 @@ def compile_policy(spec: PolicySpec, state_types: StateTypes) -> CompiledPolicy:
     rules: List[CompiledRule] = []
     for idx, rule in enumerate(spec.rules):
         trigger = spec.events[event_ids[rule.trigger]]
-        guard_tree = _lower_guard(rule.guard, cond_ids)
         ref_ids = sorted({cond_ids[r.name] for r in guard_refs(rule.guard)})
         app_conds = tuple(i for i in ref_ids if spec.conditions[i].side is Side.APPLICATION)
         global_conds = tuple(i for i in ref_ids if spec.conditions[i].side is Side.GLOBAL)
@@ -140,7 +151,7 @@ def compile_policy(spec: PolicySpec, state_types: StateTypes) -> CompiledPolicy:
                 rule_id=idx,
                 name=rule.name or f"rule#{idx}",
                 trigger_id=event_ids[rule.trigger],
-                guard=guard_tree,
+                guard=compile_guard(rule.guard, cond_ids),
                 locality=Locality.LOCAL_ONLY if local_only else Locality.NEEDS_GLOBAL,
                 app_condition_ids=app_conds,
                 global_condition_ids=global_conds,
@@ -162,6 +173,8 @@ def compile_policy(spec: PolicySpec, state_types: StateTypes) -> CompiledPolicy:
         events=spec.events,
         conditions=spec.conditions,
         actions=spec.actions,
+        condition_code=tuple(compile_expr(c.body, state_types) for c in spec.conditions),
+        action_code=tuple(compile_stmts(a.body, state_types) for a in spec.actions),
         rules=tuple(rules),
         dispatch={k: (plan_batches(spec, before), plan_batches(spec, after)) for k, (before, after) in dispatch.items()},
         state_types=state_types,
@@ -224,16 +237,6 @@ def _bindings(event: EventDecl) -> Tuple[Optional[Tuple[str, ...]], Optional[str
     return binding."""
     params = event.pattern.params
     return (None if params is None else tuple(p.name for p in params)), event.return_binding
-
-
-def _lower_guard(g: Expr, cond_ids: Dict[str, int]) -> GuardTree:
-    if isinstance(g, VarRef) and g.ns == NS_COND:
-        return ("ref", cond_ids[g.name])
-    if isinstance(g, Unary) and g.op == "!":
-        return ("not", _lower_guard(g.operand, cond_ids))
-    if isinstance(g, Binary) and g.op in _GUARD_TAGS:
-        return (_GUARD_TAGS[g.op], _lower_guard(g.left, cond_ids), _lower_guard(g.right, cond_ids))
-    raise AssertionError(f"unknown guard node {g!r}")
 
 
 def _forwarded_params(

@@ -4,13 +4,17 @@ Expressions are pure. Statements write the stores attached to the context
 in place, and record in the context's undo log what each write overwrote,
 so that a caller can roll a faulting rule back to the state it started
 from.
+
+The monitors run the closures that `closures.py` compiles from these
+trees; this tree interpreter is the reference that they are tested
+against. The checked helpers and `rollback` serve both.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .nodes import (
     Assign,
@@ -53,14 +57,18 @@ class SideFault(Exception):
     """Statement executed on the wrong side; unreachable after validation."""
 
 
-# (store, name, overwritten kind or None if the name was absent, overwritten value)
-UndoEntry = Tuple[VarStore, str, Optional[VType], Value]
+# Either (store, name, overwritten kind or None if the name was absent,
+# overwritten value), or, for a compiled append or prune that edited a
+# stored ts_list in place, (list, start, stop, items): lst[start:stop] = items
+# undoes the edit.
+UndoEntry = Union[Tuple[VarStore, str, Optional[VType], Value], Tuple[list, int, int, Sequence[int]]]
 
 
 @dataclass(slots=True)
 class EvalContext:
     side: str  # APP_SIDE or GLOBAL_SIDE
     now: int
+    # read by this interpreter; compiled code fixes the kinds when compiled
     state_types: Dict[Tuple[str, str], VType]
     app_id: Optional[str] = None
     app_name: Optional[str] = None
@@ -267,7 +275,12 @@ def rollback(undo: List[UndoEntry]) -> None:
     """Undo the logged writes, newest first, and empty the log. A name the
     writes created is removed again."""
     while undo:
-        store, name, kind, value = undo.pop()
+        entry = undo.pop()
+        if type(entry[0]) is list:
+            lst, start, stop, items = entry
+            lst[start:stop] = items
+            continue
+        store, name, kind, value = entry
         if kind is None:
             store.discard(name)
         else:

@@ -32,8 +32,8 @@ from typing import Dict, Optional, Tuple
 
 from .central_monitor import Channel, ChannelError
 from .dsl.ast import EventDecl, Phase
-from .engine import Batch, CompiledPolicy, CompiledRule, Locality, evaluate_guard, rules_for
-from .lang.eval import APP_SIDE, EvalContext, EvalError, eval_expr, exec_stmts, rollback
+from .engine import Batch, CompiledPolicy, CompiledRule, Locality, eval_expr, evaluate_guard, exec_stmts, rules_for
+from .lang.eval import APP_SIDE, EvalContext, EvalError, rollback
 from .lang.state import VarStore
 from .lang.values import Value
 
@@ -138,12 +138,12 @@ class LocalMonitor:
         # guarantees no earlier rule's action writes what these read.
         values: Dict[int, bool] = {}
         steps = []
-        conditions = self.cp.conditions
+        condition_code = self.cp.condition_code
         for rule in batch.rules:
             try:
                 for cid in rule.app_condition_ids:
                     if cid not in values:
-                        values[cid] = bool(eval_expr(conditions[cid].body, ctx))
+                        values[cid] = bool(eval_expr(condition_code[cid], ctx))
             except EvalError as ex:
                 steps.append((rule, f"EvalError:{ex.code}"))
                 continue
@@ -199,7 +199,7 @@ class LocalMonitor:
         blocked = False
         try:
             for aid in action_ids:
-                if exec_stmts(self.cp.actions[aid].body, ctx):
+                if exec_stmts(self.cp.action_code[aid], ctx):
                     blocked = True
         except EvalError as ex:
             rollback(ctx.undo)

@@ -155,6 +155,14 @@ def test_bench_and_report(tmp_path, capsys):
     assert "WiFiLmt" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", ["[]", '{"rows": [{}]}'], ids=["list", "empty_row"])
+def test_report_of_another_json_shape_exit_2(tmp_path, capsys, text):
+    report = tmp_path / "other.json"
+    report.write_text(text, encoding="utf-8")
+    assert main(["report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {report} is not a bench report: ")
+
+
 def test_bench_unknown_policy(tmp_path):
     trace = tmp_path / "bench.jsonl"
     write_trace(trace, make_bench_trace(per_kind=2))

@@ -1,0 +1,265 @@
+"""Compiled closures against the tree interpreter they replace.
+
+The monitors run the closures that `compile_policy` builds; the tree
+interpreter of `dcmon.lang.eval` is the reference. An expression's closure
+must return what the interpreter returns, or raise what it raises. A run
+must give the same verdicts, snapshot, channel log, faults, local state and
+arrival order as a copy of its policy whose code slots run the interpreter
+and whose guards evaluate the guard expressions directly.
+"""
+
+import dataclasses
+from functools import partial
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+
+from dcmon.corpus import CORPUS_IDS, build_policy_source, compile_corpus_policy
+from dcmon.dsl import PolicySpec, parse_policy, validate_policy
+from dcmon.engine import Batch, CompiledPolicy
+from dcmon.lang import APP_SIDE, GLOBAL_SIDE, EvalContext, EvalError, VarStore, eval_expr, exec_stmts, rollback
+from dcmon.lang.closures import compile_expr, compile_stmts
+from dcmon.lang.nodes import AppendStmt, Assign, Binary, Call, Literal, PruneStmt, SetAttrStmt, Unary, VarRef, walk_exprs
+from dcmon.lang.values import INT64_MAX, INT64_MIN, MS_PER_SECOND, VType
+from dcmon.sim import check_policy_against_catalog, run
+from dcmon.tracegen import make_bench_trace, make_trace
+
+from conftest import replan, sends_every
+from test_batch_plan import CENTRAL_FAULT_SRC, policy_source, rule_lists
+from test_roundtrip import expr as expressions
+from test_roundtrip import stmt as statements
+
+
+def outcome(thunk):
+    """What running `thunk` gives: its value and the value's type, or the
+    exception's type and text, and an EvalError's code."""
+    try:
+        value = thunk()
+    except EvalError as ex:
+        return ("EvalError", ex.code, str(ex))
+    except Exception as ex:
+        return (type(ex).__name__, str(ex))
+    return ("value", type(value), value)
+
+
+# expressions
+
+VALUES = {
+    VType.BOOL: st.booleans(),
+    VType.INT: st.one_of(st.integers(-20, 20), st.integers(INT64_MIN, INT64_MAX)),
+    VType.STRING: st.text(alphabet="abz09+", max_size=4),
+    VType.TIMESTAMP: st.integers(0, 10**10),
+    VType.DURATION: st.integers(0, 10**10),
+    # short, because the interpreter computes `xs * n` before its check
+    VType.TS_LIST: st.lists(st.integers(0, 10**10), max_size=3).map(sorted),
+}
+any_value = st.sampled_from(sorted(VALUES, key=str)).flatmap(lambda kind: VALUES[kind])
+
+
+def draw_context(data, nodes, targets=()) -> EvalContext:
+    """A context binding some of the variables that the expressions or
+    statements `nodes` read, with random kinds and values; the rest are
+    unbound. Each `(ns, name)` of `targets` gets a kind, as validation gives
+    every written variable."""
+    refs = {(v.ns, v.name) for node in nodes for v in walk_exprs(node) if isinstance(v, VarRef)}
+    refs = sorted(refs | set(targets))
+    state_types = {}
+    stores = {"local": VarStore(), "global": VarStore(), "attr": VarStore()}
+    bindings = {}
+    for ns, name in refs:
+        if ns == "event":
+            if data.draw(st.booleans()):
+                bindings[name] = data.draw(any_value)
+        elif ns in stores:
+            kind = data.draw(st.sampled_from(sorted(VALUES, key=str)))
+            if (ns, name) in targets or data.draw(st.booleans()):
+                state_types[(ns, name)] = kind
+            if data.draw(st.booleans()):
+                # usually of the kind it is typed with, but not always
+                stored = data.draw(st.sampled_from([kind, kind, *sorted(VALUES, key=str)]))
+                stores[ns].set(name, stored, data.draw(VALUES[stored]))
+    return EvalContext(
+        data.draw(st.sampled_from([APP_SIDE, GLOBAL_SIDE])),
+        data.draw(st.integers(0, 10**10)),
+        state_types,
+        data.draw(st.one_of(st.none(), st.just("Maps"))),
+        data.draw(st.one_of(st.none(), st.just("Maps"))),
+        data.draw(st.one_of(st.none(), st.just(bindings))),
+        *(data.draw(st.one_of(st.none(), st.just(stores[ns]))) for ns in ("local", "global", "attr")),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(expressions, st.data())
+def test_compiled_expression_matches_interpreter(e, data):
+    ctx = draw_context(data, [e])
+    code = compile_expr(e, ctx.state_types)
+    assert outcome(lambda: code(ctx)) == outcome(lambda: eval_expr(e, ctx))
+
+
+def copied(ctx: EvalContext) -> EvalContext:
+    """`ctx` over copies of its stores, with an empty undo log."""
+    stores = [None if store is None else store.copy() for store in (ctx.local, ctx.global_vars, ctx.attrs)]
+    return EvalContext(ctx.side, ctx.now, ctx.state_types, ctx.app_id, ctx.app_name, ctx.event_bindings, *stores)
+
+
+def stores_of(ctx: EvalContext):
+    return [ctx.local, ctx.global_vars, ctx.attrs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(statements, max_size=3), st.data())
+def test_compiled_statements_match_interpreter(stmts, data):
+    targets = {(s.ns, s.name) for s in stmts if isinstance(s, (Assign, AppendStmt, PruneStmt))}
+    targets |= {("attr", s.attr) for s in stmts if isinstance(s, SetAttrStmt)}
+    ctx = draw_context(data, stmts, targets)
+    pre = [None if store is None else store.copy() for store in stores_of(ctx)]
+    reference = copied(ctx)
+    code = compile_stmts(tuple(stmts), ctx.state_types)
+    assert outcome(lambda: code(ctx)) == outcome(lambda: exec_stmts(stmts, reference))
+    # the same writes, whether or not a statement faulted, each logged once
+    assert stores_of(ctx) == stores_of(reference)
+    assert len(ctx.undo) == len(reference.undo)
+    rollback(ctx.undo)
+    assert stores_of(ctx) == pre
+
+
+def lit(n):
+    return Literal(VType.INT, n)
+
+
+def neg(n):
+    return Binary("-", lit(0), lit(n))
+
+
+DIV_BY_ZERO = Binary("==", Binary("/", lit(1), lit(0)), lit(0))
+# faults and their neighbours, as functions of one operand and its value
+EDGE_CASES = [
+    (lambda x: Binary("/", x, lit(2)), -7),
+    (lambda x: Binary("/", x, neg(2)), 7),
+    (lambda x: Binary("/", x, lit(0)), 1),
+    (lambda x: Binary("/", x, neg(1)), INT64_MIN),
+    (lambda x: Binary("/", x, lit(1)), INT64_MIN),
+    (lambda x: Binary("*", x, lit(2)), 2**62),
+    (lambda x: Binary("+", x, lit(1)), INT64_MAX),
+    (lambda x: Binary("-", x, lit(1)), INT64_MIN),
+    (lambda x: Call("minutes", (x,)), -1),
+    (lambda x: Call("hours", (x,)), 2**62),
+    (lambda x: Call("seconds", (x,)), 0),
+    (lambda x: Call("count_within", (VarRef("global", "xs"), x)), -1),
+    (lambda x: Call("count_within", (VarRef("global", "xs"), x)), 3_600_000),
+    (lambda x: Binary("&&", Binary("==", x, lit(2)), DIV_BY_ZERO), 1),
+    (lambda x: Binary("||", Binary("==", x, lit(1)), DIV_BY_ZERO), 1),
+]
+
+
+@pytest.mark.parametrize("operand", ["constant", "event"])
+@pytest.mark.parametrize("build,n", EDGE_CASES, ids=[str(i) for i in range(len(EDGE_CASES))])
+def test_edge_expression_matches_interpreter(build, n, operand):
+    # a constant operand lets the compiler fold; an event parameter does not
+    e = build(lit(n) if operand == "constant" else VarRef("event", "x"))
+    gv = VarStore()
+    gv.set("xs", VType.TS_LIST, [0, 5_000_000, 7_000_000])
+    ctx = EvalContext(GLOBAL_SIDE, 7_200_000, {("global", "xs"): VType.TS_LIST}, None, None, {"x": n}, None, gv, None)
+    # compiling raises nothing: a constant that faults is left to fault here
+    code = compile_expr(e, ctx.state_types)
+    assert outcome(lambda: code(ctx)) == outcome(lambda: eval_expr(e, ctx))
+
+
+@pytest.mark.parametrize("kind", [VType.TIMESTAMP, VType.DURATION])
+@pytest.mark.parametrize("n", [-1, 0, INT64_MAX, INT64_MAX + 1])
+@pytest.mark.parametrize("operand", ["constant", "event"])
+def test_range_check_of_a_write(kind, n, operand):
+    value = lit(n) if operand == "constant" else VarRef("event", "x")
+    ctx = EvalContext(GLOBAL_SIDE, 0, {("global", "t"): kind}, None, None, {"x": n}, None, VarStore(), None)
+    stmts = (Assign("global", "t", value),)
+    reference = copied(ctx)
+    code = compile_stmts(stmts, ctx.state_types)
+    got = outcome(lambda: code(ctx))
+    assert got == outcome(lambda: exec_stmts(stmts, reference))
+    assert got[0] == ("EvalError" if n in (-1, INT64_MAX + 1) else "value")
+    assert stores_of(ctx) == stores_of(reference)
+
+
+# runs
+
+def guard_value(guard, cond_ids, truth):
+    """The truth value of a guard expression, read straight off the tree."""
+    if isinstance(guard, VarRef):
+        return truth[cond_ids[guard.name]]
+    if isinstance(guard, Unary):
+        return not guard_value(guard.operand, cond_ids, truth)
+    left = guard_value(guard.left, cond_ids, truth)
+    if guard.op == "&&":
+        return left and guard_value(guard.right, cond_ids, truth)
+    return left or guard_value(guard.right, cond_ids, truth)
+
+
+def reference_policy(cp: CompiledPolicy, spec: PolicySpec) -> CompiledPolicy:
+    """`cp` with its code slots running the tree interpreter and its guards
+    evaluating the guard expressions of `spec`."""
+    cond_ids = {c.name: i for i, c in enumerate(spec.conditions)}
+    rules = tuple(
+        dataclasses.replace(rule, guard=partial(guard_value, spec.rules[rule.rule_id].guard, cond_ids))
+        for rule in cp.rules
+    )
+    reference = dataclasses.replace(
+        cp,
+        condition_code=tuple(lambda ctx, e=c.body: eval_expr(e, ctx) for c in cp.conditions),
+        action_code=tuple(lambda ctx, b=a.body: exec_stmts(b, ctx) for a in cp.actions),
+        rules=rules,
+    )
+    return replan(reference, lambda plan: tuple(Batch([rules[r.rule_id] for r in b.rules]) for b in plan))
+
+
+def outputs(res):
+    return (
+        res.verdict_lines(),
+        res.snapshot,
+        res.channel_lines(),
+        res.fault_lines(),
+        res.arrival_order,
+        res.local_states,
+    )
+
+
+def assert_runs_like_the_interpreter(cp, spec, trace, concurrent_same_t):
+    got = run(trace, cp, concurrent_same_t=concurrent_same_t)
+    want = run(trace, reference_policy(cp, spec), concurrent_same_t=concurrent_same_t)
+    assert outputs(got) == outputs(want)
+    return got
+
+
+CORPUS_TRACES = [make_bench_trace(per_kind=120)] + [
+    make_trace(96_000 + i, profile=p, max_events=300) for i, p in enumerate(("send_storm", "long_sitting", "game_day"))
+]
+
+
+@pytest.mark.parametrize("concurrent_same_t", [False, True], ids=["sequential", "concurrent"])
+@pytest.mark.parametrize("pid", CORPUS_IDS)
+def test_corpus_runs_like_the_interpreter(pid, concurrent_same_t):
+    cp = compile_corpus_policy(pid)
+    spec = parse_policy(build_policy_source(pid))
+    for trace in CORPUS_TRACES:
+        assert_runs_like_the_interpreter(cp, spec, trace, concurrent_same_t)
+
+
+@pytest.mark.parametrize("concurrent_same_t", [False, True], ids=["sequential", "concurrent"])
+def test_faulting_batch_runs_like_the_interpreter(concurrent_same_t):
+    spec = parse_policy(CENTRAL_FAULT_SRC)
+    res = assert_runs_like_the_interpreter(
+        validate_policy(spec), spec, sends_every(MS_PER_SECOND, 4, apps=["A", "B"]), concurrent_same_t
+    )
+    assert res.faults
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(rule_lists(), st.integers(0, 10_000), st.booleans())
+def test_random_policy_runs_like_the_interpreter(rule_list, seed, concurrent_same_t):
+    # the pools hold conditions and actions that fault
+    spec = parse_policy(policy_source(rule_list))
+    cp = validate_policy(spec)
+    assume(isinstance(cp, CompiledPolicy))
+    check_policy_against_catalog(cp)
+    assert_runs_like_the_interpreter(cp, spec, make_trace(seed, max_apps=2, max_events=80), concurrent_same_t)

@@ -7,15 +7,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 from dcmon import central_monitor, local_monitor
-from dcmon.corpus import CORPUS_IDS, compile_corpus_policy
-from dcmon.dsl import Phase, parse_policy, validate_policy
-from dcmon.engine import (
-    CompiledPolicy,
-    Locality,
-    _lower_guard,
-    evaluate_guard,
-    rules_for,
-)
+from dcmon.corpus import CORPUS_IDS, build_policy_source, compile_corpus_policy
+from dcmon.dsl import Phase, guard_refs, parse_policy, validate_policy
+from dcmon.engine import CompiledPolicy, Locality, evaluate_guard, rules_for
+from dcmon.lang.closures import compile_guard
 from dcmon.lang.nodes import Binary, Literal, Unary, VarRef
 from dcmon.lang.values import MS_PER_SECOND, VType
 from dcmon.sim import check_policy_against_catalog, run
@@ -96,7 +91,7 @@ def test_every_rule_under_exactly_one_key():
 
 
 def test_guard_not_and():
-    g = ("and", ("not", ("ref", 0)), ("ref", 1))
+    g = compile_guard(Binary("&&", Unary("!", VarRef("cond", "a")), VarRef("cond", "b")), {"a": 0, "b": 1})
     assert evaluate_guard(g, {0: False, 1: True}) is True
     assert evaluate_guard(g, {0: True, 1: True}) is False
 
@@ -105,8 +100,16 @@ A = VarRef("cond", "a")
 
 
 def test_lower_guard_maps_guard_operators():
-    guard = Binary("||", Unary("!", A), Binary("&&", A, VarRef("cond", "b")))
-    assert _lower_guard(guard, {"a": 0, "b": 1}) == ("or", ("not", ("ref", 0)), ("and", ("ref", 0), ("ref", 1)))
+    # compile_guard lowers a guard expression to a closure over truth values
+    guard = compile_guard(Binary("||", Unary("!", A), Binary("&&", A, VarRef("cond", "b"))), {"a": 0, "b": 1})
+    for a, b in itertools.product((False, True), repeat=2):
+        assert guard({0: a, 1: b}) is ((not a) or (a and b))
+
+
+def test_lower_guard_short_circuits():
+    # the right operand is never read when the left decides
+    assert compile_guard(Binary("&&", A, VarRef("cond", "b")), {"a": 0, "b": 1})({0: False}) is False
+    assert compile_guard(Binary("||", A, VarRef("cond", "b")), {"a": 0, "b": 1})({0: True}) is True
 
 
 @pytest.mark.parametrize(
@@ -116,27 +119,27 @@ def test_lower_guard_maps_guard_operators():
 )
 def test_lower_guard_rejects_other_nodes(node):
     with pytest.raises(AssertionError):
-        _lower_guard(Binary("&&", A, node), {"a": 0})
+        compile_guard(Binary("&&", A, node), {"a": 0})
 
 
 # every guard run() reaches has a truth value for each condition it names
 
-def _refs(guard):
-    if guard[0] == "ref":
-        yield guard[1]
-    else:
-        for sub in guard[1:]:
-            yield from _refs(sub)
+def guard_cond_ids(cp, spec):
+    """Each compiled guard of `cp` mapped to the ids of the conditions that
+    its expression in `spec` names."""
+    cond_ids = {c.name: i for i, c in enumerate(spec.conditions)}
+    return {rule.guard: {cond_ids[r.name] for r in guard_refs(spec.rules[rule.rule_id].guard)} for rule in cp.rules}
 
 
 @contextmanager
-def guards_checked_for_truth_values():
+def guards_checked_for_truth_values(refs):
     """Both monitors' evaluate_guard, failing on a guard that names a
-    condition without a truth value. Yields the list of guards checked."""
+    condition without a truth value; `refs` maps each guard to the ids it
+    names, see `guard_cond_ids`. Yields the list of guards checked."""
     checked = []
 
     def checking(guard, truth):
-        missing = set(_refs(guard)) - truth.keys()
+        missing = refs[guard] - truth.keys()
         assert not missing, f"guard {guard!r} has no truth value for {sorted(missing)}"
         checked.append(guard)
         return evaluate_guard(guard, truth)
@@ -150,11 +153,17 @@ def guards_checked_for_truth_values():
 @pytest.mark.parametrize("concurrent_same_t", [False, True], ids=["sequential", "concurrent"])
 def test_every_corpus_guard_sees_all_its_truth_values(concurrent_same_t):
     trace = make_bench_trace(per_kind=120)
-    with guards_checked_for_truth_values() as checked:
-        for pid in CORPUS_IDS:
-            run(trace, compile_corpus_policy(pid), concurrent_same_t=concurrent_same_t)
+    policies = [(compile_corpus_policy(pid), parse_policy(build_policy_source(pid))) for pid in CORPUS_IDS]
+    fault_spec = parse_policy(CENTRAL_FAULT_SRC)
+    fault_cp = validate_policy(fault_spec)
+    refs = {}
+    for cp, spec in policies + [(fault_cp, fault_spec)]:
+        refs.update(guard_cond_ids(cp, spec))
+    with guards_checked_for_truth_values(refs) as checked:
+        for cp, _ in policies:
+            run(trace, cp, concurrent_same_t=concurrent_same_t)
         # a global condition that faults on every send, before its guard runs
-        res = run(sends_every(MS_PER_SECOND, 4), compile_src(CENTRAL_FAULT_SRC), concurrent_same_t=concurrent_same_t)
+        res = run(sends_every(MS_PER_SECOND, 4), fault_cp, concurrent_same_t=concurrent_same_t)
     assert res.faults and checked
 
 
@@ -162,32 +171,32 @@ def test_every_corpus_guard_sees_all_its_truth_values(concurrent_same_t):
 @given(rule_lists(), st.integers(0, 10_000), st.booleans())
 def test_every_random_guard_sees_all_its_truth_values(rule_list, seed, concurrent_same_t):
     # the pools hold conditions and actions that fault
-    cp = validate_policy(parse_policy(policy_source(rule_list)))
+    spec = parse_policy(policy_source(rule_list))
+    cp = validate_policy(spec)
     assume(isinstance(cp, CompiledPolicy))
     check_policy_against_catalog(cp)
-    with guards_checked_for_truth_values():
+    with guards_checked_for_truth_values(guard_cond_ids(cp, spec)):
         run(make_trace(seed, max_apps=2, max_events=80), cp, concurrent_same_t=concurrent_same_t)
 
 
 def _random_guard(rng, depth, n_conds):
     if depth == 0 or rng.random() < 0.3:
-        return ("ref", rng.randrange(n_conds))
+        return VarRef("cond", f"c{rng.randrange(n_conds)}")
     pick = rng.random()
     if pick < 0.25:
-        return ("not", _random_guard(rng, depth - 1, n_conds))
-    op = "and" if pick < 0.65 else "or"
-    return (op, _random_guard(rng, depth - 1, n_conds), _random_guard(rng, depth - 1, n_conds))
+        return Unary("!", _random_guard(rng, depth - 1, n_conds))
+    op = "&&" if pick < 0.65 else "||"
+    return Binary(op, _random_guard(rng, depth - 1, n_conds), _random_guard(rng, depth - 1, n_conds))
 
 
 def _brute(g, truth):
-    tag = g[0]
-    if tag == "ref":
-        return truth[g[1]]
-    if tag == "not":
-        return not _brute(g[1], truth)
-    if tag == "and":
-        return _brute(g[1], truth) and _brute(g[2], truth)
-    return _brute(g[1], truth) or _brute(g[2], truth)
+    if isinstance(g, VarRef):
+        return truth[int(g.name[1:])]
+    if isinstance(g, Unary):
+        return not _brute(g.operand, truth)
+    if g.op == "&&":
+        return _brute(g.left, truth) and _brute(g.right, truth)
+    return _brute(g.left, truth) or _brute(g.right, truth)
 
 
 def test_random_guards_against_truth_tables():
@@ -196,9 +205,10 @@ def test_random_guards_against_truth_tables():
     while checked < 1000:
         n = rng.randint(1, 4)
         g = _random_guard(rng, 4, n)
+        guard = compile_guard(g, {f"c{i}": i for i in range(n)})
         for values in itertools.product((False, True), repeat=n):
             truth = dict(enumerate(values))
-            assert evaluate_guard(g, truth) == _brute(g, truth)
+            assert evaluate_guard(guard, truth) is _brute(g, truth)
             checked += 1
 
 

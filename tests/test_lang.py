@@ -12,6 +12,7 @@ from dcmon.lang import (
     VarStore,
     eval_expr,
     exec_stmt,
+    exec_stmts,
     rollback,
     type_check,
 )
@@ -28,6 +29,7 @@ from dcmon.lang.nodes import (
     Unary,
     VarRef,
 )
+from dcmon.lang.closures import compile_stmts
 from dcmon.lang.eval import SideFault
 from dcmon.lang.values import MS_PER_HOUR, VType
 from dcmon.sim import run
@@ -362,6 +364,54 @@ def test_rollback_restores_pre_state(lv, gv, attrs, stmts, now):
     # VarStore equality compares the kinds too
     assert [lv, gv, attrs] == pre
     assert c.undo == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lv=stores(("n", "m"), ("xs",)),
+    gv=stores(("n", "m"), ("xs",)),
+    attrs=stores(("bright", "wifi_enabled")),
+    stmts=statements,
+    now=nows,
+)
+def test_compiled_rollback_restores_pre_state(lv, gv, attrs, stmts, now):
+    pre = [lv.copy(), gv.copy(), attrs.copy()]
+    # the interpreter on copies gives the state the compiled body must write
+    want = [lv.copy(), gv.copy(), attrs.copy()]
+    exec_stmts(stmts, ctx(now=now, local=want[0], global_vars=want[1], attrs=want[2], state_types=ROLLBACK_TYPES))
+    c = ctx(now=now, local=lv, global_vars=gv, attrs=attrs, state_types=ROLLBACK_TYPES)
+    assert compile_stmts(tuple(stmts), ROLLBACK_TYPES)(c) is any(isinstance(s, BlockStmt) for s in stmts)
+    assert [lv, gv, attrs] == want
+    assert len(c.undo) == sum(not isinstance(s, BlockStmt) for s in stmts)
+    rollback(c.undo)
+    assert [lv, gv, attrs] == pre
+    assert c.undo == []
+
+
+def test_compiled_append_inserts_in_place():
+    gv = VarStore()
+    xs = [5, 7, 10]
+    gv.set("xs", VType.TS_LIST, xs)
+    c = ctx(side=GLOBAL_SIDE, now=7, global_vars=gv, state_types={("global", "xs"): VType.TS_LIST})
+    compile_stmts((AppendStmt("global", "xs", VarRef("ctx", "now")),), c.state_types)(c)
+    assert gv.get("xs", VType.TS_LIST) is xs and xs == [5, 7, 7, 10]
+    # the undo record deletes the inserted index instead of copying the list
+    assert c.undo == [(xs, 2, 3, ())]
+    rollback(c.undo)
+    assert gv.get("xs", VType.TS_LIST) is xs and xs == [5, 7, 10]
+
+
+def test_compiled_prune_drops_the_prefix_in_place():
+    gv = VarStore()
+    xs = [0, 40, 60, 100]
+    gv.set("xs", VType.TS_LIST, xs)
+    c = ctx(side=GLOBAL_SIDE, now=100, global_vars=gv, state_types={("global", "xs"): VType.TS_LIST})
+    compile_stmts((PruneStmt("global", "xs", Literal(VType.DURATION, 40)),), c.state_types)(c)
+    assert gv.get("xs", VType.TS_LIST) is xs and xs == [60, 100]
+    # the undo record holds the dropped prefix only
+    assert c.undo == [(xs, 0, 0, [0, 40])]
+    rollback(c.undo)
+    assert gv.get("xs", VType.TS_LIST) is xs and xs == [0, 40, 60, 100]
 
 
 @settings(max_examples=200, deadline=None)
