@@ -204,9 +204,9 @@ class CentralMonitor:
         rules = [cp.rule_by_id(rid) for rid in req.rule_ids]
         expected = {cid for rule in rules if rule is not None for cid in rule.app_condition_ids}
         stale = expected != req.appside_truth.keys()
-        # positional, as in LocalMonitor._ctx: (side, now, state_types,
-        # app_id, app_name, bindings, local, global_vars, attrs)
-        ctx = EvalContext(GLOBAL_SIDE, req.t, cp.state_types, None, None, req.forwarded_bindings, None, self.gs.vars, self.gs.attrs)
+        # positional, as in LocalMonitor._run_batch: (side, now, app_id,
+        # app_name, bindings, local, global_vars, attrs)
+        ctx = EvalContext(GLOBAL_SIDE, req.t, None, None, req.forwarded_bindings, None, self.gs.vars, self.gs.attrs)
         truth = dict(req.appside_truth)
         guards: List[bool] = []
         actions: List[Tuple[int, ...]] = []

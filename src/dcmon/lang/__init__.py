@@ -26,9 +26,6 @@ from .eval import (
     EvalContext,
     EvalError,
     SideFault,
-    eval_expr,
-    exec_stmt,
-    exec_stmts,
     rollback,
 )
 

@@ -2,17 +2,17 @@
 
 `compile_policy` compiles each body once. Every node becomes a Python
 closure that calls the closures of its children (Feeley & Lapalme, *Using
-Closures for Code Generation*, 1987), so a body runs without the
-`isinstance` dispatch of the tree interpreter in `eval.py`, which stays as
-the reference the closures are tested against.
+Closures for Code Generation*, 1987), so a body runs without dispatching
+on node types.
 
-A closure keeps the interpreter's semantics: operands run left then right
-and arguments left to right; `&&` and `||` short-circuit and coerce with
-`bool()`; every fault fires with the interpreter's code and detail, at the
-same point; an unwritten variable reads as its typed zero; and each
-statement that writes logs exactly one undo record. A subtree that reads no variable
-is folded to its value at compile time, unless computing it raises, so that
-`minutes(0 - 1)` still faults when the body runs.
+The semantics: operands run left then right and arguments left to right;
+`&&` and `||` short-circuit and coerce with `bool()`; every fault fires
+with its code and detail when the node that raises it runs; an unwritten
+variable reads as its typed zero; and each statement that writes logs
+exactly one undo record. A subtree that reads no variable is folded to its
+value at compile time, unless computing it raises, so that `minutes(0 - 1)`
+still faults when the body runs. The tests check every closure against a
+tree interpreter of the same language, fault for fault.
 
 `append` and `prune_older` edit a stored ts_list in place. Their undo record
 puts back the slice they changed instead of the whole list (see
@@ -25,7 +25,7 @@ import bisect
 import operator
 from typing import Any, Callable, Dict, Mapping, Tuple
 
-from .eval import APP_SIDE, EvalError, SideFault, _duration, _trunc_div, _writable, _write
+from .eval import APP_SIDE, EvalError, SideFault, duration, trunc_div, writable, write
 from .nodes import (
     CMP_OPS,
     NS_COND,
@@ -128,7 +128,7 @@ _NOT_CONSTANT = object()
 def _constant(code: Code, expr: Expr) -> Any:
     """The value of `code` when `expr` reads no variable and computing it
     raises nothing; otherwise _NOT_CONSTANT, and its fault, if any, fires
-    when the body runs, as in the interpreter."""
+    when the body runs."""
     if any(isinstance(e, VarRef) for e in walk_exprs(expr)):
         return _NOT_CONSTANT
     try:
@@ -188,7 +188,7 @@ def _read(expr: VarRef, state_types: StateTypes) -> Code:
             return bindings[name]
 
         return read_event
-    # every other namespace reads the global store, as in the interpreter
+    # every other namespace reads the global store
     detail = f"{ns}.{name}"
     kind = state_types.get((ns, name))
     if kind is None:
@@ -243,19 +243,20 @@ def _binary(expr: Binary, state_types: StateTypes) -> Code:
 
         return checked
     if op == "/":
-        return lambda ctx: _trunc_div(left(ctx), right(ctx))
+        return lambda ctx: trunc_div(left(ctx), right(ctx))
     raise AssertionError(f"unknown operator {op}")
 
 
 def _count_within(ctx, a):
     lst, horizon = a
-    _duration(horizon)
+    duration(horizon)
     # sorted ascending: everything from the first t with now - t <= horizon
     return len(lst) - bisect.bisect_left(lst, ctx.now - horizon)
 
 
 # Each builtin takes the context and the list of its evaluated arguments,
-# as the interpreter's do, so that a call of another arity fails alike.
+# as the tests' reference interpreter does, so that a call of another arity
+# fails alike.
 _BUILTINS: Dict[str, Callable[[Any, list], Any]] = {
     "hour_of_day": lambda ctx, a: (a[0] % MS_PER_DAY) // MS_PER_HOUR,
     "is_pm": lambda ctx, a: (a[0] % MS_PER_DAY) // MS_PER_HOUR >= 12,
@@ -263,9 +264,9 @@ _BUILTINS: Dict[str, Callable[[Any, list], Any]] = {
     "same_calendar_day": lambda ctx, a: a[0] // MS_PER_DAY == a[1] // MS_PER_DAY,
     "count_within": _count_within,
     "size": lambda ctx, a: len(a[0]),
-    "hours": lambda ctx, a: _duration(a[0] * MS_PER_HOUR),
-    "minutes": lambda ctx, a: _duration(a[0] * MS_PER_MINUTE),
-    "seconds": lambda ctx, a: _duration(a[0] * MS_PER_SECOND),
+    "hours": lambda ctx, a: duration(a[0] * MS_PER_HOUR),
+    "minutes": lambda ctx, a: duration(a[0] * MS_PER_MINUTE),
+    "seconds": lambda ctx, a: duration(a[0] * MS_PER_SECOND),
     "starts_with": lambda ctx, a: a[0].startswith(a[1]),
     "contains": lambda ctx, a: a[1] in a[0],
 }
@@ -335,7 +336,7 @@ def _assign(stmt: Assign, state_types: StateTypes) -> Code:
 
     def assign(ctx):
         v = value(ctx)
-        store = _writable(ctx, ns)
+        store = writable(ctx, ns)
         old = store.kind_of(name)
         ctx.undo.append((store, name, old, None if old is None else store.get(name, old)))
         # a list is copied, so that no two variables share one
@@ -350,7 +351,7 @@ def _append(stmt: AppendStmt, state_types: StateTypes) -> Code:
     value = _typed(stmt.value, VType.TIMESTAMP, state_types)
 
     def append(ctx):
-        store = _writable(ctx, ns)
+        store = writable(ctx, ns)
         ts = value(ctx)
         if store.kind_of(name) is VType.TS_LIST:
             lst = store.get(name, VType.TS_LIST)
@@ -360,7 +361,7 @@ def _append(stmt: AppendStmt, state_types: StateTypes) -> Code:
         else:
             lst = list(store.get(name, VType.TS_LIST))
             bisect.insort(lst, ts)
-            _write(ctx, store, name, VType.TS_LIST, lst)
+            write(ctx, store, name, VType.TS_LIST, lst)
         return False
 
     return append
@@ -371,7 +372,7 @@ def _prune(stmt: PruneStmt, state_types: StateTypes) -> Code:
     horizon = _typed(stmt.horizon, VType.DURATION, state_types)
 
     def prune(ctx):
-        store = _writable(ctx, ns)
+        store = writable(ctx, ns)
         cutoff = ctx.now - horizon(ctx)
         if store.kind_of(name) is VType.TS_LIST:
             lst = store.get(name, VType.TS_LIST)
@@ -381,7 +382,7 @@ def _prune(stmt: PruneStmt, state_types: StateTypes) -> Code:
             ctx.undo.append((lst, 0, 0, dropped))
         else:
             kept = [t for t in store.get(name, VType.TS_LIST) if t >= cutoff]
-            _write(ctx, store, name, VType.TS_LIST, kept)
+            write(ctx, store, name, VType.TS_LIST, kept)
         return False
 
     return prune
@@ -396,7 +397,7 @@ def _set_attr(stmt: SetAttrStmt, state_types: StateTypes) -> Code:
         v = value(ctx)
         if ctx.attrs is None:
             raise SideFault("no attribute store in this context")
-        _write(ctx, ctx.attrs, attr, kind, v)
+        write(ctx, ctx.attrs, attr, kind, v)
         return False
 
     return set_attr

@@ -102,6 +102,9 @@ class VerdictEntry:
 def parse_trace(text: str) -> List[TraceEvent]:
     events: List[TraceEvent] = []
     last_t = None
+    # a lone surrogate, raw or escaped as \udXXX, has no UTF-8 encoding;
+    # ASCII text without a \u escape holds none, so one scan clears it
+    may_hold_surrogates = not text.isascii() or "\\u" in text
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -130,6 +133,11 @@ def parse_trace(text: str) -> List[TraceEvent]:
         args = doc["args"]
         if not isinstance(args, list):
             raise TraceFormatError(lineno, "args must be a list")
+        if may_hold_surrogates:
+            try:
+                json.dumps([app, call, args], ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise TraceFormatError(lineno, "app, call and args must be encodable as UTF-8") from None
         if last_t is not None and t < last_t:
             raise UnsortedTrace(lineno)
         last_t = t

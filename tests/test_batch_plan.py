@@ -221,29 +221,111 @@ Rules {
 """
 
 
-def test_central_fault_in_a_batch_leaves_other_rules_alone():
-    cp = compile_src(CENTRAL_FAULT_SRC)
-    ((plan, _),) = cp.dispatch.values()
-    assert len(plan) == 1
-    trace = sends_every(MS_PER_SECOND, 4)
-    got, want = assert_same_as_one_rule_batches(cp, trace)
-    assert requests(got) == 4 and requests(want) == 16
+# An app-side condition that faults drops its rule from the batch's request:
+# the first send names three of the four rules, and the truth map leaves
+# out `inverse`. Later sends name the whole batch.
+APP_FAULT_SRC = """
+Events { ApplicationSide { sendB() = { SmsManager *.sendTextMessage(...) } } }
+Conditions {
+    ApplicationSide {
+        inverse = { 10 / local.n > 2 }
+        small = { local.n < 5 }
+    }
+    GlobalSide {
+        always = { true }
+        many = { global.sends >= 3 }
+    }
+}
+Actions {
+    ApplicationSide {
+        bump = { local.n := local.n + 1; }
+        deny = { block(); }
+    }
+    GlobalSide { count = { global.sends := global.sends + 1; } }
+}
+Rules {
+    countSend = sendB() | always -> count;
+    inverseDeny = sendB() | inverse && many -> deny;
+    quotaDeny = sendB() | small && many -> deny;
+    bumpAll = sendB() | small && always -> bump;
+}
+"""
+
+ALL_FOUR = ("countSend", "brokenCount", "quotaDeny", "brokenDeny")
+BROKEN = "EvalFault:DivisionByZero"
+FAULT_IN_A_BATCH = {
     # the first send is refused only by the faulting blocking rule, later
     # ones by quotaDeny, which comes before it
-    assert [(v.decision, v.reason) for v in got.verdicts] == [
-        ("Blocked", "EvalFault:DivisionByZero"),
-        ("Blocked", "quotaDeny"),
-        ("Blocked", "quotaDeny"),
-        ("Blocked", "quotaDeny"),
+    "global_condition": dict(
+        src=CENTRAL_FAULT_SRC,
+        requests=(4, 16),
+        verdicts=[("Blocked", BROKEN)] + [("Blocked", "quotaDeny")] * 3,
+        faults=[(i, BROKEN) for i in range(4) for _ in range(2)],
+        sends=4,
+        exchanges={
+            2: (ALL_FOUR, (), (True, False, True, False), ((), (), ("deny",), ()), (None, BROKEN, None, BROKEN)),
+        },
+    ),
+    # inverseDeny blocks with its own fault on the first send, while
+    # local.n is still 0, and is left out of that request
+    "app_condition": dict(
+        src=APP_FAULT_SRC,
+        requests=(3, 11),
+        verdicts=[("Blocked", "EvalError:DivisionByZero"), ("Allowed", "no rule"), ("Blocked", "inverseDeny")],
+        faults=[(0, "EvalError:DivisionByZero")],
+        sends=3,
+        exchanges={
+            0: (
+                ("countSend", "quotaDeny", "bumpAll"),
+                ("small",),
+                (True, False, True),
+                ((), (), ("bump",)),
+                (None, None, None),
+            ),
+            1: (
+                ("countSend", "inverseDeny", "quotaDeny", "bumpAll"),
+                ("inverse", "small"),
+                (True, False, False, True),
+                ((), (), (), ("bump",)),
+                (None, None, None, None),
+            ),
+        },
+    ),
+}
+
+
+def named_exchanges(cp, res) -> list:
+    """Each request and its reply, with ids replaced by names: the rules
+    the request names, the conditions of its truth map, and the reply's
+    guard results, app-side actions to run and faults."""
+    sent = [e for e in res.channel_entries if e.direction == APP_TO_CENTRAL]
+    answered = [e for e in res.channel_entries if e.direction == CENTRAL_TO_APP]
+    return [
+        (
+            tuple(cp.rules[r].name for r in request.rule_id),
+            tuple(cp.conditions[c].name for c in sorted(request.payload["appside_truth"])),
+            reply.payload["guard_result"],
+            tuple(tuple(cp.actions[a].name for a in aids) for aids in reply.payload["appside_actions_to_run"]),
+            reply.payload["fault"],
+        )
+        for request, reply in zip(sent, answered)
     ]
-    assert got.faults == [(i, "EvalFault:DivisionByZero") for i in range(4) for _ in range(2)]
-    assert got.global_state.vars.get("sends", VType.INT) == 4
-    replies = [e.payload for e in got.channel_entries if e.direction == CENTRAL_TO_APP]
-    assert replies[2] == {
-        "guard_result": (True, False, True, False),
-        "appside_actions_to_run": ((), (), (cp.rules[2].app_action_ids[0],), ()),
-        "fault": (None, "EvalFault:DivisionByZero", None, "EvalFault:DivisionByZero"),
-    }
+
+
+@pytest.mark.parametrize("case", FAULT_IN_A_BATCH.values(), ids=FAULT_IN_A_BATCH)
+def test_a_fault_in_a_batch_leaves_other_rules_alone(case):
+    cp = compile_src(case["src"])
+    ((plan, _),) = cp.dispatch.values()
+    assert len(plan) == 1 and len(plan[0].rule_ids) == 4
+    trace = sends_every(MS_PER_SECOND, len(case["verdicts"]))
+    got, want = assert_same_as_one_rule_batches(cp, trace)
+    assert (requests(got), requests(want)) == case["requests"]
+    assert [(v.decision, v.reason) for v in got.verdicts] == case["verdicts"]
+    assert got.faults == case["faults"]
+    assert got.global_state.vars.get("sends", VType.INT) == case["sends"]
+    exchanges = named_exchanges(cp, got)
+    for k, exchange in case["exchanges"].items():
+        assert exchanges[k] == exchange
 
 
 # random policies on the device catalog

@@ -124,6 +124,16 @@ def test_run_malformed_trace_exit_3(tmp_path, msg_policy_file):
     assert main(["run", str(msg_policy_file), str(trace), "--out", str(tmp_path / "o")]) == 3
 
 
+def test_run_trace_with_lone_surrogate_exit_3(tmp_path, capsys, msg_policy_file):
+    trace = tmp_path / "bad.jsonl"
+    # ASCII on disk; the escape decodes to a string with no UTF-8 encoding
+    trace.write_text(
+        '{"t_ms": 0, "app": "A", "call": "SmsManager.sendTextMessage", "args": ["\\ud800", "hi"]}\n', encoding="utf-8"
+    )
+    assert main(["run", str(msg_policy_file), str(trace), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("error: bad trace: line 1: ")
+
+
 def test_run_missing_trace_exit_2(tmp_path, msg_policy_file):
     assert main(["run", str(msg_policy_file), "/nonexistent.jsonl", "--out", str(tmp_path / "o")]) == 2
 

@@ -1,11 +1,12 @@
 """Compiled closures against the tree interpreter they replace.
 
 The monitors run the closures that `compile_policy` builds; the tree
-interpreter of `dcmon.lang.eval` is the reference. An expression's closure
-must return what the interpreter returns, or raise what it raises. A run
-must give the same verdicts, snapshot, channel log, faults, local state and
-arrival order as a copy of its policy whose code slots run the interpreter
-and whose guards evaluate the guard expressions directly.
+interpreter in `reference_eval.py`, which `dcmon` does not ship, is the
+reference. An expression's closure must return what the interpreter
+returns, or raise what it raises. A run must give the same verdicts,
+snapshot, channel log, faults, local state and arrival order as a copy of
+its policy whose code slots run the interpreter and whose guards evaluate
+the guard expressions directly.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from dcmon.corpus import CORPUS_IDS, build_policy_source, compile_corpus_policy
 from dcmon.dsl import PolicySpec, parse_policy, validate_policy
 from dcmon.engine import Batch, CompiledPolicy
-from dcmon.lang import APP_SIDE, GLOBAL_SIDE, EvalContext, EvalError, VarStore, eval_expr, exec_stmts, rollback
+from dcmon.lang import APP_SIDE, GLOBAL_SIDE, EvalContext, EvalError, VarStore, rollback
 from dcmon.lang.closures import compile_expr, compile_stmts
 from dcmon.lang.nodes import AppendStmt, Assign, Binary, Call, Literal, PruneStmt, SetAttrStmt, Unary, VarRef, walk_exprs
 from dcmon.lang.values import INT64_MAX, INT64_MIN, MS_PER_SECOND, VType
@@ -26,6 +27,7 @@ from dcmon.sim import check_policy_against_catalog, run
 from dcmon.tracegen import make_bench_trace, make_trace
 
 from conftest import replan, sends_every
+from reference_eval import eval_expr, exec_stmts
 from test_batch_plan import CENTRAL_FAULT_SRC, policy_source, rule_lists
 from test_roundtrip import expr as expressions
 from test_roundtrip import stmt as statements
@@ -57,11 +59,12 @@ VALUES = {
 any_value = st.sampled_from(sorted(VALUES, key=str)).flatmap(lambda kind: VALUES[kind])
 
 
-def draw_context(data, nodes, targets=()) -> EvalContext:
-    """A context binding some of the variables that the expressions or
-    statements `nodes` read, with random kinds and values; the rest are
-    unbound. Each `(ns, name)` of `targets` gets a kind, as validation gives
-    every written variable."""
+def draw_context(data, nodes, targets=()):
+    """`(ctx, state_types)`: a context binding some of the variables that
+    the expressions or statements `nodes` read, and random kinds for some
+    of them; the stored values are random too, and the rest are unbound.
+    Each `(ns, name)` of `targets` gets a kind, as validation gives every
+    written variable."""
     refs = {(v.ns, v.name) for node in nodes for v in walk_exprs(node) if isinstance(v, VarRef)}
     refs = sorted(refs | set(targets))
     state_types = {}
@@ -79,29 +82,29 @@ def draw_context(data, nodes, targets=()) -> EvalContext:
                 # usually of the kind it is typed with, but not always
                 stored = data.draw(st.sampled_from([kind, kind, *sorted(VALUES, key=str)]))
                 stores[ns].set(name, stored, data.draw(VALUES[stored]))
-    return EvalContext(
+    ctx = EvalContext(
         data.draw(st.sampled_from([APP_SIDE, GLOBAL_SIDE])),
         data.draw(st.integers(0, 10**10)),
-        state_types,
         data.draw(st.one_of(st.none(), st.just("Maps"))),
         data.draw(st.one_of(st.none(), st.just("Maps"))),
         data.draw(st.one_of(st.none(), st.just(bindings))),
         *(data.draw(st.one_of(st.none(), st.just(stores[ns]))) for ns in ("local", "global", "attr")),
     )
+    return ctx, state_types
 
 
 @settings(max_examples=400, deadline=None)
 @given(expressions, st.data())
 def test_compiled_expression_matches_interpreter(e, data):
-    ctx = draw_context(data, [e])
-    code = compile_expr(e, ctx.state_types)
-    assert outcome(lambda: code(ctx)) == outcome(lambda: eval_expr(e, ctx))
+    ctx, state_types = draw_context(data, [e])
+    code = compile_expr(e, state_types)
+    assert outcome(lambda: code(ctx)) == outcome(lambda: eval_expr(e, ctx, state_types))
 
 
 def copied(ctx: EvalContext) -> EvalContext:
     """`ctx` over copies of its stores, with an empty undo log."""
     stores = [None if store is None else store.copy() for store in (ctx.local, ctx.global_vars, ctx.attrs)]
-    return EvalContext(ctx.side, ctx.now, ctx.state_types, ctx.app_id, ctx.app_name, ctx.event_bindings, *stores)
+    return EvalContext(ctx.side, ctx.now, ctx.app_id, ctx.app_name, ctx.event_bindings, *stores)
 
 
 def stores_of(ctx: EvalContext):
@@ -113,11 +116,11 @@ def stores_of(ctx: EvalContext):
 def test_compiled_statements_match_interpreter(stmts, data):
     targets = {(s.ns, s.name) for s in stmts if isinstance(s, (Assign, AppendStmt, PruneStmt))}
     targets |= {("attr", s.attr) for s in stmts if isinstance(s, SetAttrStmt)}
-    ctx = draw_context(data, stmts, targets)
+    ctx, state_types = draw_context(data, stmts, targets)
     pre = [None if store is None else store.copy() for store in stores_of(ctx)]
     reference = copied(ctx)
-    code = compile_stmts(tuple(stmts), ctx.state_types)
-    assert outcome(lambda: code(ctx)) == outcome(lambda: exec_stmts(stmts, reference))
+    code = compile_stmts(tuple(stmts), state_types)
+    assert outcome(lambda: code(ctx)) == outcome(lambda: exec_stmts(stmts, reference, state_types))
     # the same writes, whether or not a statement faulted, each logged once
     assert stores_of(ctx) == stores_of(reference)
     assert len(ctx.undo) == len(reference.undo)
@@ -161,10 +164,11 @@ def test_edge_expression_matches_interpreter(build, n, operand):
     e = build(lit(n) if operand == "constant" else VarRef("event", "x"))
     gv = VarStore()
     gv.set("xs", VType.TS_LIST, [0, 5_000_000, 7_000_000])
-    ctx = EvalContext(GLOBAL_SIDE, 7_200_000, {("global", "xs"): VType.TS_LIST}, None, None, {"x": n}, None, gv, None)
+    ctx = EvalContext(GLOBAL_SIDE, 7_200_000, None, None, {"x": n}, None, gv, None)
+    state_types = {("global", "xs"): VType.TS_LIST}
     # compiling raises nothing: a constant that faults is left to fault here
-    code = compile_expr(e, ctx.state_types)
-    assert outcome(lambda: code(ctx)) == outcome(lambda: eval_expr(e, ctx))
+    code = compile_expr(e, state_types)
+    assert outcome(lambda: code(ctx)) == outcome(lambda: eval_expr(e, ctx, state_types))
 
 
 @pytest.mark.parametrize("kind", [VType.TIMESTAMP, VType.DURATION])
@@ -172,12 +176,13 @@ def test_edge_expression_matches_interpreter(build, n, operand):
 @pytest.mark.parametrize("operand", ["constant", "event"])
 def test_range_check_of_a_write(kind, n, operand):
     value = lit(n) if operand == "constant" else VarRef("event", "x")
-    ctx = EvalContext(GLOBAL_SIDE, 0, {("global", "t"): kind}, None, None, {"x": n}, None, VarStore(), None)
+    ctx = EvalContext(GLOBAL_SIDE, 0, None, None, {"x": n}, None, VarStore(), None)
+    state_types = {("global", "t"): kind}
     stmts = (Assign("global", "t", value),)
     reference = copied(ctx)
-    code = compile_stmts(stmts, ctx.state_types)
+    code = compile_stmts(stmts, state_types)
     got = outcome(lambda: code(ctx))
-    assert got == outcome(lambda: exec_stmts(stmts, reference))
+    assert got == outcome(lambda: exec_stmts(stmts, reference, state_types))
     assert got[0] == ("EvalError" if n in (-1, INT64_MAX + 1) else "value")
     assert stores_of(ctx) == stores_of(reference)
 
@@ -206,8 +211,8 @@ def reference_policy(cp: CompiledPolicy, spec: PolicySpec) -> CompiledPolicy:
     )
     reference = dataclasses.replace(
         cp,
-        condition_code=tuple(lambda ctx, e=c.body: eval_expr(e, ctx) for c in cp.conditions),
-        action_code=tuple(lambda ctx, b=a.body: exec_stmts(b, ctx) for a in cp.actions),
+        condition_code=tuple(lambda ctx, e=c.body: eval_expr(e, ctx, cp.state_types) for c in cp.conditions),
+        action_code=tuple(lambda ctx, b=a.body: exec_stmts(b, ctx, cp.state_types) for a in cp.actions),
         rules=rules,
     )
     return replan(reference, lambda plan: tuple(Batch([rules[r.rule_id] for r in b.rules]) for b in plan))

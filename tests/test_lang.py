@@ -1,4 +1,8 @@
-"""Expression language: typing rules, evaluation, statements and rollback."""
+"""Expression language: typing rules, evaluation, statements and rollback.
+
+Expressions and statements run as the monitors run them: compiled by
+`dcmon.lang.closures`, as `compile_policy` compiles condition and action
+bodies."""
 
 import pytest
 import hypothesis.strategies as st
@@ -10,9 +14,6 @@ from dcmon.lang import (
     EvalContext,
     EvalError,
     VarStore,
-    eval_expr,
-    exec_stmt,
-    exec_stmts,
     rollback,
     type_check,
 )
@@ -29,12 +30,13 @@ from dcmon.lang.nodes import (
     Unary,
     VarRef,
 )
-from dcmon.lang.closures import compile_stmts
+from dcmon.lang.closures import compile_expr, compile_stmts
 from dcmon.lang.eval import SideFault
 from dcmon.lang.values import MS_PER_HOUR, VType
 from dcmon.sim import run
 
 from conftest import compile_src, sends_every
+from reference_eval import exec_stmts as reference_exec_stmts
 
 
 def lit(v):
@@ -48,7 +50,6 @@ def lit(v):
 def ctx(
     side=APP_SIDE,
     now=0,
-    state_types=None,
     bindings=None,
     local=None,
     global_vars=None,
@@ -59,7 +60,6 @@ def ctx(
     return EvalContext(
         side=side,
         now=now,
-        state_types=state_types or {},
         app_id=app_id,
         app_name=app_name,
         event_bindings=bindings or {},
@@ -67,6 +67,18 @@ def ctx(
         global_vars=global_vars,
         attrs=attrs,
     )
+
+
+def evaluate(expr, c, state_types=None):
+    """`expr` compiled as `compile_policy` compiles a condition body, run
+    in `c`; `state_types` gives the kinds of the state variables it reads."""
+    return compile_expr(expr, state_types or {})(c)
+
+
+def execute(stmts, c, state_types=None):
+    """The action body `stmts`, compiled and run in `c`; returns whether it
+    blocked."""
+    return compile_stmts(tuple(stmts), state_types or {})(c)
 
 
 # typing
@@ -150,13 +162,13 @@ def test_int_literal_out_of_range():
 
 def test_hour_of_day_at_13h():
     e = Call("hour_of_day", (VarRef("ctx", "now"),))
-    assert eval_expr(e, ctx(now=13 * MS_PER_HOUR)) == 13
+    assert evaluate(e, ctx(now=13 * MS_PER_HOUR)) == 13
 
 
 def test_is_pm():
     e = Call("is_pm", (VarRef("ctx", "now"),))
-    assert eval_expr(e, ctx(now=11 * MS_PER_HOUR)) is False
-    assert eval_expr(e, ctx(now=12 * MS_PER_HOUR)) is True
+    assert evaluate(e, ctx(now=11 * MS_PER_HOUR)) is False
+    assert evaluate(e, ctx(now=12 * MS_PER_HOUR)) is True
 
 
 def test_count_within_99_in_last_hour():
@@ -165,38 +177,38 @@ def test_count_within_99_in_last_hour():
     times = sorted(now - (i * 30_000) for i in range(99))  # all within the hour
     gv.set("sendTimes", VType.TS_LIST, times)
     e = Call("count_within", (VarRef("global", "sendTimes"), Call("hours", (lit(1),))))
-    c = ctx(side=GLOBAL_SIDE, now=now, global_vars=gv, state_types={("global", "sendTimes"): VType.TS_LIST})
-    assert eval_expr(e, c) == 99
+    c = ctx(side=GLOBAL_SIDE, now=now, global_vars=gv)
+    assert evaluate(e, c, {("global", "sendTimes"): VType.TS_LIST}) == 99
 
 
 def test_app_name_comparison():
     e = Binary("==", VarRef("ctx", "app_name"), lit("StockControl"))
-    assert eval_expr(e, ctx(app_name="Maps")) is False
+    assert evaluate(e, ctx(app_name="Maps")) is False
 
 
 def test_division_by_zero_is_eval_error():
     with pytest.raises(EvalError) as err:
-        eval_expr(Binary("/", lit(1), lit(0)), ctx())
+        evaluate(Binary("/", lit(1), lit(0)), ctx())
     assert err.value.code == "DivisionByZero"
 
 
 def test_division_truncates_toward_zero():
-    assert eval_expr(Binary("/", lit(7), lit(2)), ctx()) == 3
+    assert evaluate(Binary("/", lit(7), lit(2)), ctx()) == 3
     neg = Binary("-", lit(0), lit(7))
-    assert eval_expr(Binary("/", neg, lit(2)), ctx()) == -3
+    assert evaluate(Binary("/", neg, lit(2)), ctx()) == -3
 
 
 def test_overflow_checked():
     big = Literal(VType.INT, 2**62)
     with pytest.raises(EvalError) as err:
-        eval_expr(Binary("*", big, lit(4)), ctx())
+        evaluate(Binary("*", big, lit(4)), ctx())
     assert err.value.code == "Overflow"
 
 
 def test_int64_min_divided_by_minus_one_overflows():
     int64_min = Binary("-", Binary("-", lit(0), lit(2**63 - 1)), lit(1))
     with pytest.raises(EvalError) as err:
-        eval_expr(Binary("/", int64_min, Binary("-", lit(0), lit(1))), ctx())
+        evaluate(Binary("/", int64_min, Binary("-", lit(0), lit(1))), ctx())
     assert err.value.code == "Overflow"
 
 
@@ -217,28 +229,26 @@ def test_int64_min_divided_by_minus_one_faults_and_rolls_back():
 def test_negative_duration_constructor_rejected():
     neg = Binary("-", lit(0), lit(5))
     with pytest.raises(EvalError) as err:
-        eval_expr(Call("minutes", (neg,)), ctx())
+        evaluate(Call("minutes", (neg,)), ctx())
     assert err.value.code == "NegativeDuration"
 
 
 def test_uninitialized_state_reads_typed_zero():
     gv = VarStore()
-    c = ctx(side=GLOBAL_SIDE, global_vars=gv, state_types={("global", "msgCount"): VType.INT})
-    assert eval_expr(VarRef("global", "msgCount"), c) == 0
-    c2 = ctx(
-        side=GLOBAL_SIDE, global_vars=gv,
-        state_types={("global", "xs"): VType.TS_LIST, ("global", "flag"): VType.BOOL},
-    )
-    assert eval_expr(VarRef("global", "xs"), c2) == []
-    assert eval_expr(VarRef("global", "flag"), c2) is False
+    c = ctx(side=GLOBAL_SIDE, global_vars=gv)
+    assert evaluate(VarRef("global", "msgCount"), c, {("global", "msgCount"): VType.INT}) == 0
+    kinds = {("global", "xs"): VType.TS_LIST, ("global", "flag"): VType.BOOL}
+    assert evaluate(VarRef("global", "xs"), c, kinds) == []
+    assert evaluate(VarRef("global", "flag"), c, kinds) is False
 
 
 def test_eval_is_pure():
     gv = VarStore()
     gv.set("n", VType.INT, 41)
     e = Binary("+", VarRef("global", "n"), lit(1))
-    c = ctx(side=GLOBAL_SIDE, global_vars=gv, state_types={("global", "n"): VType.INT})
-    assert eval_expr(e, c) == eval_expr(e, c) == 42
+    c = ctx(side=GLOBAL_SIDE, global_vars=gv)
+    kinds = {("global", "n"): VType.INT}
+    assert evaluate(e, c, kinds) == evaluate(e, c, kinds) == 42
     assert gv.get("n", VType.INT) == 41
 
 
@@ -248,8 +258,8 @@ def test_increment_produces_state_write():
     gv = VarStore()
     gv.set("msgCount", VType.INT, 41)
     stmt = Assign("global", "msgCount", Binary("+", VarRef("global", "msgCount"), lit(1)))
-    c = ctx(side=GLOBAL_SIDE, global_vars=gv, state_types={("global", "msgCount"): VType.INT})
-    assert exec_stmt(stmt, c) is False
+    c = ctx(side=GLOBAL_SIDE, global_vars=gv)
+    assert execute([stmt], c, {("global", "msgCount"): VType.INT}) is False
     assert gv.get("msgCount", VType.INT) == 42 and gv.kind_of("msgCount") is VType.INT
     assert c.undo == [(gv, "msgCount", VType.INT, 41)]
 
@@ -257,21 +267,20 @@ def test_increment_produces_state_write():
 def test_block_in_app_context():
     lv = VarStore()
     c = ctx(local=lv)
-    assert exec_stmt(BlockStmt(), c) is True
+    assert execute([BlockStmt()], c) is True
     assert len(lv) == 0 and c.undo == []
 
 
 def test_block_in_global_context_is_side_fault():
     with pytest.raises(SideFault):
-        exec_stmt(BlockStmt(), ctx(side=GLOBAL_SIDE, global_vars=VarStore()))
+        execute([BlockStmt()], ctx(side=GLOBAL_SIDE, global_vars=VarStore()))
 
 
 def test_set_attr_effect():
     stmt = SetAttrStmt("wifi_enabled", lit(False))
     attrs = VarStore()
-    c = ctx(side=GLOBAL_SIDE, global_vars=VarStore(), attrs=attrs,
-            state_types={("attr", "wifi_enabled"): VType.BOOL})
-    assert exec_stmt(stmt, c) is False
+    c = ctx(side=GLOBAL_SIDE, global_vars=VarStore(), attrs=attrs)
+    assert execute([stmt], c, {("attr", "wifi_enabled"): VType.BOOL}) is False
     assert attrs.get("wifi_enabled", VType.BOOL) is False and attrs.kind_of("wifi_enabled") is VType.BOOL
     # the name was absent before, so rolling back removes it
     assert c.undo == [(attrs, "wifi_enabled", None, None)]
@@ -280,18 +289,16 @@ def test_set_attr_effect():
 def test_append_keeps_list_sorted():
     gv = VarStore()
     gv.set("xs", VType.TS_LIST, [5, 10])
-    st_types = {("global", "xs"): VType.TS_LIST}
-    c = ctx(side=GLOBAL_SIDE, now=7, global_vars=gv, state_types=st_types)
-    exec_stmt(AppendStmt("global", "xs", VarRef("ctx", "now")), c)
+    c = ctx(side=GLOBAL_SIDE, now=7, global_vars=gv)
+    execute([AppendStmt("global", "xs", VarRef("ctx", "now"))], c, {("global", "xs"): VType.TS_LIST})
     assert gv.get("xs", VType.TS_LIST) == [5, 7, 10]
 
 
 def test_prune_removes_strictly_older():
     gv = VarStore()
     gv.set("xs", VType.TS_LIST, [0, 40, 60, 100])
-    st_types = {("global", "xs"): VType.TS_LIST}
-    c = ctx(side=GLOBAL_SIDE, now=100, global_vars=gv, state_types=st_types)
-    exec_stmt(PruneStmt("global", "xs", Call("seconds", (lit(0),))), c)
+    c = ctx(side=GLOBAL_SIDE, now=100, global_vars=gv)
+    execute([PruneStmt("global", "xs", Call("seconds", (lit(0),)))], c, {("global", "xs"): VType.TS_LIST})
     # horizon 0: keep exactly now - t <= 0, i.e. t >= 100
     assert gv.get("xs", VType.TS_LIST) == [100]
 
@@ -356,9 +363,9 @@ statements = st.lists(
 )
 def test_rollback_restores_pre_state(lv, gv, attrs, stmts, now):
     pre = [lv.copy(), gv.copy(), attrs.copy()]
-    c = ctx(now=now, local=lv, global_vars=gv, attrs=attrs, state_types=ROLLBACK_TYPES)
+    c = ctx(now=now, local=lv, global_vars=gv, attrs=attrs)
     for stmt in stmts:
-        exec_stmt(stmt, c)
+        execute([stmt], c, ROLLBACK_TYPES)
     assert len(c.undo) == sum(not isinstance(s, BlockStmt) for s in stmts)
     rollback(c.undo)
     # VarStore equality compares the kinds too
@@ -376,11 +383,12 @@ def test_rollback_restores_pre_state(lv, gv, attrs, stmts, now):
 )
 def test_compiled_rollback_restores_pre_state(lv, gv, attrs, stmts, now):
     pre = [lv.copy(), gv.copy(), attrs.copy()]
-    # the interpreter on copies gives the state the compiled body must write
+    # the reference interpreter on copies gives the state the compiled body
+    # must write
     want = [lv.copy(), gv.copy(), attrs.copy()]
-    exec_stmts(stmts, ctx(now=now, local=want[0], global_vars=want[1], attrs=want[2], state_types=ROLLBACK_TYPES))
-    c = ctx(now=now, local=lv, global_vars=gv, attrs=attrs, state_types=ROLLBACK_TYPES)
-    assert compile_stmts(tuple(stmts), ROLLBACK_TYPES)(c) is any(isinstance(s, BlockStmt) for s in stmts)
+    reference_exec_stmts(stmts, ctx(now=now, local=want[0], global_vars=want[1], attrs=want[2]), ROLLBACK_TYPES)
+    c = ctx(now=now, local=lv, global_vars=gv, attrs=attrs)
+    assert execute(stmts, c, ROLLBACK_TYPES) is any(isinstance(s, BlockStmt) for s in stmts)
     assert [lv, gv, attrs] == want
     assert len(c.undo) == sum(not isinstance(s, BlockStmt) for s in stmts)
     rollback(c.undo)
@@ -392,8 +400,8 @@ def test_compiled_append_inserts_in_place():
     gv = VarStore()
     xs = [5, 7, 10]
     gv.set("xs", VType.TS_LIST, xs)
-    c = ctx(side=GLOBAL_SIDE, now=7, global_vars=gv, state_types={("global", "xs"): VType.TS_LIST})
-    compile_stmts((AppendStmt("global", "xs", VarRef("ctx", "now")),), c.state_types)(c)
+    c = ctx(side=GLOBAL_SIDE, now=7, global_vars=gv)
+    execute([AppendStmt("global", "xs", VarRef("ctx", "now"))], c, {("global", "xs"): VType.TS_LIST})
     assert gv.get("xs", VType.TS_LIST) is xs and xs == [5, 7, 7, 10]
     # the undo record deletes the inserted index instead of copying the list
     assert c.undo == [(xs, 2, 3, ())]
@@ -405,8 +413,8 @@ def test_compiled_prune_drops_the_prefix_in_place():
     gv = VarStore()
     xs = [0, 40, 60, 100]
     gv.set("xs", VType.TS_LIST, xs)
-    c = ctx(side=GLOBAL_SIDE, now=100, global_vars=gv, state_types={("global", "xs"): VType.TS_LIST})
-    compile_stmts((PruneStmt("global", "xs", Literal(VType.DURATION, 40)),), c.state_types)(c)
+    c = ctx(side=GLOBAL_SIDE, now=100, global_vars=gv)
+    execute([PruneStmt("global", "xs", Literal(VType.DURATION, 40))], c, {("global", "xs"): VType.TS_LIST})
     assert gv.get("xs", VType.TS_LIST) is xs and xs == [60, 100]
     # the undo record holds the dropped prefix only
     assert c.undo == [(xs, 0, 0, [0, 40])]
@@ -420,9 +428,9 @@ def test_count_within_matches_brute_force(times, horizon, now):
     gv = VarStore()
     gv.set("xs", VType.TS_LIST, list(times))
     e = Call("count_within", (VarRef("global", "xs"), Literal(VType.DURATION, horizon)))
-    c = ctx(side=GLOBAL_SIDE, now=now, global_vars=gv, state_types={("global", "xs"): VType.TS_LIST})
+    c = ctx(side=GLOBAL_SIDE, now=now, global_vars=gv)
     brute = sum(1 for t in times if now - t <= horizon)
-    assert eval_expr(e, c) == brute
+    assert evaluate(e, c, {("global", "xs"): VType.TS_LIST}) == brute
 
 
 @settings(max_examples=200, deadline=None)
@@ -430,7 +438,7 @@ def test_count_within_matches_brute_force(times, horizon, now):
 def test_prune_matches_brute_force_and_keeps_sorted(times, horizon, now):
     gv = VarStore()
     gv.set("xs", VType.TS_LIST, list(times))
-    c = ctx(side=GLOBAL_SIDE, now=now, global_vars=gv, state_types={("global", "xs"): VType.TS_LIST})
-    exec_stmt(PruneStmt("global", "xs", Literal(VType.DURATION, horizon)), c)
+    c = ctx(side=GLOBAL_SIDE, now=now, global_vars=gv)
+    execute([PruneStmt("global", "xs", Literal(VType.DURATION, horizon))], c, {("global", "xs"): VType.TS_LIST})
     kept = gv.get("xs", VType.TS_LIST)
     assert kept == sorted(t for t in times if now - t <= horizon)

@@ -111,6 +111,33 @@ def test_largest_int64_timestamp_accepted():
     assert ev.t == 2**63 - 1
 
 
+SEND_LINE = '{"t_ms": 1, "app": %s, "call": "SmsManager.sendTextMessage", "args": [%s, "y"]}'
+
+
+@pytest.mark.parametrize(
+    "app,dest",
+    [
+        ('"A\\ud800"', '"x"'),  # an escaped lone high surrogate in the app
+        ('"A"', '"\\udc00x"'),  # an escaped lone low surrogate in an argument
+        ('"A"', '"\udc00"'),  # a raw lone surrogate in text built in memory
+    ],
+    ids=["escaped_app", "escaped_arg", "raw_arg"],
+)
+def test_string_without_utf8_encoding_rejected(app, dest):
+    # such a string would reach the state snapshot, whose byte count
+    # (state_size) encodes every string as UTF-8
+    with pytest.raises(TraceFormatError) as err:
+        parse_trace(_send_at(0) + "\n" + SEND_LINE % (app, dest))
+    assert err.value.line == 2
+    assert "UTF-8" in str(err.value)
+
+
+def test_escaped_unicode_accepted():
+    # an escaped surrogate pair is one character, and encodes
+    (ev,) = parse_trace(SEND_LINE % ('"\\u00e9"', '"\\ud83d\\ude00"'))
+    assert (ev.app, ev.args) == ("\u00e9", ("\U0001f600", "y"))
+
+
 def test_trace_roundtrip_through_file(tmp_path):
     from dcmon.sim import write_trace
 
