@@ -148,6 +148,15 @@ def cmd_report(args) -> int:
         # valid JSON of another shape
         print(f"error: {args.report} is not a bench report: {type(ex).__name__}: {ex}", file=sys.stderr)
         return EXIT_IO
+    try:
+        # before printing, so that nothing reaches stdout; with stdout's
+        # own error handler, which in UTF-8 mode writes back the bytes of
+        # an undecodable file name that `bench` took as the trace label
+        table.encode(sys.stdout.encoding or "utf-8", sys.stdout.errors or "strict")
+    except UnicodeEncodeError as ex:
+        # such as a lone surrogate, which JSON's \u escapes can spell
+        print(f"error: cannot print {args.report}: {ex}", file=sys.stderr)
+        return EXIT_IO
     print(table)
     return EXIT_OK
 

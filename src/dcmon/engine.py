@@ -93,15 +93,17 @@ class Batch:
     """Consecutive rules of one phase of a call whose triggers bind an
     occurrence alike. The local monitor binds the occurrence once,
     evaluates all their app-side conditions, sends one request for their
-    NeedsGlobal rules, then applies each rule's outcome in order."""
+    NeedsGlobal rules, then decides each rule in order."""
 
-    __slots__ = ("rules", "rule_ids")
+    __slots__ = ("rules", "sent", "rule_ids")
 
     def __init__(self, rules: Sequence[CompiledRule]):
         self.rules = tuple(rules)
-        # the request's rule ids when every NeedsGlobal rule is sent; empty
-        # for a batch of LocalOnly rules, which sends nothing
-        self.rule_ids = tuple(r.rule_id for r in self.rules if r.locality is Locality.NEEDS_GLOBAL)
+        # the NeedsGlobal rules, in order, and their ids: what the request
+        # names when no app-side condition faults; empty for a batch of
+        # LocalOnly rules, which sends nothing
+        self.sent = tuple(r for r in self.rules if r.locality is Locality.NEEDS_GLOBAL)
+        self.rule_ids = tuple(r.rule_id for r in self.sent)
 
 
 @dataclass(frozen=True, eq=False)

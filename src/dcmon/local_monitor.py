@@ -37,10 +37,6 @@ from .lang.eval import APP_SIDE, EvalContext, EvalError, rollback
 from .lang.state import VarStore
 from .lang.values import Value
 
-# per-app monitor store, never shared between apps
-LocalState = VarStore
-
-
 class ArityMismatch(Exception):
     pass
 
@@ -87,10 +83,6 @@ def bind_params(occ: EventOccurrence, decl: EventDecl) -> Dict[str, Value]:
     return out
 
 
-# marks a NeedsGlobal rule whose outcome comes from the batch's reply
-_SENT = object()
-
-
 class LocalMonitor:
     """`attrs` is the device attribute store, which app-side set_attr
     writes directly."""
@@ -101,7 +93,7 @@ class LocalMonitor:
         self.cp = cp
         self.channel = channel
         self.attrs = attrs
-        self.local = LocalState()
+        self.local = VarStore()  # this app's own, never shared
 
     def intercept(self, occ: EventOccurrence) -> InterceptResult:
         """Run every rule triggered by this occurrence, in declaration
@@ -113,12 +105,10 @@ class LocalMonitor:
 
     # internals
 
-    def _block(self, result: InterceptResult, reason: str) -> None:
-        if result.reason is None:
-            result.reason = reason
-
-    def _fault(self, result: InterceptResult, fault: str) -> None:
+    def _fail(self, result: InterceptResult, fault: str, blocks: bool = True) -> None:
         result.faults = result.faults + (fault,)
+        if blocks and result.reason is None:
+            result.reason = fault
 
     def _run_batch(self, batch: Batch, occ: EventOccurrence, result: InterceptResult) -> None:
         # The call and phase decide everything the triggers match on except
@@ -137,7 +127,7 @@ class LocalMonitor:
         # Phase 1: every app-side condition of the batch. The plan
         # guarantees no earlier rule's action writes what these read.
         values: Dict[int, bool] = {}
-        steps = []
+        faulted: Optional[Dict[int, str]] = None  # rule id -> its condition's fault
         condition_code = self.cp.condition_code
         for rule in batch.rules:
             try:
@@ -145,48 +135,43 @@ class LocalMonitor:
                     if cid not in values:
                         values[cid] = bool(eval_expr(condition_code[cid], ctx))
             except EvalError as ex:
-                steps.append((rule, f"EvalError:{ex.code}"))
-                continue
-            if rule.locality is Locality.LOCAL_ONLY:
-                steps.append((rule, evaluate_guard(rule.guard, values)))
-            else:
-                steps.append((rule, _SENT))
+                if faulted is None:
+                    faulted = {}
+                faulted[rule.rule_id] = f"EvalError:{ex.code}"
 
-        # One round trip for the batch's NeedsGlobal rules; a batch of
-        # LocalOnly rules names none.
+        # One round trip for the batch's NeedsGlobal rules whose conditions
+        # did not fault; a batch of LocalOnly rules sends none.
         reply = None
-        if batch.rule_ids:
-            sent = [rule for rule, outcome in steps if outcome is _SENT]
-            if sent:
-                truth = {cid: values[cid] for rule in sent for cid in rule.app_condition_ids}
-                forwarded = {p: bindings[p] for rule in sent for p in rule.forwarded_params if p in bindings}
-                rule_ids = batch.rule_ids if len(sent) == len(batch.rule_ids) else tuple(r.rule_id for r in sent)
-                try:
-                    reply = self.channel.request(self.app_id, rule_ids, occ.t, truth, forwarded)
-                except ChannelError:
-                    pass
+        sent, rule_ids = batch.sent, batch.rule_ids
+        if faulted is not None:
+            sent = tuple(r for r in sent if r.rule_id not in faulted)
+            rule_ids = tuple(r.rule_id for r in sent)
+        if sent:
+            truth = {cid: values[cid] for rule in sent for cid in rule.app_condition_ids}
+            forwarded = {p: bindings[p] for rule in sent for p in rule.forwarded_params if p in bindings}
+            try:
+                reply = self.channel.request(self.app_id, rule_ids, occ.t, truth, forwarded)
+            except ChannelError:
+                pass
 
-        # Phase 2: each rule's outcome, in declaration order.
+        # Phase 2: each rule's outcome, in declaration order; the reply's
+        # k-th entry is the k-th rule sent.
         k = 0
-        for rule, outcome in steps:
-            if outcome is _SENT:
-                if reply is None:
-                    self._fault(result, "ChannelError")
-                    self._block(result, "ChannelError")
-                    continue
+        for rule in batch.rules:
+            if faulted is not None and rule.rule_id in faulted:
+                self._fail(result, faulted[rule.rule_id])
+            elif rule.locality is Locality.LOCAL_ONLY:
+                if evaluate_guard(rule.guard, values):
+                    self._run_app_actions(rule, rule.app_action_ids, ctx, occ, result)
+            elif reply is None:
+                self._fail(result, "ChannelError")
+            else:
                 fault = reply.faults[k]
                 if fault is not None:
-                    self._fault(result, fault)
-                    if rule.blocks:
-                        self._block(result, fault)
+                    self._fail(result, fault, rule.blocks)
                 elif reply.guard_results[k]:
                     self._run_app_actions(rule, reply.appside_actions_to_run[k], ctx, occ, result)
                 k += 1
-            elif outcome is True:
-                self._run_app_actions(rule, rule.app_action_ids, ctx, occ, result)
-            elif outcome is not False:
-                self._fault(result, outcome)
-                self._block(result, outcome)
 
     def _run_app_actions(
         self,
@@ -203,12 +188,10 @@ class LocalMonitor:
                     blocked = True
         except EvalError as ex:
             rollback(ctx.undo)
-            fault = f"EvalError:{ex.code}"
-            self._fault(result, fault)
-            self._block(result, fault)
+            self._fail(result, f"EvalError:{ex.code}")
             return
         ctx.undo.clear()  # the rule's writes stand
-        if blocked and occ.phase is Phase.BEFORE:
-            # validation rejects blocking actions on after-phase rules;
-            # nothing to suppress once the call returned
-            self._block(result, rule.name)
+        # validation rejects blocking actions on after-phase rules; nothing
+        # to suppress once the call returned
+        if blocked and occ.phase is Phase.BEFORE and result.reason is None:
+            result.reason = rule.name

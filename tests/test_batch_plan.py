@@ -251,6 +251,38 @@ Rules {
 }
 """
 
+# A LocalOnly blocking rule ahead of the NeedsGlobal rules: it is decided
+# here and takes no entry of the reply, so the reply's entries still line
+# up with the rules sent when `inverse` faults and drops inverseDeny.
+LOCAL_FIRST_SRC = """
+Events { ApplicationSide { sendB() = { SmsManager *.sendTextMessage(...) } } }
+Conditions {
+    ApplicationSide {
+        big = { local.n >= 3 }
+        inverse = { 10 / local.n > 2 }
+        small = { local.n < 5 }
+    }
+    GlobalSide {
+        always = { true }
+        many = { global.sends >= 3 }
+    }
+}
+Actions {
+    ApplicationSide {
+        bump = { local.n := local.n + 1; }
+        deny = { block(); }
+    }
+    GlobalSide { count = { global.sends := global.sends + 1; } }
+}
+Rules {
+    localDeny = sendB() | big -> deny;
+    countSend = sendB() | always -> count;
+    inverseDeny = sendB() | inverse && many -> deny;
+    quotaDeny = sendB() | small && many -> deny;
+    bumpAll = sendB() | always -> bump;
+}
+"""
+
 ALL_FOUR = ("countSend", "brokenCount", "quotaDeny", "brokenDeny")
 BROKEN = "EvalFault:DivisionByZero"
 FAULT_IN_A_BATCH = {
@@ -287,6 +319,36 @@ FAULT_IN_A_BATCH = {
                 ("inverse", "small"),
                 (True, False, False, True),
                 ((), (), (), ("bump",)),
+                (None, None, None, None),
+            ),
+        },
+    ),
+    # localDeny refuses only the last send, once local.n reaches 3; the
+    # first is refused by inverseDeny's fault, the third by inverseDeny
+    "local_rule_first": dict(
+        src=LOCAL_FIRST_SRC,
+        requests=(4, 15),
+        verdicts=[
+            ("Blocked", "EvalError:DivisionByZero"),
+            ("Allowed", "no rule"),
+            ("Blocked", "inverseDeny"),
+            ("Blocked", "localDeny"),
+        ],
+        faults=[(0, "EvalError:DivisionByZero")],
+        sends=4,
+        exchanges={
+            0: (
+                ("countSend", "quotaDeny", "bumpAll"),
+                ("small",),
+                (True, False, True),
+                ((), (), ("bump",)),
+                (None, None, None),
+            ),
+            3: (
+                ("countSend", "inverseDeny", "quotaDeny", "bumpAll"),
+                ("inverse", "small"),
+                (True, True, True, True),
+                ((), ("deny",), ("deny",), ("bump",)),
                 (None, None, None, None),
             ),
         },

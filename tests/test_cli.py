@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dcmon
 from dcmon.cli import main
 from dcmon.corpus import POLICY_DIR, build_policy_source
 from dcmon.sim import write_trace
@@ -171,6 +175,40 @@ def test_report_of_another_json_shape_exit_2(tmp_path, capsys, text):
     report.write_text(text, encoding="utf-8")
     assert main(["report", str(report)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {report} is not a bench report: ")
+
+
+def report_in_subprocess(tmp_path, policy: str):
+    """`dcmon report` in UTF-8 mode on a one-row report naming `policy`,
+    with stdout a file: returns the process, the report's path and the
+    bytes of stdout."""
+    report = tmp_path / "report.json"
+    row = {"policy": policy, "locality": "LocalOnly", "unmonitored_ms": 1.0, "monitored_ms": 2.0, "overhead_pct": 100.0}
+    doc = {"rows": [row], "repetitions": 30, "trace": {"label": "t", "events": 1}, "memory": {}}
+    # ASCII on disk: a surrogate is written as its JSON escape
+    report.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "stdout.txt"
+    src = str(Path(dcmon.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(PYTHONUTF8="1", PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with out.open("wb") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dcmon", "report", str(report)], stdout=fh, stderr=subprocess.PIPE, env=env, text=True
+        )
+    return proc, report, out.read_bytes()
+
+
+def test_report_with_lone_surrogate_exit_2(tmp_path):
+    proc, report, out = report_in_subprocess(tmp_path, "\ud800")
+    assert proc.returncode == 2
+    assert out == b""
+    assert proc.stderr.startswith(f"error: cannot print {report}: ") and proc.stderr.count("\n") == 1
+
+
+def test_report_prints_an_escaped_file_name_byte(tmp_path):
+    # what `bench` stores for a trace file name holding the byte 0xff
+    proc, _, out = report_in_subprocess(tmp_path, "tr\udcff")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert b"tr\xff" in out
 
 
 def test_bench_unknown_policy(tmp_path):
