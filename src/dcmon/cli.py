@@ -72,6 +72,23 @@ def _read_config(path: Optional[str]) -> Optional[SimConfig]:
         return None
 
 
+def _print_table(table: str, what: str) -> int:
+    """Prints `table`, or, when stdout cannot encode it, one error line
+    and nothing on stdout."""
+    try:
+        # with stdout's own error handler, which in UTF-8 mode writes back
+        # the bytes of an undecodable file name that `bench` took as the
+        # trace label
+        table.encode(sys.stdout.encoding or "utf-8", sys.stdout.errors or "strict")
+    except UnicodeEncodeError as ex:
+        # such as a lone surrogate, which JSON's \u escapes can spell, or
+        # that file name under a strict error handler
+        print(f"error: cannot print {what}: {ex}", file=sys.stderr)
+        return EXIT_IO
+    print(table)
+    return EXIT_OK
+
+
 def cmd_compile(args) -> int:
     cp, code = _read_policy(args.policy)
     if cp is not None:
@@ -125,15 +142,13 @@ def cmd_bench(args) -> int:
     except (BenchError, CatalogMismatch) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_TRACE
-    doc = report.to_doc()
     if args.out:
         try:
             Path(args.out).write_text(report.to_json(), encoding="utf-8")
         except OSError as ex:
             print(f"error: cannot write report: {ex}", file=sys.stderr)
             return EXIT_IO
-    print(render_table(doc))
-    return EXIT_OK
+    return _print_table(render_table(report.to_doc()), "the bench table")
 
 
 def cmd_report(args) -> int:
@@ -148,17 +163,7 @@ def cmd_report(args) -> int:
         # valid JSON of another shape
         print(f"error: {args.report} is not a bench report: {type(ex).__name__}: {ex}", file=sys.stderr)
         return EXIT_IO
-    try:
-        # before printing, so that nothing reaches stdout; with stdout's
-        # own error handler, which in UTF-8 mode writes back the bytes of
-        # an undecodable file name that `bench` took as the trace label
-        table.encode(sys.stdout.encoding or "utf-8", sys.stdout.errors or "strict")
-    except UnicodeEncodeError as ex:
-        # such as a lone surrogate, which JSON's \u escapes can spell
-        print(f"error: cannot print {args.report}: {ex}", file=sys.stderr)
-        return EXIT_IO
-    print(table)
-    return EXIT_OK
+    return _print_table(table, args.report)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,6 +10,7 @@ from ..lang.values import VType
 from .ast import EventDecl, PolicySpec, Side, guard_refs
 
 StateTypes = Dict[Tuple[str, str], VType]
+Uses = Dict[str, List[Optional[EventDecl]]]
 
 
 def event_param_env(trigger: Optional[EventDecl], side: Side) -> TypeEnv:
@@ -29,57 +30,45 @@ def event_param_env(trigger: Optional[EventDecl], side: Side) -> TypeEnv:
     return env
 
 
-def action_uses(spec: PolicySpec) -> Dict[str, List[Optional[EventDecl]]]:
-    """Action name -> trigger declarations of the rules that run it."""
+def rule_uses(spec: PolicySpec) -> Tuple[Uses, Uses]:
+    """Condition and action name -> the declared events that trigger the
+    rules using it, each once, in rule order; [None] when there are none.
+
+    A rule whose trigger names no event is skipped: it is reported as an
+    unknown event, and typing its bodies under no event would add errors
+    that follow from that one."""
     events = {e.name: e for e in spec.events}
-    uses: Dict[str, List[Optional[EventDecl]]] = {a.name: [] for a in spec.actions}
+    cond_uses: Uses = {c.name: [] for c in spec.conditions}
+    act_uses: Uses = {a.name: [] for a in spec.actions}
     for rule in spec.rules:
         trigger = events.get(rule.trigger)
-        for name in rule.actions:
-            if name in uses:
-                uses[name].append(trigger)
-    return uses
-
-
-def condition_uses(spec: PolicySpec) -> Dict[str, List[Optional[EventDecl]]]:
-    events = {e.name: e for e in spec.events}
-    uses: Dict[str, List[Optional[EventDecl]]] = {c.name: [] for c in spec.conditions}
-    for rule in spec.rules:
-        trigger = events.get(rule.trigger)
-        for ref in guard_refs(rule.guard):
-            if ref.name in uses:
-                uses[ref.name].append(trigger)
-    return uses
-
-
-def _use_envs(decl_side: Side, triggers: List[Optional[EventDecl]]) -> List[TypeEnv]:
-    envs: List[TypeEnv] = []
-    seen = set()
-    for trigger in triggers:
-        key = trigger.name if trigger is not None else None
-        if key in seen:
+        if trigger is None:
             continue
-        seen.add(key)
-        envs.append(event_param_env(trigger, decl_side))
-    if not envs:
-        envs.append(event_param_env(None, decl_side))
-    return envs
+        for uses, names in ((cond_uses, [ref.name for ref in guard_refs(rule.guard)]), (act_uses, rule.actions)):
+            for name in names:
+                if name in uses and trigger not in uses[name]:
+                    uses[name].append(trigger)
+    for triggers in (*cond_uses.values(), *act_uses.values()):
+        if not triggers:
+            triggers.append(None)
+    return cond_uses, act_uses
 
 
-def infer_policy_state(spec: PolicySpec) -> Tuple[StateTypes, List[InferenceIssue]]:
+def infer_policy_state(spec: PolicySpec, act_uses: Uses) -> Tuple[StateTypes, List[InferenceIssue]]:
     """Kinds of every local/global variable and device attribute the policy
-    writes. Attribute kinds are keyed under the "attr" pseudo-namespace."""
-    uses = action_uses(spec)
-    assignments = []
-    for action in spec.actions:
-        envs = _use_envs(action.side, uses.get(action.name, []))
-        for stmt in action.body:
-            if isinstance(stmt, (Assign, AppendStmt, PruneStmt)):
-                assignments.append((stmt, envs))
-    types, issues = infer_state_types(assignments)
+    writes, given `rule_uses`' action map. Attribute kinds are keyed under
+    the "attr" pseudo-namespace."""
+    action_envs = [(a, [event_param_env(t, a.side) for t in act_uses[a.name]]) for a in spec.actions]
+    types, issues = infer_state_types(
+        [
+            (stmt, envs)
+            for action, envs in action_envs
+            for stmt in action.body
+            if isinstance(stmt, (Assign, AppendStmt, PruneStmt))
+        ]
+    )
 
-    for action in spec.actions:
-        envs = _use_envs(action.side, uses.get(action.name, []))
+    for action, envs in action_envs:
         for stmt in action.body:
             if not isinstance(stmt, SetAttrStmt):
                 continue

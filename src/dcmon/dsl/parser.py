@@ -110,39 +110,53 @@ class _Parser:
     # top level
 
     def policy(self) -> PolicySpec:
-        events = self.block("events", self.event_decl)
-        conditions = self.block("conditions", self.condition_decl)
-        actions = self.block("actions", self.action_decl)
-        rules = self.rules_block()
+        events = self.decl_block("events", self.event_decl)
+        conditions = self.decl_block("conditions", self.condition_decl)
+        actions = self.decl_block("actions", self.action_decl)
+        rules = self.block("rules", self.rule_decl)
         tok = self.peek()
         if tok.kind != EOF:
             self.error(f"unexpected {_describe(tok)} after Rules block", expected=("end of input",))
         return PolicySpec(tuple(events), tuple(conditions), tuple(actions), tuple(rules))
 
-    def block(self, keyword: str, decl_parser) -> list:
+    def block(self, keyword: str, item) -> list:
+        """`keyword { item* }`, the keyword in any case."""
         tok = self.peek()
         if not (tok.kind == IDENT and tok.text.lower() == keyword):
             self.error(f"unexpected {_describe(tok)}", expected=(keyword.capitalize(),))
         self.advance()
         self.expect_punct("{")
-        decls = []
+        return self.until_close("block", item)
+
+    def decl_block(self, keyword: str, decl_parser) -> list:
+        """A block whose declarations stand alone or in side groups."""
+        groups = self.block(keyword, lambda: self.side_group(decl_parser))
+        return [decl for group in groups for decl in group]
+
+    def side_group(self, decl_parser) -> list:
+        side = self.side_open()
+        if side is None:
+            return [decl_parser(None)]
+        return self.until_close("side group", lambda: decl_parser(side))
+
+    def until_close(self, what: str, item) -> list:
+        """`item()` up to the closing '}', which is consumed."""
+        items = []
         while not self.at_punct("}"):
             if self.peek().kind == EOF:
-                self.error("unterminated block", expected=("'}'",))
-            tag = side_tag(self.peek())
-            if tag is not None and self.peek(1).kind == PUNCT and self.peek(1).text == "{":
-                group = Side(tag)
-                self.advance()
-                self.advance()
-                while not self.at_punct("}"):
-                    if self.peek().kind == EOF:
-                        self.error("unterminated side group", expected=("'}'",))
-                    decls.append(decl_parser(group))
-                self.advance()
-            else:
-                decls.append(decl_parser(None))
+                self.error(f"unterminated {what}", expected=("'}'",))
+            items.append(item())
         self.advance()
-        return decls
+        return items
+
+    def side_open(self) -> Optional[Side]:
+        """Consumes a side tag and its '{', if they come next."""
+        tag = side_tag(self.peek())
+        if tag is not None and self.peek(1).kind == PUNCT and self.peek(1).text == "{":
+            self.advance()
+            self.advance()
+            return Side(tag)
+        return None
 
     # events
 
@@ -230,7 +244,7 @@ class _Parser:
         name = self.expect_ident("condition name")
         self.expect_punct("=")
         self.expect_punct("{")
-        inner = self.inner_side()
+        inner = self.side_open()
         body = self.expr(0)
         if self.at_punct(";"):
             self.advance()
@@ -248,13 +262,8 @@ class _Parser:
         name = self.expect_ident("action name")
         self.expect_punct("=")
         self.expect_punct("{")
-        inner = self.inner_side()
-        stmts: List[Stmt] = []
-        while not self.at_punct("}"):
-            if self.peek().kind == EOF:
-                self.error("unterminated action body", expected=("'}'",))
-            stmts.append(self.stmt())
-        self.advance()
+        inner = self.side_open()
+        stmts = self.until_close("action body", self.stmt)
         if inner is not None:
             self.expect_punct("}")
         side = group or inner or Side.APPLICATION
@@ -267,14 +276,6 @@ class _Parser:
             span=name.span,
         )
 
-    def inner_side(self) -> Optional[Side]:
-        tag = side_tag(self.peek())
-        if tag is not None and self.peek(1).kind == PUNCT and self.peek(1).text == "{":
-            self.advance()
-            self.advance()
-            return Side(tag)
-        return None
-
     def stmt(self) -> Stmt:
         tok = self.peek()
         if tok.kind != IDENT:
@@ -286,24 +287,16 @@ class _Parser:
             self.expect_punct(")")
             self.expect_punct(";")
             return BlockStmt(span=tok.span)
-        if head == "append":
+        if head in ("append", "prune_older"):
             self.advance()
             self.expect_punct("(")
             ns, vname = self.state_ref()
             self.expect_punct(",")
-            value = self.expr(0)
+            operand = self.expr(0)
             self.expect_punct(")")
             self.expect_punct(";")
-            return AppendStmt(ns, vname, value, span=tok.span)
-        if head == "prune_older":
-            self.advance()
-            self.expect_punct("(")
-            ns, vname = self.state_ref()
-            self.expect_punct(",")
-            horizon = self.expr(0)
-            self.expect_punct(")")
-            self.expect_punct(";")
-            return PruneStmt(ns, vname, horizon, span=tok.span)
+            node = AppendStmt if head == "append" else PruneStmt
+            return node(ns, vname, operand, span=tok.span)
         if head == "set_attr":
             self.advance()
             self.expect_punct("(")
@@ -339,25 +332,18 @@ class _Parser:
         condition or action body, and `guard_operand` in a guard."""
         operand = operand or self.cmp_expr
         self.check_depth(depth)
-        node = self.and_expr(depth + 1, operand)
-        chain = 0
-        while self.at_punct("||"):
-            chain += 1
-            self.check_depth(depth + chain)
-            op = self.advance()
-            right = self.and_expr(depth + chain, operand)
-            node = Binary("||", node, right, span=op.span)
-        return node
+        return self.chain(depth, ("||",), lambda d: self.chain(d, ("&&",), operand))
 
-    def and_expr(self, depth: int, operand) -> Expr:
+    def chain(self, depth: int, ops: Tuple[str, ...], operand) -> Expr:
+        """A left-associative chain of `operand`s joined by `ops`; the n-th
+        operator counts n levels of nesting."""
         node = operand(depth + 1)
-        chain = 0
-        while self.at_punct("&&"):
-            chain += 1
-            self.check_depth(depth + chain)
+        n = 0
+        while self.peek().kind == PUNCT and self.peek().text in ops:
+            n += 1
+            self.check_depth(depth + n)
             op = self.advance()
-            right = operand(depth + chain)
-            node = Binary("&&", node, right, span=op.span)
+            node = Binary(op.text, node, operand(depth + n), span=op.span)
         return node
 
     def cmp_expr(self, depth: int) -> Expr:
@@ -370,26 +356,7 @@ class _Parser:
         return node
 
     def add_expr(self, depth: int) -> Expr:
-        node = self.mul_expr(depth + 1)
-        chain = 0
-        while self.peek().kind == PUNCT and self.peek().text in ("+", "-"):
-            chain += 1
-            self.check_depth(depth + chain)
-            op = self.advance()
-            right = self.mul_expr(depth + chain)
-            node = Binary(op.text, node, right, span=op.span)
-        return node
-
-    def mul_expr(self, depth: int) -> Expr:
-        node = self.unary_expr(depth + 1)
-        chain = 0
-        while self.peek().kind == PUNCT and self.peek().text in ("*", "/"):
-            chain += 1
-            self.check_depth(depth + chain)
-            op = self.advance()
-            right = self.unary_expr(depth + chain)
-            node = Binary(op.text, node, right, span=op.span)
-        return node
+        return self.chain(depth, ("+", "-"), lambda d: self.chain(d, ("*", "/"), self.unary_expr))
 
     def unary_expr(self, depth: int) -> Expr:
         self.check_depth(depth)
@@ -453,20 +420,6 @@ class _Parser:
             raise ParseError(tok.line, tok.col, "expression nested too deeply")
 
     # rules
-
-    def rules_block(self) -> List[RuleDecl]:
-        tok = self.peek()
-        if not (tok.kind == IDENT and tok.text.lower() == "rules"):
-            self.error(f"unexpected {_describe(tok)}", expected=("Rules",))
-        self.advance()
-        self.expect_punct("{")
-        rules: List[RuleDecl] = []
-        while not self.at_punct("}"):
-            if self.peek().kind == EOF:
-                self.error("unterminated block", expected=("'}'",))
-            rules.append(self.rule_decl())
-        self.advance()
-        return rules
 
     def rule_decl(self) -> RuleDecl:
         first = self.expect_ident("rule or event name")

@@ -12,13 +12,7 @@ from typing import Dict, List, Optional, Union
 from ..lang.check import TypeMismatch, UnboundVariable, type_check, check_stmt
 from ..lang.nodes import Assign, AppendStmt, BlockStmt, PruneStmt, VarRef, walk_exprs
 from ..lang.values import VType
-from .analysis import (
-    StateTypes,
-    action_uses,
-    condition_uses,
-    event_param_env,
-    infer_policy_state,
-)
+from .analysis import StateTypes, event_param_env, infer_policy_state, rule_uses
 from .ast import (
     ActionDecl,
     ConditionDecl,
@@ -45,15 +39,14 @@ def validate_policy(spec: PolicySpec):
                 _VE("SideViolation", f"inner {decl.inner_side} tag disagrees with enclosing {decl.group_side} group", decl.span)
             )
 
-    state_types, issues = infer_policy_state(spec)
+    cond_uses, act_uses = rule_uses(spec)
+    state_types, issues = infer_policy_state(spec, act_uses)
     errors.extend(_VE("TypeError", issue.message, issue.span) for issue in issues)
 
-    cond_uses = condition_uses(spec)
-    act_uses = action_uses(spec)
     for cond in spec.conditions:
-        _check_body(cond, cond_uses[cond.name], state_types, errors, is_condition=True)
+        _check_body(cond, cond_uses[cond.name], state_types, errors)
     for action in spec.actions:
-        _check_body(action, act_uses[action.name], state_types, errors, is_condition=False)
+        _check_body(action, act_uses[action.name], state_types, errors)
 
     _check_rules(spec, errors)
     if errors:
@@ -69,19 +62,14 @@ def _check_duplicates(spec: PolicySpec, errors: List[ValidationError]) -> None:
         ("event", spec.events),
         ("condition", spec.conditions),
         ("action", spec.actions),
+        ("rule", spec.rules),
     ):
         seen = set()
         for d in decls:
             if d.name in seen:
                 errors.append(_VE("DuplicateName", f"duplicate {category} name {d.name!r}", d.span))
-            seen.add(d.name)
-    seen = set()
-    for rule in spec.rules:
-        if rule.name is None:
-            continue
-        if rule.name in seen:
-            errors.append(_VE("DuplicateName", f"duplicate rule name {rule.name!r}", rule.span))
-        seen.add(rule.name)
+            elif d.name is not None:  # rules may be unnamed
+                seen.add(d.name)
 
 
 def _check_event(event: EventDecl, errors: List[ValidationError]) -> None:
@@ -182,27 +170,17 @@ def _check_body(
     triggers: List[Optional[EventDecl]],
     state_types: StateTypes,
     errors: List[ValidationError],
-    is_condition: bool,
 ) -> None:
     if _side_scan(decl, errors):
         return
-    use_list: List[Optional[EventDecl]] = []
-    seen = set()
-    for t in triggers:
-        if t is None or t.name in seen:
-            continue
-        seen.add(t.name)
-        use_list.append(t)
-    if not use_list:
-        use_list.append(None)
-    for trigger in use_list:
+    for trigger in triggers:
         env = event_param_env(trigger, decl.side)
         for key, vt in state_types.items():
             if key[0] in ("local", "global"):
                 env[key] = vt
         where = f" (triggered by {trigger.name})" if trigger is not None else ""
         try:
-            if is_condition:
+            if isinstance(decl, ConditionDecl):
                 t = type_check(decl.body, env)
                 if t is not VType.BOOL:
                     errors.append(

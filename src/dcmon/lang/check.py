@@ -70,8 +70,21 @@ BUILTINS: Dict[str, Tuple[Tuple[VType, ...], VType]] = {
     "contains": ((VType.STRING, VType.STRING), VType.BOOL),
 }
 
-_EQ_KINDS = (VType.BOOL, VType.INT, VType.STRING, VType.TIMESTAMP, VType.DURATION)
-_ORD_KINDS = (VType.INT, VType.TIMESTAMP, VType.DURATION)
+_SCALARS = (VType.BOOL, VType.INT, VType.STRING, VType.TIMESTAMP, VType.DURATION)
+_ORDERED = (VType.INT, VType.TIMESTAMP, VType.DURATION)
+
+# op -> (the kinds its left operand may have, their label); the right
+# operand must have the left one's kind, and the result is a bool
+_BOOL_OPS: Dict[str, Tuple[Tuple[VType, ...], str]] = {
+    "&&": ((VType.BOOL,), "bool"),
+    "||": ((VType.BOOL,), "bool"),
+    "==": (_SCALARS, "comparable value"),
+    "!=": (_SCALARS, "comparable value"),
+    "<": (_ORDERED, "ordered value"),
+    "<=": (_ORDERED, "ordered value"),
+    ">": (_ORDERED, "ordered value"),
+    ">=": (_ORDERED, "ordered value"),
+}
 
 # (op, left kind, right kind) -> result kind
 _ARITH: Dict[Tuple[str, VType, VType], VType] = {
@@ -107,21 +120,10 @@ def type_check(expr: Expr, env: TypeEnv) -> VType:
         lt = type_check(expr.left, env)
         rt = type_check(expr.right, env)
         op = expr.op
-        if op in ("&&", "||"):
-            if lt is not VType.BOOL:
-                raise TypeMismatch(expr.span, "bool", str(lt))
-            if rt is not VType.BOOL:
-                raise TypeMismatch(expr.span, "bool", str(rt))
-            return VType.BOOL
-        if op in ("==", "!="):
-            if lt not in _EQ_KINDS:
-                raise TypeMismatch(expr.span, "comparable value", str(lt))
-            if rt is not lt:
-                raise TypeMismatch(expr.span, str(lt), str(rt))
-            return VType.BOOL
-        if op in ("<", "<=", ">", ">="):
-            if lt not in _ORD_KINDS:
-                raise TypeMismatch(expr.span, "ordered value", str(lt))
+        if op in _BOOL_OPS:
+            kinds, label = _BOOL_OPS[op]
+            if lt not in kinds:
+                raise TypeMismatch(expr.span, label, str(lt))
             if rt is not lt:
                 raise TypeMismatch(expr.span, str(lt), str(rt))
             return VType.BOOL
@@ -144,9 +146,6 @@ def type_check(expr: Expr, env: TypeEnv) -> VType:
     raise AssertionError(f"unknown expression node {expr!r}")
 
 
-_ATTR_KINDS = (VType.BOOL, VType.INT, VType.STRING, VType.TIMESTAMP, VType.DURATION)
-
-
 def check_stmt(stmt: Stmt, env: TypeEnv) -> None:
     """Type a statement whose state variable kinds are already in env."""
     if isinstance(stmt, Assign):
@@ -156,23 +155,17 @@ def check_stmt(stmt: Stmt, env: TypeEnv) -> None:
         vt = type_check(stmt.value, env)
         if vt is not env[key]:
             raise TypeMismatch(stmt.span, str(env[key]), str(vt))
-    elif isinstance(stmt, AppendStmt):
+    elif isinstance(stmt, (AppendStmt, PruneStmt)):
         key = (stmt.ns, stmt.name)
         if env.get(key) is not VType.TS_LIST:
             raise TypeMismatch(stmt.span, "ts_list", str(env.get(key, "unassigned")))
-        vt = type_check(stmt.value, env)
-        if vt is not VType.TIMESTAMP:
-            raise TypeMismatch(stmt.span, "timestamp", str(vt))
-    elif isinstance(stmt, PruneStmt):
-        key = (stmt.ns, stmt.name)
-        if env.get(key) is not VType.TS_LIST:
-            raise TypeMismatch(stmt.span, "ts_list", str(env.get(key, "unassigned")))
-        vt = type_check(stmt.horizon, env)
-        if vt is not VType.DURATION:
-            raise TypeMismatch(stmt.span, "duration", str(vt))
+        operand, want = (stmt.value, VType.TIMESTAMP) if isinstance(stmt, AppendStmt) else (stmt.horizon, VType.DURATION)
+        vt = type_check(operand, env)
+        if vt is not want:
+            raise TypeMismatch(stmt.span, str(want), str(vt))
     elif isinstance(stmt, SetAttrStmt):
         vt = type_check(stmt.value, env)
-        if vt not in _ATTR_KINDS:
+        if vt not in _SCALARS:
             raise TypeMismatch(stmt.span, "scalar attribute value", str(vt))
     elif isinstance(stmt, BlockStmt):
         pass
@@ -223,9 +216,9 @@ def infer_state_types(
         elif isinstance(stmt, Assign):
             pending.append((stmt, envs if envs else [{}]))
 
-    def try_rhs(stmt: Assign, extra: TypeEnv) -> "VType | None":
+    def try_rhs(stmt: Assign, envs: List[TypeEnv], extra: TypeEnv) -> "VType | None":
         results = set()
-        for env in pending_envs[id(stmt)]:
+        for env in envs:
             merged = dict(env)
             merged.update(types)
             merged.update(extra)
@@ -237,8 +230,6 @@ def infer_state_types(
             return None
         return results.pop()
 
-    pending_envs = {id(s): envs for s, envs in pending}
-
     progress = True
     while progress and pending:
         progress = False
@@ -247,7 +238,7 @@ def infer_state_types(
             key = (stmt.ns, stmt.name)
             self_ref = key not in types and key in _state_refs(stmt.value)
             if self_ref:
-                fits = [c for c in _PROBE_ORDER if try_rhs(stmt, {key: c}) is c]
+                fits = [c for c in _PROBE_ORDER if try_rhs(stmt, envs, {key: c}) is c]
                 if len(fits) == 1:
                     bind(key, fits[0], stmt.span)
                     progress = True
@@ -259,7 +250,7 @@ def infer_state_types(
                     progress = True
                     continue
             else:
-                vt = try_rhs(stmt, {})
+                vt = try_rhs(stmt, envs, {})
                 if vt is not None:
                     bind(key, vt, stmt.span)
                     progress = True

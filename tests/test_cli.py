@@ -211,6 +211,27 @@ def test_report_prints_an_escaped_file_name_byte(tmp_path):
     assert b"tr\xff" in out
 
 
+def test_bench_with_an_unprintable_trace_name_exit_2(tmp_path):
+    # a trace file name holding the byte 0xff reaches argparse as "\udcff",
+    # which a strict UTF-8 stdout cannot print in the table
+    trace = tmp_path / "tr\udcff.jsonl"
+    write_trace(trace, sends_every(1000, 3))
+    report = tmp_path / "rep.json"
+    out = tmp_path / "stdout.txt"
+    src = str(Path(dcmon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["bench", "--policies", "MsgCntLmtHr", "--trace", str(trace), "--reps", "30", "--out", str(report)]
+    with out.open("wb") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dcmon", *argv], stdout=fh, stderr=subprocess.PIPE, env=env, text=True
+        )
+    assert proc.returncode == 2
+    assert out.read_bytes() == b""
+    assert proc.stderr.startswith("error: cannot print ") and proc.stderr.count("\n") == 1
+    assert json.loads(report.read_text(encoding="utf-8"))["rows"][0]["policy"] == "MsgCntLmtHr"
+
+
 def test_bench_unknown_policy(tmp_path):
     trace = tmp_path / "bench.jsonl"
     write_trace(trace, make_bench_trace(per_kind=2))

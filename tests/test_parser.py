@@ -160,6 +160,52 @@ def test_guard_nesting_capped(make_guard, limit):
     assert err.value.message == "expression nested too deeply"
 
 
+@pytest.mark.parametrize(
+    "make_body, limit",
+    [
+        (lambda n: " || ".join(["true"] * n), 196),
+        (lambda n: " && ".join(["true"] * n), 196),
+        (lambda n: " + ".join(["1"] * n), 196),
+        (lambda n: " * ".join(["1"] * n), 196),
+        (lambda n: "!" * n + "true", 194),
+        (lambda n: "(" * n + "true" + ")" * n, 27),
+        (lambda n: "hour_of_day(" * n + "now" + ")" * n, 27),
+    ],
+    ids=["or_chain", "and_chain", "add_chain", "mul_chain", "not", "parens", "calls"],
+)
+def test_body_nesting_capped(make_body, limit):
+    def cond_src(n):
+        return f"Events {{ }} Conditions {{ c = {{ {make_body(n)} }} }} Actions {{ }} Rules {{ }}"
+
+    parse_policy(cond_src(limit))
+    with pytest.raises(ParseError) as err:
+        parse_policy(cond_src(limit + 1))
+    assert err.value.message == "expression nested too deeply"
+
+
+_EVENT = "e() = { SmsManager *.sendTextMessage(...) }"
+_UP_TO_RULES = f"Events {{ {_EVENT} }}\nConditions {{ c = {{ true }} }}\nActions {{ a = {{ }} }}\n"
+
+
+@pytest.mark.parametrize(
+    "src, where, message, expected",
+    [
+        (f"Events {{\n  {_EVENT}\n", (3, 1), "unterminated block", ("'}'",)),
+        (_UP_TO_RULES + "Rules {\n  e() | c -> a;\n", (6, 1), "unterminated block", ("'}'",)),
+        (f"Events {{\n  ApplicationSide {{\n    {_EVENT}\n", (4, 1), "unterminated side group", ("'}'",)),
+        ("Events { }\nConditions { }\nActions {\n  a = { block();\n", (5, 1), "unterminated action body", ("'}'",)),
+        (_UP_TO_RULES + "Rules {\n  ApplicationSide { e() | c -> a; }\n}", (5, 19), "unexpected punct '{'", ("'('",)),
+    ],
+    ids=["events_block", "rules_block", "side_group", "action_body", "side_group_in_rules"],
+)
+def test_unterminated_and_misplaced_braces_reported(src, where, message, expected):
+    with pytest.raises(ParseError) as err:
+        parse_policy(src)
+    assert (err.value.line, err.value.col) == where
+    assert err.value.message == message
+    assert err.value.expected == expected
+
+
 def test_long_or_chain_capped_not_crashing():
     body = " || ".join(["true"] * 5000)
     src = f"Events {{ }} Conditions {{ c = {{ {body} }} }} Actions {{ }} Rules {{ }}"

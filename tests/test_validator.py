@@ -240,3 +240,14 @@ def test_validation_infers_kinds_once(monkeypatch):
     # compiling reuses the kinds that validation inferred
     assert isinstance(validate_policy(parse_policy(build_policy_source("MsgCntLmtHr"))), CompiledPolicy)
     assert len(calls) == 1
+
+
+def test_unknown_trigger_adds_no_errors_to_the_bodies_it_runs():
+    # the action types under e's parameters; only r2's trigger is wrong
+    src = wrap(
+        events="e() = { SmsManager *.sendTextMessage(string n, string text) }",
+        conditions="c = { true }",
+        actions="a = { local.x := n; }",
+        rules="r1 = e() | c -> a; r2 = bogus() | c -> a;",
+    )
+    assert [(e.code, e.message) for e in errors_of(src)] == [("UnresolvedName", "unknown event 'bogus' in r2")]
