@@ -201,8 +201,15 @@ class CentralMonitor:
         evaluated once until a rule's GlobalSide actions run. A rule that
         faults leaves no write behind."""
         cp = self.cp
-        rules = [cp.rule_by_id(rid) for rid in req.rule_ids]
-        expected = {cid for rule in rules if rule is not None for cid in rule.app_condition_ids}
+        batch = cp.requests.get(req.rule_ids)
+        if batch is not None:
+            rules, expected = batch.sent, batch.truth_keys
+        else:
+            # a batch's shorter tuple, after an app-side condition faulted,
+            # or one that names no batch: checked rule by rule
+            n = len(cp.rules)
+            rules = [cp.rules[rid] if 0 <= rid < n else None for rid in req.rule_ids]
+            expected = {cid for rule in rules if rule is not None for cid in rule.app_condition_ids}
         stale = expected != req.appside_truth.keys()
         # positional, as in LocalMonitor._run_batch: (side, now, app_id,
         # app_name, bindings, local, global_vars, attrs)

@@ -12,7 +12,11 @@ rules of a batch share one channel round trip per occurrence, and a batch
 without any sends nothing; a batch ends only where running its rules in
 two phases (every app-side condition first, every outcome afterwards)
 could change what a rule sees, and where two triggers bind an occurrence
-differently.
+differently. Each batch also lists what its full request carries: the
+ids of its sent rules' app-side conditions, the truth map's keys, and the
+event parameters they forward. The central monitor finds a request's rules
+and expected truth keys from the batch with those rule ids; a shorter or
+unknown tuple is checked rule by rule.
 
 `compile_policy` also compiles each condition body, guard and action body
 once, to a closure (see `lang/closures.py`): a condition body becomes
@@ -25,7 +29,7 @@ below.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .dsl.analysis import StateTypes
@@ -95,7 +99,7 @@ class Batch:
     evaluates all their app-side conditions, sends one request for their
     NeedsGlobal rules, then decides each rule in order."""
 
-    __slots__ = ("rules", "sent", "rule_ids")
+    __slots__ = ("rules", "sent", "rule_ids", "truth_ids", "truth_keys", "forwarded")
 
     def __init__(self, rules: Sequence[CompiledRule]):
         self.rules = tuple(rules)
@@ -104,6 +108,11 @@ class Batch:
         # LocalOnly rules, which sends nothing
         self.sent = tuple(r for r in self.rules if r.locality is Locality.NEEDS_GLOBAL)
         self.rule_ids = tuple(r.rule_id for r in self.sent)
+        # the request's truth-map keys and forwarded parameter names, each
+        # once, in the order the sent rules name them
+        self.truth_ids = tuple(dict.fromkeys(cid for r in self.sent for cid in r.app_condition_ids))
+        self.truth_keys = frozenset(self.truth_ids)
+        self.forwarded = tuple(dict.fromkeys(p for r in self.sent for p in r.forwarded_params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,11 +129,13 @@ class CompiledPolicy:
     # phase's rules in order
     dispatch: Dict[Tuple[str, str], Tuple[Tuple[Batch, ...], Tuple[Batch, ...]]]
     state_types: StateTypes
+    # each batch that sends a request, by its full rule ids; derived from
+    # `dispatch`, so that `dataclasses.replace` rebuilds it with the plans
+    requests: Dict[Tuple[int, ...], Batch] = field(init=False, repr=False)
 
-    def rule_by_id(self, rule_id: int) -> Optional[CompiledRule]:
-        if 0 <= rule_id < len(self.rules):
-            return self.rules[rule_id]
-        return None
+    def __post_init__(self) -> None:
+        requests = {b.rule_ids: b for plans in self.dispatch.values() for plan in plans for b in plan if b.sent}
+        object.__setattr__(self, "requests", requests)
 
 
 def compile_policy(spec: PolicySpec, state_types: StateTypes) -> CompiledPolicy:

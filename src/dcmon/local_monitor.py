@@ -142,15 +142,14 @@ class LocalMonitor:
         # One round trip for the batch's NeedsGlobal rules whose conditions
         # did not fault; a batch of LocalOnly rules sends none.
         reply = None
-        sent, rule_ids = batch.sent, batch.rule_ids
+        request = batch
         if faulted is not None:
-            sent = tuple(r for r in sent if r.rule_id not in faulted)
-            rule_ids = tuple(r.rule_id for r in sent)
-        if sent:
-            truth = {cid: values[cid] for rule in sent for cid in rule.app_condition_ids}
-            forwarded = {p: bindings[p] for rule in sent for p in rule.forwarded_params if p in bindings}
+            request = Batch([r for r in batch.sent if r.rule_id not in faulted])
+        if request.sent:
+            truth = {cid: values[cid] for cid in request.truth_ids}
+            forwarded = {p: bindings[p] for p in request.forwarded if p in bindings}
             try:
-                reply = self.channel.request(self.app_id, rule_ids, occ.t, truth, forwarded)
+                reply = self.channel.request(self.app_id, request.rule_ids, occ.t, truth, forwarded)
             except ChannelError:
                 pass
 

@@ -7,6 +7,7 @@ must give the same verdicts, snapshot and faults, and each run's channel
 log must rebuild its snapshot.
 """
 
+import dataclasses
 import re
 
 import hypothesis.strategies as st
@@ -14,7 +15,15 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 from dcmon import local_monitor
-from dcmon.central_monitor import APP_TO_CENTRAL, CENTRAL_TO_APP, GlobalState, replay_requests, snapshot
+from dcmon.central_monitor import (
+    APP_TO_CENTRAL,
+    CENTRAL_TO_APP,
+    CentralMonitor,
+    Channel,
+    GlobalState,
+    replay_requests,
+    snapshot,
+)
 from dcmon.corpus import CORPUS_IDS, compile_corpus_policy
 from dcmon.dsl import Phase, parse_policy, validate_policy
 from dcmon.engine import Batch, CompiledPolicy
@@ -93,6 +102,45 @@ def test_every_key_has_a_plan():
     # WiFiLmt is LocalOnly: its batches name no rule, so they send nothing
     batches = [b for plan in phase_plans(compile_corpus_policy("WiFiLmt")).values() for b in plan]
     assert batches and all(b.rule_ids == () for b in batches)
+
+
+# each batch's request, fixed at compile time
+
+def assert_request_facts(cp: CompiledPolicy) -> None:
+    """Each batch's truth ids, truth keys and forwarded names are what a
+    loop over its sent rules builds, and the policy's table maps the full
+    rule ids of each batch that sends a request, and nothing else, to it."""
+    batches = [b for plans in cp.dispatch.values() for plan in plans for b in plan]
+    for b in batches:
+        assert b.truth_ids == tuple({cid: None for rule in b.sent for cid in rule.app_condition_ids})
+        assert b.truth_keys == set(b.truth_ids)
+        assert b.forwarded == tuple({p: None for rule in b.sent for p in rule.forwarded_params})
+        if b.sent:
+            assert cp.requests[b.rule_ids] is b
+    assert len(cp.requests) == sum(1 for b in batches if b.sent)
+
+
+@pytest.mark.parametrize("pid", CORPUS_IDS)
+def test_request_facts_match_the_sent_rules(pid):
+    cp = compile_corpus_policy(pid)
+    for policy in (cp, one_rule_batches(cp), single_batch(cp)):
+        assert_request_facts(policy)
+
+
+def test_a_rebuilt_policy_answers_with_its_own_batches(msg_quota_policy):
+    # rule 0 blocks a send once the quota is reached; the rebuilt policy's
+    # copy of it holds always, and its central monitor must use that copy
+    cp = msg_quota_policy
+    rules = tuple(dataclasses.replace(r, guard=lambda truth: True) if r.rule_id == 0 else r for r in cp.rules)
+    rebuilt = replan(
+        dataclasses.replace(cp, rules=rules),
+        lambda plan: tuple(Batch([rules[r.rule_id] for r in b.rules]) for b in plan),
+    )
+    for policy, guard in ((cp, False), (rebuilt, True)):
+        reply = Channel(CentralMonitor(policy, GlobalState())).request("Messenger", (0,), 0, {}, {})
+        assert reply.guard_results == (guard,)
+    assert run([send(0)], cp).decisions() == ["Allowed"]
+    assert run([send(0)], rebuilt).decisions() == ["Blocked"]
 
 
 # a write that a later condition reads cuts the batch
@@ -499,3 +547,11 @@ def test_random_policy_plan_matches_one_rule_batches(rule_list, seed):
     check_policy_against_catalog(cp)
     trace = make_trace(seed, max_apps=2, max_events=80)
     assert_same_as_one_rule_batches(cp, trace)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(rule_lists())
+def test_random_policy_request_facts_match_the_sent_rules(rule_list):
+    cp = validate_policy(parse_policy(policy_source(rule_list)))
+    assume(isinstance(cp, CompiledPolicy))
+    assert_request_facts(cp)

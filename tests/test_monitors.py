@@ -148,6 +148,18 @@ def test_unknown_rule_fault(quota_setup):
     assert reply.appside_actions_to_run == ((),)
 
 
+@pytest.mark.parametrize("where", ["negative", "past_the_end"])
+def test_out_of_range_rule_id_is_unknown(quota_setup, where):
+    cp, gs, _, channel, _ = quota_setup
+    rule_id = -1 if where == "negative" else len(cp.rules)
+    before = snapshot(gs)
+    reply = channel.request("Messenger", (rule_id,), 0, {}, {})
+    assert reply.faults == ("UnknownRule",)
+    assert reply.guard_results == (False,)
+    assert reply.appside_actions_to_run == ((),)
+    assert snapshot(gs) == before
+
+
 def test_stale_truth_map_fault(quota_setup):
     _, _, _, channel, _ = quota_setup
     reply = channel.request("Messenger", (1,), 0, {}, {})  # missing `successful`
@@ -366,6 +378,42 @@ def test_repeated_rule_ids_answer_like_a_fresh_monitor(msg_quota_policy):
         ((False, True), ("UnknownRule", None)),
         ((False, False), ("UnknownRule", None)),
     ]
+
+
+def test_full_batch_tuples_answer_like_a_fresh_monitor(msg_quota_policy):
+    # each request names one batch's full tuple, which the central monitor
+    # reads from the policy's table: sent stale, fresh, stale again, and
+    # with an extra truth value; nothing may carry over between requests
+    cp = msg_quota_policy
+    successful_id = next(i for i, c in enumerate(cp.conditions) if c.name == "successful")
+    quota_id = next(i for i, c in enumerate(cp.conditions) if c.name == "maximumQuotaReached")
+    assert sorted(cp.requests) == [(0,), (1,)]
+    gs = GlobalState()
+    gs.vars.set("msgCount", VType.INT, 498)
+    channel = Channel(CentralMonitor(cp, gs))
+    fresh_truth = {successful_id: True}
+    extra_truth = {successful_id: True, quota_id: False}
+    sends = [((1,), {}), ((1,), fresh_truth), ((1,), {}), ((1,), extra_truth), ((0,), {}), ((0,), fresh_truth)]
+    replies = []
+    for seq, (rule_ids, truth) in enumerate(sends):
+        before = snapshot(gs)
+        fresh_gs = gs.copy()
+        want = CentralMonitor(cp, fresh_gs).handle_request(MonitorRequest(seq, "Messenger", rule_ids, 0, truth, {}))
+        got = channel.request("Messenger", rule_ids, 0, truth, {})
+        assert got == want
+        assert snapshot(gs) == snapshot(fresh_gs)
+        if got.faults == ("StaleTruthMap",):
+            assert snapshot(gs) == before
+        replies.append((got.guard_results, got.faults))
+    assert replies == [
+        ((False,), ("StaleTruthMap",)),
+        ((True,), (None,)),
+        ((False,), ("StaleTruthMap",)),
+        ((False,), ("StaleTruthMap",)),
+        ((False,), (None,)),
+        ((False,), ("StaleTruthMap",)),
+    ]
+    assert gs.vars.get("msgCount", VType.INT) == 499
 
 
 def test_replay_requests_reproduces_snapshot(quota_setup):
