@@ -16,7 +16,9 @@ The report has, per workload and metric, the values of both sides in pair
 order, their inclusive quartiles, the pairs the working tree won and lost
 (by the metric's direction in ``BENCHMARK.json``) and the change of the
 medians in %. Untraced runs go under ``final``, ``--trace 1`` runs under
-``traced``; any other key of an existing ``--out`` file is kept.
+``traced``; any other key of an existing ``--out`` file is kept. Once the
+report is written, one line per workload and end-to-end metric goes to
+stdout: both medians, their change in % and the pairs won and lost.
 """
 
 import argparse
@@ -64,9 +66,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
 
 
 def benchmark_spec() -> tuple:
-    """The run length and each metric's direction, from BENCHMARK.json."""
+    """The run length, each metric's direction and the names of the
+    end-to-end metrics, from BENCHMARK.json."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return spec["run_seconds"], {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return spec["run_seconds"], better, [m["name"] for m in spec["end_to_end"]]
 
 
 def summarize(parent: list, change: list, better: str) -> dict:
@@ -89,6 +93,21 @@ def summarize(parent: list, change: list, better: str) -> dict:
     }
 
 
+def summary_lines(workloads: dict, metrics: list) -> list:
+    """One line per workload and metric: the medians of both sides, their
+    change and the pairs the change won and lost."""
+    lines = []
+    for workload, summaries in workloads.items():
+        for name in metrics:
+            s = summaries.get(name)
+            if s is None:
+                continue
+            lines.append(f"{workload} {name}: parent {s['parent_q1_median_q3'][1]:g}, "
+                         f"change {s['change_q1_median_q3'][1]:g} ({s['median_change_pct']:+.1f}%), "
+                         f"won {s['change_better']}, lost {s['change_worse']} of {len(s['parent'])} pairs")
+    return lines
+
+
 def parse_seeds(text: str) -> list:
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
@@ -103,7 +122,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
-    seconds, better = benchmark_spec()
+    seconds, better, end_to_end = benchmark_spec()
 
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
@@ -145,6 +164,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
     }
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print("\n".join(summary_lines(workloads, end_to_end)))
     return 0 if all_correct else 1
 
 

@@ -31,6 +31,12 @@ class ApiCatalogEntry:
     def call(self) -> str:
         return f"{self.namespace}.{self.method}"
 
+    @property
+    def arg_types(self) -> Tuple[Optional[type], ...]:
+        """The Python type of a plain argument of each parameter. Arguments
+        of exactly these types match; others are checked by `arg_matches`."""
+        return tuple(_PY_KINDS.get(vt) for vt in self.param_types)
+
 
 CATALOG: Dict[Tuple[str, str], ApiCatalogEntry] = {
     entry.key: entry

@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .catalog import CATALOG, DeviceState, arg_matches, execute_effect
+from .catalog import CATALOG, ApiCatalogEntry, DeviceState, arg_matches, execute_effect
 from .central_monitor import (
     Channel,
     ChannelLogEntry,
@@ -30,7 +30,7 @@ from .central_monitor import (
 )
 from .config import SimConfig
 from .dsl.ast import Phase
-from .engine import CompiledPolicy
+from .engine import Batch, CompiledPolicy
 from .lang.state import VarStore
 from .lang.values import INT64_MAX, Value
 from .local_monitor import EventOccurrence, LocalMonitor
@@ -75,7 +75,7 @@ class TraceEvent:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class VerdictEntry:
     t: int
     app: str
@@ -181,22 +181,55 @@ def check_policy_against_catalog(cp: CompiledPolicy) -> None:
                 )
 
 
-def _check_trace_against_catalog(trace: List[TraceEvent]) -> None:
+class _Call(NamedTuple):
+    """What the trace check resolves once per run for every event of one
+    API: its catalog entry, its call string (which every verdict of the API
+    shares), its batch plans and the plain Python types of its arguments."""
+
+    entry: ApiCatalogEntry
+    call: str
+    before_plan: Tuple[Batch, ...]
+    after_plan: Tuple[Batch, ...]
+    arg_types: Tuple[Optional[type], ...]
+
+
+def _check_trace_against_catalog(
+    trace: List[TraceEvent], dispatch: Dict[Tuple[str, str], Tuple[Tuple[Batch, ...], Tuple[Batch, ...]]]
+) -> List[_Call]:
+    """Check that the trace is sorted and that each event calls a catalog
+    entry with arguments of its parameter types; return the resolved call
+    of each event, in trace order.
+
+    Events of one API share one resolved call, built at its first event.
+    An event whose arguments have exactly the plain Python types of the
+    parameters passes at once; any other goes through `arg_matches`."""
+    table: Dict[Tuple[str, str], _Call] = {}
+    calls: List[_Call] = []
+    last_t = None
     for idx, ev in enumerate(trace):
-        if idx and ev.t < trace[idx - 1].t:
+        if idx and ev.t < last_t:
             raise UnsortedTrace(idx + 1)
-        entry = CATALOG.get((ev.namespace, ev.method))
-        if entry is None:
-            raise CatalogMismatch(f"trace event {idx} calls unknown API {ev.call}")
-        if len(ev.args) != len(entry.param_types):
-            raise CatalogMismatch(
-                f"trace event {idx}: {ev.call} takes {len(entry.param_types)} arguments, got {len(ev.args)}"
-            )
-        for pos, (vt, value) in enumerate(zip(entry.param_types, ev.args)):
-            if not arg_matches(vt, value):
+        last_t = ev.t
+        key = (ev.namespace, ev.method)
+        call = table.get(key)
+        if call is None:
+            entry = CATALOG.get(key)
+            if entry is None:
+                raise CatalogMismatch(f"trace event {idx} calls unknown API {ev.call}")
+            call = table[key] = _Call(entry, entry.call, *dispatch.get(key, ((), ())), entry.arg_types)
+        if tuple(map(type, ev.args)) != call.arg_types:
+            param_types = call.entry.param_types
+            if len(ev.args) != len(param_types):
                 raise CatalogMismatch(
-                    f"trace event {idx}: argument {pos} of {ev.call} must be {vt}, got {value!r}"
+                    f"trace event {idx}: {ev.call} takes {len(param_types)} arguments, got {len(ev.args)}"
                 )
+            for pos, (vt, value) in enumerate(zip(param_types, ev.args)):
+                if not arg_matches(vt, value):
+                    raise CatalogMismatch(
+                        f"trace event {idx}: argument {pos} of {ev.call} must be {vt}, got {value!r}"
+                    )
+        calls.append(call)
+    return calls
 
 
 @dataclass
@@ -246,9 +279,13 @@ def run(
     """Monitored replay. Deterministic for a given trace, policy and
     execution order; latencies are reported as 0 unless measurement is on,
     keeping output files byte-stable across runs. `config` is not read:
-    it shapes a policy only when the corpus compiles it."""
+    it shapes a policy only when the corpus compiles it.
+
+    The trace check resolves each API's catalog entry and batch plans once
+    per run, so the loop reads an event's call from one list; a call that
+    no rule intercepts then costs that read and the catalog effect."""
     check_policy_against_catalog(cp)
-    _check_trace_against_catalog(trace)
+    calls = _check_trace_against_catalog(trace, cp.dispatch)
 
     device = DeviceState()
     gs = GlobalState(vars=VarStore(), attrs=device.attrs)
@@ -266,16 +303,14 @@ def run(
     # the execution order is a checked permutation, so it fills every slot
     verdicts: List[Optional[VerdictEntry]] = [None] * len(trace)
     faults: List[Tuple[int, str]] = []
-    dispatch = cp.dispatch
     order = _execution_order(trace, concurrent_same_t, arrival_order)
     for idx in order:
         ev = trace[idx]
-        entry = CATALOG[(ev.namespace, ev.method)]
-        monitor = monitors[ev.app]
-        t0 = time.perf_counter_ns() if measure_latency else 0
         # A phase without rules proceeds with no fault and no write, so it
         # builds no occurrence and is not intercepted.
-        before_plan, after_plan = dispatch.get((ev.namespace, ev.method), ((), ()))
+        entry, call, before_plan, after_plan, _ = calls[idx]
+        monitor = monitors[ev.app]
+        t0 = time.perf_counter_ns() if measure_latency else 0
         event_faults = ()
         decision, reason = ALLOWED, NO_RULE
         if before_plan:
@@ -290,7 +325,7 @@ def run(
                 after = monitor.intercept(EventOccurrence(ev.namespace, ev.method, Phase.AFTER, ev.args, ret, ev.t))
                 event_faults += after.faults
         latency = time.perf_counter_ns() - t0 if measure_latency else 0
-        verdicts[idx] = VerdictEntry(ev.t, ev.app, ev.call, decision, reason, latency)
+        verdicts[idx] = VerdictEntry(ev.t, ev.app, call, decision, reason, latency)
         if event_faults:
             faults.extend((idx, f) for f in event_faults)
 
@@ -335,6 +370,9 @@ def _execution_order(
         for idx, ev in enumerate(trace):
             first.setdefault((ev.t, ev.app), idx)
         return sorted(range(len(trace)), key=lambda idx: first[trace[idx].t, trace[idx].app])
+    # a float or a bool compares equal to an index but is not one
+    if any(type(idx) is not int for idx in arrival_order):
+        raise ValueError("arrival_order entries must be ints")
     if sorted(arrival_order) != list(range(len(trace))):
         raise ValueError("arrival_order must be a permutation of trace indices")
     last_t = 0
@@ -357,15 +395,14 @@ def run_unmonitored(
     measure_latency: bool = False,
 ) -> RunResult:
     """Baseline replay with monitoring disabled: every call proceeds."""
-    _check_trace_against_catalog(trace)
+    calls = _check_trace_against_catalog(trace, {})
     device = DeviceState()
     verdicts: List[VerdictEntry] = []
-    for ev in trace:
-        entry = CATALOG[(ev.namespace, ev.method)]
+    for ev, resolved in zip(trace, calls):
         t0 = time.perf_counter_ns() if measure_latency else 0
-        execute_effect(entry, ev.args, device)
+        execute_effect(resolved.entry, ev.args, device)
         latency = time.perf_counter_ns() - t0 if measure_latency else 0
-        verdicts.append(VerdictEntry(ev.t, ev.app, ev.call, ALLOWED, NO_RULE, latency))
+        verdicts.append(VerdictEntry(ev.t, ev.app, resolved.call, ALLOWED, NO_RULE, latency))
     gs = GlobalState(vars=VarStore(), attrs=device.attrs)
     return RunResult(
         verdicts=verdicts,

@@ -37,3 +37,14 @@ def test_summarize_quartiles():
     assert one["change_q1_median_q3"] == [2.25, 2.25, 2.25]
     five = bench_pairs.summarize([1.0, 2.0, 3.0, 4.0, 5.0], [1.0] * 5, "lower")
     assert five["parent_q1_median_q3"] == [2.0, 3.0, 4.0]
+
+
+def test_summary_lines_name_medians_and_pairs():
+    workloads = {
+        "local_sparse": {
+            "replay_us_per_event": bench_pairs.summarize([2.8, 2.9, 3.0], [2.0, 3.1, 2.1], "lower"),
+            "gc.collections": bench_pairs.summarize([1.0], [1.0], "lower"),
+        }
+    }
+    lines = bench_pairs.summary_lines(workloads, ["replay_us_per_event", "peak_rss_mib"])
+    assert lines == ["local_sparse replay_us_per_event: parent 2.9, change 2.1 (-27.6%), won 2, lost 1 of 3 pairs"]

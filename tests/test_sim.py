@@ -161,6 +161,119 @@ def test_bad_arg_type_in_trace():
         run([TraceEvent(0, "A", "SmsManager", "sendTextMessage", (1, 2))], cp)
 
 
+def _camera(t: int, *args) -> TraceEvent:
+    return TraceEvent(t, "A", "Camera", "takePicture", args)
+
+
+def _sms(t: int, *args) -> TraceEvent:
+    return TraceEvent(t, "Messenger", "SmsManager", "sendTextMessage", args)
+
+
+@pytest.mark.parametrize(
+    "trace, error, message",
+    [
+        ([send(10), send(0)], UnsortedTrace, "line 2: timestamps must be nondecreasing"),
+        ([send(0), _camera(1)], CatalogMismatch, "trace event 1 calls unknown API Camera.takePicture"),
+        (
+            [TraceEvent(0, "A", "WifiManager", "setWifiEnabled", ())],
+            CatalogMismatch,
+            "trace event 0: WifiManager.setWifiEnabled takes 1 arguments, got 0",
+        ),
+        (
+            [TraceEvent(0, "A", "TelephonyManager", "endCall", ("x",))],
+            CatalogMismatch,
+            "trace event 0: TelephonyManager.endCall takes 0 arguments, got 1",
+        ),
+        (
+            [_sms(0, 1, 2)],
+            CatalogMismatch,
+            "trace event 0: argument 0 of SmsManager.sendTextMessage must be string, got 1",
+        ),
+        (
+            [dial(0, True)],
+            CatalogMismatch,
+            "trace event 0: argument 0 of TelephonyManager.dialCall must be string, got True",
+        ),
+        (
+            [wifi(0, 1)],
+            CatalogMismatch,
+            "trace event 0: argument 0 of WifiManager.setWifiEnabled must be bool, got 1",
+        ),
+        # a call that passed once is checked again at its next event
+        (
+            [send(0), _sms(1, "21234567", None)],
+            CatalogMismatch,
+            "trace event 1: argument 1 of SmsManager.sendTextMessage must be string, got None",
+        ),
+        # several defects: the first failing event is reported ...
+        (
+            [send(0), wifi(5, "yes"), _camera(6), send(1)],
+            CatalogMismatch,
+            "trace event 1: argument 0 of WifiManager.setWifiEnabled must be bool, got 'yes'",
+        ),
+        (
+            [send(0), _camera(1, 1), send(0), _sms(2, 3)],
+            CatalogMismatch,
+            "trace event 1 calls unknown API Camera.takePicture",
+        ),
+        # ... and within one event, timestamp order before the API and the
+        # arity, the arity before the argument types
+        ([send(0), send(10), _camera(5)], UnsortedTrace, "line 3: timestamps must be nondecreasing"),
+        ([send(10), _sms(5, 1)], UnsortedTrace, "line 2: timestamps must be nondecreasing"),
+        (
+            [send(0), _sms(1, 1), wifi(2, "no")],
+            CatalogMismatch,
+            "trace event 1: SmsManager.sendTextMessage takes 2 arguments, got 1",
+        ),
+    ],
+    ids=[
+        "unsorted",
+        "unknown-api",
+        "too-few-args",
+        "too-many-args",
+        "int-for-string",
+        "bool-for-string",
+        "int-for-bool",
+        "second-arg-of-a-seen-call",
+        "first-of-arg-api-defects",
+        "first-of-api-order-arity-defects",
+        "order-before-api",
+        "order-before-arity",
+        "arity-before-argument",
+    ],
+)
+@pytest.mark.parametrize("monitored", [True, False], ids=["run", "run_unmonitored"])
+def test_trace_rejection_names_the_first_defect(trace, error, message, monitored):
+    with pytest.raises(Exception) as err:
+        if monitored:
+            run(trace, compile_corpus_policy("MsgCntLmt"))
+        else:
+            run_unmonitored(trace)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "args_of",
+    [list, lambda args: tuple(_Text(a) if type(a) is str else a for a in args)],
+    ids=["list-args", "str-subclass-args"],
+)
+def test_args_of_other_types_replay_like_plain_ones(args_of):
+    trace = make_trace(5, max_events=300)
+    other = [dataclasses.replace(ev, args=args_of(ev.args)) for ev in trace]
+    assert run_unmonitored(other).verdict_lines() == run_unmonitored(trace).verdict_lines()
+    for pid in CORPUS_IDS:
+        cp = compile_corpus_policy(pid)
+        want, got = run(trace, cp), run(other, cp)
+        assert got.verdict_lines() == want.verdict_lines(), pid
+        assert got.snapshot == want.snapshot, pid
+        assert got.channel_lines() == want.channel_lines(), pid
+
+
 def test_policy_pattern_type_mismatch_detected():
     src = """
     Events { ApplicationSide { e() = { WifiManager *.setWifiEnabled(string enabled) } } }
@@ -323,8 +436,10 @@ def test_concurrent_schedule_runs_app_by_app(trace, expected):
         (sends_every(MS_PER_SECOND, 50), list(reversed(range(50))), False),
         (sends_every(0, 4, apps=["A", "B"]), [2, 1, 0, 3], False),
         (sends_every(0, 4, apps=["A", "B"]), [1, 0, 2, 3], True),
+        (sends_every(0, 2, apps=["A", "B"]), [0.0, 1.0], False),
+        (sends_every(0, 2, apps=["A", "B"]), [False, True], False),
     ],
-    ids=["clock-runs-backwards", "same-app-swapped", "other-apps-swapped"],
+    ids=["clock-runs-backwards", "same-app-swapped", "other-apps-swapped", "float-indices", "bool-indices"],
 )
 def test_arrival_order_keeps_time_and_app_order(trace, order, accepted):
     cp = compile_corpus_policy("MsgCntLmtHr")
