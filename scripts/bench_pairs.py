@@ -18,7 +18,10 @@ order, their inclusive quartiles, the pairs the working tree won and lost
 medians in %. Untraced runs go under ``final``, ``--trace 1`` runs under
 ``traced``; any other key of an existing ``--out`` file is kept. Once the
 report is written, one line per workload and end-to-end metric goes to
-stdout: both medians, their change in % and the pairs won and lost.
+stdout: both medians, the parent's interquartile range, the change of the
+medians in %, the pairs won and lost, and whether the change's median is
+worse than the parent's by more than the metric's ``bound`` in
+``BENCHMARK.json``.
 """
 
 import argparse
@@ -66,11 +69,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
 
 
 def benchmark_spec() -> tuple:
-    """The run length, each metric's direction and the names of the
-    end-to-end metrics, from BENCHMARK.json."""
+    """The run length, each metric's direction and the bound of each
+    end-to-end metric, in order, from BENCHMARK.json."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-    return spec["run_seconds"], better, [m["name"] for m in spec["end_to_end"]]
+    return spec["run_seconds"], better, {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
 def summarize(parent: list, change: list, better: str) -> dict:
@@ -93,18 +96,26 @@ def summarize(parent: list, change: list, better: str) -> dict:
     }
 
 
-def summary_lines(workloads: dict, metrics: list) -> list:
-    """One line per workload and metric: the medians of both sides, their
-    change and the pairs the change won and lost."""
+def summary_lines(workloads: dict, bounds: dict, better: dict) -> list:
+    """One line per workload and metric of `bounds`: the medians of both
+    sides, the parent's interquartile range, the change of the medians, the
+    pairs the change won and lost, and whether the change's median is worse
+    than the parent's by more than the metric's bound, a fraction of the
+    parent's median."""
     lines = []
     for workload, summaries in workloads.items():
-        for name in metrics:
+        for name, bound in bounds.items():
             s = summaries.get(name)
             if s is None:
                 continue
-            lines.append(f"{workload} {name}: parent {s['parent_q1_median_q3'][1]:g}, "
-                         f"change {s['change_q1_median_q3'][1]:g} ({s['median_change_pct']:+.1f}%), "
-                         f"won {s['change_better']}, lost {s['change_worse']} of {len(s['parent'])} pairs")
+            q1, parent, q3 = s["parent_q1_median_q3"]
+            change = s["change_q1_median_q3"][1]
+            sign = 1 if better.get(name, "lower") == "lower" else -1
+            verdict = "worse by more than" if sign * (change - parent) > bound * abs(parent) else "within"
+            lines.append(f"{workload} {name}: parent {parent:g} (IQR {round(q3 - q1, 6):g}), "
+                         f"change {change:g} ({s['median_change_pct']:+.1f}%), "
+                         f"won {s['change_better']}, lost {s['change_worse']} of {len(s['parent'])} pairs; "
+                         f"{verdict} its {bound:.0%} bound")
     return lines
 
 
@@ -122,7 +133,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
-    seconds, better, end_to_end = benchmark_spec()
+    seconds, better, bounds = benchmark_spec()
 
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
@@ -164,7 +175,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
     }
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    print("\n".join(summary_lines(workloads, end_to_end)))
+    print("\n".join(summary_lines(workloads, bounds, better)))
     return 0 if all_correct else 1
 
 

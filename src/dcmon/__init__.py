@@ -3,7 +3,7 @@
 from .dsl import ParseError, parse_policy, pretty_print, validate_policy
 from .engine import CompiledPolicy, Locality, compile_policy, evaluate_guard, rules_for
 from .config import SimConfig, load_config
-from .sim import load_trace, run, run_unmonitored, usage_sessions
+from .sim import load_trace, run, run_unmonitored
 
 __version__ = "0.1.0"
 
@@ -21,6 +21,5 @@ __all__ = [
     "rules_for",
     "run",
     "run_unmonitored",
-    "usage_sessions",
     "validate_policy",
 ]

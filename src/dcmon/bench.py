@@ -24,6 +24,9 @@ from .engine import CompiledPolicy, Locality
 from .sim import RunResult, TraceEvent, run, run_unmonitored
 
 
+MIN_REPETITIONS = 30
+
+
 class BenchError(Exception):
     pass
 
@@ -96,8 +99,8 @@ def run_bench(
     repetitions: int = 30,
     trace_label: str = "trace",
 ) -> BenchReport:
-    if repetitions < 30:
-        raise BenchError("repetitions must be at least 30")
+    if repetitions < MIN_REPETITIONS:
+        raise BenchError(f"repetitions must be at least {MIN_REPETITIONS}")
     for pid in policy_ids:
         if pid not in CORPUS_IDS:
             raise UnknownPolicyId(pid)

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .bench import BenchError, render_table, run_bench
+from .bench import MIN_REPETITIONS, BenchError, render_table, run_bench
 from .config import DEFAULT_CONFIG, ConfigError, SimConfig, load_config
 from .corpus import CORPUS_IDS, UnknownPolicyId
 from .dsl import ParseError, parse_policy, validate_policy
@@ -128,6 +128,12 @@ def cmd_bench(args) -> int:
         policy_ids: List[str] = list(CORPUS_IDS)
     else:
         policy_ids = [p.strip() for p in args.policies.split(",") if p.strip()]
+    if not policy_ids:
+        print("error: --policies names no policy", file=sys.stderr)
+        return EXIT_IO
+    if args.reps < MIN_REPETITIONS:
+        print(f"error: --reps must be at least {MIN_REPETITIONS}", file=sys.stderr)
+        return EXIT_IO
     config = _read_config(args.config)
     if config is None:
         return EXIT_IO

@@ -48,10 +48,6 @@ class CallPattern:
     params: Optional[Tuple[Param, ...]]
     span: Span = field(default=(0, 0), compare=False)
 
-    @property
-    def arg_arity(self) -> Optional[int]:
-        return None if self.params is None else len(self.params)
-
 
 @dataclass(frozen=True)
 class EventDecl:

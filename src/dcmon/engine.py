@@ -12,7 +12,9 @@ rules of a batch share one channel round trip per occurrence, and a batch
 without any sends nothing; a batch ends only where running its rules in
 two phases (every app-side condition first, every outcome afterwards)
 could change what a rule sees, and where two triggers bind an occurrence
-differently. Each batch also lists what its full request carries: the
+differently. Each rule carries what its trigger binds, so the local monitor
+binds a batch's occurrence from its first rule, with no event declaration
+at hand. Each batch also lists what its full request carries: the
 ids of its sent rules' app-side conditions, the truth map's keys, and the
 event parameters they forward. The central monitor finds a request's rules
 and expected truth keys from the batch with those rule ids; a shorter or
@@ -73,11 +75,17 @@ def exec_stmts(code: Code, ctx: EvalContext) -> bool:
     return code(ctx)
 
 
+Binding = Tuple[Optional[Tuple[str, ...]], Optional[str]]
+
+
 @dataclass(frozen=True)
 class CompiledRule:
     rule_id: int
     name: str
     trigger_id: int
+    # what the trigger binds: its positional parameter names (None for
+    # `(...)`) and its uponReturning name
+    binding: Binding
     # code(truth) -> bool over the truth values of the rule's conditions
     guard: Code
     locality: Locality
@@ -164,6 +172,7 @@ def compile_policy(spec: PolicySpec, state_types: StateTypes) -> CompiledPolicy:
                 rule_id=idx,
                 name=rule.name or f"rule#{idx}",
                 trigger_id=event_ids[rule.trigger],
+                binding=_bindings(trigger),
                 guard=compile_guard(rule.guard, cond_ids),
                 locality=Locality.LOCAL_ONLY if local_only else Locality.NEEDS_GLOBAL,
                 app_condition_ids=app_conds,
@@ -214,10 +223,7 @@ def plan_batches(spec: PolicySpec, rules: Sequence[CompiledRule]) -> Tuple[Batch
     current: List[CompiledRule] = []
     written: set = set()
     for rule in rules:
-        if current and (
-            _local_reads(spec, rule) & written
-            or _bindings(spec.events[rule.trigger_id]) != _bindings(spec.events[current[0].trigger_id])
-        ):
+        if current and (_local_reads(spec, rule) & written or rule.binding != current[0].binding):
             batches.append(Batch(current))
             current, written = [], set()
         current.append(rule)
@@ -245,9 +251,10 @@ def _local_writes(spec: PolicySpec, rule: CompiledRule) -> FrozenSet[str]:
     )
 
 
-def _bindings(event: EventDecl) -> Tuple[Optional[Tuple[str, ...]], Optional[str]]:
-    """What `bind_params` binds under `event`: its positional names and its
-    return binding."""
+def _bindings(event: EventDecl) -> Binding:
+    """What an occurrence binds under `event`: its arguments, in order, to
+    the positional names, unless the pattern is `(...)`, and the return
+    value to the uponReturning name."""
     params = event.pattern.params
     return (None if params is None else tuple(p.name for p in params)), event.return_binding
 

@@ -14,9 +14,7 @@ from .nodes import (
     VarRef,
     NS_CTX,
     NS_EVENT,
-    NS_GLOBAL,
     NS_LOCAL,
-    CTX_VARS,
 )
 from .check import BUILTINS, LangError, TypeMismatch, UnboundVariable, TypeEnv, type_check, check_stmt, infer_state_types
 from .state import VarStore

@@ -14,16 +14,14 @@ from .values import Value, VType
 Span = Tuple[int, int]  # (line, column), 1-based
 
 # Variable namespaces. "event" covers parameters of the triggering event;
-# "ctx" covers the implicit now / app_name / app_id.
+# "local" and "global" name state variables; "ctx" covers the implicit
+# now / app_name / app_id.
 NS_EVENT = "event"
 NS_LOCAL = "local"
-NS_GLOBAL = "global"
 NS_CTX = "ctx"
 # "cond" appears only in guards: a guard's leaves are VarRef(NS_COND, name)
 # under `!`, `&&` and `||`.
 NS_COND = "cond"
-
-CTX_VARS = {"now": VType.TIMESTAMP, "app_name": VType.STRING, "app_id": VType.STRING}
 
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 

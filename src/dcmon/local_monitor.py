@@ -11,10 +11,12 @@ reply calls for: the rule's own ApplicationSide actions for a LocalOnly
 rule whose guard holds, the reply's list for a NeedsGlobal rule. A batch of
 LocalOnly rules is decided entirely here and sends nothing.
 
-The plan puts only triggers that bind alike in one batch, so the batch's
-first trigger binds the occurrence for every rule. run() checks each call's
+The plan puts only triggers that bind alike in one batch, so a batch binds
+the occurrence once, from its first rule's compile-time binding: the
+arguments, in order, to the trigger's positional names (none for `(...)`),
+and the return value to its uponReturning name. run() checks each call's
 arity against the catalog, which the triggers match; an occurrence from a
-direct caller whose arity differs from the batch's trigger skips the batch.
+direct caller whose arity differs from the binding's skips the batch.
 
 A rule is atomic: if one of its actions faults, its local-variable and
 device-attribute writes are rolled back and its block() is dropped, and the
@@ -31,14 +33,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .central_monitor import Channel, ChannelError
-from .dsl.ast import EventDecl, Phase
+from .dsl.ast import Phase
 from .engine import Batch, CompiledPolicy, CompiledRule, Locality, eval_expr, evaluate_guard, exec_stmts, rules_for
 from .lang.eval import APP_SIDE, EvalContext, EvalError, rollback
 from .lang.state import VarStore
 from .lang.values import Value
-
-class ArityMismatch(Exception):
-    pass
 
 
 @dataclass(slots=True)
@@ -65,22 +64,6 @@ class InterceptResult:
     @property
     def blocked(self) -> bool:
         return self.reason is not None
-
-
-def bind_params(occ: EventOccurrence, decl: EventDecl) -> Dict[str, Value]:
-    """Positional argument bindings plus the uponReturning binding."""
-    out: Dict[str, Value] = {}
-    positional = decl.pattern.params
-    if positional is not None:
-        if len(positional) != len(occ.args):
-            raise ArityMismatch(
-                f"{decl.name} declares {len(positional)} parameters, call has {len(occ.args)} arguments"
-            )
-        for p, v in zip(positional, occ.args):
-            out[p.name] = v
-    if decl.return_binding is not None and occ.phase is Phase.AFTER:
-        out[decl.return_binding] = occ.return_value
-    return out
 
 
 class LocalMonitor:
@@ -113,12 +96,16 @@ class LocalMonitor:
     def _run_batch(self, batch: Batch, occ: EventOccurrence, result: InterceptResult) -> None:
         # The call and phase decide everything the triggers match on except
         # arity, and the plan gives every trigger of the batch the same
-        # bindings: the first one binds the occurrence for all.
-        event = self.cp.events[batch.rules[0].trigger_id]
-        arity = event.pattern.arg_arity
-        if arity is not None and arity != len(occ.args):
+        # binding: the first one binds the occurrence for all.
+        names, returned = batch.rules[0].binding
+        if names is None:
+            bindings = {}
+        elif len(names) == len(occ.args):
+            bindings = dict(zip(names, occ.args))
+        else:
             return
-        bindings = bind_params(occ, event)
+        if returned is not None:  # only after-phase triggers have one
+            bindings[returned] = occ.return_value
         # positional (side, now, app_id, app_name, bindings, local,
         # global_vars, attrs): matching keywords made building the context
         # about 0.35 us slower on Python 3.11
@@ -147,7 +134,7 @@ class LocalMonitor:
             request = Batch([r for r in batch.sent if r.rule_id not in faulted])
         if request.sent:
             truth = {cid: values[cid] for cid in request.truth_ids}
-            forwarded = {p: bindings[p] for p in request.forwarded if p in bindings}
+            forwarded = {p: bindings[p] for p in request.forwarded}
             try:
                 reply = self.channel.request(self.app_id, request.rule_ids, occ.t, truth, forwarded)
             except ChannelError:
@@ -161,7 +148,7 @@ class LocalMonitor:
                 self._fail(result, faulted[rule.rule_id])
             elif rule.locality is Locality.LOCAL_ONLY:
                 if evaluate_guard(rule.guard, values):
-                    self._run_app_actions(rule, rule.app_action_ids, ctx, occ, result)
+                    self._run_app_actions(rule, rule.app_action_ids, ctx, result)
             elif reply is None:
                 self._fail(result, "ChannelError")
             else:
@@ -169,17 +156,10 @@ class LocalMonitor:
                 if fault is not None:
                     self._fail(result, fault, rule.blocks)
                 elif reply.guard_results[k]:
-                    self._run_app_actions(rule, reply.appside_actions_to_run[k], ctx, occ, result)
+                    self._run_app_actions(rule, reply.appside_actions_to_run[k], ctx, result)
                 k += 1
 
-    def _run_app_actions(
-        self,
-        rule: CompiledRule,
-        action_ids,
-        ctx: EvalContext,
-        occ: EventOccurrence,
-        result: InterceptResult,
-    ) -> None:
+    def _run_app_actions(self, rule: CompiledRule, action_ids, ctx: EvalContext, result: InterceptResult) -> None:
         blocked = False
         try:
             for aid in action_ids:
@@ -190,7 +170,7 @@ class LocalMonitor:
             self._fail(result, f"EvalError:{ex.code}")
             return
         ctx.undo.clear()  # the rule's writes stand
-        # validation rejects blocking actions on after-phase rules; nothing
-        # to suppress once the call returned
-        if blocked and occ.phase is Phase.BEFORE and result.reason is None:
+        # validation rejects blocking actions on after-phase rules, so only
+        # a before-phase occurrence gets here blocked
+        if blocked and result.reason is None:
             result.reason = rule.name

@@ -15,6 +15,7 @@ and is not intercepted.
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -99,13 +100,20 @@ class VerdictEntry:
         )
 
 
+# The line breaks of str.splitlines() that JSON cannot hold raw inside a
+# string: all but U+0085, U+2028 and U+2029, which JSON can.
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e]")
+
+
 def parse_trace(text: str) -> List[TraceEvent]:
     events: List[TraceEvent] = []
     last_t = None
+    ascii_text = text.isascii()
     # a lone surrogate, raw or escaped as \udXXX, has no UTF-8 encoding;
     # ASCII text without a \u escape holds none, so one scan clears it
-    may_hold_surrogates = not text.isascii() or "\\u" in text
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    may_hold_surrogates = not ascii_text or "\\u" in text
+    lines = text.splitlines() if ascii_text else _LINE_BREAK.split(text)
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -414,17 +422,3 @@ def run_unmonitored(
         local_states={},
         arrival_order=list(range(len(trace))),
     )
-
-
-def usage_sessions(trace: List[TraceEvent], idle_threshold_ms: int) -> List[Tuple[int, int]]:
-    """Partition device activity into sittings; a gap of at least the idle
-    threshold ends the current sitting."""
-    sessions: List[List[int]] = []
-    last_t: Optional[int] = None
-    for ev in trace:
-        if last_t is None or ev.t - last_t >= idle_threshold_ms:
-            sessions.append([ev.t, ev.t])
-        else:
-            sessions[-1][1] = ev.t
-        last_t = ev.t
-    return [(s, e) for s, e in sessions]

@@ -27,8 +27,8 @@ from dcmon.central_monitor import (
 from dcmon.corpus import CORPUS_IDS, compile_corpus_policy
 from dcmon.dsl import Phase, parse_policy, validate_policy
 from dcmon.engine import Batch, CompiledPolicy
+from dcmon.lang.eval import EvalContext
 from dcmon.lang.values import MS_PER_SECOND, VType
-from dcmon.local_monitor import bind_params
 from dcmon.sim import check_policy_against_catalog, run
 from dcmon.tracegen import PROFILES, make_trace
 
@@ -225,16 +225,22 @@ def test_triggers_that_bind_otherwise_cut_the_batch():
 
 
 def test_a_batch_binds_its_occurrence_once(monkeypatch):
-    calls = []
+    contexts = []
 
-    def counted(occ, decl):
-        calls.append(decl.name)
-        return bind_params(occ, decl)
+    def counted(*args):
+        ctx = EvalContext(*args)
+        contexts.append(ctx)
+        return ctx
 
-    monkeypatch.setattr(local_monitor, "bind_params", counted)
+    monkeypatch.setattr(local_monitor, "EvalContext", counted)
     run([send(0, dest="+35621123456")], compile_src(BINDING_CUT_SRC))
-    # homeA's byDest binds for fwdA too, though fwdA's trigger is alsoByDest
-    assert calls == ["byDest", "byBody", "anySend"]
+    # one context per batch, bound by its first trigger: homeA's byDest
+    # binds for fwdA too, though fwdA's trigger is alsoByDest
+    assert [ctx.event_bindings for ctx in contexts] == [
+        {"dest": "+35621123456", "body": "hi"},
+        {"body": "+35621123456", "dest": "hi"},
+        {},
+    ]
 
 
 # fail-closed holds for every rule of a batch

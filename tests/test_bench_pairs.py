@@ -46,5 +46,36 @@ def test_summary_lines_name_medians_and_pairs():
             "gc.collections": bench_pairs.summarize([1.0], [1.0], "lower"),
         }
     }
-    lines = bench_pairs.summary_lines(workloads, ["replay_us_per_event", "peak_rss_mib"])
-    assert lines == ["local_sparse replay_us_per_event: parent 2.9, change 2.1 (-27.6%), won 2, lost 1 of 3 pairs"]
+    lines = bench_pairs.summary_lines(workloads, {"replay_us_per_event": 0.25, "peak_rss_mib": 0.1}, {})
+    assert lines == [
+        "local_sparse replay_us_per_event: parent 2.9 (IQR 0.1), change 2.1 (-27.6%), "
+        "won 2, lost 1 of 3 pairs; within its 25% bound"
+    ]
+
+
+def test_summary_lines_state_the_gate_by_direction_and_bound():
+    lower = {"setup_s": bench_pairs.summarize([1.0, 1.0, 1.2], [1.3, 1.2, 1.3], "lower")}
+    higher = {"ratio": bench_pairs.summarize([0.5, 0.5, 0.5], [0.4, 0.4, 0.4], "higher")}
+    # 1.0 -> 1.3 is 30% worse: beyond a 25% bound, inside a 35% one
+    assert bench_pairs.summary_lines({"w": lower}, {"setup_s": 0.25}, {"setup_s": "lower"}) == [
+        "w setup_s: parent 1 (IQR 0.1), change 1.3 (+30.0%), won 0, lost 3 of 3 pairs; "
+        "worse by more than its 25% bound"
+    ]
+    assert bench_pairs.summary_lines({"w": lower}, {"setup_s": 0.35}, {"setup_s": "lower"})[0].endswith(
+        "; within its 35% bound"
+    )
+    # for a metric where higher is better, a fall is what counts as worse
+    assert bench_pairs.summary_lines({"w": higher}, {"ratio": 0.1}, {"ratio": "higher"})[0].endswith(
+        "; worse by more than its 10% bound"
+    )
+    assert bench_pairs.summary_lines({"w": higher}, {"ratio": 0.1}, {"ratio": "lower"})[0].endswith(
+        "; within its 10% bound"
+    )
+
+
+def test_benchmark_spec_reads_each_end_to_end_bound():
+    seconds, better, bounds = bench_pairs.benchmark_spec()
+    assert seconds > 0
+    assert "replay_us_per_event" in bounds and "call_p99_us" not in bounds
+    assert all(0 < b < 1 for b in bounds.values())
+    assert all(better[name] == "lower" for name in bounds)

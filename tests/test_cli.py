@@ -238,6 +238,24 @@ def test_bench_unknown_policy(tmp_path):
     assert main(["bench", "--policies", "NoSuch", "--trace", str(trace), "--out", str(tmp_path / "r.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "bad_args,message",
+    [
+        (["--reps", "5"], "error: --reps must be at least 30\n"),
+        (["--policies", ""], "error: --policies names no policy\n"),
+        (["--policies", " , "], "error: --policies names no policy\n"),
+    ],
+    ids=["too_few_reps", "no_policy", "only_commas"],
+)
+def test_bench_bad_arguments_exit_2(capsys, small_trace_file, tmp_path, bad_args, message):
+    report = tmp_path / "r.json"
+    argv = ["bench", "--policies", "MsgCntLmt", "--trace", str(small_trace_file), "--out", str(report)] + bad_args
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", message)
+    assert not report.exists()
+
+
 def test_bench_trace_must_exercise_policy(tmp_path):
     trace = tmp_path / "wifi_only.jsonl"
     write_trace(trace, [])

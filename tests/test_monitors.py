@@ -1,5 +1,6 @@
 """Local and central monitors plus the request/reply channel."""
 
+import dataclasses
 import json
 import random
 
@@ -19,12 +20,8 @@ from dcmon.central_monitor import (
     state_size,
 )
 from dcmon.dsl import Phase
-from dcmon.local_monitor import (
-    ArityMismatch,
-    EventOccurrence,
-    LocalMonitor,
-    bind_params,
-)
+from dcmon.local_monitor import EventOccurrence, LocalMonitor
+from dcmon.lang.eval import APP_SIDE
 from dcmon.lang.state import VarStore
 from dcmon.lang.values import MS_PER_HOUR, VType
 
@@ -54,30 +51,56 @@ def quota_setup(msg_quota_policy):
     return msg_quota_policy, gs, central, channel, monitor
 
 
-# bind_params
+# binding: what the app-side conditions of a batch see
+
+def recording_conditions(cp):
+    """`cp` with each condition body recording the event bindings it runs
+    under on the app side, and the list they go to."""
+    seen = []
+
+    def recorded(code):
+        def run(ctx):
+            if ctx.side == APP_SIDE:
+                seen.append(dict(ctx.event_bindings))
+            return code(ctx)
+
+        return run
+
+    return dataclasses.replace(cp, condition_code=tuple(recorded(c) for c in cp.condition_code)), seen
+
+
+def intercepting(cp):
+    monitor = LocalMonitor("Messenger", "Messenger", cp, Channel(CentralMonitor(cp, GlobalState())), VarStore())
+    return monitor.intercept
+
 
 def test_bind_return_value(msg_quota_policy):
-    decl = msg_quota_policy.events[1]
-    assert bind_params(send_after(ret=True), decl) == {"sent": True}
+    cp, seen = recording_conditions(msg_quota_policy)
+    intercept = intercepting(cp)
+    intercept(send_after(ret=True))
+    intercept(send_after(ret=False))
+    # `successful` reads `sent`, the uponReturning binding; the positional
+    # arguments of a `(...)` trigger bind nothing
+    assert seen == [{"sent": True}, {"sent": False}]
 
 
 def test_bind_positional(wifi_listing_policy):
-    decl = wifi_listing_policy.events[0]
-    o = occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,))
-    assert bind_params(o, decl) == {"enabled": True}
+    cp, seen = recording_conditions(wifi_listing_policy)
+    result = intercepting(cp)(occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,), t=14 * MS_PER_HOUR))
+    assert seen == [{"enabled": True}, {"enabled": True}]
+    assert result.reason == "blockWifiAfterHours"
 
 
-def test_bind_wildcard_no_params(msg_quota_policy):
-    decl = msg_quota_policy.events[0]
-    o = occ("SmsManager", "sendTextMessage", Phase.BEFORE, (1, 2, 3))
-    assert bind_params(o, decl) == {}
-
-
-def test_bind_arity_mismatch(wifi_listing_policy):
-    decl = wifi_listing_policy.events[0]
-    o = occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True, False))
-    with pytest.raises(ArityMismatch):
-        bind_params(o, decl)
+def test_bind_wildcard_no_params():
+    cp, seen = recording_conditions(compile_src("""
+    Events { ApplicationSide { anySend() = { SmsManager *.sendTextMessage(...) } } }
+    Conditions { ApplicationSide { yes = { true } } }
+    Actions { ApplicationSide { deny = { block(); } } }
+    Rules { anySend() | yes -> deny; }
+    """))
+    result = intercepting(cp)(occ("SmsManager", "sendTextMessage", Phase.BEFORE, (1, 2, 3)))
+    assert seen == [{}]
+    assert result.reason == "rule#0"
 
 
 # handle_request

@@ -39,7 +39,6 @@ from dcmon.sim import (
     parse_trace,
     run,
     run_unmonitored,
-    usage_sessions,
 )
 from dcmon.tracegen import make_bench_trace, make_trace
 
@@ -136,6 +135,22 @@ def test_escaped_unicode_accepted():
     # an escaped surrogate pair is one character, and encodes
     (ev,) = parse_trace(SEND_LINE % ('"\\u00e9"', '"\\ud83d\\ude00"'))
     assert (ev.app, ev.args) == ("\u00e9", ("\U0001f600", "y"))
+
+
+def test_unicode_line_separators_inside_a_string_split_no_line():
+    # JSON allows U+0085, U+2028 and U+2029 raw inside a string, and
+    # str.splitlines() breaks at all three
+    urls = ["http://a.example/\u0085", "http://b.example/\u2028", "http://c.example/\u2029"]
+    lines = [
+        '{"t_ms": %d, "app": "Browser", "call": "WebBrowser.requestUrl", "args": ["%s"]}' % (t, url)
+        for t, url in enumerate(urls)
+    ]
+    trace = parse_trace("\n".join(lines))
+    assert [ev.args for ev in trace] == [(url,) for url in urls]
+    with pytest.raises(TraceFormatError) as err:
+        parse_trace("\n".join(lines + ['{"t_ms": -1, "app": "A", "call": "X.y", "args": []}']))
+    assert err.value.line == 4
+    assert str(err.value) == "line 4: t_ms must be a nonnegative integer"
 
 
 def test_trace_roundtrip_through_file(tmp_path):
@@ -695,23 +710,6 @@ def test_random_policy_matches_intercepting_every_phase(rule_list, seed, concurr
 
 
 # sittings
-
-def test_usage_sessions_gap_partition():
-    trace = [send(0), send(10 * MS_PER_MINUTE), send(70 * MS_PER_MINUTE)]
-    assert usage_sessions(trace, 15 * MS_PER_MINUTE) == [
-        (0, 10 * MS_PER_MINUTE),
-        (70 * MS_PER_MINUTE, 70 * MS_PER_MINUTE),
-    ]
-
-
-def test_usage_sessions_empty():
-    assert usage_sessions([], 15 * MS_PER_MINUTE) == []
-
-
-def test_usage_sessions_continuous_two_hours_single_sitting():
-    trace = sends_every(MS_PER_MINUTE, 121)
-    assert usage_sessions(trace, 15 * MS_PER_MINUTE) == [(0, 120 * MS_PER_MINUTE)]
-
 
 def test_one_hour_sitting_policy_blocks_then_releases():
     cp = compile_corpus_policy("OneHrPerSittingOnly")
