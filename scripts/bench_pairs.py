@@ -110,7 +110,7 @@ def summary_lines(workloads: dict, bounds: dict, better: dict) -> list:
                 continue
             q1, parent, q3 = s["parent_q1_median_q3"]
             change = s["change_q1_median_q3"][1]
-            sign = 1 if better.get(name, "lower") == "lower" else -1
+            sign = 1 if better[name] == "lower" else -1
             verdict = "worse by more than" if sign * (change - parent) > bound * abs(parent) else "within"
             lines.append(f"{workload} {name}: parent {parent:g} (IQR {round(q3 - q1, 6):g}), "
                          f"change {change:g} ({s['median_change_pct']:+.1f}%), "
@@ -154,7 +154,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: replay_us_per_event {replay} "
                           f"correct {result['correct']} failed {result['failed']}", file=sys.stderr, flush=True)
             workloads[workload] = {
-                name: summarize(values["parent"][name], values["change"][name], better.get(name, "lower"))
+                name: summarize(values["parent"][name], values["change"][name], better[name])
                 for name in values["parent"] if name in values["change"]
             }
     finally:

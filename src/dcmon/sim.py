@@ -15,7 +15,6 @@ and is not intercepted.
 from __future__ import annotations
 
 import json
-import re
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -101,19 +100,20 @@ class VerdictEntry:
 
 
 # The line breaks of str.splitlines() that JSON cannot hold raw inside a
-# string: all but U+0085, U+2028 and U+2029, which JSON can.
-_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e]")
+# string, besides "\n": all but U+0085, U+2028 and U+2029, which JSON can.
+# "\r\n" comes before "\r", so that it ends one line, not two.
+_LINE_BREAKS = ("\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e")
 
 
 def parse_trace(text: str) -> List[TraceEvent]:
     events: List[TraceEvent] = []
     last_t = None
-    ascii_text = text.isascii()
     # a lone surrogate, raw or escaped as \udXXX, has no UTF-8 encoding;
     # ASCII text without a \u escape holds none, so one scan clears it
-    may_hold_surrogates = not ascii_text or "\\u" in text
-    lines = text.splitlines() if ascii_text else _LINE_BREAK.split(text)
-    for lineno, raw in enumerate(lines, start=1):
+    may_hold_surrogates = not text.isascii() or "\\u" in text
+    for brk in _LINE_BREAKS:
+        text = text.replace(brk, "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

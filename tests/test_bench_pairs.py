@@ -46,7 +46,8 @@ def test_summary_lines_name_medians_and_pairs():
             "gc.collections": bench_pairs.summarize([1.0], [1.0], "lower"),
         }
     }
-    lines = bench_pairs.summary_lines(workloads, {"replay_us_per_event": 0.25, "peak_rss_mib": 0.1}, {})
+    lines = bench_pairs.summary_lines(workloads, {"replay_us_per_event": 0.25, "peak_rss_mib": 0.1},
+                                       {"replay_us_per_event": "lower", "peak_rss_mib": "lower"})
     assert lines == [
         "local_sparse replay_us_per_event: parent 2.9 (IQR 0.1), change 2.1 (-27.6%), "
         "won 2, lost 1 of 3 pairs; within its 25% bound"
@@ -78,4 +79,4 @@ def test_benchmark_spec_reads_each_end_to_end_bound():
     assert seconds > 0
     assert "replay_us_per_event" in bounds and "call_p99_us" not in bounds
     assert all(0 < b < 1 for b in bounds.values())
-    assert all(better[name] == "lower" for name in bounds)
+    assert all(better[name] in ("lower", "higher") for name in bounds)

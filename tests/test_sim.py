@@ -153,6 +153,17 @@ def test_unicode_line_separators_inside_a_string_split_no_line():
     assert str(err.value) == "line 4: t_ms must be a nonnegative integer"
 
 
+def test_each_line_break_json_cannot_hold_raw_ends_one_line():
+    breaks = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"]
+    lines = ['{"t_ms": %d, "app": "A", "call": "WifiManager.setWifiEnabled", "args": [true]}' % t
+             for t in range(len(breaks))]
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    assert [ev.t for ev in parse_trace(text)] == list(range(len(breaks)))
+    with pytest.raises(TraceFormatError) as err:
+        parse_trace(text + '{"t_ms": -1, "app": "A", "call": "X.y", "args": []}')
+    assert str(err.value) == f"line {len(breaks) + 1}: t_ms must be a nonnegative integer"
+
+
 def test_trace_roundtrip_through_file(tmp_path):
     from dcmon.sim import write_trace
 
