@@ -55,7 +55,7 @@ class CatalogMismatch(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     t: int
     app: str
@@ -104,23 +104,111 @@ class VerdictEntry:
 # "\r\n" comes before "\r", so that it ends one line, not two.
 _LINE_BREAKS = ("\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e")
 
+# JSON's whitespace that ends no line, the only characters that may pad one
+_JSON_SPACE = " \t"
+
+
+class _Doubt(Exception):
+    """Raised by the one-call parse for a line that only the per-line loop
+    can judge."""
+
+
+def _split_lines(text: str) -> List[str]:
+    for brk in _LINE_BREAKS:
+        text = text.replace(brk, "\n")
+    return text.split("\n")
+
 
 def parse_trace(text: str) -> List[TraceEvent]:
+    """Parse a JSON Lines trace into events.
+
+    A line ends at each line break that JSON cannot hold raw inside a
+    string (see `_LINE_BREAKS`). It holds one JSON object with the fields
+    `t_ms`, `app`, `call` and `args`, padded only by JSON's space and tab;
+    a line of nothing else is skipped. Times must be nondecreasing. The
+    first bad line raises `TraceFormatError` (`UnsortedTrace` for a time
+    out of order) naming its number.
+
+    ASCII text with no `\\u` escape is parsed by one `json.loads` call
+    over all its lines. On any doubt (a line that is not one valid event,
+    a decode error, too deep a nesting, unsorted times) the text is parsed
+    again by the per-line loop, which decides it.
+    """
+    if text.isascii() and "\\u" not in text:
+        try:
+            return _parse_in_one_call(text)
+        except (_Doubt, ValueError, RecursionError):
+            pass
+    return _parse_by_line(text)
+
+
+def _parse_in_one_call(text: str) -> List[TraceEvent]:
+    """Parse all lines as one JSON array, or raise on any doubt.
+
+    Each line must start with `{` and end with `}`, and the lines are
+    joined with ",\n". No JSON string holds a raw line break, so these
+    braces are structural. The hook turns every object into an event, with
+    the per-line loop's checks, so as many events as lines means one `{`
+    per line, the one that starts it. No object is then open when a line
+    starts, so the `}` that ends the line closes the line's own object:
+    each line is exactly one object, which the per-line loop would parse
+    alike. (Joined with a bare ",", a string could run across a line.)"""
+    lines = [line for line in (raw.strip(_JSON_SPACE) for raw in _split_lines(text)) if line]
+    if not all(line[0] == "{" and line[-1] == "}" for line in lines):
+        raise _Doubt
+    events: List[TraceEvent] = []
+    append = events.append
+
+    def event_of(doc: dict) -> TraceEvent:
+        try:
+            t, app, call, args = doc["t_ms"], doc["app"], doc["call"], doc["args"]
+        except KeyError:
+            raise _Doubt from None
+        if (
+            type(t) is not int
+            or not 0 <= t <= INT64_MAX
+            or type(app) is not str
+            or not app
+            or type(call) is not str
+            or call.count(".") != 1
+            or type(args) is not list
+        ):
+            raise _Doubt
+        namespace, method = call.split(".")
+        ev = TraceEvent(t, app, namespace, method, tuple(args))
+        append(ev)
+        return ev
+
+    json.loads("[" + ",\n".join(lines) + "]", object_hook=event_of)
+    if len(events) != len(lines):
+        raise _Doubt
+    times = [ev.t for ev in events]
+    if times != sorted(times):
+        raise _Doubt
+    return events
+
+
+def _parse_by_line(text: str) -> List[TraceEvent]:
+    """Parse each line with its own `json.loads` call; raise at the first
+    bad line."""
     events: List[TraceEvent] = []
     last_t = None
     # a lone surrogate, raw or escaped as \udXXX, has no UTF-8 encoding;
     # ASCII text without a \u escape holds none, so one scan clears it
     may_hold_surrogates = not text.isascii() or "\\u" in text
-    for brk in _LINE_BREAKS:
-        text = text.replace(brk, "\n")
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
+    for lineno, raw in enumerate(_split_lines(text), start=1):
+        line = raw.strip(_JSON_SPACE)
         if not line:
             continue
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as ex:
             raise TraceFormatError(lineno, f"invalid JSON: {ex.msg}") from ex
+        except ValueError:
+            # an integer past sys.get_int_max_str_digits()
+            raise TraceFormatError(lineno, "invalid JSON: integer has too many digits") from None
+        except RecursionError:
+            raise TraceFormatError(lineno, "invalid JSON: nested too deeply") from None
         if not isinstance(doc, dict):
             raise TraceFormatError(lineno, "event must be a JSON object")
         missing = {"t_ms", "app", "call", "args"} - set(doc)

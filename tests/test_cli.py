@@ -138,6 +138,15 @@ def test_run_trace_with_lone_surrogate_exit_3(tmp_path, capsys, msg_policy_file)
     assert capsys.readouterr().err.startswith("error: bad trace: line 1: ")
 
 
+def test_run_too_deeply_nested_trace_exit_3(tmp_path, capsys, msg_policy_file):
+    trace = tmp_path / "deep.jsonl"
+    args = "[" * 100_000 + "]" * 100_000
+    trace.write_text('{"t_ms": 0, "app": "A", "call": "SmsManager.sendTextMessage", "args": [%s]}\n' % args,
+                     encoding="utf-8")
+    assert main(["run", str(msg_policy_file), str(trace), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: bad trace: line 1: invalid JSON: nested too deeply\n"
+
+
 def test_run_missing_trace_exit_2(tmp_path, msg_policy_file):
     assert main(["run", str(msg_policy_file), "/nonexistent.jsonl", "--out", str(tmp_path / "o")]) == 2
 

@@ -2,6 +2,8 @@
 effect gating, rule atomicity and channel outages."""
 
 import dataclasses
+import json
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -34,6 +36,8 @@ from dcmon.sim import (
     UnsortedTrace,
     VerdictEntry,
     _execution_order,
+    _parse_by_line,
+    _parse_in_one_call,
     check_policy_against_catalog,
     load_trace,
     parse_trace,
@@ -72,24 +76,160 @@ def test_decreasing_timestamps_rejected():
     with pytest.raises(UnsortedTrace) as err:
         parse_trace(text)
     assert err.value.line == 2
+    assert type(err.value) is UnsortedTrace
+    assert str(err.value) == "line 2: timestamps must be nondecreasing"
+
+
+_EV = '{"t_ms":1,"app":"A","call":"X.y","args":[]}'
 
 
 @pytest.mark.parametrize(
-    "line",
+    "text, message",
     [
-        "not json",
-        '{"t_ms": 1}',
-        '{"t_ms": -1, "app": "A", "call": "X.y", "args": []}',
-        '{"t_ms": 1, "app": "", "call": "X.y", "args": []}',
-        '{"t_ms": 1, "app": "A", "call": "Xy", "args": []}',
-        '{"t_ms": 1, "app": "A", "call": "X.y", "args": 3}',
-        '{"t_ms": true, "app": "A", "call": "X.y", "args": []}',
-        "[1, 2]",
+        pytest.param(line, message, id=line)
+        for line, message in [
+            ("not json", "line 1: invalid JSON: Expecting value"),
+            ('{"t_ms": 1}', "line 1: missing fields: app, args, call"),
+            ('{"t_ms": -1, "app": "A", "call": "X.y", "args": []}', "line 1: t_ms must be a nonnegative integer"),
+            ('{"t_ms": 1, "app": "", "call": "X.y", "args": []}', "line 1: app must be a nonempty string"),
+            ('{"t_ms": 1, "app": "A", "call": "Xy", "args": []}', "line 1: call must look like Namespace.method"),
+            ('{"t_ms": 1, "app": "A", "call": "X.y", "args": 3}', "line 1: args must be a list"),
+            ('{"t_ms": true, "app": "A", "call": "X.y", "args": []}', "line 1: t_ms must be a nonnegative integer"),
+            ("[1, 2]", "line 1: event must be a JSON object"),
+        ]
+    ]
+    + [
+        pytest.param(_EV + ',{"t_ms":2,"app":"x"\n"call":"N.m","args":[]}', "line 1: invalid JSON: Extra data",
+                     id="object-over-two-lines"),
+        # joined with a bare comma, these three lines would read as three
+        # valid objects, the second string running across a line break
+        pytest.param(_EV + "," + _EV + '\n{"t_ms":3,"app":"x}\n{","call":"N.m","args":[]}',
+                     "line 1: invalid JSON: Extra data", id="string-across-a-line"),
+        # each line braced at both ends
+        pytest.param('{"t_ms":1,"app":"a","call":"N.m","args":[{}\n{}]}',
+                     "line 1: invalid JSON: Expecting ',' delimiter", id="nested-args-over-two-lines"),
+        pytest.param(_EV + _EV, "line 1: invalid JSON: Extra data", id="two-objects-on-a-line"),
+        pytest.param(_EV + "," + _EV, "line 1: invalid JSON: Extra data", id="two-objects-and-a-comma"),
+        # three array elements on three lines, the middle one a list that
+        # holds three objects
+        pytest.param(_EV + ",[" + _EV + "\n" + _EV + "\n" + _EV + "]," + _EV, "line 1: invalid JSON: Extra data",
+                     id="list-over-three-lines"),
     ],
 )
-def test_malformed_lines_rejected(line):
-    with pytest.raises(TraceFormatError):
-        parse_trace(line)
+def test_malformed_lines_rejected(text, message):
+    with pytest.raises(TraceFormatError) as err:
+        parse_trace(text)
+    assert type(err.value) is TraceFormatError
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "line, event",
+    [
+        ('{"t_ms":1,"app":"A","call":"X.y","args":[1.5, null, [2], {}]}',
+         TraceEvent(1, "A", "X", "y", (1.5, None, [2], {}))),
+        # the last value of a duplicated key wins
+        ('{"t_ms":1,"app":"A","call":"X.y","args":[],"t_ms":7}', TraceEvent(7, "A", "X", "y", ())),
+        ('{"t_ms":1,"app":"A","call":"X.y","args":[],"extra":1}', TraceEvent(1, "A", "X", "y", ())),
+    ],
+    ids=["float-and-other-args", "duplicate-t", "extra-key"],
+)
+def test_lines_beyond_plain_events_parse_as_they_did(line, event):
+    assert parse_trace(_EV.replace(":1", ":0", 1) + "\n" + line) == [TraceEvent(0, "A", "X", "y", ()), event]
+
+
+@pytest.mark.parametrize("prefix", ["　", "\xa0", "\x1f", "\x85"])
+def test_only_json_whitespace_pads_a_line(prefix):
+    # str.strip() would remove each of these; json.loads rejects them
+    with pytest.raises(TraceFormatError) as err:
+        parse_trace(prefix + _EV)
+    assert str(err.value) == "line 1: invalid JSON: Expecting value"
+    assert parse_trace(" \t" + _EV + "\t \r\n\n  \t\n") == [TraceEvent(1, "A", "X", "y", ())]
+
+
+def test_too_deeply_nested_line_rejected():
+    deep = '{"t_ms":1,"app":"A","call":"X.y","args":[%s]}' % ("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(TraceFormatError) as err:
+        parse_trace(_EV + "\n" + deep)
+    assert str(err.value) == "line 2: invalid JSON: nested too deeply"
+
+
+@pytest.mark.parametrize("field", ["t_ms", "arg"])
+def test_integer_with_too_many_digits_rejected(field):
+    big = "9" * 5000
+    line = _EV.replace(":1", ":" + big, 1) if field == "t_ms" else _EV.replace("[]", f"[{big}]")
+    with pytest.raises(TraceFormatError) as err:
+        parse_trace(_EV + "\n" + line)
+    assert str(err.value) == "line 2: invalid JSON: integer has too many digits"
+
+
+_PLAIN_ARG = st.one_of(st.booleans(), st.integers(-(2**70), 2**70), st.text('ab"\\{}[],: \x7f', max_size=4))
+
+
+@st.composite
+def trace_texts(draw):
+    """A trace text of valid event lines, then mutated: lines joined or
+    split, a brace dropped, args nested, keys duplicated or added, a
+    float, bool, negative or too large t_ms, times swapped and blank
+    lines. Some args
+    are floats, and some app names are not ASCII."""
+    times = sorted(draw(st.lists(st.integers(0, 50), max_size=6)))
+    lines = []
+    for t in times:
+        doc = {"t_ms": t, "app": draw(st.sampled_from(["A", "Maps", "x y", "M\u00e4ps"])),
+               "call": draw(st.sampled_from(["N.m", "SmsManager.sendTextMessage"])),
+               "args": draw(st.lists(st.one_of(_PLAIN_ARG, st.floats()), max_size=3))}
+        sep = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
+        lines.append(json.dumps(doc, separators=sep, ensure_ascii=draw(st.booleans())))
+    mutations = draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 10**6)), max_size=3))
+    for kind, at in mutations:
+        if not lines:
+            break
+        i = at % len(lines)
+        line = lines[i]
+        if kind == 0 and i + 1 < len(lines):  # two lines joined
+            lines[i:i + 2] = [line + draw(st.sampled_from(["", ",", " "])) + lines[i + 1]]
+        elif kind == 1:  # a line split
+            cut = at % (len(line) + 1)
+            lines[i:i + 1] = [line[:cut], line[cut:]]
+        elif kind == 2:  # a brace dropped
+            lines[i] = line[1:] if at % 2 else line[:-1]
+        elif kind == 3:  # args nested
+            lines[i] = line.replace('"args":', '"args": [{}, [1], ', 1)[:-1] + "]}"
+        elif kind == 4:  # a key duplicated
+            lines[i] = line[:-1] + ', "t_ms": %d}' % (at % 60)
+        elif kind == 5:  # a key added
+            lines[i] = line[:-1] + ', "x": 1}'
+        elif kind in (6, 7, 8, 9):  # a float, bool, negative or too large t_ms
+            value = {6: "%d.0", 7: "true", 8: "-%d", 9: "922337203685477580%d"}[kind].replace("%d", str(at % 10))
+            lines[i] = re.sub(r'"t_ms": ?\d+', '"t_ms": ' + value, line, count=1)
+        elif kind == 10 and i + 1 < len(lines):  # two lines swapped
+            lines[i], lines[i + 1] = lines[i + 1], line
+        elif kind == 11:  # a blank line
+            lines.insert(i, draw(st.sampled_from(["", " \t", "\t"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(parse, text):
+    try:
+        return repr(parse(text))  # repr tells True from 1 and 1.0 from 1
+    except TraceFormatError as ex:
+        return type(ex), ex.line, str(ex)
+
+
+@settings(max_examples=400, deadline=None)
+@given(trace_texts())
+def test_parse_trace_matches_the_per_line_loop(text):
+    assert _outcome(parse_trace, text) == _outcome(_parse_by_line, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["A", "Maps"]), st.lists(_PLAIN_ARG, max_size=3)), max_size=6))
+def test_plain_events_parse_in_one_call(events):
+    text = "".join(json.dumps({"t_ms": t, "app": app, "call": "N.m", "args": args}) + "\n"
+                   for t, (app, args) in enumerate(events))
+    assume(text.isascii() and "\\u" not in text)
+    assert repr(_parse_in_one_call(text)) == repr(_parse_by_line(text))
 
 
 def _send_at(t):
