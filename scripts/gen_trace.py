@@ -22,13 +22,16 @@ def main() -> int:
     parser.add_argument("--bench", action="store_true", help="deterministic interleaved bench trace")
     parser.add_argument("--per-kind", type=int, default=200, help="events per call kind for --bench")
     args = parser.parse_args()
-    if args.bench:
-        trace = make_bench_trace(per_kind=args.per_kind)
-    else:
-        trace = make_trace(
-            args.seed, max_apps=args.max_apps, max_events=args.max_events, max_days=args.max_days,
-            profile=args.profile,
-        )
+    try:
+        if args.bench:
+            trace = make_bench_trace(per_kind=args.per_kind)
+        else:
+            trace = make_trace(
+                args.seed, max_apps=args.max_apps, max_events=args.max_events, max_days=args.max_days,
+                profile=args.profile,
+            )
+    except ValueError as ex:
+        parser.error(str(ex))
     write_trace(args.out, trace)
     print(f"wrote {len(trace)} events to {args.out}")
     return 0

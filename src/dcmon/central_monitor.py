@@ -42,6 +42,11 @@ class GlobalState:
         return GlobalState(vars=self.vars.copy(), attrs=self.attrs.copy())
 
 
+def canonical_json(doc) -> str:
+    """The byte-stable JSON of every dcmon output: sorted keys, no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def snapshot(gs: GlobalState) -> str:
     """Canonical byte-stable serialization; equal iff states are equal."""
     doc = {
@@ -54,7 +59,7 @@ def snapshot(gs: GlobalState) -> str:
             for name, kind, value in gs.attrs.items_typed()
         },
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return canonical_json(doc)
 
 
 _SCALAR_BYTES = {VType.BOOL: 1, VType.INT: 8, VType.TIMESTAMP: 8, VType.DURATION: 8}
@@ -138,7 +143,7 @@ class ChannelLogEntry:
         return self.message.payload
 
     def to_json(self) -> str:
-        return json.dumps(
+        return canonical_json(
             {
                 "direction": self.direction,
                 "seq": self.seq,
@@ -146,9 +151,7 @@ class ChannelLogEntry:
                 "app_id": self.app_id,
                 "rule_id": self.rule_id,
                 "payload": self.payload,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import CATALOG, ApiCatalogEntry, DeviceState, arg_matches, execute_effect
 from .central_monitor import (
@@ -25,6 +25,7 @@ from .central_monitor import (
     ChannelLogEntry,
     CentralMonitor,
     GlobalState,
+    canonical_json,
     check_asymmetry,
     snapshot,
 )
@@ -68,11 +69,7 @@ class TraceEvent:
         return f"{self.namespace}.{self.method}"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"t_ms": self.t, "app": self.app, "call": self.call, "args": list(self.args)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_json({"t_ms": self.t, "app": self.app, "call": self.call, "args": list(self.args)})
 
 
 @dataclass(slots=True)
@@ -85,7 +82,7 @@ class VerdictEntry:
     latency_ns: int
 
     def to_json(self) -> str:
-        return json.dumps(
+        return canonical_json(
             {
                 "t_ms": self.t,
                 "app": self.app,
@@ -93,9 +90,7 @@ class VerdictEntry:
                 "decision": self.decision,
                 "reason": self.reason,
                 "latency_ns": self.latency_ns,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
 
@@ -109,14 +104,51 @@ _JSON_SPACE = " \t"
 
 
 class _Doubt(Exception):
-    """Raised by the one-call parse for a line that only the per-line loop
-    can judge."""
+    """A doubt about a text; raised by a line check, it names the check."""
 
 
 def _split_lines(text: str) -> List[str]:
+    """The lines of `text`, stripped of JSON's space and tab."""
     for brk in _LINE_BREAKS:
         text = text.replace(brk, "\n")
-    return text.split("\n")
+    return [line.strip(_JSON_SPACE) for line in text.split("\n")]
+
+
+def _event_checker(append: Callable[[TraceEvent], None]) -> Callable[[dict], TraceEvent]:
+    """The check of one decoded object: it appends the object's event and
+    returns it, or raises `_Doubt`. One call per object, it is also a hook."""
+
+    def event_of(doc: dict) -> TraceEvent:
+        try:
+            t, app, call, args = doc["t_ms"], doc["app"], doc["call"], doc["args"]
+        except KeyError:
+            missing = {"t_ms", "app", "call", "args"} - set(doc)
+            raise _Doubt(f"missing fields: {', '.join(sorted(missing))}") from None
+        # JSON decodes to no int subclass but bool
+        if type(t) is not int or t < 0:
+            raise _Doubt("t_ms must be a nonnegative integer")
+        if t > INT64_MAX:
+            raise _Doubt("t_ms must not exceed 2**63-1")
+        if type(app) is not str or not app:
+            raise _Doubt("app must be a nonempty string")
+        if type(call) is not str or call.count(".") != 1:
+            raise _Doubt("call must look like Namespace.method")
+        if type(args) is not list:
+            raise _Doubt("args must be a list")
+        namespace, method = call.split(".")
+        ev = TraceEvent(t, app, namespace, method, tuple(args))
+        append(ev)
+        return ev
+
+    return event_of
+
+
+def _check_utf8(events: List[TraceEvent]) -> None:
+    """Raise `_Doubt` if a string of the events holds a lone surrogate."""
+    try:
+        json.dumps([(ev.app, ev.call, ev.args) for ev in events], ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raise _Doubt("app, call and args must be encodable as UTF-8") from None
 
 
 def parse_trace(text: str) -> List[TraceEvent]:
@@ -129,58 +161,40 @@ def parse_trace(text: str) -> List[TraceEvent]:
     first bad line raises `TraceFormatError` (`UnsortedTrace` for a time
     out of order) naming its number.
 
-    ASCII text with no `\\u` escape is parsed by one `json.loads` call
-    over all its lines. On any doubt (a line that is not one valid event,
-    a decode error, too deep a nesting, unsorted times) the text is parsed
-    again by the per-line loop, which decides it.
+    Every text is parsed by one `json.loads` call over all its lines. On
+    any doubt, such as a bad line or a string with no UTF-8 encoding, the
+    per-line loop parses the lines again and decides them.
     """
-    if text.isascii() and "\\u" not in text:
-        try:
-            return _parse_in_one_call(text)
-        except (_Doubt, ValueError, RecursionError):
-            pass
-    return _parse_by_line(text)
+    lines = _split_lines(text)
+    try:
+        events = _parse_in_one_call(lines)
+        # a lone surrogate, raw or escaped as \udXXX, has no UTF-8 encoding;
+        # ASCII text without a \u escape holds none
+        if not text.isascii() or "\\u" in text:
+            _check_utf8(events)
+        return events
+    except (_Doubt, ValueError, RecursionError):
+        pass
+    return _parse_by_line(lines)
 
 
-def _parse_in_one_call(text: str) -> List[TraceEvent]:
+def _parse_in_one_call(lines: List[str]) -> List[TraceEvent]:
     """Parse all lines as one JSON array, or raise on any doubt.
 
-    Each line must start with `{` and end with `}`, and the lines are
-    joined with ",\n". No JSON string holds a raw line break, so these
-    braces are structural. The hook turns every object into an event, with
-    the per-line loop's checks, so as many events as lines means one `{`
-    per line, the one that starts it. No object is then open when a line
-    starts, so the `}` that ends the line closes the line's own object:
-    each line is exactly one object, which the per-line loop would parse
-    alike. (Joined with a bare ",", a string could run across a line.)"""
-    lines = [line for line in (raw.strip(_JSON_SPACE) for raw in _split_lines(text)) if line]
-    if not all(line[0] == "{" and line[-1] == "}" for line in lines):
+    Each nonblank line must start with `{` and end with `}`, and these
+    lines are joined with ",\n". No JSON string holds a raw line break,
+    whatever else the text holds, so these braces are structural. The hook
+    turns every object into an event, with the per-line loop's checks, so
+    as many events as lines means one `{` per line, the one that starts it.
+    No object is then open when a line starts, so the `}` that ends the
+    line closes the line's own object: each line is exactly one object,
+    which the per-line loop would parse alike. (Joined with a bare ",", a
+    string could run across a line.)"""
+    if not all(line[0] == "{" and line[-1] == "}" for line in lines if line):
         raise _Doubt
     events: List[TraceEvent] = []
-    append = events.append
-
-    def event_of(doc: dict) -> TraceEvent:
-        try:
-            t, app, call, args = doc["t_ms"], doc["app"], doc["call"], doc["args"]
-        except KeyError:
-            raise _Doubt from None
-        if (
-            type(t) is not int
-            or not 0 <= t <= INT64_MAX
-            or type(app) is not str
-            or not app
-            or type(call) is not str
-            or call.count(".") != 1
-            or type(args) is not list
-        ):
-            raise _Doubt
-        namespace, method = call.split(".")
-        ev = TraceEvent(t, app, namespace, method, tuple(args))
-        append(ev)
-        return ev
-
-    json.loads("[" + ",\n".join(lines) + "]", object_hook=event_of)
-    if len(events) != len(lines):
+    json.loads("[" + ",\n".join(filter(None, lines)) + "]", object_hook=_event_checker(events.append))
+    if len(events) != len(lines) - lines.count(""):
         raise _Doubt
     times = [ev.t for ev in events]
     if times != sorted(times):
@@ -188,16 +202,12 @@ def _parse_in_one_call(text: str) -> List[TraceEvent]:
     return events
 
 
-def _parse_by_line(text: str) -> List[TraceEvent]:
+def _parse_by_line(lines: List[str]) -> List[TraceEvent]:
     """Parse each line with its own `json.loads` call; raise at the first
     bad line."""
     events: List[TraceEvent] = []
-    last_t = None
-    # a lone surrogate, raw or escaped as \udXXX, has no UTF-8 encoding;
-    # ASCII text without a \u escape holds none, so one scan clears it
-    may_hold_surrogates = not text.isascii() or "\\u" in text
-    for lineno, raw in enumerate(_split_lines(text), start=1):
-        line = raw.strip(_JSON_SPACE)
+    event_of = _event_checker(events.append)
+    for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
         try:
@@ -211,33 +221,13 @@ def _parse_by_line(text: str) -> List[TraceEvent]:
             raise TraceFormatError(lineno, "invalid JSON: nested too deeply") from None
         if not isinstance(doc, dict):
             raise TraceFormatError(lineno, "event must be a JSON object")
-        missing = {"t_ms", "app", "call", "args"} - set(doc)
-        if missing:
-            raise TraceFormatError(lineno, f"missing fields: {', '.join(sorted(missing))}")
-        t = doc["t_ms"]
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-            raise TraceFormatError(lineno, "t_ms must be a nonnegative integer")
-        if t > INT64_MAX:
-            raise TraceFormatError(lineno, "t_ms must not exceed 2**63-1")
-        app = doc["app"]
-        if not isinstance(app, str) or not app:
-            raise TraceFormatError(lineno, "app must be a nonempty string")
-        call = doc["call"]
-        if not isinstance(call, str) or call.count(".") != 1:
-            raise TraceFormatError(lineno, "call must look like Namespace.method")
-        namespace, method = call.split(".")
-        args = doc["args"]
-        if not isinstance(args, list):
-            raise TraceFormatError(lineno, "args must be a list")
-        if may_hold_surrogates:
-            try:
-                json.dumps([app, call, args], ensure_ascii=False).encode("utf-8")
-            except UnicodeEncodeError:
-                raise TraceFormatError(lineno, "app, call and args must be encodable as UTF-8") from None
-        if last_t is not None and t < last_t:
+        try:
+            ev = event_of(doc)
+            _check_utf8([ev])
+        except _Doubt as ex:
+            raise TraceFormatError(lineno, str(ex)) from None
+        if len(events) > 1 and ev.t < events[-2].t:
             raise UnsortedTrace(lineno)
-        last_t = t
-        events.append(TraceEvent(t=t, app=app, namespace=namespace, method=method, args=tuple(args)))
     return events
 
 
@@ -352,11 +342,7 @@ class RunResult:
     def fault_lines(self) -> str:
         """One JSON line per fault, in the order of `faults`."""
         return "".join(
-            json.dumps(
-                {"event": idx, "t_ms": self.verdicts[idx].t, "app": self.verdicts[idx].app, "fault": fault},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
+            canonical_json({"event": idx, "t_ms": self.verdicts[idx].t, "app": self.verdicts[idx].app, "fault": fault})
             + "\n"
             for idx, fault in self.faults
         )

@@ -88,6 +88,8 @@ def make_bench_trace(per_kind: int = 200, start_hour: int = 8) -> List[TraceEven
     morning, calls are short, and game play stays under its budget. Suited
     to comparing monitored against unmonitored latencies per policy.
     """
+    if per_kind < 0:
+        raise ValueError(f"per_kind must be nonnegative, got {per_kind}")
     kinds = ("send", "wifi", "dial", "end", "url", "file", "launch")
     t = start_hour * MS_PER_HOUR
     events: List[TraceEvent] = []
@@ -120,6 +122,10 @@ def make_trace(
     max_days: int = 7,
     profile: Optional[str] = None,
 ) -> List[TraceEvent]:
+    if not 1 <= max_apps <= len(APP_POOL):
+        raise ValueError(f"max_apps must be between 1 and {len(APP_POOL)}, got {max_apps}")
+    if max_events < 0 or max_days < 0:
+        raise ValueError(f"max_events and max_days must be nonnegative, got {max_events} and {max_days}")
     rng = random.Random(seed)
     if profile is None:
         profile = rng.choices(PROFILES, weights=(45, 15, 10, 10, 10, 10))[0]

@@ -38,12 +38,14 @@ from dcmon.sim import (
     _execution_order,
     _parse_by_line,
     _parse_in_one_call,
+    _split_lines,
     check_policy_against_catalog,
     load_trace,
     parse_trace,
     run,
     run_unmonitored,
 )
+from dcmon import sim
 from dcmon.tracegen import make_bench_trace, make_trace
 
 from conftest import compile_src, dial, plan_rules, send, sends_every, wifi
@@ -95,6 +97,7 @@ _EV = '{"t_ms":1,"app":"A","call":"X.y","args":[]}'
             ('{"t_ms": 1, "app": "A", "call": "Xy", "args": []}', "line 1: call must look like Namespace.method"),
             ('{"t_ms": 1, "app": "A", "call": "X.y", "args": 3}', "line 1: args must be a list"),
             ('{"t_ms": true, "app": "A", "call": "X.y", "args": []}', "line 1: t_ms must be a nonnegative integer"),
+            ('{"t_ms": 1.0, "app": "A", "call": "X.y", "args": []}', "line 1: t_ms must be a nonnegative integer"),
             ("[1, 2]", "line 1: event must be a JSON object"),
         ]
     ]
@@ -220,16 +223,36 @@ def _outcome(parse, text):
 @settings(max_examples=400, deadline=None)
 @given(trace_texts())
 def test_parse_trace_matches_the_per_line_loop(text):
-    assert _outcome(parse_trace, text) == _outcome(_parse_by_line, text)
+    assert _outcome(parse_trace, text) == _outcome(lambda text: _parse_by_line(_split_lines(text)), text)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["A", "Maps"]), st.lists(_PLAIN_ARG, max_size=3)), max_size=6))
+@given(st.lists(st.tuples(st.sampled_from(["A", "Maps", "M\u00e4ps", "\u5730\u56fe"]), st.lists(_PLAIN_ARG, max_size=3),
+                          st.booleans()), max_size=6))
 def test_plain_events_parse_in_one_call(events):
-    text = "".join(json.dumps({"t_ms": t, "app": app, "call": "N.m", "args": args}) + "\n"
-                   for t, (app, args) in enumerate(events))
-    assume(text.isascii() and "\\u" not in text)
-    assert repr(_parse_in_one_call(text)) == repr(_parse_by_line(text))
+    text = "".join(json.dumps({"t_ms": t, "app": app, "call": "N.m", "args": args}, ensure_ascii=escape) + "\n"
+                   for t, (app, args, escape) in enumerate(events))
+    lines = _split_lines(text)
+    assert repr(_parse_in_one_call(lines)) == repr(_parse_by_line(lines))
+
+
+@pytest.mark.parametrize(
+    "line, event",
+    [
+        ('{"t_ms": 1, "app": "M\u00e4ps", "call": "X.y", "args": []}', TraceEvent(1, "M\u00e4ps", "X", "y", ())),
+        ('{"t_ms": 1, "app": "M\\u00e4ps", "call": "X.y", "args": []}', TraceEvent(1, "M\u00e4ps", "X", "y", ())),
+        ('{"t_ms": 1, "app": "A", "call": "X.y", "args": ["\\ud83d\\ude00"]}', TraceEvent(1, "A", "X", "y", ("\U0001f600",))),
+        ('{"t_ms": 1, "app": "A", "call": "X.y", "args": ["http://a.example/\u2028"]}',
+         TraceEvent(1, "A", "X", "y", ("http://a.example/\u2028",))),
+    ],
+    ids=["raw-non-ascii-app", "escaped-non-ascii-app", "escaped-surrogate-pair-arg", "raw-u2028-in-url"],
+)
+def test_non_ascii_text_parses_in_one_call(monkeypatch, line, event):
+    def per_line_loop(lines):
+        raise AssertionError("fell back to the per-line loop")
+
+    monkeypatch.setattr(sim, "_parse_by_line", per_line_loop)
+    assert parse_trace(_EV + "\n" + line) == [TraceEvent(1, "A", "X", "y", ()), event]
 
 
 def _send_at(t):
@@ -254,27 +277,31 @@ SEND_LINE = '{"t_ms": 1, "app": %s, "call": "SmsManager.sendTextMessage", "args"
 
 
 @pytest.mark.parametrize(
-    "app,dest",
+    "line",
     [
-        ('"A\\ud800"', '"x"'),  # an escaped lone high surrogate in the app
-        ('"A"', '"\\udc00x"'),  # an escaped lone low surrogate in an argument
-        ('"A"', '"\udc00"'),  # a raw lone surrogate in text built in memory
+        SEND_LINE % ('"A\\ud800"', '"x"'),  # an escaped lone high surrogate in the app
+        SEND_LINE % ('"A"', '"\\udc00x"'),  # an escaped lone low surrogate in an argument
+        SEND_LINE % ('"A"', '"\udc00"'),  # a raw lone surrogate in text built in memory
+        SEND_LINE % ('"A"', '[["\\ud800"]]'),  # escaped, in a list nested in an argument
+        '{"t_ms": 1, "app": "A", "call": "SmsManager.send\\ud800", "args": []}',  # escaped, in the call
     ],
-    ids=["escaped_app", "escaped_arg", "raw_arg"],
+    ids=["escaped_app", "escaped_arg", "raw_arg", "escaped_nested_arg", "escaped_call"],
 )
-def test_string_without_utf8_encoding_rejected(app, dest):
+def test_string_without_utf8_encoding_rejected(line):
     # such a string would reach the state snapshot, whose byte count
     # (state_size) encodes every string as UTF-8
     with pytest.raises(TraceFormatError) as err:
-        parse_trace(_send_at(0) + "\n" + SEND_LINE % (app, dest))
-    assert err.value.line == 2
-    assert "UTF-8" in str(err.value)
+        parse_trace(_send_at(0) + "\n" + line)
+    assert type(err.value) is TraceFormatError
+    assert str(err.value) == "line 2: app, call and args must be encodable as UTF-8"
 
 
 def test_escaped_unicode_accepted():
     # an escaped surrogate pair is one character, and encodes
     (ev,) = parse_trace(SEND_LINE % ('"\\u00e9"', '"\\ud83d\\ude00"'))
     assert (ev.app, ev.args) == ("\u00e9", ("\U0001f600", "y"))
+    (ev,) = parse_trace(SEND_LINE % ('"A"', '[["\\ud83d\\ude00"]]'))
+    assert ev.args == ([["\U0001f600"]], "y")
 
 
 def test_unicode_line_separators_inside_a_string_split_no_line():
