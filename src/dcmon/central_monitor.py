@@ -2,23 +2,23 @@
 
 The channel is app-initiated only. A local monitor submits a request and
 blocks for the reply; the central monitor handles one request at a time and
-never sends anything unsolicited, so every central-to-app log entry is the
-reply to the immediately preceding request with the same seq, app, time
-and rule ids.
+never sends anything unsolicited, so every reply in the log follows its
+request and repeats that request's seq, app, time and rule ids.
 
 A `Channel` serves one caller at a time and takes no lock: the simulator
-runs every app in one loop. A log entry points at the request or reply it
-logs, so it keeps the request's truth map and forwarded bindings as given;
-the caller must not change them after the request. `MonitorReply` keeps
-`guard_result` and `fault`, one-value summaries of a reply, for the
-benchmark's tracer, which reads them by name.
+runs every app in one loop. The log holds the `MonitorRequest` and
+`MonitorReply` records themselves, not copies, so a logged request keeps
+its truth map and forwarded bindings as given; the caller must not change
+them after the request. `MonitorReply` keeps `guard_result` and `fault`,
+one-value summaries of a reply, for the benchmark's tracer, which reads
+them by name.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
 from .engine import CompiledPolicy, eval_expr, evaluate_guard, exec_stmts
 from .lang.eval import GLOBAL_SIDE, EvalContext, EvalError, rollback
@@ -81,15 +81,37 @@ def state_size(gs: GlobalState) -> Dict[str, object]:
     return {"vars": vars_report, "attrs": attrs_report, "total_bytes": total}
 
 
+class _LoggedMessage:
+    """The channel log's view of a request or a reply: its direction, a
+    class constant, and the seq, time, app and rule ids of the request."""
+
+    __slots__ = ()
+
+    def to_json(self) -> str:
+        return canonical_json(
+            {
+                "direction": self.direction,
+                "seq": self.seq,
+                "t": self.t,
+                "app_id": self.app_id,
+                "rule_id": self.rule_id,
+                "payload": self.payload,
+            }
+        )
+
+
 @dataclass(slots=True)
-class MonitorRequest:
+class MonitorRequest(_LoggedMessage):
     """One round trip for the NeedsGlobal rules of one batch. The truth map
     holds the app-side conditions of all the rules, the bindings every
     event parameter any of them forwards."""
 
+    direction: ClassVar[str] = APP_TO_CENTRAL
+
     seq: int
     app_id: str
-    rule_ids: Tuple[int, ...]
+    # the rule ids, in batch order
+    rule_id: Tuple[int, ...]
     t: int
     appside_truth: Dict[int, bool]
     forwarded_bindings: Dict[str, Value]
@@ -100,10 +122,16 @@ class MonitorRequest:
 
 
 @dataclass(slots=True)
-class MonitorReply:
-    """Per-rule results, parallel to the request's rule ids."""
+class MonitorReply(_LoggedMessage):
+    """Per-rule results, parallel to the request's rule ids. The reply
+    repeats its request's seq, app, rule ids and time."""
+
+    direction: ClassVar[str] = CENTRAL_TO_APP
 
     seq: int
+    app_id: str
+    rule_id: Tuple[int, ...]
+    t: int
     guard_results: Tuple[bool, ...]
     appside_actions_to_run: Tuple[Tuple[int, ...], ...]
     faults: Tuple[Optional[str], ...]
@@ -127,38 +155,13 @@ class MonitorReply:
         }
 
 
-@dataclass(slots=True)
-class ChannelLogEntry:
-    direction: str
-    seq: int
-    t: int
-    app_id: str
-    # the request's rule ids, in batch order
-    rule_id: Tuple[int, ...]
-    # the MonitorRequest or MonitorReply logged, not a copy
-    message: Union[MonitorRequest, MonitorReply]
-
-    @property
-    def payload(self) -> Dict[str, object]:
-        return self.message.payload
-
-    def to_json(self) -> str:
-        return canonical_json(
-            {
-                "direction": self.direction,
-                "seq": self.seq,
-                "t": self.t,
-                "app_id": self.app_id,
-                "rule_id": self.rule_id,
-                "payload": self.payload,
-            }
-        )
+ChannelMessage = Union[MonitorRequest, MonitorReply]
 
 
-def check_asymmetry(entries: List[ChannelLogEntry]) -> List[str]:
+def check_asymmetry(entries: List[ChannelMessage]) -> List[str]:
     """Violations of the app-initiated protocol; empty list means clean."""
     problems = []
-    open_request: Optional[ChannelLogEntry] = None
+    open_request: Optional[ChannelMessage] = None
     for i, e in enumerate(entries):
         if e.direction == APP_TO_CENTRAL:
             if open_request is not None:
@@ -187,16 +190,20 @@ class CentralMonitor:
     """Evaluates GlobalSide guard parts and runs GlobalSide actions,
     one request at a time."""
 
-    def __init__(self, cp: CompiledPolicy, gs: GlobalState, log: Optional[List[ChannelLogEntry]] = None):
+    def __init__(self, cp: CompiledPolicy, gs: GlobalState, log: Optional[List[ChannelMessage]] = None):
         self.cp = cp
         self.gs = gs
-        self.log: List[ChannelLogEntry] = log if log is not None else []
+        self.log: List[ChannelMessage] = log if log is not None else []
+        # One context for every request, which sets its time and bindings;
+        # each rule clears or rolls back its undo log. Positional: (side,
+        # now, app_id, app_name, bindings, local, global_vars, attrs)
+        self._ctx = EvalContext(GLOBAL_SIDE, 0, None, None, None, None, gs.vars, gs.attrs)
 
     def handle_request(self, req: MonitorRequest) -> MonitorReply:
         log = self.log
-        log.append(ChannelLogEntry(APP_TO_CENTRAL, req.seq, req.t, req.app_id, req.rule_ids, req))
+        log.append(req)
         reply = self._evaluate(req)
-        log.append(ChannelLogEntry(CENTRAL_TO_APP, reply.seq, req.t, req.app_id, req.rule_ids, reply))
+        log.append(reply)
         return reply
 
     def _evaluate(self, req: MonitorRequest) -> MonitorReply:
@@ -204,19 +211,19 @@ class CentralMonitor:
         evaluated once until a rule's GlobalSide actions run. A rule that
         faults leaves no write behind."""
         cp = self.cp
-        batch = cp.requests.get(req.rule_ids)
+        batch = cp.requests.get(req.rule_id)
         if batch is not None:
             rules, expected = batch.sent, batch.truth_keys
         else:
             # a batch's shorter tuple, after an app-side condition faulted,
             # or one that names no batch: checked rule by rule
             n = len(cp.rules)
-            rules = [cp.rules[rid] if 0 <= rid < n else None for rid in req.rule_ids]
+            rules = [cp.rules[rid] if 0 <= rid < n else None for rid in req.rule_id]
             expected = {cid for rule in rules if rule is not None for cid in rule.app_condition_ids}
         stale = expected != req.appside_truth.keys()
-        # positional, as in LocalMonitor._run_batch: (side, now, app_id,
-        # app_name, bindings, local, global_vars, attrs)
-        ctx = EvalContext(GLOBAL_SIDE, req.t, None, None, req.forwarded_bindings, None, self.gs.vars, self.gs.attrs)
+        ctx = self._ctx
+        ctx.now = req.t
+        ctx.event_bindings = req.forwarded_bindings
         truth = dict(req.appside_truth)
         guards: List[bool] = []
         actions: List[Tuple[int, ...]] = []
@@ -244,7 +251,7 @@ class CentralMonitor:
             guards.append(guard)
             actions.append(rule.app_action_ids if guard else ())
             faults.append(fault)
-        return MonitorReply(req.seq, tuple(guards), tuple(actions), tuple(faults))
+        return MonitorReply(req.seq, req.app_id, req.rule_id, req.t, tuple(guards), tuple(actions), tuple(faults))
 
 
 class Channel:
@@ -271,13 +278,13 @@ class Channel:
             raise ChannelError("central monitor unreachable")
         seq = self._next_seq
         self._next_seq = seq + 1
-        # positional: (seq, app_id, rule_ids, t, appside_truth, forwarded_bindings)
+        # positional: (seq, app_id, rule_id, t, appside_truth, forwarded_bindings)
         return self.central.handle_request(MonitorRequest(seq, app_id, rule_ids, t, appside_truth, forwarded_bindings))
 
 
 def replay_requests(
     cp: CompiledPolicy,
-    entries: List[ChannelLogEntry],
+    entries: List[ChannelMessage],
     initial: Optional[GlobalState] = None,
 ) -> GlobalState:
     """Rebuild global state by re-handling the logged requests in order.
@@ -289,5 +296,5 @@ def replay_requests(
     central = CentralMonitor(cp, gs)
     for e in entries:
         if e.direction == APP_TO_CENTRAL:
-            central.handle_request(e.message)
+            central.handle_request(e)
     return gs

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .catalog import CATALOG, ApiCatalogEntry, DeviceState, arg_matches, execute_effect
 from .central_monitor import (
     Channel,
-    ChannelLogEntry,
+    ChannelMessage,
     CentralMonitor,
     GlobalState,
     canonical_json,
@@ -322,7 +322,7 @@ def _check_trace_against_catalog(
 class RunResult:
     verdicts: List[VerdictEntry]
     snapshot: str
-    channel_entries: List[ChannelLogEntry]
+    channel_entries: List[ChannelMessage]
     global_state: Optional[GlobalState]
     initial_global: Optional[GlobalState]
     device: DeviceState
@@ -372,7 +372,7 @@ def run(
     device = DeviceState()
     gs = GlobalState(vars=VarStore(), attrs=device.attrs)
     initial = gs.copy()
-    log: List[ChannelLogEntry] = []
+    log: List[ChannelMessage] = []
     central = CentralMonitor(cp, gs, log)
     channel = Channel(central)
     if not channel_connected:

@@ -126,6 +126,8 @@ def make_trace(
         raise ValueError(f"max_apps must be between 1 and {len(APP_POOL)}, got {max_apps}")
     if max_events < 0 or max_days < 0:
         raise ValueError(f"max_events and max_days must be nonnegative, got {max_events} and {max_days}")
+    if max_days == 0:
+        raise ValueError("max_days must be positive, got 0: a horizon of 0 days holds no time")
     rng = random.Random(seed)
     if profile is None:
         profile = rng.choices(PROFILES, weights=(45, 15, 10, 10, 10, 10))[0]
@@ -133,7 +135,9 @@ def make_trace(
     lo, hi = rng.choice(((0, 60), (50, 400), (300, max_events)))
     count = rng.randint(min(lo, max_events), min(hi, max_events))
     horizon = max_days * MS_PER_DAY - 1
-    t = rng.randint(0, 2 * MS_PER_DAY)
+    # the first event falls inside the horizon, so a positive count never
+    # gives an empty trace
+    t = rng.randint(0, min(2 * MS_PER_DAY, horizon))
     events: List[TraceEvent] = []
     for _ in range(count):
         if t > horizon:

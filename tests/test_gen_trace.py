@@ -20,9 +20,10 @@ def gen_trace(tmp_path, *argv):
         (["--max-apps", "0"], "max_apps must be between 1 and 5, got 0"),
         (["--max-apps", "9"], "max_apps must be between 1 and 5, got 9"),
         (["--max-events", "-1"], "max_events and max_days must be nonnegative, got -1 and 7"),
+        (["--max-days", "0"], "max_days must be positive, got 0: a horizon of 0 days holds no time"),
         (["--bench", "--per-kind", "-3"], "per_kind must be nonnegative, got -3"),
     ],
-    ids=["no-apps", "more-apps-than-the-pool", "negative-events", "negative-per-kind"],
+    ids=["no-apps", "more-apps-than-the-pool", "negative-events", "zero-days", "negative-per-kind"],
 )
 def test_out_of_range_count_is_a_usage_error(tmp_path, argv, message):
     proc = gen_trace(tmp_path, *argv)

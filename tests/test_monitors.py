@@ -10,9 +10,9 @@ from dcmon.central_monitor import (
     APP_TO_CENTRAL,
     CENTRAL_TO_APP,
     Channel,
-    ChannelLogEntry,
     CentralMonitor,
     GlobalState,
+    MonitorReply,
     MonitorRequest,
     check_asymmetry,
     replay_requests,
@@ -342,20 +342,36 @@ def test_channel_log_pairs(quota_setup):
     assert seqs == [0, 0, 1, 1]
 
 
+def test_the_log_holds_the_messages_themselves(quota_setup):
+    cp, _, central, _, _ = quota_setup
+    successful_id = next(i for i, c in enumerate(cp.conditions) if c.name == "successful")
+    request = MonitorRequest(0, "Messenger", (1,), 7, {successful_id: True}, {})
+    reply = central.handle_request(request)
+    assert len(central.log) == 2
+    assert central.log[0] is request and central.log[1] is reply
+    assert [e.direction for e in central.log] == [APP_TO_CENTRAL, CENTRAL_TO_APP]
+    assert (reply.seq, reply.app_id, reply.t, reply.rule_id) == (0, "Messenger", 7, (1,))
+
+
+def request_record(seq, t, rule_id):
+    return MonitorRequest(seq, "X", rule_id, t, {}, {})
+
+
+def reply_record(seq, t, rule_id):
+    return MonitorReply(seq, "X", rule_id, t, (), (), ())
+
+
 def test_asymmetry_checker_flags_unsolicited():
-    bad = [ChannelLogEntry(CENTRAL_TO_APP, 0, 0, "X", 0, None)]
+    bad = [reply_record(0, 0, 0)]
     assert check_asymmetry(bad)
-    mismatched = [
-        ChannelLogEntry(APP_TO_CENTRAL, 0, 0, "X", 0, None),
-        ChannelLogEntry(CENTRAL_TO_APP, 1, 0, "X", 0, None),
-    ]
+    mismatched = [request_record(0, 0, 0), reply_record(1, 0, 0)]
     assert check_asymmetry(mismatched)
-    request = ChannelLogEntry(APP_TO_CENTRAL, 3, 10, "X", (0, 1), None)
-    assert check_asymmetry([request, ChannelLogEntry(CENTRAL_TO_APP, 3, 10, "X", (0, 1), None)]) == []
+    request = request_record(3, 10, (0, 1))
+    assert check_asymmetry([request, reply_record(3, 10, (0, 1))]) == []
     # a reply must also answer at its request's time, for its rules
-    assert check_asymmetry([request, ChannelLogEntry(CENTRAL_TO_APP, 3, 11, "X", (0, 1), None)])
-    assert check_asymmetry([request, ChannelLogEntry(CENTRAL_TO_APP, 3, 10, "X", (0,), None)])
-    assert check_asymmetry([request, ChannelLogEntry(CENTRAL_TO_APP, 3, 10, "X", (1, 0), None)])
+    assert check_asymmetry([request, reply_record(3, 11, (0, 1))])
+    assert check_asymmetry([request, reply_record(3, 10, (0,))])
+    assert check_asymmetry([request, reply_record(3, 10, (1, 0))])
 
 
 def test_requests_serialize_under_contention(msg_quota_policy):
@@ -437,6 +453,55 @@ def test_full_batch_tuples_answer_like_a_fresh_monitor(msg_quota_policy):
         ((False,), ("StaleTruthMap",)),
     ]
     assert gs.vars.get("msgCount", VType.INT) == 499
+
+
+FORWARDING_SRC = """
+Events { ApplicationSide {
+   sendB() = { SmsManager *.sendTextMessage(string dest, string body) }
+} }
+Conditions { GlobalSide {
+   always = { true }
+   home = { starts_with(event.dest, "+356") }
+   late = { hour_of_day(now) >= 1 }
+} }
+Actions { GlobalSide {
+   crash = { global.g := global.g + 1; global.g := global.g / (global.g - global.g); }
+   countHome = { global.homes := global.homes + 1; }
+   countLate = { global.lates := global.lates + 1; }
+} }
+Rules {
+   sendB() | home -> countHome;
+   sendB() | late -> countLate;
+   sendB() | always -> crash;
+}
+"""
+
+
+def test_one_central_context_carries_nothing_between_requests():
+    # the first request's time and forwarded dest make only `home` hold, the
+    # second's only `late`, and each request's last rule faults after a
+    # write: neither the time, the bindings nor the undo log may carry over
+    cp = compile_src(FORWARDING_SRC)
+    (rule_ids,) = cp.requests
+    gs = GlobalState()
+    central = CentralMonitor(cp, gs)
+    channel = Channel(central)
+    sends = [(0, {"dest": "+35621123456"}), (2 * MS_PER_HOUR, {"dest": "21234567"})]
+    replies = []
+    for seq, (t, bindings) in enumerate(sends):
+        fresh_gs = gs.copy()
+        want = CentralMonitor(cp, fresh_gs).handle_request(MonitorRequest(seq, "Messenger", rule_ids, t, {}, bindings))
+        got = channel.request("Messenger", rule_ids, t, {}, bindings)
+        assert got == want
+        assert snapshot(gs) == snapshot(fresh_gs)
+        assert central._ctx.undo == []
+        replies.append((got.guard_results, got.faults))
+    assert replies == [
+        ((True, False, False), (None, None, "EvalFault:DivisionByZero")),
+        ((False, True, False), (None, None, "EvalFault:DivisionByZero")),
+    ]
+    assert [(name, gs.vars.get(name, VType.INT)) for name in ("homes", "lates")] == [("homes", 1), ("lates", 1)]
+    assert "g" not in gs.vars
 
 
 def test_replay_requests_reproduces_snapshot(quota_setup):
