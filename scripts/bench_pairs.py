@@ -21,7 +21,10 @@ report is written, one line per workload and end-to-end metric goes to
 stdout: both medians, the parent's interquartile range, the change of the
 medians in %, the pairs won and lost, and whether the change's median is
 worse than the parent's by more than the metric's ``bound`` in
-``BENCHMARK.json``.
+``BENCHMARK.json``. After a ``--trace 1`` run, one more line per workload
+says whether every per-layer ``.calls`` count, ``channel_requests_per_event``
+and ``trace.missing_hooks`` read the same on both sides in every pair, and
+names each that did not: a change that does the same work keeps them all.
 """
 
 import argparse
@@ -119,6 +122,25 @@ def summary_lines(workloads: dict, bounds: dict, better: dict) -> list:
     return lines
 
 
+# traced metrics that count work, not time, beside the per-layer `.calls`
+COUNTS = ("channel_requests_per_event", "trace.missing_hooks")
+
+
+def count_lines(workloads: dict) -> list:
+    """One line per workload: whether each count of a traced run, every
+    `.calls` metric and those of COUNTS, read the same on both sides in
+    every pair, or which did not."""
+    lines = []
+    for workload, summaries in workloads.items():
+        names = sorted(n for n in summaries if n.endswith(".calls") or n in COUNTS)
+        differ = [n for n in names if summaries[n]["parent"] != summaries[n]["change"]]
+        if differ:
+            lines.append(f"{workload} counts: {len(differ)} of {len(names)} differ between the sides: {', '.join(differ)}")
+        else:
+            lines.append(f"{workload} counts: all {len(names)} the same on both sides in every pair")
+    return lines
+
+
 def parse_seeds(text: str) -> list:
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
@@ -175,7 +197,10 @@ def main(argv=None) -> int:
         "workloads": workloads,
     }
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    print("\n".join(summary_lines(workloads, bounds, better)))
+    lines = summary_lines(workloads, bounds, better)
+    if args.trace:
+        lines += count_lines(workloads)
+    print("\n".join(lines))
     return 0 if all_correct else 1
 
 

@@ -12,6 +12,14 @@ its truth map and forwarded bindings as given; the caller must not change
 them after the request. `MonitorReply` keeps `guard_result` and `fault`,
 one-value summaries of a reply, for the benchmark's tracer, which reads
 them by name.
+
+The central monitor evaluates every request in one context, built once. A
+full request, a batch's rule ids with its truth keys, runs the steps that
+batch holds from compile time, with no per-rule test, and a reply in which
+no rule faulted shares the batch's all-None faults tuple. Any other request
+derives its steps from the rules it names, once, and runs the same loop:
+an unknown id or a stale truth map makes a rule's step run nothing, and
+its fault is set from the start.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import json
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
-from .engine import CompiledPolicy, eval_expr, evaluate_guard, exec_stmts
+from .engine import CentralStep, CompiledPolicy, central_step, eval_expr, evaluate_guard, exec_stmts
 from .lang.eval import GLOBAL_SIDE, EvalContext, EvalError, rollback
 from .lang.state import VarStore
 from .lang.values import Value, VType, value_to_json
@@ -207,51 +215,68 @@ class CentralMonitor:
         return reply
 
     def _evaluate(self, req: MonitorRequest) -> MonitorReply:
-        """Run the request's rules in order in one context. A condition is
+        """Run the request's steps in order in one context. A condition is
         evaluated once until a rule's GlobalSide actions run. A rule that
         faults leaves no write behind."""
         cp = self.cp
+        appside = req.appside_truth
         batch = cp.requests.get(req.rule_id)
-        if batch is not None:
-            rules, expected = batch.sent, batch.truth_keys
+        if batch is not None and batch.truth_keys == appside.keys():
+            steps, faults = batch.steps, batch.no_faults
         else:
-            # a batch's shorter tuple, after an app-side condition faulted,
-            # or one that names no batch: checked rule by rule
-            n = len(cp.rules)
-            rules = [cp.rules[rid] if 0 <= rid < n else None for rid in req.rule_id]
-            expected = {cid for rule in rules if rule is not None for cid in rule.app_condition_ids}
-        stale = expected != req.appside_truth.keys()
+            steps, faults = _named_steps(cp, req)
+        condition_code, action_code = cp.condition_code, cp.action_code
         ctx = self._ctx
         ctx.now = req.t
         ctx.event_bindings = req.forwarded_bindings
-        truth = dict(req.appside_truth)
+        truth = dict(appside)
         guards: List[bool] = []
         actions: List[Tuple[int, ...]] = []
-        faults: List[Optional[str]] = []
-        for rule in rules:
-            guard, fault = False, None
-            if rule is None:
-                fault = "UnknownRule"
-            elif stale:
-                fault = "StaleTruthMap"
-            else:
-                try:
-                    for cid in rule.global_condition_ids:
-                        if cid not in truth:
-                            truth[cid] = bool(eval_expr(cp.condition_code[cid], ctx))
-                    guard = evaluate_guard(rule.guard, truth)
-                    if guard and rule.global_action_ids:
-                        truth = dict(req.appside_truth)
-                        for aid in rule.global_action_ids:
-                            exec_stmts(cp.action_code[aid], ctx)
+        for condition_ids, guard, action_ids, app_action_ids in steps:
+            try:
+                for cid in condition_ids:
+                    if cid not in truth:
+                        truth[cid] = bool(eval_expr(condition_code[cid], ctx))
+                if evaluate_guard(guard, truth):
+                    if action_ids:
+                        truth = dict(appside)
+                        for aid in action_ids:
+                            exec_stmts(action_code[aid], ctx)
                         ctx.undo.clear()  # the rule's writes stand
-                except EvalError as ex:
-                    rollback(ctx.undo)
-                    guard, fault = False, f"EvalFault:{ex}"
-            guards.append(guard)
-            actions.append(rule.app_action_ids if guard else ())
-            faults.append(fault)
-        return MonitorReply(req.seq, req.app_id, req.rule_id, req.t, tuple(guards), tuple(actions), tuple(faults))
+                    guards.append(True)
+                    actions.append(app_action_ids)
+                    continue
+            except EvalError as ex:
+                rollback(ctx.undo)
+                k = len(guards)
+                faults = (*faults[:k], f"EvalFault:{ex}", *faults[k + 1 :])
+            guards.append(False)
+            actions.append(())
+        return MonitorReply(req.seq, req.app_id, req.rule_id, req.t, tuple(guards), tuple(actions), faults)
+
+
+def _refused(truth: Dict[int, bool]) -> bool:
+    return False
+
+
+# the step of a named rule that does not run: its guard never holds
+_REFUSED: CentralStep = ((), _refused, (), ())
+
+
+def _named_steps(cp: CompiledPolicy, req: MonitorRequest) -> Tuple[Tuple[CentralStep, ...], Tuple[Optional[str], ...]]:
+    """The steps and the starting faults of a request that is not a batch's
+    full tuple with its truth keys: a shorter tuple, after an app-side
+    condition faulted, one that names no batch, or a stale truth map. Each
+    named rule runs, unless it is unknown (UnknownRule) or the truth map's
+    keys are not those of the named rules' app-side conditions
+    (StaleTruthMap)."""
+    n = len(cp.rules)
+    rules = [cp.rules[rid] if 0 <= rid < n else None for rid in req.rule_id]
+    expected = {cid for rule in rules if rule is not None for cid in rule.app_condition_ids}
+    stale = expected != req.appside_truth.keys()
+    faults = tuple("UnknownRule" if rule is None else "StaleTruthMap" if stale else None for rule in rules)
+    steps = tuple(_REFUSED if fault else central_step(rule) for rule, fault in zip(rules, faults))
+    return steps, faults
 
 
 class Channel:

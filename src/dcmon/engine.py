@@ -16,9 +16,13 @@ differently. Each rule carries what its trigger binds, so the local monitor
 binds a batch's occurrence from its first rule, with no event declaration
 at hand. Each batch also lists what its full request carries: the
 ids of its sent rules' app-side conditions, the truth map's keys, and the
-event parameters they forward. The central monitor finds a request's rules
-and expected truth keys from the batch with those rule ids; a shorter or
-unknown tuple is checked rule by rule.
+event parameters they forward; and what the central monitor runs for it:
+one step per sent rule (its global condition ids, guard, global action ids
+and app-side action ids) and the faults of a reply in which none faulted.
+The central monitor finds a full request's steps in the batch with those
+rule ids; a shorter or unknown tuple derives its steps from the rules it
+names. Whether every rule of a batch is sent is fixed here too: such a
+batch reads the reply in step with its rules.
 
 `compile_policy` also compiles each condition body, guard and action body
 once, to a closure (see `lang/closures.py`): a condition body becomes
@@ -101,13 +105,22 @@ class CompiledRule:
     blocks: bool
 
 
+# What the central monitor runs for one named rule: (global_condition_ids,
+# guard, global_action_ids, app_action_ids)
+CentralStep = Tuple[Tuple[int, ...], Code, Tuple[int, ...], Tuple[int, ...]]
+
+
+def central_step(rule: CompiledRule) -> CentralStep:
+    return rule.global_condition_ids, rule.guard, rule.global_action_ids, rule.app_action_ids
+
+
 class Batch:
     """Consecutive rules of one phase of a call whose triggers bind an
     occurrence alike. The local monitor binds the occurrence once,
     evaluates all their app-side conditions, sends one request for their
     NeedsGlobal rules, then decides each rule in order."""
 
-    __slots__ = ("rules", "sent", "rule_ids", "truth_ids", "truth_keys", "forwarded")
+    __slots__ = ("rules", "sent", "all_sent", "rule_ids", "truth_ids", "truth_keys", "forwarded", "steps", "no_faults")
 
     def __init__(self, rules: Sequence[CompiledRule]):
         self.rules = tuple(rules)
@@ -115,7 +128,12 @@ class Batch:
         # names when no app-side condition faults; empty for a batch of
         # LocalOnly rules, which sends nothing
         self.sent = tuple(r for r in self.rules if r.locality is Locality.NEEDS_GLOBAL)
+        self.all_sent = len(self.sent) == len(self.rules)
         self.rule_ids = tuple(r.rule_id for r in self.sent)
+        # what the central monitor runs for the full request, one step per
+        # sent rule, and the faults of a reply in which no rule faulted
+        self.steps = tuple(map(central_step, self.sent))
+        self.no_faults = (None,) * len(self.sent)
         # the request's truth-map keys and forwarded parameter names, each
         # once, in the order the sent rules name them
         self.truth_ids = tuple(dict.fromkeys(cid for r in self.sent for cid in r.app_condition_ids))

@@ -9,7 +9,14 @@ explicitly forwarded event bindings) to the central monitor in one request,
 and then, rule by rule, runs the ApplicationSide actions its guard or the
 reply calls for: the rule's own ApplicationSide actions for a LocalOnly
 rule whose guard holds, the reply's list for a NeedsGlobal rule. A batch of
-LocalOnly rules is decided entirely here and sends nothing.
+LocalOnly rules is decided entirely here and sends nothing. A batch whose
+every rule is sent, a compile-time fact, sends its condition values as the
+truth map and reads the reply's columns in step with its rules, unless a
+condition faulted or the channel is down.
+
+A monitor evaluates every batch in one app-side context, built once, which
+each batch gives its time and bindings; each rule's writes are kept or
+rolled back before the next rule runs, so nothing carries over.
 
 The plan puts only triggers that bind alike in one batch, so a batch binds
 the occurrence once, from its first rule's compile-time binding: the
@@ -53,7 +60,7 @@ class EventOccurrence:
     t: int
 
 
-@dataclass
+@dataclass(slots=True)
 class InterceptResult:
     """`reason` names the first rule or fault that blocked the call, and is
     None while nothing has."""
@@ -77,6 +84,10 @@ class LocalMonitor:
         self.channel = channel
         self.attrs = attrs
         self.local = VarStore()  # this app's own, never shared
+        # One context for every batch, which sets its time and bindings;
+        # each rule clears or rolls back its undo log. Positional: (side,
+        # now, app_id, app_name, bindings, local, global_vars, attrs)
+        self._ctx = EvalContext(APP_SIDE, 0, app_id, app_name, None, self.local, None, attrs)
 
     def intercept(self, occ: EventOccurrence) -> InterceptResult:
         """Run every rule triggered by this occurrence, in declaration
@@ -106,10 +117,9 @@ class LocalMonitor:
             return
         if returned is not None:  # only after-phase triggers have one
             bindings[returned] = occ.return_value
-        # positional (side, now, app_id, app_name, bindings, local,
-        # global_vars, attrs): matching keywords made building the context
-        # about 0.35 us slower on Python 3.11
-        ctx = EvalContext(APP_SIDE, occ.t, self.app_id, self.app_name, bindings, self.local, None, self.attrs)
+        ctx = self._ctx
+        ctx.now = occ.t
+        ctx.event_bindings = bindings
 
         # Phase 1: every app-side condition of the batch. The plan
         # guarantees no earlier rule's action writes what these read.
@@ -127,13 +137,16 @@ class LocalMonitor:
                 faulted[rule.rule_id] = f"EvalError:{ex.code}"
 
         # One round trip for the batch's NeedsGlobal rules whose conditions
-        # did not fault; a batch of LocalOnly rules sends none.
+        # did not fault; a batch of LocalOnly rules sends none. When every
+        # rule is sent and none faulted, `values` is the truth map: the
+        # same keys, in the same order.
+        whole = faulted is None and batch.all_sent
         reply = None
         request = batch
         if faulted is not None:
             request = Batch([r for r in batch.sent if r.rule_id not in faulted])
         if request.sent:
-            truth = {cid: values[cid] for cid in request.truth_ids}
+            truth = values if whole else {cid: values[cid] for cid in request.truth_ids}
             forwarded = {p: bindings[p] for p in request.forwarded}
             try:
                 reply = self.channel.request(self.app_id, request.rule_ids, occ.t, truth, forwarded)
@@ -141,14 +154,24 @@ class LocalMonitor:
                 pass
 
         # Phase 2: each rule's outcome, in declaration order; the reply's
-        # k-th entry is the k-th rule sent.
+        # k-th entry is the k-th rule sent, so a whole batch reads the
+        # reply's columns in step with its rules.
+        if whole and reply is not None:
+            for rule, guard, action_ids, fault in zip(
+                batch.rules, reply.guard_results, reply.appside_actions_to_run, reply.faults
+            ):
+                if fault is not None:
+                    self._fail(result, fault, rule.blocks)
+                elif guard:
+                    self._run_app_actions(rule, action_ids, result)
+            return
         k = 0
         for rule in batch.rules:
             if faulted is not None and rule.rule_id in faulted:
                 self._fail(result, faulted[rule.rule_id])
             elif rule.locality is Locality.LOCAL_ONLY:
                 if evaluate_guard(rule.guard, values):
-                    self._run_app_actions(rule, rule.app_action_ids, ctx, result)
+                    self._run_app_actions(rule, rule.app_action_ids, result)
             elif reply is None:
                 self._fail(result, "ChannelError")
             else:
@@ -156,10 +179,11 @@ class LocalMonitor:
                 if fault is not None:
                     self._fail(result, fault, rule.blocks)
                 elif reply.guard_results[k]:
-                    self._run_app_actions(rule, reply.appside_actions_to_run[k], ctx, result)
+                    self._run_app_actions(rule, reply.appside_actions_to_run[k], result)
                 k += 1
 
-    def _run_app_actions(self, rule: CompiledRule, action_ids, ctx: EvalContext, result: InterceptResult) -> None:
+    def _run_app_actions(self, rule: CompiledRule, action_ids, result: InterceptResult) -> None:
+        ctx = self._ctx
         blocked = False
         try:
             for aid in action_ids:

@@ -225,18 +225,27 @@ def test_triggers_that_bind_otherwise_cut_the_batch():
 
 
 def test_a_batch_binds_its_occurrence_once(monkeypatch):
-    contexts = []
+    contexts, bound = [], []
 
     def counted(*args):
         ctx = EvalContext(*args)
         contexts.append(ctx)
         return ctx
 
+    request = Channel.request
+
+    def recorded(self, *args):
+        bound.append(dict(contexts[-1].event_bindings))
+        return request(self, *args)
+
     monkeypatch.setattr(local_monitor, "EvalContext", counted)
+    monkeypatch.setattr(Channel, "request", recorded)
     run([send(0, dest="+35621123456")], compile_src(BINDING_CUT_SRC))
-    # one context per batch, bound by its first trigger: homeA's byDest
-    # binds for fwdA too, though fwdA's trigger is alsoByDest
-    assert [ctx.event_bindings for ctx in contexts] == [
+    # one context for the app, which each batch binds by its first trigger
+    # before it sends: homeA's byDest binds for fwdA too, though fwdA's
+    # trigger is alsoByDest
+    assert len(contexts) == 1
+    assert bound == [
         {"dest": "+35621123456", "body": "hi"},
         {"body": "+35621123456", "dest": "hi"},
         {},

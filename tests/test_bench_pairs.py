@@ -80,3 +80,28 @@ def test_benchmark_spec_reads_each_end_to_end_bound():
     assert "replay_us_per_event" in bounds and "call_p99_us" not in bounds
     assert all(0 < b < 1 for b in bounds.values())
     assert all(better[name] in ("lower", "higher") for name in bounds)
+
+
+def test_count_lines_name_each_count_that_differs():
+    def pair(parent, change):
+        return bench_pairs.summarize(parent, change, "lower")
+
+    same = {
+        "engine.rules_for.calls": pair([1.5, 1.5], [1.5, 1.5]),
+        "channel_requests_per_event": pair([1.0, 1.0], [1.0, 1.0]),
+        "trace.missing_hooks": pair([0, 0], [0, 0]),
+        # times may differ, and so may a ratio
+        "central.handle_request.self_us": pair([8.3, 8.1], [6.0, 6.2]),
+        "central.guard_true_ratio": pair([0.4, 0.4], [0.5, 0.5]),
+    }
+    differ = dict(
+        same,
+        **{
+            "lang.eval_expr.global.calls": pair([3.263, 3.263], [3.263, 3.264]),
+            "trace.missing_hooks": pair([0, 0], [0, 1]),
+        },
+    )
+    assert bench_pairs.count_lines({"sitting_dense": same, "quota_storm": differ}) == [
+        "sitting_dense counts: all 3 the same on both sides in every pair",
+        "quota_storm counts: 2 of 4 differ between the sides: lang.eval_expr.global.calls, trace.missing_hooks",
+    ]

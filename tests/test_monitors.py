@@ -504,6 +504,64 @@ def test_one_central_context_carries_nothing_between_requests():
     assert "g" not in gs.vars
 
 
+# The app-side twin of FORWARDING_SRC: `home` reads the bound dest, `late`
+# the time, and the last rule's action faults after a write. With `open`
+# in every guard, each rule is NeedsGlobal and the batch sends all three;
+# without it, the batch is LocalOnly and sends nothing.
+APP_CONTEXT_SRC = """
+Events { ApplicationSide {
+   sendB() = { SmsManager *.sendTextMessage(string dest, string body) }
+} }
+Conditions {
+   ApplicationSide {
+      always = { true }
+      home = { starts_with(dest, "+356") }
+      late = { hour_of_day(now) >= 1 }
+   }
+   GlobalSide { open = { true } }
+}
+Actions { ApplicationSide {
+   crash = { local.g := local.g + 1; local.g := local.g / (local.g - local.g); }
+   countHome = { local.homes := local.homes + 1; }
+   countLate = { local.lates := local.lates + 1; }
+} }
+Rules {
+   sendB() | home OPEN -> countHome;
+   sendB() | late OPEN -> countLate;
+   sendB() | always OPEN -> crash;
+}
+"""
+
+
+@pytest.mark.parametrize("open_guard", [" && open", ""], ids=["needs_global", "local_only"])
+def test_one_app_context_carries_nothing_between_batches(open_guard):
+    # the first occurrence's time and dest make only `home` hold, the
+    # second's only `late`, and each ends in an action that faults after a
+    # write: neither the time, the bindings nor the undo log may carry over
+    cp = compile_src(APP_CONTEXT_SRC.replace(" OPEN", open_guard))
+    (batch,) = cp.dispatch["SmsManager", "sendTextMessage"][0]
+    assert batch.all_sent == bool(open_guard)
+    gs = GlobalState()
+    monitor = LocalMonitor("Messenger", "Messenger", cp, Channel(CentralMonitor(cp, gs)), gs.attrs)
+    sends = [(0, "+35621123456"), (2 * MS_PER_HOUR, "21234567")]
+    results = []
+    for t, dest in sends:
+        fresh_gs = gs.copy()
+        fresh = LocalMonitor("Messenger", "Messenger", cp, Channel(CentralMonitor(cp, fresh_gs)), fresh_gs.attrs)
+        for name, kind, value in monitor.local.items_typed():
+            fresh.local.set(name, kind, value)
+        occurrence = occ("SmsManager", "sendTextMessage", Phase.BEFORE, (dest, "hi"), t=t)
+        want = fresh.intercept(occurrence)
+        got = monitor.intercept(occurrence)
+        assert got == want
+        assert monitor.local == fresh.local
+        assert monitor._ctx.undo == []
+        results.append((got.reason, got.faults))
+    assert results == [("EvalError:DivisionByZero", ("EvalError:DivisionByZero",))] * 2
+    assert [(name, monitor.local.get(name, VType.INT)) for name in ("homes", "lates")] == [("homes", 1), ("lates", 1)]
+    assert "g" not in monitor.local
+
+
 def test_replay_requests_reproduces_snapshot(quota_setup):
     cp, gs, central, channel, monitor = quota_setup
     for i in range(5):
