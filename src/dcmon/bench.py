@@ -85,7 +85,7 @@ def _instrumented_calls(cp: CompiledPolicy) -> set:
 
 def _measured_mean_ns(result: RunResult, calls: set, trace: List[TraceEvent]) -> Tuple[int, float]:
     samples = [
-        v.latency_ns for v, ev in zip(result.verdicts, trace) if (ev.namespace, ev.method) in calls
+        v.latency_ns for v, ev in zip(result.verdicts, trace) if ev.api.key in calls
     ]
     if not samples:
         return 0, 0.0
@@ -109,7 +109,7 @@ def run_bench(
     for pid in policy_ids:
         cp = compile_corpus_policy(pid, config)
         calls = _instrumented_calls(cp)
-        if not any((ev.namespace, ev.method) in calls for ev in trace):
+        if not any(ev.api.key in calls for ev in trace):
             raise BenchError(f"trace never exercises the events monitored by {pid}")
 
         mon_means: List[float] = []

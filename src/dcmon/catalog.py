@@ -15,27 +15,34 @@ from .lang.state import VarStore
 from .lang.values import Value, VType
 
 
-@dataclass(frozen=True)
+_PY_KINDS = {
+    VType.BOOL: bool,
+    VType.INT: int,
+    VType.STRING: str,
+}
+
+
+# one entry per API, which every trace event of the API shares: equal only to itself
+@dataclass(frozen=True, eq=False, slots=True)
 class ApiCatalogEntry:
     namespace: str
     method: str
     param_types: Tuple[VType, ...]
     return_type: VType
     effect: str
+    # Derived once: the replay reads the call of every event. `arg_types`
+    # holds the Python type of a plain argument of each parameter; arguments
+    # of exactly these types match, others are checked by `arg_matches`.
+    call: str = field(init=False, repr=False)
+    arg_types: Tuple[Optional[type], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "call", f"{self.namespace}.{self.method}")
+        object.__setattr__(self, "arg_types", tuple(_PY_KINDS.get(vt) for vt in self.param_types))
 
     @property
     def key(self) -> Tuple[str, str]:
         return (self.namespace, self.method)
-
-    @property
-    def call(self) -> str:
-        return f"{self.namespace}.{self.method}"
-
-    @property
-    def arg_types(self) -> Tuple[Optional[type], ...]:
-        """The Python type of a plain argument of each parameter. Arguments
-        of exactly these types match; others are checked by `arg_matches`."""
-        return tuple(_PY_KINDS.get(vt) for vt in self.param_types)
 
 
 CATALOG: Dict[Tuple[str, str], ApiCatalogEntry] = {
@@ -72,11 +79,7 @@ CATALOG: Dict[Tuple[str, str], ApiCatalogEntry] = {
     )
 }
 
-_PY_KINDS = {
-    VType.BOOL: bool,
-    VType.INT: int,
-    VType.STRING: str,
-}
+API_OF_CALL: Dict[str, ApiCatalogEntry] = {entry.call: entry for entry in CATALOG.values()}
 
 
 def arg_matches(vtype: VType, value: Value) -> bool:

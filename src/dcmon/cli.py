@@ -145,7 +145,7 @@ def cmd_bench(args) -> int:
     except UnknownPolicyId as ex:
         print(f"error: unknown policy id {ex}", file=sys.stderr)
         return EXIT_IO
-    except (BenchError, CatalogMismatch) as ex:
+    except BenchError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_TRACE
     if args.out:

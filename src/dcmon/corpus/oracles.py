@@ -17,7 +17,7 @@ GAME_PREFIX = "Game"
 
 
 def _is_call(ev: TraceEvent, namespace: str, method: str) -> bool:
-    return ev.namespace == namespace and ev.method == method
+    return ev.api.namespace == namespace and ev.api.method == method
 
 
 def _midnight(t: int) -> int:

@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .catalog import CATALOG, ApiCatalogEntry, DeviceState, arg_matches, execute_effect
+from .catalog import API_OF_CALL, CATALOG, ApiCatalogEntry, DeviceState, arg_matches, execute_effect
 from .central_monitor import (
     Channel,
     ChannelMessage,
@@ -53,23 +53,58 @@ class UnsortedTrace(TraceFormatError):
 
 
 class CatalogMismatch(Exception):
-    pass
+    """A policy's event pattern that the catalog does not offer."""
 
 
-@dataclass(slots=True)
+class InvalidEvent(ValueError):
+    """An event that the catalog or the value model cannot replay."""
+
+
+# an explicit __init__, not __post_init__, keeps one frame per event built
+@dataclass(slots=True, init=False)
 class TraceEvent:
+    """At time `t` (ms), `app` calls the catalog entry `api` with `args`.
+    The constructor is the one check of an event, parsed or built by hand."""
+
     t: int
     app: str
-    namespace: str
-    method: str
+    api: ApiCatalogEntry
     args: Tuple[Value, ...]
+
+    def __init__(self, t: int, app: str, api: ApiCatalogEntry, args: Tuple[Value, ...]) -> None:
+        # JSON decodes to no int subclass but bool
+        if type(t) is not int or t < 0:
+            raise InvalidEvent("t_ms must be a nonnegative integer")
+        if t > INT64_MAX:
+            raise InvalidEvent("t_ms must not exceed 2**63-1")
+        if type(app) is not str or not app:
+            raise InvalidEvent("app must be a nonempty string")
+        # arguments of exactly the plain types pass at once; others go through arg_matches
+        if tuple(map(type, args)) != api.arg_types:
+            if len(args) != len(api.param_types):
+                raise InvalidEvent(f"{api.call!r} takes {len(api.param_types)} arguments, got {len(args)}")
+            for pos, (vt, value) in enumerate(zip(api.param_types, args)):
+                if not arg_matches(vt, value):
+                    raise InvalidEvent(f"argument {pos} of {api.call!r} must be {vt}, got {value!r}")
+        self.t = t
+        self.app = app
+        self.api = api
+        self.args = args
+
+    @property
+    def namespace(self) -> str:
+        return self.api.namespace
+
+    @property
+    def method(self) -> str:
+        return self.api.method
 
     @property
     def call(self) -> str:
-        return f"{self.namespace}.{self.method}"
+        return self.api.call
 
     def to_json(self) -> str:
-        return canonical_json({"t_ms": self.t, "app": self.app, "call": self.call, "args": list(self.args)})
+        return canonical_json({"t_ms": self.t, "app": self.app, "call": self.api.call, "args": list(self.args)})
 
 
 @dataclass(slots=True)
@@ -103,10 +138,6 @@ _LINE_BREAKS = ("\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e")
 _JSON_SPACE = " \t"
 
 
-class _Doubt(Exception):
-    """A doubt about a text; raised by a line check, it names the check."""
-
-
 def _split_lines(text: str) -> List[str]:
     """The lines of `text`, stripped of JSON's space and tab."""
     for brk in _LINE_BREAKS:
@@ -115,40 +146,37 @@ def _split_lines(text: str) -> List[str]:
 
 
 def _event_checker(append: Callable[[TraceEvent], None]) -> Callable[[dict], TraceEvent]:
-    """The check of one decoded object: it appends the object's event and
-    returns it, or raises `_Doubt`. One call per object, it is also a hook."""
+    """The check of one decoded object: it resolves the call to its catalog
+    entry, then appends and returns the constructor's event, or raises
+    `InvalidEvent`. One call per object, it is also a hook."""
 
     def event_of(doc: dict) -> TraceEvent:
         try:
             t, app, call, args = doc["t_ms"], doc["app"], doc["call"], doc["args"]
         except KeyError:
             missing = {"t_ms", "app", "call", "args"} - set(doc)
-            raise _Doubt(f"missing fields: {', '.join(sorted(missing))}") from None
-        # JSON decodes to no int subclass but bool
-        if type(t) is not int or t < 0:
-            raise _Doubt("t_ms must be a nonnegative integer")
-        if t > INT64_MAX:
-            raise _Doubt("t_ms must not exceed 2**63-1")
-        if type(app) is not str or not app:
-            raise _Doubt("app must be a nonempty string")
-        if type(call) is not str or call.count(".") != 1:
-            raise _Doubt("call must look like Namespace.method")
+            raise InvalidEvent(f"missing fields: {', '.join(sorted(missing))}") from None
+        try:
+            api = API_OF_CALL[call]
+        except (KeyError, TypeError):  # TypeError: an unhashable call
+            if type(call) is not str or call.count(".") != 1:
+                raise InvalidEvent("call must look like Namespace.method") from None
+            raise InvalidEvent(f"unknown API {call!r}") from None
         if type(args) is not list:
-            raise _Doubt("args must be a list")
-        namespace, method = call.split(".")
-        ev = TraceEvent(t, app, namespace, method, tuple(args))
+            raise InvalidEvent("args must be a list")
+        ev = TraceEvent(t, app, api, tuple(args))
         append(ev)
         return ev
 
     return event_of
 
 
-def _check_utf8(events: List[TraceEvent]) -> None:
-    """Raise `_Doubt` if a string of the events holds a lone surrogate."""
+def _check_utf8(value) -> None:
+    """Raise `InvalidEvent` if a string in `value` holds a lone surrogate."""
     try:
-        json.dumps([(ev.app, ev.call, ev.args) for ev in events], ensure_ascii=False).encode("utf-8")
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError:
-        raise _Doubt("app, call and args must be encodable as UTF-8") from None
+        raise InvalidEvent("app, call and args must be encodable as UTF-8") from None
 
 
 def parse_trace(text: str) -> List[TraceEvent]:
@@ -157,9 +185,11 @@ def parse_trace(text: str) -> List[TraceEvent]:
     A line ends at each line break that JSON cannot hold raw inside a
     string (see `_LINE_BREAKS`). It holds one JSON object with the fields
     `t_ms`, `app`, `call` and `args`, padded only by JSON's space and tab;
-    a line of nothing else is skipped. Times must be nondecreasing. The
-    first bad line raises `TraceFormatError` (`UnsortedTrace` for a time
-    out of order) naming its number.
+    a line of nothing else is skipped. Its call must name a catalog entry,
+    and its event pass the `TraceEvent` constructor. Times must be
+    nondecreasing. The first bad line raises `TraceFormatError`
+    (`UnsortedTrace` for a time out of order, its line's last check) naming
+    its number.
 
     Every text is parsed by one `json.loads` call over all its lines. On
     any doubt, such as a bad line or a string with no UTF-8 encoding, the
@@ -169,11 +199,11 @@ def parse_trace(text: str) -> List[TraceEvent]:
     try:
         events = _parse_in_one_call(lines)
         # a lone surrogate, raw or escaped as \udXXX, has no UTF-8 encoding;
-        # ASCII text without a \u escape holds none
+        # ASCII text without a \u escape holds none, and a catalog call none
         if not text.isascii() or "\\u" in text:
-            _check_utf8(events)
+            _check_utf8([(ev.app, ev.args) for ev in events])
         return events
-    except (_Doubt, ValueError, RecursionError):
+    except (ValueError, RecursionError):
         pass
     return _parse_by_line(lines)
 
@@ -191,20 +221,20 @@ def _parse_in_one_call(lines: List[str]) -> List[TraceEvent]:
     which the per-line loop would parse alike. (Joined with a bare ",", a
     string could run across a line.)"""
     if not all(line[0] == "{" and line[-1] == "}" for line in lines if line):
-        raise _Doubt
+        raise ValueError
     events: List[TraceEvent] = []
     json.loads("[" + ",\n".join(filter(None, lines)) + "]", object_hook=_event_checker(events.append))
     if len(events) != len(lines) - lines.count(""):
-        raise _Doubt
+        raise ValueError
     times = [ev.t for ev in events]
     if times != sorted(times):
-        raise _Doubt
+        raise ValueError
     return events
 
 
 def _parse_by_line(lines: List[str]) -> List[TraceEvent]:
     """Parse each line with its own `json.loads` call; raise at the first
-    bad line."""
+    bad line. A line's strings are checked first, then its call."""
     events: List[TraceEvent] = []
     event_of = _event_checker(events.append)
     for lineno, line in enumerate(lines, start=1):
@@ -222,9 +252,9 @@ def _parse_by_line(lines: List[str]) -> List[TraceEvent]:
         if not isinstance(doc, dict):
             raise TraceFormatError(lineno, "event must be a JSON object")
         try:
+            _check_utf8([doc.get("app"), doc.get("call"), doc.get("args")])
             ev = event_of(doc)
-            _check_utf8([ev])
-        except _Doubt as ex:
+        except InvalidEvent as ex:
             raise TraceFormatError(lineno, str(ex)) from None
         if len(events) > 1 and ev.t < events[-2].t:
             raise UnsortedTrace(lineno)
@@ -267,55 +297,19 @@ def check_policy_against_catalog(cp: CompiledPolicy) -> None:
                 )
 
 
-class _Call(NamedTuple):
-    """What the trace check resolves once per run for every event of one
-    API: its catalog entry, its call string (which every verdict of the API
-    shares), its batch plans and the plain Python types of its arguments."""
-
-    entry: ApiCatalogEntry
-    call: str
-    before_plan: Tuple[Batch, ...]
-    after_plan: Tuple[Batch, ...]
-    arg_types: Tuple[Optional[type], ...]
+Plans = Tuple[Tuple[Batch, ...], Tuple[Batch, ...]]  # a call's before and after batch plans
 
 
-def _check_trace_against_catalog(
-    trace: List[TraceEvent], dispatch: Dict[Tuple[str, str], Tuple[Tuple[Batch, ...], Tuple[Batch, ...]]]
-) -> List[_Call]:
-    """Check that the trace is sorted and that each event calls a catalog
-    entry with arguments of its parameter types; return the resolved call
-    of each event, in trace order.
-
-    Events of one API share one resolved call, built at its first event.
-    An event whose arguments have exactly the plain Python types of the
-    parameters passes at once; any other goes through `arg_matches`."""
-    table: Dict[Tuple[str, str], _Call] = {}
-    calls: List[_Call] = []
-    last_t = None
+def _check_trace_against_catalog(trace: List[TraceEvent], dispatch: Dict[Tuple[str, str], Plans]) -> Dict[ApiCatalogEntry, Plans]:
+    """Check the time order, all that a list of checked events can get
+    wrong, and map each called entry to its API's before and after batch
+    plans. (The benchmark's tracer hooks this by its older name.)"""
+    last_t = 0
     for idx, ev in enumerate(trace):
-        if idx and ev.t < last_t:
+        if ev.t < last_t:
             raise UnsortedTrace(idx + 1)
         last_t = ev.t
-        key = (ev.namespace, ev.method)
-        call = table.get(key)
-        if call is None:
-            entry = CATALOG.get(key)
-            if entry is None:
-                raise CatalogMismatch(f"trace event {idx} calls unknown API {ev.call}")
-            call = table[key] = _Call(entry, entry.call, *dispatch.get(key, ((), ())), entry.arg_types)
-        if tuple(map(type, ev.args)) != call.arg_types:
-            param_types = call.entry.param_types
-            if len(ev.args) != len(param_types):
-                raise CatalogMismatch(
-                    f"trace event {idx}: {ev.call} takes {len(param_types)} arguments, got {len(ev.args)}"
-                )
-            for pos, (vt, value) in enumerate(zip(param_types, ev.args)):
-                if not arg_matches(vt, value):
-                    raise CatalogMismatch(
-                        f"trace event {idx}: argument {pos} of {ev.call} must be {vt}, got {value!r}"
-                    )
-        calls.append(call)
-    return calls
+    return {api: dispatch.get(api.key, ((), ())) for api in {ev.api for ev in trace}}
 
 
 @dataclass
@@ -363,11 +357,11 @@ def run(
     keeping output files byte-stable across runs. `config` is not read:
     it shapes a policy only when the corpus compiles it.
 
-    The trace check resolves each API's catalog entry and batch plans once
-    per run, so the loop reads an event's call from one list; a call that
-    no rule intercepts then costs that read and the catalog effect."""
+    Each event was checked when it was built. The run maps each API to its
+    batch plans once, so a call that no rule intercepts costs one dict read
+    and the catalog effect."""
     check_policy_against_catalog(cp)
-    calls = _check_trace_against_catalog(trace, cp.dispatch)
+    plans = _check_trace_against_catalog(trace, cp.dispatch)
 
     device = DeviceState()
     gs = GlobalState(vars=VarStore(), attrs=device.attrs)
@@ -388,26 +382,27 @@ def run(
     order = _execution_order(trace, concurrent_same_t, arrival_order)
     for idx in order:
         ev = trace[idx]
+        api = ev.api
         # A phase without rules proceeds with no fault and no write, so it
         # builds no occurrence and is not intercepted.
-        entry, call, before_plan, after_plan, _ = calls[idx]
+        before_plan, after_plan = plans[api]
         monitor = monitors[ev.app]
         t0 = time.perf_counter_ns() if measure_latency else 0
         event_faults = ()
         decision, reason = ALLOWED, NO_RULE
         if before_plan:
             # positional: (namespace, method, phase, args, return_value, t)
-            before = monitor.intercept(EventOccurrence(ev.namespace, ev.method, Phase.BEFORE, ev.args, None, ev.t))
+            before = monitor.intercept(EventOccurrence(api.namespace, api.method, Phase.BEFORE, ev.args, None, ev.t))
             event_faults = before.faults
             if before.blocked:
                 decision, reason = BLOCKED, before.reason
         if decision == ALLOWED:
-            ret = execute_effect(entry, ev.args, device)
+            ret = execute_effect(api, ev.args, device)
             if after_plan:
-                after = monitor.intercept(EventOccurrence(ev.namespace, ev.method, Phase.AFTER, ev.args, ret, ev.t))
+                after = monitor.intercept(EventOccurrence(api.namespace, api.method, Phase.AFTER, ev.args, ret, ev.t))
                 event_faults += after.faults
         latency = time.perf_counter_ns() - t0 if measure_latency else 0
-        verdicts[idx] = VerdictEntry(ev.t, ev.app, call, decision, reason, latency)
+        verdicts[idx] = VerdictEntry(ev.t, ev.app, api.call, decision, reason, latency)
         if event_faults:
             faults.extend((idx, f) for f in event_faults)
 
@@ -477,14 +472,14 @@ def run_unmonitored(
     measure_latency: bool = False,
 ) -> RunResult:
     """Baseline replay with monitoring disabled: every call proceeds."""
-    calls = _check_trace_against_catalog(trace, {})
+    _check_trace_against_catalog(trace, {})
     device = DeviceState()
     verdicts: List[VerdictEntry] = []
-    for ev, resolved in zip(trace, calls):
+    for ev in trace:
         t0 = time.perf_counter_ns() if measure_latency else 0
-        execute_effect(resolved.entry, ev.args, device)
+        execute_effect(ev.api, ev.args, device)
         latency = time.perf_counter_ns() - t0 if measure_latency else 0
-        verdicts.append(VerdictEntry(ev.t, ev.app, resolved.call, ALLOWED, NO_RULE, latency))
+        verdicts.append(VerdictEntry(ev.t, ev.app, ev.api.call, ALLOWED, NO_RULE, latency))
     gs = GlobalState(vars=VarStore(), attrs=device.attrs)
     return RunResult(
         verdicts=verdicts,

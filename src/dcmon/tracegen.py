@@ -13,6 +13,7 @@ import random
 from typing import List, Optional
 
 from .lang.values import MS_PER_DAY, MS_PER_HOUR, MS_PER_MINUTE, MS_PER_SECOND
+from .catalog import CATALOG
 from .sim import TraceEvent
 
 APP_POOL = ("Messenger", "Maps", "StockControl", "GameBlast", "GamePuzzle")
@@ -38,18 +39,18 @@ def _event(rng: random.Random, t: int, app: str, kind: Optional[str] = None) -> 
         weights=(30, 10, 10, 8, 14, 14, 14),
     )[0]
     if kind == "send":
-        return TraceEvent(t, app, "SmsManager", "sendTextMessage", (rng.choice(_NUMBERS), "hi"))
+        return TraceEvent(t, app, CATALOG["SmsManager", "sendTextMessage"], (rng.choice(_NUMBERS), "hi"))
     if kind == "wifi":
-        return TraceEvent(t, app, "WifiManager", "setWifiEnabled", (rng.random() < 0.7,))
+        return TraceEvent(t, app, CATALOG["WifiManager", "setWifiEnabled"], (rng.random() < 0.7,))
     if kind == "dial":
-        return TraceEvent(t, app, "TelephonyManager", "dialCall", (rng.choice(_NUMBERS),))
+        return TraceEvent(t, app, CATALOG["TelephonyManager", "dialCall"], (rng.choice(_NUMBERS),))
     if kind == "end":
-        return TraceEvent(t, app, "TelephonyManager", "endCall", ())
+        return TraceEvent(t, app, CATALOG["TelephonyManager", "endCall"], ())
     if kind == "url":
-        return TraceEvent(t, app, "WebBrowser", "requestUrl", (rng.choice(_URLS),))
+        return TraceEvent(t, app, CATALOG["WebBrowser", "requestUrl"], (rng.choice(_URLS),))
     if kind == "file":
-        return TraceEvent(t, app, "FileSystem", "openFile", (rng.choice(_PATHS), rng.choice(_MODES)))
-    return TraceEvent(t, app, "AppLauncher", "launchApp", (rng.choice(_TARGETS),))
+        return TraceEvent(t, app, CATALOG["FileSystem", "openFile"], (rng.choice(_PATHS), rng.choice(_MODES)))
+    return TraceEvent(t, app, CATALOG["AppLauncher", "launchApp"], (rng.choice(_TARGETS),))
 
 
 def _gap(rng: random.Random, profile: str) -> int:
@@ -97,19 +98,19 @@ def make_bench_trace(per_kind: int = 200, start_hour: int = 8) -> List[TraceEven
         app = APP_POOL[i % len(APP_POOL)]
         for kind in kinds:
             if kind == "send":
-                events.append(TraceEvent(t, app, "SmsManager", "sendTextMessage", ("21234567", "ping")))
+                events.append(TraceEvent(t, app, CATALOG["SmsManager", "sendTextMessage"], ("21234567", "ping")))
             elif kind == "wifi":
-                events.append(TraceEvent(t, app, "WifiManager", "setWifiEnabled", (i % 2 == 0,)))
+                events.append(TraceEvent(t, app, CATALOG["WifiManager", "setWifiEnabled"], (i % 2 == 0,)))
             elif kind == "dial":
-                events.append(TraceEvent(t, app, "TelephonyManager", "dialCall", ("21234567",)))
+                events.append(TraceEvent(t, app, CATALOG["TelephonyManager", "dialCall"], ("21234567",)))
             elif kind == "end":
-                events.append(TraceEvent(t, app, "TelephonyManager", "endCall", ()))
+                events.append(TraceEvent(t, app, CATALOG["TelephonyManager", "endCall"], ()))
             elif kind == "url":
-                events.append(TraceEvent(t, app, "WebBrowser", "requestUrl", ("news.example/today",)))
+                events.append(TraceEvent(t, app, CATALOG["WebBrowser", "requestUrl"], ("news.example/today",)))
             elif kind == "file":
-                events.append(TraceEvent(t, app, "FileSystem", "openFile", ("/home/user/notes.txt", "r")))
+                events.append(TraceEvent(t, app, CATALOG["FileSystem", "openFile"], ("/home/user/notes.txt", "r")))
             else:
-                events.append(TraceEvent(t, app, "AppLauncher", "launchApp", ("Maps" if i % 2 else "GameBlast",)))
+                events.append(TraceEvent(t, app, CATALOG["AppLauncher", "launchApp"], ("Maps" if i % 2 else "GameBlast",)))
             t += 9 * MS_PER_SECOND
     return events
 

@@ -3,6 +3,7 @@ from typing import List, Optional
 
 import pytest
 
+from dcmon.catalog import CATALOG
 from dcmon.dsl import Phase, parse_policy, validate_policy
 from dcmon.engine import CompiledPolicy
 from dcmon.lang.values import MS_PER_DAY, MS_PER_HOUR, MS_PER_MINUTE, MS_PER_SECOND
@@ -107,31 +108,31 @@ def wifi_listing_policy() -> CompiledPolicy:
 # trace builders
 
 def send(t: int, app: str = "Messenger", dest: str = "21234567") -> TraceEvent:
-    return TraceEvent(t, app, "SmsManager", "sendTextMessage", (dest, "hi"))
+    return TraceEvent(t, app, CATALOG["SmsManager", "sendTextMessage"], (dest, "hi"))
 
 
 def wifi(t: int, enabled: bool, app: str = "Maps") -> TraceEvent:
-    return TraceEvent(t, app, "WifiManager", "setWifiEnabled", (enabled,))
+    return TraceEvent(t, app, CATALOG["WifiManager", "setWifiEnabled"], (enabled,))
 
 
 def dial(t: int, number: str = "21234567", app: str = "Messenger") -> TraceEvent:
-    return TraceEvent(t, app, "TelephonyManager", "dialCall", (number,))
+    return TraceEvent(t, app, CATALOG["TelephonyManager", "dialCall"], (number,))
 
 
 def end_call(t: int, app: str = "Messenger") -> TraceEvent:
-    return TraceEvent(t, app, "TelephonyManager", "endCall", ())
+    return TraceEvent(t, app, CATALOG["TelephonyManager", "endCall"], ())
 
 
 def url(t: int, address: str, app: str = "Maps") -> TraceEvent:
-    return TraceEvent(t, app, "WebBrowser", "requestUrl", (address,))
+    return TraceEvent(t, app, CATALOG["WebBrowser", "requestUrl"], (address,))
 
 
 def open_file(t: int, path: str, app: str = "Maps", mode: str = "r") -> TraceEvent:
-    return TraceEvent(t, app, "FileSystem", "openFile", (path, mode))
+    return TraceEvent(t, app, CATALOG["FileSystem", "openFile"], (path, mode))
 
 
 def launch(t: int, target: str, app: str = "Launcher") -> TraceEvent:
-    return TraceEvent(t, app, "AppLauncher", "launchApp", (target,))
+    return TraceEvent(t, app, CATALOG["AppLauncher", "launchApp"], (target,))
 
 
 def sends_every(

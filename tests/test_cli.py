@@ -116,10 +116,32 @@ def test_run_empty_trace(tmp_path, capsys, msg_policy_file):
     assert (out / "verdicts.jsonl").read_text(encoding="utf-8") == ""
 
 
-def test_run_unknown_api_exit_3(tmp_path, msg_policy_file):
+_SEND_LINE = '{"t_ms": 5, "app": "A", "call": "SmsManager.sendTextMessage", "args": ["21234567", "hi"]}'
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (_SEND_LINE.replace('"hi"', "2.5"), "line 2: argument 1 of 'SmsManager.sendTextMessage' must be string, got 2.5"),
+        ('{"t_ms": 5, "app": "A", "call": "Camera.takePicture", "args": []}', "line 2: unknown API 'Camera.takePicture'"),
+        (_SEND_LINE.replace(', "hi"', ""), "line 2: 'SmsManager.sendTextMessage' takes 2 arguments, got 1"),
+        (_SEND_LINE.replace("5", "4", 1), "line 2: timestamps must be nondecreasing"),
+    ],
+    ids=["float-arg", "unknown-api", "wrong-arity", "time-out-of-order"],
+)
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_bad_trace_exit_3_with_no_output(tmp_path, capsys, msg_policy_file, command, line, message):
+    # the first line exercises the policy, so that bench reaches the defect
     trace = tmp_path / "bad.jsonl"
-    trace.write_text('{"t_ms": 0, "app": "A", "call": "Camera.takePicture", "args": []}\n', encoding="utf-8")
-    assert main(["run", str(msg_policy_file), str(trace), "--out", str(tmp_path / "o")]) == 3
+    trace.write_text(_SEND_LINE + "\n" + line + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    argv = {
+        "run": ["run", str(msg_policy_file), str(trace), "--out", str(out)],
+        "bench": ["bench", "--policies", "MsgCntLmt", "--trace", str(trace), "--out", str(out)],
+    }[command]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: bad trace: {message}\n"
+    assert not out.exists()
 
 
 def test_run_malformed_trace_exit_3(tmp_path, msg_policy_file):

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from dcmon.catalog import CATALOG, DeviceState, execute_effect
+from dcmon.catalog import API_OF_CALL, CATALOG, DeviceState, execute_effect
 from dcmon.central_monitor import (
     Channel,
     ChannelError,
@@ -30,6 +30,7 @@ from dcmon.sim import (
     BLOCKED,
     NO_RULE,
     CatalogMismatch,
+    InvalidEvent,
     RunResult,
     TraceEvent,
     TraceFormatError,
@@ -82,7 +83,8 @@ def test_decreasing_timestamps_rejected():
     assert str(err.value) == "line 2: timestamps must be nondecreasing"
 
 
-_EV = '{"t_ms":1,"app":"A","call":"X.y","args":[]}'
+_EV = '{"t_ms":1,"app":"A","call":"TelephonyManager.endCall","args":[]}'
+_END_CALL = CATALOG["TelephonyManager", "endCall"]
 
 
 @pytest.mark.parametrize(
@@ -92,24 +94,32 @@ _EV = '{"t_ms":1,"app":"A","call":"X.y","args":[]}'
         for line, message in [
             ("not json", "line 1: invalid JSON: Expecting value"),
             ('{"t_ms": 1}', "line 1: missing fields: app, args, call"),
-            ('{"t_ms": -1, "app": "A", "call": "X.y", "args": []}', "line 1: t_ms must be a nonnegative integer"),
-            ('{"t_ms": 1, "app": "", "call": "X.y", "args": []}', "line 1: app must be a nonempty string"),
+            ('{"t_ms": -1, "app": "A", "call": "TelephonyManager.endCall", "args": []}',
+             "line 1: t_ms must be a nonnegative integer"),
+            ('{"t_ms": 1, "app": "", "call": "TelephonyManager.endCall", "args": []}',
+             "line 1: app must be a nonempty string"),
             ('{"t_ms": 1, "app": "A", "call": "Xy", "args": []}', "line 1: call must look like Namespace.method"),
-            ('{"t_ms": 1, "app": "A", "call": "X.y", "args": 3}', "line 1: args must be a list"),
-            ('{"t_ms": true, "app": "A", "call": "X.y", "args": []}', "line 1: t_ms must be a nonnegative integer"),
-            ('{"t_ms": 1.0, "app": "A", "call": "X.y", "args": []}', "line 1: t_ms must be a nonnegative integer"),
+            ('{"t_ms": 1, "app": "A", "call": "TelephonyManager.endCall", "args": 3}', "line 1: args must be a list"),
+            ('{"t_ms": true, "app": "A", "call": "TelephonyManager.endCall", "args": []}',
+             "line 1: t_ms must be a nonnegative integer"),
+            ('{"t_ms": 1.0, "app": "A", "call": "TelephonyManager.endCall", "args": []}',
+             "line 1: t_ms must be a nonnegative integer"),
             ("[1, 2]", "line 1: event must be a JSON object"),
         ]
     ]
     + [
-        pytest.param(_EV + ',{"t_ms":2,"app":"x"\n"call":"N.m","args":[]}', "line 1: invalid JSON: Extra data",
-                     id="object-over-two-lines"),
+        # a float, null, list or object is no catalog argument; no call
+        # takes four
+        pytest.param(_EV.replace("[]", "[1.5, null, [2], {}]"),
+                     "line 1: 'TelephonyManager.endCall' takes 0 arguments, got 4", id="float-and-other-args"),
+        pytest.param(_EV + ',{"t_ms":2,"app":"x"\n"call":"TelephonyManager.endCall","args":[]}',
+                     "line 1: invalid JSON: Extra data", id="object-over-two-lines"),
         # joined with a bare comma, these three lines would read as three
         # valid objects, the second string running across a line break
-        pytest.param(_EV + "," + _EV + '\n{"t_ms":3,"app":"x}\n{","call":"N.m","args":[]}',
+        pytest.param(_EV + "," + _EV + '\n{"t_ms":3,"app":"x}\n{","call":"TelephonyManager.endCall","args":[]}',
                      "line 1: invalid JSON: Extra data", id="string-across-a-line"),
         # each line braced at both ends
-        pytest.param('{"t_ms":1,"app":"a","call":"N.m","args":[{}\n{}]}',
+        pytest.param('{"t_ms":1,"app":"a","call":"TelephonyManager.endCall","args":[{}\n{}]}',
                      "line 1: invalid JSON: Expecting ',' delimiter", id="nested-args-over-two-lines"),
         pytest.param(_EV + _EV, "line 1: invalid JSON: Extra data", id="two-objects-on-a-line"),
         pytest.param(_EV + "," + _EV, "line 1: invalid JSON: Extra data", id="two-objects-and-a-comma"),
@@ -129,16 +139,14 @@ def test_malformed_lines_rejected(text, message):
 @pytest.mark.parametrize(
     "line, event",
     [
-        ('{"t_ms":1,"app":"A","call":"X.y","args":[1.5, null, [2], {}]}',
-         TraceEvent(1, "A", "X", "y", (1.5, None, [2], {}))),
         # the last value of a duplicated key wins
-        ('{"t_ms":1,"app":"A","call":"X.y","args":[],"t_ms":7}', TraceEvent(7, "A", "X", "y", ())),
-        ('{"t_ms":1,"app":"A","call":"X.y","args":[],"extra":1}', TraceEvent(1, "A", "X", "y", ())),
+        (_EV.replace("[]", "[],\"t_ms\":7"), TraceEvent(7, "A", _END_CALL, ())),
+        (_EV.replace("[]", "[],\"extra\":1"), TraceEvent(1, "A", _END_CALL, ())),
     ],
-    ids=["float-and-other-args", "duplicate-t", "extra-key"],
+    ids=["duplicate-t", "extra-key"],
 )
 def test_lines_beyond_plain_events_parse_as_they_did(line, event):
-    assert parse_trace(_EV.replace(":1", ":0", 1) + "\n" + line) == [TraceEvent(0, "A", "X", "y", ()), event]
+    assert parse_trace(_EV.replace(":1", ":0", 1) + "\n" + line) == [TraceEvent(0, "A", _END_CALL, ()), event]
 
 
 @pytest.mark.parametrize("prefix", ["　", "\xa0", "\x1f", "\x85"])
@@ -147,11 +155,11 @@ def test_only_json_whitespace_pads_a_line(prefix):
     with pytest.raises(TraceFormatError) as err:
         parse_trace(prefix + _EV)
     assert str(err.value) == "line 1: invalid JSON: Expecting value"
-    assert parse_trace(" \t" + _EV + "\t \r\n\n  \t\n") == [TraceEvent(1, "A", "X", "y", ())]
+    assert parse_trace(" \t" + _EV + "\t \r\n\n  \t\n") == [TraceEvent(1, "A", _END_CALL, ())]
 
 
 def test_too_deeply_nested_line_rejected():
-    deep = '{"t_ms":1,"app":"A","call":"X.y","args":[%s]}' % ("[" * 100_000 + "]" * 100_000)
+    deep = '{"t_ms":1,"app":"A","call":"TelephonyManager.endCall","args":[%s]}' % ("[" * 100_000 + "]" * 100_000)
     with pytest.raises(TraceFormatError) as err:
         parse_trace(_EV + "\n" + deep)
     assert str(err.value) == "line 2: invalid JSON: nested too deeply"
@@ -166,22 +174,46 @@ def test_integer_with_too_many_digits_rejected(field):
     assert str(err.value) == "line 2: invalid JSON: integer has too many digits"
 
 
-_PLAIN_ARG = st.one_of(st.booleans(), st.integers(-(2**70), 2**70), st.text('ab"\\{}[],: \x7f', max_size=4))
+_TEXT = st.text('ab"\\{}[],: \x7f', max_size=4)
+_PLAIN_ARG = st.one_of(st.booleans(), st.integers(-(2**70), 2**70), _TEXT)
+# a catalog call and arguments of its parameter types
+_MATCHING_CALLS = st.sampled_from(list(API_OF_CALL.values())).flatmap(
+    lambda api: st.tuples(
+        st.just(api.call), st.tuples(*(st.booleans() if vt is VType.BOOL else _TEXT for vt in api.param_types))
+    )
+)
+
+
+@st.composite
+def _calls(draw):
+    """A catalog call with matching args, or with a float among them, or
+    with the wrong arity, or an unknown call."""
+    call, args = draw(_MATCHING_CALLS)
+    args = list(args)
+    # one line in four has a defect
+    defect = draw(st.sampled_from(["float", "arity", "unknown"])) if draw(st.integers(0, 3)) == 0 else None
+    if defect == "float":
+        pos = draw(st.integers(0, len(args)))
+        args[pos:pos + 1] = [draw(st.floats())]  # replaces args[pos], or appends
+    elif defect == "arity":
+        args = args[:-1] if args and draw(st.booleans()) else args + [draw(_PLAIN_ARG)]
+    elif defect == "unknown":
+        call = draw(st.sampled_from(["N.m", "Camera.takePicture"]))
+    return call, args
 
 
 @st.composite
 def trace_texts(draw):
-    """A trace text of valid event lines, then mutated: lines joined or
-    split, a brace dropped, args nested, keys duplicated or added, a
-    float, bool, negative or too large t_ms, times swapped and blank
-    lines. Some args
-    are floats, and some app names are not ASCII."""
+    """A trace text of event lines, then mutated: lines joined or split, a
+    brace dropped, args nested, keys duplicated or added, a float, bool,
+    negative or too large t_ms, times swapped and blank lines. Some lines
+    call the catalog with args of the wrong type or number, or call an
+    unknown API, and some app names are not ASCII."""
     times = sorted(draw(st.lists(st.integers(0, 50), max_size=6)))
     lines = []
     for t in times:
-        doc = {"t_ms": t, "app": draw(st.sampled_from(["A", "Maps", "x y", "M\u00e4ps"])),
-               "call": draw(st.sampled_from(["N.m", "SmsManager.sendTextMessage"])),
-               "args": draw(st.lists(st.one_of(_PLAIN_ARG, st.floats()), max_size=3))}
+        call, args = draw(_calls())
+        doc = {"t_ms": t, "app": draw(st.sampled_from(["A", "Maps", "x y", "M\u00e4ps"])), "call": call, "args": args}
         sep = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
         lines.append(json.dumps(doc, separators=sep, ensure_ascii=draw(st.booleans())))
     mutations = draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 10**6)), max_size=3))
@@ -227,23 +259,31 @@ def test_parse_trace_matches_the_per_line_loop(text):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["A", "Maps", "M\u00e4ps", "\u5730\u56fe"]), st.lists(_PLAIN_ARG, max_size=3),
+@given(st.lists(st.tuples(st.sampled_from(["A", "Maps", "M\u00e4ps", "\u5730\u56fe"]), _MATCHING_CALLS,
                           st.booleans()), max_size=6))
 def test_plain_events_parse_in_one_call(events):
-    text = "".join(json.dumps({"t_ms": t, "app": app, "call": "N.m", "args": args}, ensure_ascii=escape) + "\n"
-                   for t, (app, args, escape) in enumerate(events))
+    text = "".join(json.dumps({"t_ms": t, "app": app, "call": call, "args": args}, ensure_ascii=escape) + "\n"
+                   for t, (app, (call, args), escape) in enumerate(events))
     lines = _split_lines(text)
     assert repr(_parse_in_one_call(lines)) == repr(_parse_by_line(lines))
+
+
+def test_events_of_one_call_share_its_catalog_entry():
+    a, _, b = parse_trace("\n".join([_send_at(0), _EV, _send_at(1)]))
+    assert a.api is b.api is CATALOG["SmsManager", "sendTextMessage"]
+    # the event holds its entry, and no namespace or method strings
+    assert TraceEvent.__slots__ == ("t", "app", "api", "args")
 
 
 @pytest.mark.parametrize(
     "line, event",
     [
-        ('{"t_ms": 1, "app": "M\u00e4ps", "call": "X.y", "args": []}', TraceEvent(1, "M\u00e4ps", "X", "y", ())),
-        ('{"t_ms": 1, "app": "M\\u00e4ps", "call": "X.y", "args": []}', TraceEvent(1, "M\u00e4ps", "X", "y", ())),
-        ('{"t_ms": 1, "app": "A", "call": "X.y", "args": ["\\ud83d\\ude00"]}', TraceEvent(1, "A", "X", "y", ("\U0001f600",))),
-        ('{"t_ms": 1, "app": "A", "call": "X.y", "args": ["http://a.example/\u2028"]}',
-         TraceEvent(1, "A", "X", "y", ("http://a.example/\u2028",))),
+        (_EV.replace('"A"', '"M\u00e4ps"'), TraceEvent(1, "M\u00e4ps", _END_CALL, ())),
+        (_EV.replace('"A"', '"M\\u00e4ps"'), TraceEvent(1, "M\u00e4ps", _END_CALL, ())),
+        ('{"t_ms": 1, "app": "A", "call": "WebBrowser.requestUrl", "args": ["\\ud83d\\ude00"]}',
+         TraceEvent(1, "A", CATALOG["WebBrowser", "requestUrl"], ("\U0001f600",))),
+        ('{"t_ms": 1, "app": "A", "call": "WebBrowser.requestUrl", "args": ["http://a.example/\u2028"]}',
+         TraceEvent(1, "A", CATALOG["WebBrowser", "requestUrl"], ("http://a.example/\u2028",))),
     ],
     ids=["raw-non-ascii-app", "escaped-non-ascii-app", "escaped-surrogate-pair-arg", "raw-u2028-in-url"],
 )
@@ -252,7 +292,7 @@ def test_non_ascii_text_parses_in_one_call(monkeypatch, line, event):
         raise AssertionError("fell back to the per-line loop")
 
     monkeypatch.setattr(sim, "_parse_by_line", per_line_loop)
-    assert parse_trace(_EV + "\n" + line) == [TraceEvent(1, "A", "X", "y", ()), event]
+    assert parse_trace(_EV + "\n" + line) == [TraceEvent(1, "A", _END_CALL, ()), event]
 
 
 def _send_at(t):
@@ -300,8 +340,10 @@ def test_escaped_unicode_accepted():
     # an escaped surrogate pair is one character, and encodes
     (ev,) = parse_trace(SEND_LINE % ('"\\u00e9"', '"\\ud83d\\ude00"'))
     assert (ev.app, ev.args) == ("\u00e9", ("\U0001f600", "y"))
-    (ev,) = parse_trace(SEND_LINE % ('"A"', '[["\\ud83d\\ude00"]]'))
-    assert ev.args == ([["\U0001f600"]], "y")
+    # ... but no longer in a nested list, which is no catalog argument
+    with pytest.raises(TraceFormatError) as err:
+        parse_trace(SEND_LINE % ('"A"', '[["\\ud83d\\ude00"]]'))
+    assert str(err.value) == "line 1: argument 0 of 'SmsManager.sendTextMessage' must be string, got [['\U0001f600']]"
 
 
 def test_unicode_line_separators_inside_a_string_split_no_line():
@@ -315,7 +357,7 @@ def test_unicode_line_separators_inside_a_string_split_no_line():
     trace = parse_trace("\n".join(lines))
     assert [ev.args for ev in trace] == [(url,) for url in urls]
     with pytest.raises(TraceFormatError) as err:
-        parse_trace("\n".join(lines + ['{"t_ms": -1, "app": "A", "call": "X.y", "args": []}']))
+        parse_trace("\n".join(lines + [_EV.replace(":1", ":-1", 1)]))
     assert err.value.line == 4
     assert str(err.value) == "line 4: t_ms must be a nonnegative integer"
 
@@ -327,7 +369,7 @@ def test_each_line_break_json_cannot_hold_raw_ends_one_line():
     text = "".join(line + brk for line, brk in zip(lines, breaks))
     assert [ev.t for ev in parse_trace(text)] == list(range(len(breaks)))
     with pytest.raises(TraceFormatError) as err:
-        parse_trace(text + '{"t_ms": -1, "app": "A", "call": "X.y", "args": []}')
+        parse_trace(text + _EV.replace(":1", ":-1", 1))
     assert str(err.value) == f"line {len(breaks) + 1}: t_ms must be a nonnegative integer"
 
 
@@ -343,80 +385,81 @@ def test_trace_roundtrip_through_file(tmp_path):
 # catalog checks
 
 def test_unknown_api_in_trace():
-    cp = compile_corpus_policy("MsgCntLmt")
-    with pytest.raises(CatalogMismatch):
-        run([TraceEvent(0, "A", "Camera", "takePicture", ())], cp)
+    with pytest.raises(TraceFormatError) as err:
+        parse_trace(_send_at(0) + '\n{"t_ms": 1, "app": "A", "call": "Camera.takePicture", "args": []}')
+    assert str(err.value) == "line 2: unknown API 'Camera.takePicture'"
 
 
 def test_bad_arg_type_in_trace():
-    cp = compile_corpus_policy("MsgCntLmt")
-    with pytest.raises(CatalogMismatch):
-        run([TraceEvent(0, "A", "SmsManager", "sendTextMessage", (1, 2))], cp)
+    # an event built by hand is checked as it is built, before any run
+    with pytest.raises(InvalidEvent) as err:
+        TraceEvent(0, "A", CATALOG["SmsManager", "sendTextMessage"], (1, 2))
+    assert str(err.value) == "argument 0 of 'SmsManager.sendTextMessage' must be string, got 1"
+    # dataclasses.replace goes through the same constructor
+    with pytest.raises(InvalidEvent) as err:
+        dataclasses.replace(send(0), args=("21234567", 2.5))
+    assert str(err.value) == "argument 1 of 'SmsManager.sendTextMessage' must be string, got 2.5"
 
 
-def _camera(t: int, *args) -> TraceEvent:
-    return TraceEvent(t, "A", "Camera", "takePicture", args)
-
-
-def _sms(t: int, *args) -> TraceEvent:
-    return TraceEvent(t, "Messenger", "SmsManager", "sendTextMessage", args)
+_SMS, _WIFI, _CAMERA = "SmsManager.sendTextMessage", "WifiManager.setWifiEnabled", "Camera.takePicture"
+_HI = ["21234567", "hi"]
 
 
 @pytest.mark.parametrize(
-    "trace, error, message",
+    "rows, error, message",
     [
-        ([send(10), send(0)], UnsortedTrace, "line 2: timestamps must be nondecreasing"),
-        ([send(0), _camera(1)], CatalogMismatch, "trace event 1 calls unknown API Camera.takePicture"),
+        ([(10, _SMS, _HI), (0, _SMS, _HI)], UnsortedTrace, "line 2: timestamps must be nondecreasing"),
+        ([(0, _SMS, _HI), (1, _CAMERA, [])], TraceFormatError, "line 2: unknown API 'Camera.takePicture'"),
+        ([(0, _WIFI, [])], TraceFormatError, "line 1: 'WifiManager.setWifiEnabled' takes 1 arguments, got 0"),
         (
-            [TraceEvent(0, "A", "WifiManager", "setWifiEnabled", ())],
-            CatalogMismatch,
-            "trace event 0: WifiManager.setWifiEnabled takes 1 arguments, got 0",
+            [(0, "TelephonyManager.endCall", ["x"])],
+            TraceFormatError,
+            "line 1: 'TelephonyManager.endCall' takes 0 arguments, got 1",
+        ),
+        ([(0, _SMS, [1, 2])], TraceFormatError, "line 1: argument 0 of 'SmsManager.sendTextMessage' must be string, got 1"),
+        (
+            [(0, "TelephonyManager.dialCall", [True])],
+            TraceFormatError,
+            "line 1: argument 0 of 'TelephonyManager.dialCall' must be string, got True",
+        ),
+        ([(0, _WIFI, [1])], TraceFormatError, "line 1: argument 0 of 'WifiManager.setWifiEnabled' must be bool, got 1"),
+        # a call that passed once is checked again at its next line
+        (
+            [(0, _SMS, _HI), (1, _SMS, ["21234567", None])],
+            TraceFormatError,
+            "line 2: argument 1 of 'SmsManager.sendTextMessage' must be string, got None",
+        ),
+        # several defects: the first failing line is reported ...
+        (
+            [(0, _SMS, _HI), (5, _WIFI, ["yes"]), (6, _CAMERA, []), (1, _SMS, _HI)],
+            TraceFormatError,
+            "line 2: argument 0 of 'WifiManager.setWifiEnabled' must be bool, got 'yes'",
         ),
         (
-            [TraceEvent(0, "A", "TelephonyManager", "endCall", ("x",))],
-            CatalogMismatch,
-            "trace event 0: TelephonyManager.endCall takes 0 arguments, got 1",
+            [(0, _SMS, _HI), (1, _CAMERA, [1]), (0, _SMS, _HI), (2, _SMS, [3])],
+            TraceFormatError,
+            "line 2: unknown API 'Camera.takePicture'",
+        ),
+        # ... so an earlier line's time order before a later line's API or
+        # arity ...
+        (
+            [(0, _SMS, _HI), (10, _SMS, _HI), (5, _SMS, _HI), (6, _CAMERA, [])],
+            UnsortedTrace,
+            "line 3: timestamps must be nondecreasing",
+        ),
+        ([(10, _SMS, _HI), (5, _SMS, _HI), (6, _SMS, [1])], UnsortedTrace, "line 2: timestamps must be nondecreasing"),
+        # ... and within one line, its own defects before its time order,
+        # the API before the arity, the arity before the argument types
+        ([(0, _SMS, _HI), (10, _SMS, _HI), (5, _CAMERA, [])], TraceFormatError, "line 3: unknown API 'Camera.takePicture'"),
+        (
+            [(10, _SMS, _HI), (5, _SMS, [1])],
+            TraceFormatError,
+            "line 2: 'SmsManager.sendTextMessage' takes 2 arguments, got 1",
         ),
         (
-            [_sms(0, 1, 2)],
-            CatalogMismatch,
-            "trace event 0: argument 0 of SmsManager.sendTextMessage must be string, got 1",
-        ),
-        (
-            [dial(0, True)],
-            CatalogMismatch,
-            "trace event 0: argument 0 of TelephonyManager.dialCall must be string, got True",
-        ),
-        (
-            [wifi(0, 1)],
-            CatalogMismatch,
-            "trace event 0: argument 0 of WifiManager.setWifiEnabled must be bool, got 1",
-        ),
-        # a call that passed once is checked again at its next event
-        (
-            [send(0), _sms(1, "21234567", None)],
-            CatalogMismatch,
-            "trace event 1: argument 1 of SmsManager.sendTextMessage must be string, got None",
-        ),
-        # several defects: the first failing event is reported ...
-        (
-            [send(0), wifi(5, "yes"), _camera(6), send(1)],
-            CatalogMismatch,
-            "trace event 1: argument 0 of WifiManager.setWifiEnabled must be bool, got 'yes'",
-        ),
-        (
-            [send(0), _camera(1, 1), send(0), _sms(2, 3)],
-            CatalogMismatch,
-            "trace event 1 calls unknown API Camera.takePicture",
-        ),
-        # ... and within one event, timestamp order before the API and the
-        # arity, the arity before the argument types
-        ([send(0), send(10), _camera(5)], UnsortedTrace, "line 3: timestamps must be nondecreasing"),
-        ([send(10), _sms(5, 1)], UnsortedTrace, "line 2: timestamps must be nondecreasing"),
-        (
-            [send(0), _sms(1, 1), wifi(2, "no")],
-            CatalogMismatch,
-            "trace event 1: SmsManager.sendTextMessage takes 2 arguments, got 1",
+            [(0, _SMS, _HI), (1, _SMS, [1]), (2, _WIFI, ["no"])],
+            TraceFormatError,
+            "line 2: 'SmsManager.sendTextMessage' takes 2 arguments, got 1",
         ),
     ],
     ids=[
@@ -432,18 +475,29 @@ def _sms(t: int, *args) -> TraceEvent:
         "first-of-api-order-arity-defects",
         "order-before-api",
         "order-before-arity",
+        "api-before-order",
+        "arity-before-order",
         "arity-before-argument",
     ],
 )
 @pytest.mark.parametrize("monitored", [True, False], ids=["run", "run_unmonitored"])
-def test_trace_rejection_names_the_first_defect(trace, error, message, monitored):
-    with pytest.raises(Exception) as err:
-        if monitored:
-            run(trace, compile_corpus_policy("MsgCntLmt"))
-        else:
-            run_unmonitored(trace)
+def test_trace_rejection_names_the_first_defect(rows, error, message, monitored):
+    """A trace text meets its first defect as it is loaded, on its way to
+    either replay. Built by hand, a list holds only events that passed
+    their own check, and the replay checks their time order."""
+    cp = compile_corpus_policy("MsgCntLmt")
+    replay = (lambda trace: run(trace, cp)) if monitored else run_unmonitored
+    text = "\n".join(json.dumps({"t_ms": t, "app": "A", "call": call, "args": args}) for t, call, args in rows)
+    with pytest.raises(TraceFormatError) as err:
+        replay(parse_trace(text))
     assert type(err.value) is error
     assert str(err.value) == message
+    if error is UnsortedTrace:
+        # the lines up to the first defect, built by hand, meet it in the replay
+        trace = [TraceEvent(t, "A", API_OF_CALL[call], tuple(args)) for t, call, args in rows[: err.value.line]]
+        with pytest.raises(UnsortedTrace) as err:
+            replay(trace)
+        assert str(err.value) == message
 
 
 class _Text(str):
