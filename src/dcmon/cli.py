@@ -6,8 +6,9 @@
     dcmon report <report.json>
 
 Exit codes: 0 success; 1 policy does not compile (diagnostics on stderr,
-one `LINE:COL: code: message` per line); 2 I/O or config problems;
-3 trace or catalog mismatch.
+one `LINE:COL: code: message` per line) or does not match the catalog (one
+`error: ` line); 2 I/O or config problems; 3 a bad trace, or one that
+never exercises a policy that `bench` selected.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .bench import MIN_REPETITIONS, BenchError, render_table, run_bench
 from .config import DEFAULT_CONFIG, ConfigError, SimConfig, load_config
 from .corpus import CORPUS_IDS, UnknownPolicyId
 from .dsl import ParseError, parse_policy, validate_policy
-from .sim import CatalogMismatch, TraceFormatError, load_trace, run
+from .sim import CatalogMismatch, TraceFormatError, check_policy_against_catalog, load_trace, run
 
 EXIT_OK = 0
 EXIT_COMPILE = 1
@@ -46,6 +47,11 @@ def _read_policy(path: str):
     if isinstance(result, list):
         for err in result:
             print(err.diagnostic(), file=sys.stderr)
+        return None, EXIT_COMPILE
+    try:
+        check_policy_against_catalog(result)
+    except CatalogMismatch as ex:
+        print(f"error: {ex}", file=sys.stderr)
         return None, EXIT_COMPILE
     return result, EXIT_OK
 
@@ -103,11 +109,7 @@ def cmd_run(args) -> int:
     trace, code = _read_trace(args.trace)
     if trace is None:
         return code
-    try:
-        result = run(trace, cp, measure_latency=args.measure_latency)
-    except CatalogMismatch as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_TRACE
+    result = run(trace, cp, measure_latency=args.measure_latency)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -25,7 +25,8 @@ names. Whether every rule of a batch is sent is fixed here too: such a
 batch reads the reply in step with its rules.
 
 `compile_policy` also compiles each condition body, guard and action body
-once, to a closure (see `lang/closures.py`): a condition body becomes
+once, to a Python function generated as source, all of a policy's functions
+in one module (see `lang/codegen.py`): a condition body becomes
 `code(ctx) -> value`, an action body `code(ctx) -> blocked`, and a guard
 `code(truth) -> bool` over the truth values of its conditions. The monitors
 run them through the runners `eval_expr`, `evaluate_guard` and `exec_stmts`
@@ -48,7 +49,7 @@ from .dsl.ast import (
     Side,
     guard_refs,
 )
-from .lang.closures import Code, compile_expr, compile_guard, compile_stmts
+from .lang.codegen import Code, compile_bodies
 from .lang.eval import EvalContext
 from .lang.nodes import AppendStmt, Assign, BlockStmt, PruneStmt, VarRef, walk_exprs
 from .lang.values import Value
@@ -171,6 +172,13 @@ def compile_policy(spec: PolicySpec, state_types: StateTypes) -> CompiledPolicy:
     cond_ids = {c.name: i for i, c in enumerate(spec.conditions)}
     action_ids = {a.name: i for i, a in enumerate(spec.actions)}
 
+    condition_code, action_code, guards = compile_bodies(
+        [c.body for c in spec.conditions],
+        [a.body for a in spec.actions],
+        [r.guard for r in spec.rules],
+        state_types,
+        cond_ids,
+    )
     rules: List[CompiledRule] = []
     for idx, rule in enumerate(spec.rules):
         trigger = spec.events[event_ids[rule.trigger]]
@@ -191,7 +199,7 @@ def compile_policy(spec: PolicySpec, state_types: StateTypes) -> CompiledPolicy:
                 name=rule.name or f"rule#{idx}",
                 trigger_id=event_ids[rule.trigger],
                 binding=_bindings(trigger),
-                guard=compile_guard(rule.guard, cond_ids),
+                guard=guards[idx],
                 locality=Locality.LOCAL_ONLY if local_only else Locality.NEEDS_GLOBAL,
                 app_condition_ids=app_conds,
                 global_condition_ids=global_conds,
@@ -213,8 +221,8 @@ def compile_policy(spec: PolicySpec, state_types: StateTypes) -> CompiledPolicy:
         events=spec.events,
         conditions=spec.conditions,
         actions=spec.actions,
-        condition_code=tuple(compile_expr(c.body, state_types) for c in spec.conditions),
-        action_code=tuple(compile_stmts(a.body, state_types) for a in spec.actions),
+        condition_code=condition_code,
+        action_code=action_code,
         rules=tuple(rules),
         dispatch={k: (plan_batches(spec, before), plan_batches(spec, after)) for k, (before, after) in dispatch.items()},
         state_types=state_types,

@@ -1,0 +1,557 @@
+"""Condition bodies, guards and action bodies compiled to Python source.
+
+`compile_policy` writes each body of a policy as one Python function, puts
+all of a policy's functions in one module and compiles that module with one
+`compile()` call; bodies with identical source share one function. This
+carries the idea of Feeley & Lapalme, *Using Closures for Code Generation*
+(1987), one step further: instead of one closure per node, a body runs as
+one Python frame, with no dispatch on node types and no call per node.
+
+The semantics are those of the tests' tree interpreter: operands run left
+then right and arguments left to right; `&&` and `||` short-circuit and
+coerce with `bool()`; every fault fires with its code and detail when the
+node that raises it runs; an unwritten variable reads as its typed zero; and
+each statement that writes logs exactly one undo record. A body reads and
+writes the stores' dicts directly, and runs checked arithmetic and range
+checks inline. An operator, `!`, `&&`, `||` or duration builtin whose
+operands are known at compile time is folded to its value, bottom up,
+unless computing it raises, so that `minutes(0 - 1)` still faults when the
+body runs.
+
+`append` and `prune_older` edit a stored ts_list in place. Their undo record
+puts back the slice they changed instead of the whole list (see
+`eval.rollback`).
+
+Policy text reaches the generated source only as the `repr` of a literal
+value or of a key; every name in it is the generator's own. A function
+nests at most `_MAX_DEPTH` blocks (a body) or parentheses (a guard); a
+deeper subtree becomes a function of its own, so the source stays inside
+CPython's limits on indentation and nested parentheses.
+"""
+
+from __future__ import annotations
+
+import bisect
+import operator
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
+
+from .check import BUILTINS as SIGNATURES
+from .eval import APP_SIDE, EvalError, SideFault, _checked_int, duration, trunc_div
+from .nodes import (
+    CMP_OPS,
+    NS_COND,
+    NS_CTX,
+    NS_EVENT,
+    NS_LOCAL,
+    AppendStmt,
+    Assign,
+    Binary,
+    BlockStmt,
+    Call,
+    Expr,
+    Literal,
+    PruneStmt,
+    SetAttrStmt,
+    Stmt,
+    Unary,
+    VarRef,
+)
+from .values import INT64_MAX, INT64_MIN, MS_PER_DAY, MS_PER_HOUR, MS_PER_MINUTE, MS_PER_SECOND, VType, typed_zero
+
+# code(ctx) -> value for an expression, code(ctx) -> blocked for an action
+# body, code(truth) -> bool for a guard
+Code = Callable[[Any], Any]
+StateTypes = Mapping[Tuple[str, str], VType]
+
+
+def compile_bodies(
+    conditions: Sequence[Expr],
+    actions: Sequence[Tuple[Stmt, ...]],
+    guards: Sequence[Expr],
+    state_types: StateTypes,
+    cond_ids: Mapping[str, int],
+) -> Tuple[Tuple[Code, ...], Tuple[Code, ...], Tuple[Code, ...]]:
+    """The code of each condition body, action body and guard, in order,
+    from one generated module. State variables are read as `state_types`
+    types them; a guard reads the truth value of condition `name` at
+    `truth[cond_ids[name]]`. A guard is `!`, `&&` and `||` over
+    `VarRef(NS_COND, name)` leaves; any other node in a guard, and any
+    unknown node in a body, raises AssertionError."""
+    module = _Module(state_types)
+    names = (
+        [module.body(lambda f, e=e: f.expr(e)) for e in conditions],
+        [module.body(lambda f, s=s: f.stmts(s)) for s in actions],
+        [module.guard(g, cond_ids) for g in guards],
+    )
+    functions = module.build()
+    return tuple(tuple(functions[name] for name in group) for group in names)
+
+
+def compile_expr(expr: Expr, state_types: StateTypes) -> Code:
+    """`code(ctx) -> value`, reading state variables as `state_types` types them."""
+    return compile_bodies([expr], [], [], state_types, {})[0][0]
+
+
+def compile_guard(guard: Expr, cond_ids: Mapping[str, int]) -> Code:
+    """`code(truth) -> bool` over a map from condition id to truth value."""
+    return compile_bodies([], [], [guard], {}, cond_ids)[2][0]
+
+
+def compile_stmts(stmts: Tuple[Stmt, ...], state_types: StateTypes) -> Code:
+    """`code(ctx) -> blocked` for an action body: runs its statements in
+    order and returns whether one of them was block()."""
+    return compile_bodies([], [stmts], [], state_types, {})[1][0]
+
+
+# the most nested blocks (in a body) or parentheses (in a guard) that one
+# generated function holds
+_MAX_DEPTH = 16
+
+_UNKNOWN = object()
+
+
+class _Operand(NamedTuple):
+    """A value in generated code: its source, which is a local name or a
+    constant's repr, and the value itself when it is known at compile time.
+    `temp` marks a name that no other node reads, which its consumer may
+    therefore assign again."""
+
+    src: str
+    value: Any = _UNKNOWN
+    temp: bool = False
+    int64: bool = False  # whether it passed the range check of an int
+
+    @property
+    def known(self) -> bool:
+        return self.value is not _UNKNOWN
+
+
+def _const(value) -> _Operand:
+    return _Operand(repr(value), value)
+
+
+# the precedence of `||`, `&&` and `!` in generated Python, and their spelling
+_LOGIC = {"||": 1, "&&": 2}
+_NOT = 3
+_PYTHON = {"||": "or", "&&": "and"}
+
+
+def _precedence(expr: Expr) -> int:
+    if isinstance(expr, Binary):
+        return _LOGIC.get(expr.op, 4)
+    return _NOT if isinstance(expr, Unary) else 4
+
+
+def _yields_bool(expr: Expr) -> bool:
+    """Whether every value of `expr` is a bool: a comparison of two values,
+    `!`, `&&` or `||`."""
+    if isinstance(expr, Binary):
+        return expr.op in _LOGIC or expr.op in CMP_OPS
+    return isinstance(expr, Unary)
+
+
+# the milliseconds in one unit of each duration builtin
+_DURATIONS = {"hours": MS_PER_HOUR, "minutes": MS_PER_MINUTE, "seconds": MS_PER_SECOND}
+
+# Each builtin inline, over the sources of its arguments; the duration
+# builtins and count_within add a range check (see `_Function.call`).
+_CALLS = {
+    "hour_of_day": f"({{0}} % {MS_PER_DAY}) // {MS_PER_HOUR}",
+    "is_pm": f"({{0}} % {MS_PER_DAY}) // {MS_PER_HOUR} >= 12",
+    "since_midnight": f"{{0}} % {MS_PER_DAY}",
+    "same_calendar_day": f"{{0}} // {MS_PER_DAY} == {{1}} // {MS_PER_DAY}",
+    "count_within": "len({0}) - bisect_left({0}, now - {1})",
+    "size": "len({0})",
+    "starts_with": "({0}).startswith({1})",
+    "contains": "{1} in {0}",
+    **{func: f"{{0}} * {ms}" for func, ms in _DURATIONS.items()},
+}
+
+# the value of each binary operator other than `&&` and `||`, to fold it
+_VALUES: Dict[str, Callable[[Any, Any], Any]] = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "+": lambda a, b: _checked_int(a + b),
+    "-": lambda a, b: _checked_int(a - b),
+    "*": lambda a, b: _checked_int(a * b),
+    "/": trunc_div,
+}
+
+# what a generated function binds first, for the names its body uses
+_PROLOGUE = (
+    ("ev", "ev = ctx.event_bindings"),
+    ("now", "now = ctx.now"),
+    ("lv", "lv = ctx.local"),
+    ("gv", "gv = ctx.global_vars"),
+    ("at", "at = ctx.attrs"),
+    ("undo", "undo = ctx.undo"),
+)
+
+# the globals of a generated module
+_NAMESPACE = {
+    "EvalError": EvalError,
+    "SideFault": SideFault,
+    "bisect_left": bisect.bisect_left,
+    "bisect_right": bisect.bisect_right,
+    "insort": bisect.insort,
+    **{kind.name: kind for kind in VType},
+}
+
+
+class _Module:
+    """The functions of one generated module, each source once."""
+
+    def __init__(self, state_types: StateTypes):
+        self.state_types = state_types
+        self.names: Dict[str, str] = {}  # a function's parameter and body -> its name
+        self.called: set = set()  # the functions that generated code calls
+
+    def add(self, param: str, body: List[str]) -> str:
+        key = f"({param}):\n" + "\n".join(body)
+        name = self.names.get(key)
+        if name is None:
+            name = self.names[key] = f"f{len(self.names)}"
+        return name
+
+    def body(self, emit: Callable[["_Function"], "_Operand | None"]) -> str:
+        """Add the function that `emit` writes, which returns the body's
+        value, or None when it wrote its own `return`."""
+        f = _Function(self)
+        return f.finish(emit(f))
+
+    def guard(self, guard: Expr, cond_ids: Mapping[str, int]) -> str:
+        return self.add("truth", ["    return " + self._guard(guard, cond_ids, 0)])
+
+    def _guard(self, expr: Expr, cond_ids: Mapping[str, int], depth: int) -> str:
+        """The source of a guard expression inside `depth` parentheses."""
+        if isinstance(expr, VarRef) and expr.ns == NS_COND:
+            return f"truth[{cond_ids[expr.name]!r}]"
+        if isinstance(expr, Unary) and expr.op == "!":
+            return "not " + self._operand(expr.operand, _NOT, cond_ids, depth)
+        if isinstance(expr, Binary) and expr.op in _LOGIC:
+            prec = _LOGIC[expr.op]
+            left = self._operand(expr.left, prec, cond_ids, depth)
+            return f"{left} {_PYTHON[expr.op]} {self._operand(expr.right, prec, cond_ids, depth)}"
+        raise AssertionError(f"unknown guard node {expr!r}")
+
+    def _operand(self, expr: Expr, prec: int, cond_ids: Mapping[str, int], depth: int) -> str:
+        """The source of `expr` as an operand of an operator of precedence
+        `prec`. `and` and `or` are associative, so only an `or` under an
+        `and`, or either under a `not`, needs parentheses."""
+        if _precedence(expr) >= prec:
+            return self._guard(expr, cond_ids, depth)
+        if depth >= _MAX_DEPTH:
+            return f"{self.call(self.guard(expr, cond_ids))}(truth)"
+        return f"({self._guard(expr, cond_ids, depth + 1)})"
+
+    def call(self, name: str) -> str:
+        """`name`, which generated code calls."""
+        self.called.add(name)
+        return name
+
+    def build(self) -> Dict[str, Any]:
+        """Each function by name. The functions are not in their globals,
+        except those that others call, so that a policy dropped leaves no
+        reference cycle to the collector."""
+        source = "\n".join(f"def {name}{key}" for key, name in self.names.items())
+        namespace = dict(_NAMESPACE)
+        functions: Dict[str, Any] = {}
+        exec(compile(source, "<dcmon policy>", "exec", dont_inherit=True), namespace, functions)
+        namespace.update((name, functions[name]) for name in self.called)
+        return functions
+
+
+class _Function:
+    """The body of one generated function `f(ctx)`, as it is written."""
+
+    def __init__(self, module: _Module):
+        self.module = module
+        self.state_types = module.state_types
+        self.lines: List[str] = []
+        self.uses: set = set()  # the prologue names the body reads
+        self.present: set = set()  # the stores checked at the top level so far
+        self.depth = 1  # the indentation of the next line
+        self.temps = 0
+
+    def finish(self, result: "_Operand | None" = None) -> str:
+        """Add the function to the module, returning `result`, and return
+        its name."""
+        if result is not None:
+            last = self.lines[-1] if self.lines else ""
+            assign = f"    {result.src} = "
+            if result.temp and last.startswith(assign):
+                self.lines[-1] = "    return " + last[len(assign):]
+            else:
+                self.emit(f"return {result.src}")
+        prologue = ["    " + line for name, line in _PROLOGUE if name in self.uses]
+        return self.module.add("ctx", prologue + self.lines)
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def assign(self, src: str) -> _Operand:
+        name = f"v{self.temps}"
+        self.temps += 1
+        self.emit(f"{name} = {src}")
+        return _Operand(name, temp=True)
+
+    def fault(self, code: str, detail: str) -> _Operand:
+        """Raise EvalError(code, detail) here; the operand it returns is
+        never read."""
+        self.emit(f"raise EvalError({code!r}, {detail!r})")
+        return _Operand("None")
+
+    # expressions
+
+    def expr(self, expr: Expr) -> _Operand:
+        if isinstance(expr, Literal):
+            return _const(expr.value)
+        if isinstance(expr, VarRef):
+            return self.read(expr)
+        if isinstance(expr, Unary) and expr.op == "!":
+            operand = self.expr(expr.operand)
+            return _const(not operand.value) if operand.known else self.assign(f"not {operand.src}")
+        if isinstance(expr, Binary):
+            return self.logic(expr) if expr.op in _LOGIC else self.binary(expr)
+        if isinstance(expr, Call):
+            return self.call(expr)
+        raise AssertionError(f"unknown expression node {expr!r}")
+
+    def read(self, expr: VarRef) -> _Operand:
+        ns, name = expr.ns, expr.name
+        if ns == NS_CTX:
+            if name == "now":
+                self.uses.add("now")
+                return _Operand("now")
+            if name not in ("app_name", "app_id"):
+                return self.fault("UnboundVariable", name)
+            value = self.assign(f"ctx.{name}")
+            self.emit(f"if {value.src} is None: raise EvalError('UnboundVariable', {name!r})")
+            return value
+        if ns == NS_EVENT:
+            self.uses.add("ev")
+            self.emit(f"if ev is None or {name!r} not in ev: raise EvalError('UnboundVariable', {name!r})")
+            return self.assign(f"ev[{name!r}]")
+        # every other namespace reads the global store
+        detail = f"{ns}.{name}"
+        kind = self.state_types.get((ns, name))
+        if kind is None:
+            return self.fault("UnboundVariable", detail)
+        store = "lv" if ns == NS_LOCAL else "gv"
+        self.require(store, f"EvalError('UnboundVariable', {detail!r})")
+        if kind is VType.TS_LIST:
+            # a fresh empty list for each read, as VarStore.get gives
+            return self.assign(f"{store}._vals[{name!r}] if {name!r} in {store}._vals else []")
+        return self.assign(f"{store}._vals.get({name!r}, {typed_zero(kind)!r})")
+
+    def truth(self, expr: Expr, operand: _Operand) -> _Operand:
+        """`bool()` of `operand`, the unknown value of `expr`, in a name of
+        its own."""
+        if _yields_bool(expr):
+            return operand if operand.temp else self.assign(operand.src)
+        return self.assign(f"not not {operand.src}")
+
+    def logic(self, expr: Binary) -> _Operand:
+        # the left operand's truth value that decides the result
+        decides = expr.op == "||"
+        left = self.expr(expr.left)
+        if left.known:
+            if bool(left.value) is decides:
+                return _const(decides)
+            right = self.expr(expr.right)
+            return _const(bool(right.value)) if right.known else self.truth(expr.right, right)
+        result = self.truth(expr.left, left)
+        mark = len(self.lines)
+        self.emit(f"if {'not ' if decides else ''}{result.src}:")
+        self.depth += 1
+        right = self.nested(expr.right)
+        if right.known and len(self.lines) == mark + 1:
+            # the right operand is a constant: no block is needed
+            self.depth -= 1
+            del self.lines[mark:]
+            return _const(decides) if bool(right.value) is decides else result
+        if right.known:
+            right_truth = repr(bool(right.value))
+        elif _yields_bool(expr.right):
+            right_truth = right.src
+        else:
+            right_truth = f"not not {right.src}"
+        self.emit(f"{result.src} = {right_truth}")
+        self.depth -= 1
+        return result
+
+    def nested(self, expr: Expr) -> _Operand:
+        """The value of `expr` one block deeper; past `_MAX_DEPTH` blocks it
+        is computed by a function of its own."""
+        if self.depth <= _MAX_DEPTH:
+            return self.expr(expr)
+        inner = _Function(self.module)
+        result = inner.expr(expr)
+        if result.known and not inner.lines:
+            return result
+        return self.assign(f"{self.module.call(inner.finish(result))}(ctx)")
+
+    def binary(self, expr: Binary) -> _Operand:
+        op = expr.op
+        if op not in _VALUES:
+            raise AssertionError(f"unknown operator {op}")
+        left = self.expr(expr.left)
+        right = self.expr(expr.right)
+        if left.known and right.known:
+            try:
+                return _const(_VALUES[op](left.value, right.value))
+            except Exception:
+                pass  # the fault fires when the body runs
+        a, b = left.src, right.src
+        if op in CMP_OPS:
+            return self.assign(f"{a} {op} {b}")
+        if op != "/":
+            return self.checked(self.assign(f"{a} {op} {b}"))
+        # truncating division, as eval.trunc_div
+        self.emit(f"if {b} == 0: raise EvalError('DivisionByZero')")
+        q = self.assign(f"abs({a}) // abs({b})")
+        return self.checked(self.assign(f"{q.src} if ({a} >= 0) == ({b} >= 0) else -{q.src}"))
+
+    def checked(self, n: _Operand) -> _Operand:
+        self.emit(f"if not {INT64_MIN} <= {n.src} <= {INT64_MAX}: raise EvalError('Overflow')")
+        return n._replace(int64=True)
+
+    def range_checked(self, n: _Operand, fault: str) -> _Operand:
+        """`n`, which must be neither negative nor past INT64_MAX."""
+        if n.known:
+            try:
+                if not n.value < 0 and INT64_MIN <= n.value <= INT64_MAX:
+                    return n
+            except Exception:
+                pass  # the check raises when the body runs
+        self.emit(f"if {n.src} < 0: raise EvalError({fault!r})")
+        return n if n.int64 else self.checked(n)
+
+    def call(self, expr: Call) -> _Operand:
+        func = expr.func
+        if func not in _CALLS:
+            raise AssertionError(f"unknown builtin {func}")
+        args = [self.expr(arg) for arg in expr.args]
+        sources = [arg.src for arg in args]
+        if len(args) != len(SIGNATURES[func][0]):
+            # a tree that validation rejects: index the list of its
+            # arguments, as the interpreter does, so that it fails alike
+            a = self.assign(f"[{', '.join(sources)}]").src
+            if func == "count_within":
+                self.emit(f"_, _ = {a}")
+            sources = [f"{a}[0]", f"{a}[1]"]
+        elif func in _DURATIONS and args[0].known:
+            try:
+                return _const(duration(args[0].value * _DURATIONS[func]))
+            except Exception:
+                pass  # the fault fires when the body runs
+        elif func == "count_within":
+            self.range_checked(args[1], "NegativeDuration")
+        if func == "count_within":
+            self.uses.add("now")
+        value = self.assign(_CALLS[func].format(*sources))
+        return self.range_checked(value, "NegativeDuration") if func in _DURATIONS else value
+
+    def typed(self, expr: Expr, kind: VType) -> _Operand:
+        """The value of `expr` with the range check of `kind` applied."""
+        value = self.expr(expr)
+        if kind is VType.DURATION:
+            return self.range_checked(value, "NegativeDuration")
+        if kind is VType.TIMESTAMP:
+            return self.range_checked(value, "NegativeTimestamp")
+        return value
+
+    # statements
+
+    def stmts(self, stmts: Tuple[Stmt, ...]) -> None:
+        for stmt in stmts:
+            self.stmt(stmt)
+        self.emit(f"return {any(isinstance(s, BlockStmt) for s in stmts)!r}")
+
+    def stmt(self, stmt: Stmt) -> None:
+        if isinstance(stmt, BlockStmt):
+            self.emit(f"if ctx.side != {APP_SIDE!r}: raise SideFault('block() outside application side')")
+        elif isinstance(stmt, Assign):
+            kind = self.state_types[(stmt.ns, stmt.name)]
+            value = self.typed(stmt.value, kind).src
+            if isinstance(stmt.value, VarRef) and stmt.value.ns != NS_CTX:
+                # a list is copied, so that no two variables share one
+                value = f"list({value}) if isinstance({value}, list) else {value}"
+            self.write(self.writable(stmt.ns), stmt.name, kind, value)
+        elif isinstance(stmt, AppendStmt):
+            self.append(stmt)
+        elif isinstance(stmt, PruneStmt):
+            self.prune(stmt)
+        elif isinstance(stmt, SetAttrStmt):
+            kind = self.state_types.get(("attr", stmt.attr), VType.BOOL)
+            value = self.typed(stmt.value, kind).src
+            self.require("at", "SideFault('no attribute store in this context')")
+            self.write("at", stmt.attr, kind, value)
+        else:
+            raise AssertionError(f"unknown statement node {stmt!r}")
+
+    def writable(self, ns: str) -> str:
+        store = "lv" if ns == NS_LOCAL else "gv"
+        self.require(store, f"SideFault({f'no writable {ns} store in this context'!r})")
+        return store
+
+    def require(self, store: str, fault: str) -> None:
+        """Raise `fault` here when the context has no `store`, unless the
+        store was found present on every path that leads here."""
+        self.uses.add(store)
+        if store not in self.present:
+            self.emit(f"if {store} is None: raise {fault}")
+            if self.depth == 1:
+                self.present.add(store)
+
+    def write(self, store: str, name: str, kind: VType, value: str) -> None:
+        """Log what `store` holds under `name`, then store `value` there. A
+        store holds a name in both of its dicts or in neither, so an absent
+        name logs (None, None)."""
+        self.uses.add("undo")
+        self.emit(f"undo.append(({store}, {name!r}, {store}._kinds.get({name!r}), {store}._vals.get({name!r})))")
+        self.emit(f"{store}._vals[{name!r}] = {value}")
+        self.emit(f"{store}._kinds[{name!r}] = {kind.name}")
+
+    def in_place(self, store: str, name: str) -> _Operand:
+        """Open the branch for a stored ts_list, and return the list."""
+        self.emit(f"if {store}._kinds.get({name!r}) is TS_LIST:")
+        self.depth += 1
+        return self.assign(f"{store}._vals[{name!r}]")
+
+    def otherwise(self) -> None:
+        self.depth -= 1
+        self.emit("else:")
+        self.depth += 1
+
+    def append(self, stmt: AppendStmt) -> None:
+        store, name = self.writable(stmt.ns), stmt.name
+        ts = self.typed(stmt.value, VType.TIMESTAMP).src
+        self.uses.add("undo")
+        lst = self.in_place(store, name).src
+        i = self.assign(f"bisect_right({lst}, {ts})").src
+        self.emit(f"{lst}.insert({i}, {ts})")
+        self.emit(f"undo.append(({lst}, {i}, {i} + 1, ()))")
+        self.otherwise()
+        lst = self.assign(f"list({store}._vals.get({name!r}, ()))").src
+        self.emit(f"insort({lst}, {ts})")
+        self.write(store, name, VType.TS_LIST, lst)
+        self.depth -= 1
+
+    def prune(self, stmt: PruneStmt) -> None:
+        store, name = self.writable(stmt.ns), stmt.name
+        horizon = self.typed(stmt.horizon, VType.DURATION).src
+        self.uses.update(("now", "undo"))
+        cutoff = self.assign(f"now - {horizon}").src
+        lst = self.in_place(store, name).src
+        cut = self.assign(f"bisect_left({lst}, {cutoff})").src
+        self.emit(f"undo.append(({lst}, 0, 0, {lst}[:{cut}]))")
+        self.emit(f"del {lst}[:{cut}]")
+        self.otherwise()
+        kept = self.assign(f"[t for t in {store}._vals.get({name!r}, ()) if t >= {cutoff}]").src
+        self.write(store, name, VType.TS_LIST, kept)
+        self.depth -= 1

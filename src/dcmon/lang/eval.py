@@ -1,8 +1,8 @@
 """Run-time support for compiled condition and action bodies.
 
-The monitors run the closures that `closures.py` compiles. This module
-holds what those closures and the monitors share: the evaluation context,
-the faults, the checked arithmetic, the store write and `rollback`.
+The monitors run the functions that `codegen.py` generates. This module
+holds what that code and the monitors share: the evaluation context, the
+faults, the checked arithmetic that folds constants, and `rollback`.
 
 A statement writes the stores attached to the context in place, and
 records in the context's undo log what each write overwrote, so that a
@@ -70,19 +70,6 @@ def duration(n: int) -> int:
     if n < 0:
         raise EvalError("NegativeDuration")
     return _checked_int(n)
-
-
-def writable(ctx: EvalContext, ns: str) -> VarStore:
-    store = ctx.local if ns == "local" else ctx.global_vars
-    if store is None:
-        raise SideFault(f"no writable {ns} store in this context")
-    return store
-
-
-def write(ctx: EvalContext, store: VarStore, name: str, kind: VType, value: Value) -> None:
-    old_kind = store.kind_of(name)
-    ctx.undo.append((store, name, old_kind, None if old_kind is None else store.get(name, old_kind)))
-    store.set(name, kind, value)
 
 
 def rollback(undo: List[UndoEntry]) -> None:

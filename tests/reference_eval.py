@@ -1,23 +1,25 @@
 """The tree interpreter of the policy language: the tests' reference.
 
-`dcmon` runs condition and action bodies only as the closures that
-`dcmon.lang.closures` compiles. This interpreter walks the same trees
-directly, and the tests check the closures against it, value for value and
-fault for fault. State kinds are an explicit argument, `state_types`, the
-map from `(namespace, name)` to kind that validation infers; the compiled
-code fixes them when it is compiled.
+`dcmon` runs condition and action bodies only as the Python functions that
+`dcmon.lang.codegen` generates. This interpreter walks the same trees
+directly, and defines the values and faults that the generated code must
+give: the tests check that code against this interpreter, value for value
+and fault for fault, down to the exception's text. State kinds are an
+explicit argument, `state_types`, the map from `(namespace, name)` to kind
+that validation infers; the generated code fixes them when it is compiled.
 
 Expressions are pure. Statements write the stores attached to the context
-in place and log what each write overwrote in `ctx.undo`, as the closures
-do, except that `append` and `prune_older` write a new list.
+in place and log what each write overwrote in `ctx.undo`, as the generated
+code does, except that `append` and `prune_older` write a new list.
 """
 
 from __future__ import annotations
 
 import bisect
 
-from dcmon.lang.eval import APP_SIDE, EvalContext, EvalError, SideFault, _checked_int, duration, trunc_div, writable, write
-from dcmon.lang.closures import StateTypes
+from dcmon.lang.eval import APP_SIDE, EvalContext, EvalError, SideFault, _checked_int, duration, trunc_div
+from dcmon.lang.codegen import StateTypes
+from dcmon.lang.state import VarStore
 from dcmon.lang.nodes import (
     Assign,
     AppendStmt,
@@ -41,6 +43,20 @@ from dcmon.lang.values import (
     VType,
     copy_value,
 )
+
+
+def writable(ctx: EvalContext, ns: str) -> VarStore:
+    store = ctx.local if ns == "local" else ctx.global_vars
+    if store is None:
+        raise SideFault(f"no writable {ns} store in this context")
+    return store
+
+
+def write(ctx: EvalContext, store: VarStore, name: str, kind: VType, value: Value) -> None:
+    old_kind = store.kind_of(name)
+    ctx.undo.append((store, name, old_kind, None if old_kind is None else store.get(name, old_kind)))
+    store.set(name, kind, value)
+
 
 def _timestamp(n: int) -> int:
     if n < 0:

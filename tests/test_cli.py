@@ -62,6 +62,42 @@ def test_compile_parse_error_exit_1(capsys, tmp_path):
     assert "ParseError" in capsys.readouterr().err
 
 
+CAMERA_SRC = """
+Events { e() = { Camera *.takePicture(...) } }
+Conditions { c = { true } }
+Actions { a = { block(); } }
+Rules { e() | c -> a; }
+"""
+# the catalog's sendTextMessage takes (string, string)
+WRONG_PARAMS_SRC = CAMERA_SRC.replace("Camera *.takePicture(...)", "SmsManager *.sendTextMessage(int to, string body)")
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        (CAMERA_SRC, "event 'e' intercepts unknown API Camera.takePicture"),
+        (
+            WRONG_PARAMS_SRC,
+            "event 'e' declares parameter types (int, string) but SmsManager.sendTextMessage takes (string, string)",
+        ),
+    ],
+    ids=["unknown-api", "parameter-types"],
+)
+@pytest.mark.parametrize("command", ["compile", "run"])
+def test_policy_the_catalog_does_not_match_exit_1(tmp_path, capsys, command, src, message):
+    # `run` refuses the policy before it reads the trace, which is missing
+    policy = tmp_path / "p.dcp"
+    policy.write_text(src, encoding="utf-8")
+    out = tmp_path / "o"
+    argv = {
+        "compile": ["compile", str(policy)],
+        "run": ["run", str(policy), str(tmp_path / "missing.jsonl"), "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_compile_missing_file_exit_2(capsys):
     assert main(["compile", "/nonexistent/policy.dcp"]) == 2
 

@@ -1,9 +1,9 @@
-"""Compiled closures against the tree interpreter they replace.
+"""Generated code against the tree interpreter it replaces.
 
-The monitors run the closures that `compile_policy` builds; the tree
-interpreter in `reference_eval.py`, which `dcmon` does not ship, is the
-reference. An expression's closure must return what the interpreter
-returns, or raise what it raises. A run must give the same verdicts,
+The monitors run the functions that `compile_policy` generates as Python
+source (`dcmon.lang.codegen`); the tree interpreter in `reference_eval.py`,
+which `dcmon` does not ship, is the reference. An expression's code must
+return what the interpreter returns, or raise what it raises. A run must give the same verdicts,
 snapshot, channel log, faults, local state and arrival order as a copy of
 its policy whose code slots run the interpreter and whose guards evaluate
 the guard expressions directly.
@@ -20,7 +20,7 @@ from dcmon.corpus import CORPUS_IDS, build_policy_source, compile_corpus_policy
 from dcmon.dsl import PolicySpec, parse_policy, validate_policy
 from dcmon.engine import Batch, CompiledPolicy
 from dcmon.lang import APP_SIDE, GLOBAL_SIDE, EvalContext, EvalError, VarStore, rollback
-from dcmon.lang.closures import compile_expr, compile_stmts
+from dcmon.lang.codegen import compile_expr, compile_stmts
 from dcmon.lang.nodes import AppendStmt, Assign, Binary, Call, Literal, PruneStmt, SetAttrStmt, Unary, VarRef, walk_exprs
 from dcmon.lang.values import INT64_MAX, INT64_MIN, MS_PER_SECOND, VType
 from dcmon.sim import check_policy_against_catalog, run

@@ -10,7 +10,7 @@ from dcmon import central_monitor, local_monitor
 from dcmon.corpus import CORPUS_IDS, build_policy_source, compile_corpus_policy
 from dcmon.dsl import Phase, guard_refs, parse_policy, validate_policy
 from dcmon.engine import CompiledPolicy, Locality, evaluate_guard, rules_for
-from dcmon.lang.closures import compile_guard
+from dcmon.lang.codegen import compile_guard
 from dcmon.lang.nodes import Binary, Literal, Unary, VarRef
 from dcmon.lang.values import MS_PER_SECOND, VType
 from dcmon.sim import check_policy_against_catalog, run
@@ -100,7 +100,7 @@ A = VarRef("cond", "a")
 
 
 def test_lower_guard_maps_guard_operators():
-    # compile_guard lowers a guard expression to a closure over truth values
+    # compile_guard lowers a guard expression to a function of truth values
     guard = compile_guard(Binary("||", Unary("!", A), Binary("&&", A, VarRef("cond", "b"))), {"a": 0, "b": 1})
     for a, b in itertools.product((False, True), repeat=2):
         assert guard({0: a, 1: b}) is ((not a) or (a and b))

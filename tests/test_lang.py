@@ -1,7 +1,7 @@
 """Expression language: typing rules, evaluation, statements and rollback.
 
-Expressions and statements run as the monitors run them: compiled by
-`dcmon.lang.closures`, as `compile_policy` compiles condition and action
+Expressions and statements run as the monitors run them: generated by
+`dcmon.lang.codegen`, as `compile_policy` compiles condition and action
 bodies."""
 
 import pytest
@@ -30,7 +30,7 @@ from dcmon.lang.nodes import (
     Unary,
     VarRef,
 )
-from dcmon.lang.closures import compile_expr, compile_stmts
+from dcmon.lang.codegen import compile_expr, compile_stmts
 from dcmon.lang.eval import SideFault
 from dcmon.lang.values import MS_PER_HOUR, VType
 from dcmon.sim import run
