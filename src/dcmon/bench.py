@@ -6,11 +6,14 @@ are averaged over the events the policy actually instruments (other events
 would dilute both legs equally and hide the signal). Decisions must be
 identical across repetitions; only timing varies. The absolute numbers are
 host-dependent; the meaningful output is the table shape and the relative
-ordering of policies.
+ordering of policies. The unmonitored leg is `run()` under a policy with no
+rules. The objects that exist before the legs are collected and frozen, so
+that no collection inside a timed event scans the caller's heap.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import statistics
 import time
@@ -106,63 +109,72 @@ def run_bench(
             raise UnknownPolicyId(pid)
     report = BenchReport(repetitions=repetitions, trace_label=trace_label, trace_events=len(trace))
 
-    for pid in policy_ids:
-        cp = compile_corpus_policy(pid, config)
-        calls = _instrumented_calls(cp)
-        if not any(ev.api.key in calls for ev in trace):
-            raise BenchError(f"trace never exercises the events monitored by {pid}")
+    # a caller that froze objects itself is left as it is
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.collect()
+        gc.freeze()
+    try:
+        for pid in policy_ids:
+            cp = compile_corpus_policy(pid, config)
+            calls = _instrumented_calls(cp)
+            if not any(ev.api.key in calls for ev in trace):
+                raise BenchError(f"trace never exercises the events monitored by {pid}")
 
-        mon_means: List[float] = []
-        mon_walls: List[float] = []
-        decisions: Optional[List[str]] = None
-        measured = 0
-        final: Optional[RunResult] = None
-        channel_messages = 0
-        for _ in range(repetitions):
-            w0 = time.perf_counter_ns()
-            res = run(trace, cp, config, measure_latency=True)
-            mon_walls.append((time.perf_counter_ns() - w0) / 1e6)
-            measured, mean_ns = _measured_mean_ns(res, calls, trace)
-            mon_means.append(mean_ns)
-            if decisions is None:
-                decisions = res.decisions()
-            elif res.decisions() != decisions:
-                raise BenchError(f"{pid}: decisions changed between repetitions")
-            final = res
-            channel_messages = len(res.channel_entries)
+            mon_means: List[float] = []
+            mon_walls: List[float] = []
+            decisions: Optional[List[str]] = None
+            measured = 0
+            final: Optional[RunResult] = None
+            channel_messages = 0
+            for _ in range(repetitions):
+                w0 = time.perf_counter_ns()
+                res = run(trace, cp, config, measure_latency=True)
+                mon_walls.append((time.perf_counter_ns() - w0) / 1e6)
+                measured, mean_ns = _measured_mean_ns(res, calls, trace)
+                mon_means.append(mean_ns)
+                if decisions is None:
+                    decisions = res.decisions()
+                elif res.decisions() != decisions:
+                    raise BenchError(f"{pid}: decisions changed between repetitions")
+                final = res
+                channel_messages = len(res.channel_entries)
 
-        unmon_means: List[float] = []
-        unmon_walls: List[float] = []
-        for _ in range(repetitions):
-            w0 = time.perf_counter_ns()
-            res = run_unmonitored(trace, config, measure_latency=True)
-            unmon_walls.append((time.perf_counter_ns() - w0) / 1e6)
-            _, mean_ns = _measured_mean_ns(res, calls, trace)
-            unmon_means.append(mean_ns)
+            unmon_means: List[float] = []
+            unmon_walls: List[float] = []
+            for _ in range(repetitions):
+                w0 = time.perf_counter_ns()
+                res = run_unmonitored(trace, config, measure_latency=True)
+                unmon_walls.append((time.perf_counter_ns() - w0) / 1e6)
+                _, mean_ns = _measured_mean_ns(res, calls, trace)
+                unmon_means.append(mean_ns)
 
-        unmon_ms = statistics.fmean(unmon_means) / 1e6
-        mon_ms = statistics.fmean(mon_means) / 1e6
-        overhead = ((mon_ms - unmon_ms) / unmon_ms * 100.0) if unmon_ms > 0 else None
-        local_only = all(r.locality is Locality.LOCAL_ONLY for r in cp.rules)
-        if local_only and channel_messages:
-            raise BenchError(f"{pid}: locality soundness violated, LocalOnly run produced channel traffic")
-        locality = Locality.LOCAL_ONLY.value if local_only else Locality.NEEDS_GLOBAL.value
-        report.rows.append(
-            BenchRow(
-                policy_id=pid,
-                locality=locality,
-                events_measured=measured,
-                unmonitored_ms=unmon_ms,
-                monitored_ms=mon_ms,
-                overhead_pct=overhead,
-                unmonitored_trace_ms=statistics.fmean(unmon_walls),
-                monitored_trace_ms=statistics.fmean(mon_walls),
-                channel_messages=channel_messages,
-                blocked=decisions.count("Blocked") if decisions else 0,
+            unmon_ms = statistics.fmean(unmon_means) / 1e6
+            mon_ms = statistics.fmean(mon_means) / 1e6
+            overhead = ((mon_ms - unmon_ms) / unmon_ms * 100.0) if unmon_ms > 0 else None
+            local_only = all(r.locality is Locality.LOCAL_ONLY for r in cp.rules)
+            if local_only and channel_messages:
+                raise BenchError(f"{pid}: locality soundness violated, LocalOnly run produced channel traffic")
+            locality = Locality.LOCAL_ONLY.value if local_only else Locality.NEEDS_GLOBAL.value
+            report.rows.append(
+                BenchRow(
+                    policy_id=pid,
+                    locality=locality,
+                    events_measured=measured,
+                    unmonitored_ms=unmon_ms,
+                    monitored_ms=mon_ms,
+                    overhead_pct=overhead,
+                    unmonitored_trace_ms=statistics.fmean(unmon_walls),
+                    monitored_trace_ms=statistics.fmean(mon_walls),
+                    channel_messages=channel_messages,
+                    blocked=decisions.count("Blocked") if decisions else 0,
+                )
             )
-        )
-        assert final is not None
-        report.memory_rows[pid] = state_size(final.global_state)
+            assert final is not None
+            report.memory_rows[pid] = state_size(final.global_state)
+    finally:
+        if freeze:
+            gc.unfreeze()
     return report
 
 

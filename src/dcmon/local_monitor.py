@@ -1,18 +1,20 @@
 """Per-application monitor.
 
-Each app owns one LocalMonitor with isolated local state. Every rule of a
-phase of a call runs through that phase's compile-time batch plan, which
-`rules_for` looks up in the policy's dispatch table: each batch
-binds the occurrence once, evaluates its rules' ApplicationSide conditions
-locally, ships the truth values of its NeedsGlobal rules (plus any
-explicitly forwarded event bindings) to the central monitor in one request,
-and then, rule by rule, runs the ApplicationSide actions its guard or the
-reply calls for: the rule's own ApplicationSide actions for a LocalOnly
-rule whose guard holds, the reply's list for a NeedsGlobal rule. A batch of
-LocalOnly rules is decided entirely here and sends nothing. A batch whose
-every rule is sent, a compile-time fact, sends its condition values as the
-truth map and reads the reply's columns in step with its rules, unless a
-condition faulted or the channel is down.
+Each app owns one LocalMonitor with isolated local state. `sim.run` hands
+`intercept` the compile-time batch plan of each phase of a call that some
+rule listens to, with the call's arguments, return value (None before the
+call) and time; it returns the first block reason, or None, and appends
+each fault to the caller's list. Each batch binds the occurrence once,
+evaluates its rules' ApplicationSide conditions locally, ships the truth
+values of its NeedsGlobal rules (plus any explicitly forwarded event
+bindings) to the central monitor in one request, and then, rule by rule,
+runs the ApplicationSide actions its guard or the reply calls for: the
+rule's own ApplicationSide actions for a LocalOnly rule whose guard holds,
+the reply's list for a NeedsGlobal rule. A batch of LocalOnly rules is
+decided entirely here and sends nothing. A batch whose every rule is sent,
+a compile-time fact, sends its condition values as the truth map and reads
+the reply's columns in step with its rules, unless a condition faulted or
+the channel is down.
 
 A monitor evaluates every batch in one app-side context, built once, which
 each batch gives its time and bindings; each rule's writes are kept or
@@ -22,8 +24,8 @@ The plan puts only triggers that bind alike in one batch, so a batch binds
 the occurrence once, from its first rule's compile-time binding: the
 arguments, in order, to the trigger's positional names (none for `(...)`),
 and the return value to its uponReturning name. run() checks each call's
-arity against the catalog, which the triggers match; an occurrence from a
-direct caller whose arity differs from the binding's skips the batch.
+arity against the catalog, which the triggers match; arguments from a
+direct caller whose arity differs from the binding's skip the batch.
 
 A rule is atomic: if one of its actions faults, its local-variable and
 device-attribute writes are rolled back and its block() is dropped, and the
@@ -36,41 +38,17 @@ per such rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .central_monitor import Channel, ChannelError
-from .dsl.ast import Phase
-from .engine import Batch, CompiledPolicy, CompiledRule, Locality, eval_expr, evaluate_guard, exec_stmts, rules_for
+from .engine import Batch, CompiledPolicy, CompiledRule, Locality, eval_expr, evaluate_guard, exec_stmts
+# Nothing here calls `rules_for`: `sim.run` hands `intercept` each phase's
+# plan. The benchmark's tracer hooks the name in this module and counts a
+# missing hook, so it stays bound until those hooks move.
+from .engine import rules_for  # noqa: F401
 from .lang.eval import APP_SIDE, EvalContext, EvalError, rollback
 from .lang.state import VarStore
 from .lang.values import Value
-
-
-@dataclass(slots=True)
-class EventOccurrence:
-    """One phase of a call, as the app's own LocalMonitor sees it; the
-    monitor knows which app it belongs to."""
-
-    namespace: str
-    method: str
-    phase: Phase
-    args: Tuple[Value, ...]
-    return_value: Optional[Value]
-    t: int
-
-
-@dataclass(slots=True)
-class InterceptResult:
-    """`reason` names the first rule or fault that blocked the call, and is
-    None while nothing has."""
-
-    reason: Optional[str] = None
-    faults: Tuple[str, ...] = ()
-
-    @property
-    def blocked(self) -> bool:
-        return self.reason is not None
 
 
 class LocalMonitor:
@@ -89,36 +67,38 @@ class LocalMonitor:
         # now, app_id, app_name, bindings, local, global_vars, attrs)
         self._ctx = EvalContext(APP_SIDE, 0, app_id, app_name, None, self.local, None, attrs)
 
-    def intercept(self, occ: EventOccurrence) -> InterceptResult:
-        """Run every rule triggered by this occurrence, in declaration
-        order, each guard seeing the state left by earlier rules."""
-        result = InterceptResult()
-        for batch in rules_for(self.cp, occ.namespace, occ.method, occ.phase):
-            self._run_batch(batch, occ, result)
-        return result
+    def intercept(
+        self, plan: Tuple[Batch, ...], args: Tuple[Value, ...], return_value: Optional[Value], t: int, faults: List[str]
+    ) -> Optional[str]:
+        """Run every rule of one phase's batch plan on a call at time `t`, in
+        declaration order, each guard seeing the state left by earlier
+        rules. Returns the name of the first rule or fault that blocked the
+        call, or None; appends each fault to `faults`."""
+        reason = None
+        for batch in plan:
+            blocked_by = self._run_batch(batch, args, return_value, t, faults)
+            reason = reason or blocked_by
+        return reason
 
     # internals
 
-    def _fail(self, result: InterceptResult, fault: str, blocks: bool = True) -> None:
-        result.faults = result.faults + (fault,)
-        if blocks and result.reason is None:
-            result.reason = fault
-
-    def _run_batch(self, batch: Batch, occ: EventOccurrence, result: InterceptResult) -> None:
+    def _run_batch(
+        self, batch: Batch, args: Tuple[Value, ...], return_value: Optional[Value], t: int, faults: List[str]
+    ) -> Optional[str]:
         # The call and phase decide everything the triggers match on except
         # arity, and the plan gives every trigger of the batch the same
         # binding: the first one binds the occurrence for all.
         names, returned = batch.rules[0].binding
         if names is None:
             bindings = {}
-        elif len(names) == len(occ.args):
-            bindings = dict(zip(names, occ.args))
+        elif len(names) == len(args):
+            bindings = dict(zip(names, args))
         else:
-            return
+            return None
         if returned is not None:  # only after-phase triggers have one
-            bindings[returned] = occ.return_value
+            bindings[returned] = return_value
         ctx = self._ctx
-        ctx.now = occ.t
+        ctx.now = t
         ctx.event_bindings = bindings
 
         # Phase 1: every app-side condition of the batch. The plan
@@ -149,40 +129,54 @@ class LocalMonitor:
             truth = values if whole else {cid: values[cid] for cid in request.truth_ids}
             forwarded = {p: bindings[p] for p in request.forwarded}
             try:
-                reply = self.channel.request(self.app_id, request.rule_ids, occ.t, truth, forwarded)
+                reply = self.channel.request(self.app_id, request.rule_ids, t, truth, forwarded)
             except ChannelError:
                 pass
 
         # Phase 2: each rule's outcome, in declaration order; the reply's
         # k-th entry is the k-th rule sent, so a whole batch reads the
-        # reply's columns in step with its rules.
+        # reply's columns in step with its rules. Every fault blocks the
+        # call, but a reply's fault only when its rule blocks.
+        reason = None
         if whole and reply is not None:
             for rule, guard, action_ids, fault in zip(
                 batch.rules, reply.guard_results, reply.appside_actions_to_run, reply.faults
             ):
                 if fault is not None:
-                    self._fail(result, fault, rule.blocks)
+                    faults.append(fault)
+                    blocked_by = fault if rule.blocks else None
                 elif guard:
-                    self._run_app_actions(rule, action_ids, result)
-            return
+                    blocked_by = self._run_app_actions(rule, action_ids, faults)
+                else:
+                    continue
+                reason = reason or blocked_by
+            return reason
         k = 0
         for rule in batch.rules:
+            blocked_by = None
             if faulted is not None and rule.rule_id in faulted:
-                self._fail(result, faulted[rule.rule_id])
+                blocked_by = faulted[rule.rule_id]
+                faults.append(blocked_by)
             elif rule.locality is Locality.LOCAL_ONLY:
                 if evaluate_guard(rule.guard, values):
-                    self._run_app_actions(rule, rule.app_action_ids, result)
+                    blocked_by = self._run_app_actions(rule, rule.app_action_ids, faults)
             elif reply is None:
-                self._fail(result, "ChannelError")
+                blocked_by = "ChannelError"
+                faults.append(blocked_by)
             else:
                 fault = reply.faults[k]
                 if fault is not None:
-                    self._fail(result, fault, rule.blocks)
+                    faults.append(fault)
+                    blocked_by = fault if rule.blocks else None
                 elif reply.guard_results[k]:
-                    self._run_app_actions(rule, reply.appside_actions_to_run[k], result)
+                    blocked_by = self._run_app_actions(rule, reply.appside_actions_to_run[k], faults)
                 k += 1
+            reason = reason or blocked_by
+        return reason
 
-    def _run_app_actions(self, rule: CompiledRule, action_ids, result: InterceptResult) -> None:
+    def _run_app_actions(self, rule: CompiledRule, action_ids, faults: List[str]) -> Optional[str]:
+        """Run the rule's app-side actions; return the rule's name if one
+        blocked the call, or the fault that rolled them back."""
         ctx = self._ctx
         blocked = False
         try:
@@ -191,10 +185,10 @@ class LocalMonitor:
                     blocked = True
         except EvalError as ex:
             rollback(ctx.undo)
-            self._fail(result, f"EvalError:{ex.code}")
-            return
+            fault = f"EvalError:{ex.code}"
+            faults.append(fault)
+            return fault
         ctx.undo.clear()  # the rule's writes stand
         # validation rejects blocking actions on after-phase rules, so only
         # a before-phase occurrence gets here blocked
-        if blocked and result.reason is None:
-            result.reason = rule.name
+        return rule.name if blocked else None

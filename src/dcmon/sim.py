@@ -4,12 +4,12 @@ Replays a timestamped trace of API calls through per-app local monitors and
 the central monitor, producing the verdict log (one allowed/blocked entry
 per trace event), the final global-state snapshot, and the channel log.
 
-For each trace event the clock advances to the event time, the before-phase
-occurrence is intercepted, and only if no rule blocked it does the catalog
-effect execute, followed by the after-phase occurrence carrying the return
-value. A blocked call therefore leaves no device effect and no after
-occurrence. A phase of a call that no rule listens to builds no occurrence
-and is not intercepted.
+For each trace event the clock advances to the event time, the app's local
+monitor runs the before phase's batch plan on the call's arguments, and
+only if no rule blocked it does the catalog effect execute, followed by the
+after phase's plan, which also sees the return value. A blocked call
+therefore leaves no device effect and no after phase. A phase of a call
+that no rule listens to is not intercepted.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from .central_monitor import (
     snapshot,
 )
 from .config import SimConfig
-from .dsl.ast import Phase
-from .engine import Batch, CompiledPolicy
+from .dsl.ast import PolicySpec
+from .engine import Batch, CompiledPolicy, compile_policy
 from .lang.state import VarStore
 from .lang.values import INT64_MAX, Value
-from .local_monitor import EventOccurrence, LocalMonitor
+from .local_monitor import LocalMonitor
 
 ALLOWED = "Allowed"
 BLOCKED = "Blocked"
@@ -358,8 +358,10 @@ def run(
     it shapes a policy only when the corpus compiles it.
 
     Each event was checked when it was built. The run maps each API to its
-    batch plans once, so a call that no rule intercepts costs one dict read
-    and the catalog effect."""
+    batch plans once and hands each phase's plan straight to the app's
+    local monitor, so a call that no rule intercepts costs one dict read
+    and the catalog effect. Every phase appends its faults to one list,
+    which the run empties after each event."""
     check_policy_against_catalog(cp)
     plans = _check_trace_against_catalog(trace, cp.dispatch)
 
@@ -379,32 +381,29 @@ def run(
     # the execution order is a checked permutation, so it fills every slot
     verdicts: List[Optional[VerdictEntry]] = [None] * len(trace)
     faults: List[Tuple[int, str]] = []
+    event_faults: List[str] = []  # the current event's, in the order they arise
     order = _execution_order(trace, concurrent_same_t, arrival_order)
     for idx in order:
         ev = trace[idx]
         api = ev.api
         # A phase without rules proceeds with no fault and no write, so it
-        # builds no occurrence and is not intercepted.
+        # is not intercepted.
         before_plan, after_plan = plans[api]
         monitor = monitors[ev.app]
         t0 = time.perf_counter_ns() if measure_latency else 0
-        event_faults = ()
-        decision, reason = ALLOWED, NO_RULE
-        if before_plan:
-            # positional: (namespace, method, phase, args, return_value, t)
-            before = monitor.intercept(EventOccurrence(api.namespace, api.method, Phase.BEFORE, ev.args, None, ev.t))
-            event_faults = before.faults
-            if before.blocked:
-                decision, reason = BLOCKED, before.reason
-        if decision == ALLOWED:
+        blocked_by = monitor.intercept(before_plan, ev.args, None, ev.t, event_faults) if before_plan else None
+        if blocked_by is None:
+            decision, reason = ALLOWED, NO_RULE
             ret = execute_effect(api, ev.args, device)
             if after_plan:
-                after = monitor.intercept(EventOccurrence(api.namespace, api.method, Phase.AFTER, ev.args, ret, ev.t))
-                event_faults += after.faults
+                monitor.intercept(after_plan, ev.args, ret, ev.t, event_faults)
+        else:
+            decision, reason = BLOCKED, blocked_by
         latency = time.perf_counter_ns() - t0 if measure_latency else 0
         verdicts[idx] = VerdictEntry(ev.t, ev.app, api.call, decision, reason, latency)
         if event_faults:
             faults.extend((idx, f) for f in event_faults)
+            event_faults.clear()
 
     problems = check_asymmetry(log)
     if problems:
@@ -465,29 +464,17 @@ def _execution_order(
     return arrival_order
 
 
+# a policy with no rules: every call proceeds, and no phase is intercepted
+_NO_RULES = compile_policy(PolicySpec((), (), (), ()), {})
+
+
 def run_unmonitored(
     trace: List[TraceEvent],
     config: Optional[SimConfig] = None,
     *,
     measure_latency: bool = False,
 ) -> RunResult:
-    """Baseline replay with monitoring disabled: every call proceeds."""
-    _check_trace_against_catalog(trace, {})
-    device = DeviceState()
-    verdicts: List[VerdictEntry] = []
-    for ev in trace:
-        t0 = time.perf_counter_ns() if measure_latency else 0
-        execute_effect(ev.api, ev.args, device)
-        latency = time.perf_counter_ns() - t0 if measure_latency else 0
-        verdicts.append(VerdictEntry(ev.t, ev.app, ev.api.call, ALLOWED, NO_RULE, latency))
-    gs = GlobalState(vars=VarStore(), attrs=device.attrs)
-    return RunResult(
-        verdicts=verdicts,
-        snapshot=snapshot(gs),
-        channel_entries=[],
-        global_state=gs,
-        initial_global=None,
-        device=device,
-        local_states={},
-        arrival_order=list(range(len(trace))),
-    )
+    """Baseline replay with monitoring disabled: `run()` under a policy with
+    no rules, so every call proceeds. Its result holds one empty local store
+    per app and the initial global state, as every run's does."""
+    return run(trace, _NO_RULES, config, measure_latency=measure_latency)

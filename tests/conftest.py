@@ -1,11 +1,11 @@
 import dataclasses
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import pytest
 
 from dcmon.catalog import CATALOG
 from dcmon.dsl import Phase, parse_policy, validate_policy
-from dcmon.engine import CompiledPolicy
+from dcmon.engine import CompiledPolicy, rules_for
 from dcmon.lang.values import MS_PER_DAY, MS_PER_HOUR, MS_PER_MINUTE, MS_PER_SECOND
 from dcmon.sim import TraceEvent
 
@@ -87,6 +87,39 @@ def replan(cp: CompiledPolicy, plan_of) -> CompiledPolicy:
     dispatch table."""
     dispatch = {call: tuple(plan_of(plan) for plan in plans) for call, plans in cp.dispatch.items()}
     return dataclasses.replace(cp, dispatch=dispatch)
+
+
+class Occurrence(NamedTuple):
+    """One phase of a call, as a test hands it to a LocalMonitor."""
+
+    namespace: str
+    method: str
+    phase: Phase
+    args: tuple
+    return_value: object
+    t: int
+
+
+@dataclasses.dataclass
+class Intercepted:
+    """What one intercepted phase decided: the first block reason, if any,
+    and every fault."""
+
+    reason: Optional[str]
+    faults: Tuple[str, ...]
+
+    @property
+    def blocked(self) -> bool:
+        return self.reason is not None
+
+
+def intercept(monitor, occ: Occurrence) -> Intercepted:
+    """`monitor.intercept` of the phase's plan as `rules_for` looks it up,
+    an empty plan included."""
+    faults: List[str] = []
+    plan = rules_for(monitor.cp, occ.namespace, occ.method, occ.phase)
+    reason = monitor.intercept(plan, occ.args, occ.return_value, occ.t, faults)
+    return Intercepted(reason, tuple(faults))
 
 
 def compile_src(src: str) -> CompiledPolicy:

@@ -217,6 +217,24 @@ def test_run_deterministic_outputs(tmp_path, msg_policy_file, small_trace_file):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+
+def test_run_measure_latency_changes_only_latencies(tmp_path, msg_policy_file, small_trace_file):
+    plain, timed = tmp_path / "plain", tmp_path / "timed"
+    assert main(["run", str(msg_policy_file), str(small_trace_file), "--out", str(plain)]) == 0
+    argv = ["run", str(msg_policy_file), str(small_trace_file), "--out", str(timed), "--measure-latency"]
+    assert main(argv) == 0
+    for name in ("snapshot.json", "channel.jsonl", "faults.jsonl"):
+        assert (timed / name).read_bytes() == (plain / name).read_bytes(), name
+    plain_lines = (plain / "verdicts.jsonl").read_text(encoding="utf-8").splitlines()
+    timed_lines = (timed / "verdicts.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(timed_lines) == len(plain_lines) == 501
+    for plain_line, timed_line in zip(plain_lines, timed_lines):
+        want, got = json.loads(plain_line), json.loads(timed_line)
+        latency = got.pop("latency_ns")
+        assert type(latency) is int and latency >= 0
+        assert want.pop("latency_ns") == 0
+        assert got == want
+
 def test_bench_and_report(tmp_path, capsys):
     trace = tmp_path / "bench.jsonl"
     write_trace(trace, make_bench_trace(per_kind=8))

@@ -20,16 +20,16 @@ from dcmon.central_monitor import (
     state_size,
 )
 from dcmon.dsl import Phase
-from dcmon.local_monitor import EventOccurrence, LocalMonitor
+from dcmon.local_monitor import LocalMonitor
 from dcmon.lang.eval import APP_SIDE
 from dcmon.lang.state import VarStore
 from dcmon.lang.values import MS_PER_HOUR, VType
 
-from conftest import compile_src
+from conftest import Occurrence, compile_src, intercept
 
 
 def occ(namespace, method, phase, args=(), ret=None, t=0):
-    return EventOccurrence(
+    return Occurrence(
         namespace=namespace, method=method, phase=phase, args=tuple(args), return_value=ret, t=t,
     )
 
@@ -71,14 +71,14 @@ def recording_conditions(cp):
 
 def intercepting(cp):
     monitor = LocalMonitor("Messenger", "Messenger", cp, Channel(CentralMonitor(cp, GlobalState())), VarStore())
-    return monitor.intercept
+    return lambda occurrence: intercept(monitor, occurrence)
 
 
 def test_bind_return_value(msg_quota_policy):
     cp, seen = recording_conditions(msg_quota_policy)
-    intercept = intercepting(cp)
-    intercept(send_after(ret=True))
-    intercept(send_after(ret=False))
+    intercept_phase = intercepting(cp)
+    intercept_phase(send_after(ret=True))
+    intercept_phase(send_after(ret=False))
     # `successful` reads `sent`, the uponReturning binding; the positional
     # arguments of a `(...)` trigger bind nothing
     assert seen == [{"sent": True}, {"sent": False}]
@@ -239,31 +239,31 @@ def test_batch_log_entries_carry_rule_ids_and_parallel_results(quota_setup):
 def test_block_at_quota_via_intercept(quota_setup):
     _, gs, _, _, monitor = quota_setup
     gs.vars.set("msgCount", VType.INT, 500)
-    result = monitor.intercept(send_before())
+    result = intercept(monitor, send_before())
     assert result.blocked
     assert result.reason == "rule#0"
 
 
 def test_after_occurrence_increments(quota_setup):
     _, gs, _, _, monitor = quota_setup
-    assert not monitor.intercept(send_before()).blocked
-    assert not monitor.intercept(send_after(ret=True)).blocked
+    assert not intercept(monitor, send_before()).blocked
+    assert not intercept(monitor, send_after(ret=True)).blocked
     assert gs.vars.get("msgCount", VType.INT) == 1
     # an unsuccessful send does not count
-    monitor.intercept(send_after(ret=False))
+    intercept(monitor, send_after(ret=False))
     assert gs.vars.get("msgCount", VType.INT) == 1
 
 
 def test_unmatched_occurrence_proceeds(quota_setup):
     *_, monitor = quota_setup
-    result = monitor.intercept(occ("Camera", "takePicture", Phase.BEFORE))
+    result = intercept(monitor, occ("Camera", "takePicture", Phase.BEFORE))
     assert not result.blocked and result.faults == ()
 
 
 def test_fail_closed_on_disconnected_channel(quota_setup):
     _, _, _, channel, monitor = quota_setup
     channel.disconnect()
-    result = monitor.intercept(send_before())
+    result = intercept(monitor, send_before())
     assert result.blocked
     assert result.reason == "ChannelError"
     assert "ChannelError" in result.faults
@@ -274,14 +274,10 @@ def test_local_only_policy_ignores_channel_state(wifi_listing_policy):
     channel = Channel(CentralMonitor(wifi_listing_policy, GlobalState()))
     channel.disconnect()
     monitor = LocalMonitor("Maps", "Maps", wifi_listing_policy, channel=channel, attrs=attrs)
-    blocked = monitor.intercept(
-        occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,), t=14 * MS_PER_HOUR)
-    )
+    blocked = intercept(monitor, occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,), t=14 * MS_PER_HOUR))
     assert blocked.blocked and blocked.reason == "blockWifiAfterHours"
     assert attrs.get("wifi_enabled", VType.BOOL) is False and "wifi_enabled" in attrs
-    allowed = monitor.intercept(
-        occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,), t=9 * MS_PER_HOUR)
-    )
+    allowed = intercept(monitor, occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,), t=9 * MS_PER_HOUR))
     assert not allowed.blocked
 
 
@@ -292,9 +288,9 @@ def test_reply_fault_blocks_only_blocking_rules(quota_setup):
     # will report UnknownRule for rule ids it does not have.
     empty_cp = compile_src("Events { } Conditions { } Actions { } Rules { }")
     channel.central = CentralMonitor(empty_cp, GlobalState())
-    before = monitor.intercept(send_before())
+    before = intercept(monitor, send_before())
     assert before.blocked and before.reason == "UnknownRule"  # rule blocks
-    after = monitor.intercept(send_after())
+    after = intercept(monitor, send_after())
     assert not after.blocked  # counting rule does not block
     assert "UnknownRule" in after.faults
 
@@ -321,10 +317,10 @@ def test_explicit_arity_pattern_gates_rule_matching():
     cp = compile_src(src)
     channel = Channel(CentralMonitor(cp, GlobalState()))
     monitor = LocalMonitor("Maps", "Maps", cp, channel=channel, attrs=VarStore())
-    monitor.intercept(occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,)))
+    intercept(monitor, occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,)))
     assert monitor.local.get("typed", VType.INT) == 1
     assert monitor.local.get("any", VType.INT) == 1
-    monitor.intercept(occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True, False)))
+    intercept(monitor, occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True, False)))
     assert monitor.local.get("typed", VType.INT) == 1  # arity 2 does not match
     assert monitor.local.get("any", VType.INT) == 2
 
@@ -333,8 +329,8 @@ def test_explicit_arity_pattern_gates_rule_matching():
 
 def test_channel_log_pairs(quota_setup):
     _, gs, central, channel, monitor = quota_setup
-    monitor.intercept(send_before())
-    monitor.intercept(send_after())
+    intercept(monitor, send_before())
+    intercept(monitor, send_after())
     directions = [e.direction for e in central.log]
     assert directions == [APP_TO_CENTRAL, CENTRAL_TO_APP, APP_TO_CENTRAL, CENTRAL_TO_APP]
     assert check_asymmetry(central.log) == []
@@ -551,8 +547,8 @@ def test_one_app_context_carries_nothing_between_batches(open_guard):
         for name, kind, value in monitor.local.items_typed():
             fresh.local.set(name, kind, value)
         occurrence = occ("SmsManager", "sendTextMessage", Phase.BEFORE, (dest, "hi"), t=t)
-        want = fresh.intercept(occurrence)
-        got = monitor.intercept(occurrence)
+        want = intercept(fresh, occurrence)
+        got = intercept(monitor, occurrence)
         assert got == want
         assert monitor.local == fresh.local
         assert monitor._ctx.undo == []
@@ -565,8 +561,8 @@ def test_one_app_context_carries_nothing_between_batches(open_guard):
 def test_replay_requests_reproduces_snapshot(quota_setup):
     cp, gs, central, channel, monitor = quota_setup
     for i in range(5):
-        monitor.intercept(send_before(t=i))
-        monitor.intercept(send_after(t=i))
+        intercept(monitor, send_before(t=i))
+        intercept(monitor, send_after(t=i))
     rebuilt = replay_requests(cp, central.log)
     assert snapshot(rebuilt) == snapshot(gs)
 

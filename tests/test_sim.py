@@ -24,7 +24,7 @@ from dcmon.dsl import Phase, parse_policy, validate_policy
 from dcmon.engine import CompiledPolicy, Locality, rules_for
 from dcmon.lang.state import VarStore
 from dcmon.lang.values import MS_PER_HOUR, MS_PER_MINUTE, MS_PER_SECOND, VType
-from dcmon.local_monitor import EventOccurrence, LocalMonitor
+from dcmon.local_monitor import LocalMonitor
 from dcmon.sim import (
     ALLOWED,
     BLOCKED,
@@ -46,10 +46,10 @@ from dcmon.sim import (
     run,
     run_unmonitored,
 )
-from dcmon import sim
+from dcmon import engine, local_monitor, sim
 from dcmon.tracegen import make_bench_trace, make_trace
 
-from conftest import compile_src, dial, plan_rules, send, sends_every, wifi
+from conftest import Occurrence, compile_src, dial, intercept, phase_plans, plan_rules, send, sends_every, wifi
 from test_batch_plan import policy_source, rule_lists
 
 
@@ -843,12 +843,14 @@ BENCH_TRACE = make_bench_trace(per_kind=120)
 
 
 def assert_intercepts_only_phases_with_rules(monkeypatch, cp, trace):
+    # each non-empty plan is a tuple of its own, so its identity names its phase
+    phase_of = {id(plan): phase for (_, _, phase), plan in phase_plans(cp).items() if plan}
     phases = []
-    intercept = LocalMonitor.intercept
+    original = LocalMonitor.intercept
 
-    def counting_intercept(self, occ):
-        phases.append(occ.phase)
-        return intercept(self, occ)
+    def counting_intercept(self, plan, *args):
+        phases.append(phase_of[id(plan)])
+        return original(self, plan, *args)
 
     monkeypatch.setattr(LocalMonitor, "intercept", counting_intercept)
     res = run(trace, cp)
@@ -898,13 +900,13 @@ def intercept_every_phase(trace, cp, concurrent_same_t=False) -> RunResult:
     for idx in order:
         ev = trace[idx]
         monitor = monitors[ev.app]
-        before = monitor.intercept(EventOccurrence(ev.namespace, ev.method, Phase.BEFORE, ev.args, None, ev.t))
+        before = intercept(monitor, Occurrence(ev.namespace, ev.method, Phase.BEFORE, ev.args, None, ev.t))
         event_faults = list(before.faults)
         if before.blocked:
             decision, reason = BLOCKED, before.reason or NO_RULE
         else:
             ret = execute_effect(CATALOG[(ev.namespace, ev.method)], ev.args, device)
-            after = monitor.intercept(EventOccurrence(ev.namespace, ev.method, Phase.AFTER, ev.args, ret, ev.t))
+            after = intercept(monitor, Occurrence(ev.namespace, ev.method, Phase.AFTER, ev.args, ret, ev.t))
             event_faults.extend(after.faults)
             decision, reason = ALLOWED, NO_RULE
         verdicts[idx] = VerdictEntry(ev.t, ev.app, ev.call, decision, reason, 0)
@@ -939,6 +941,28 @@ def test_random_policy_matches_intercepting_every_phase(rule_list, seed, concurr
     assume(isinstance(cp, CompiledPolicy))
     check_policy_against_catalog(cp)
     assert_same_as_every_phase(make_trace(seed, max_apps=2, max_events=80), cp, concurrent_same_t)
+
+
+def outputs(res: RunResult) -> tuple:
+    """The four files `dcmon run` writes."""
+    return res.verdict_lines(), res.snapshot, res.channel_lines(), res.fault_lines()
+
+
+@pytest.mark.parametrize("concurrent_same_t", [False, True], ids=["sequential", "concurrent"])
+def test_replay_looks_up_no_plan(monkeypatch, concurrent_same_t):
+    """run() maps each API to its plans once and hands each phase's plan to
+    the local monitor, which looks up none: the replay calls `rules_for`
+    nowhere."""
+    policies = {pid: compile_corpus_policy(pid) for pid in CORPUS_IDS}
+    want = {pid: outputs(run(BENCH_TRACE, cp, concurrent_same_t=concurrent_same_t)) for pid, cp in policies.items()}
+
+    def no_lookup(*args):
+        raise AssertionError("rules_for called during a replay")
+
+    monkeypatch.setattr(engine, "rules_for", no_lookup)
+    monkeypatch.setattr(local_monitor, "rules_for", no_lookup)
+    for pid, cp in policies.items():
+        assert outputs(run(BENCH_TRACE, cp, concurrent_same_t=concurrent_same_t)) == want[pid], pid
 
 
 # sittings
