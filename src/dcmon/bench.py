@@ -18,12 +18,12 @@ import json
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Container, Dict, List, Optional, Sequence, Tuple
 
 from .config import DEFAULT_CONFIG, SimConfig
 from .central_monitor import state_size
 from .corpus import CORPUS_IDS, UnknownPolicyId, compile_corpus_policy
-from .engine import CompiledPolicy, Locality
+from .engine import Locality
 from .sim import RunResult, TraceEvent, run, run_unmonitored
 
 
@@ -82,11 +82,7 @@ class BenchReport:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
 
 
-def _instrumented_calls(cp: CompiledPolicy) -> set:
-    return {(e.pattern.api_namespace, e.pattern.method) for e in cp.events}
-
-
-def _measured_mean_ns(result: RunResult, calls: set, trace: List[TraceEvent]) -> Tuple[int, float]:
+def _measured_mean_ns(result: RunResult, calls: Container[Tuple[str, str]], trace: List[TraceEvent]) -> Tuple[int, float]:
     samples = [
         v.latency_ns for v, ev in zip(result.verdicts, trace) if ev.api.key in calls
     ]
@@ -117,7 +113,8 @@ def run_bench(
     try:
         for pid in policy_ids:
             cp = compile_corpus_policy(pid, config)
-            calls = _instrumented_calls(cp)
+            # a policy's dispatch keys are the calls its events intercept
+            calls = cp.dispatch
             if not any(ev.api.key in calls for ev in trace):
                 raise BenchError(f"trace never exercises the events monitored by {pid}")
 

@@ -1,18 +1,18 @@
-"""Fixed API catalog of the simulated device.
+"""Fixed API catalog and attribute table of the simulated device.
 
 Every trace event must name a catalog entry, and every event pattern in a
-policy must match one (namespace, method, parameter types, return type).
-Executing an entry's effect mutates the device and produces the call's
-return value.
+policy must match one (namespace, method, parameter types, return type):
+`pattern_mismatches` says how one does not. Executing an entry's effect
+mutates the device and produces the call's return value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .lang.state import VarStore
-from .lang.values import Value, VType
+from .lang.values import Value, VType, typed_zero
 
 
 _PY_KINDS = {
@@ -81,6 +81,33 @@ CATALOG: Dict[Tuple[str, str], ApiCatalogEntry] = {
 
 API_OF_CALL: Dict[str, ApiCatalogEntry] = {entry.call: entry for entry in CATALOG.values()}
 
+# The device's attributes and their kinds. Each starts as its kind's zero,
+# and a policy's set_attr must write it as its kind.
+DEVICE_ATTRS: Dict[str, VType] = {"wifi_enabled": VType.BOOL}
+
+
+def _kinds(types: Tuple[VType, ...]) -> str:
+    return ", ".join(str(t) for t in types)
+
+
+def pattern_mismatches(
+    namespace: str, method: str, param_types: Optional[Tuple[VType, ...]], return_kind: Optional[VType]
+) -> List[str]:
+    """How an event pattern disagrees with the catalog: it names an unknown
+    API, or its parameter types (None for `(...)`) or the kind that binds
+    the call's return (None when nothing binds it) differ from the entry's."""
+    entry = CATALOG.get((namespace, method))
+    if entry is None:
+        return [f"intercepts unknown API {namespace}.{method}"]
+    problems = []
+    if param_types is not None and param_types != entry.param_types:
+        problems.append(
+            f"declares parameter types ({_kinds(param_types)}) but {entry.call} takes ({_kinds(entry.param_types)})"
+        )
+    if return_kind is not None and return_kind is not entry.return_type:
+        problems.append(f"binds the return of {entry.call} as {return_kind}, which returns {entry.return_type}")
+    return problems
+
 
 def arg_matches(vtype: VType, value: Value) -> bool:
     py = _PY_KINDS.get(vtype)
@@ -107,8 +134,9 @@ class DeviceState:
     foreground_app: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if "wifi_enabled" not in self.attrs:
-            self.attrs.set("wifi_enabled", VType.BOOL, False)
+        for name, kind in DEVICE_ATTRS.items():
+            if name not in self.attrs:
+                self.attrs.set(name, kind, typed_zero(kind))
 
 
 def execute_effect(entry: ApiCatalogEntry, args: Tuple[Value, ...], device: DeviceState) -> Value:

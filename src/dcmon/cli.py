@@ -5,10 +5,10 @@
     dcmon bench --policies all|Id[,Id...] --trace <file> [--reps N] --out <report.json>
     dcmon report <report.json>
 
-Exit codes: 0 success; 1 policy does not compile (diagnostics on stderr,
-one `LINE:COL: code: message` per line) or does not match the catalog (one
-`error: ` line); 2 I/O or config problems; 3 a bad trace, or one that
-never exercises a policy that `bench` selected.
+Exit codes: 0 success; 1 policy does not compile, such as one that does not
+match the catalog (diagnostics on stderr, one `LINE:COL: code: message` per
+line); 2 I/O or config problems; 3 a bad trace, or one that never exercises
+a policy that `bench` selected.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .bench import MIN_REPETITIONS, BenchError, render_table, run_bench
 from .config import DEFAULT_CONFIG, ConfigError, SimConfig, load_config
 from .corpus import CORPUS_IDS, UnknownPolicyId
 from .dsl import ParseError, parse_policy, validate_policy
-from .sim import CatalogMismatch, TraceFormatError, check_policy_against_catalog, load_trace, run
+from .sim import TraceFormatError, load_trace, run
 
 EXIT_OK = 0
 EXIT_COMPILE = 1
@@ -47,11 +47,6 @@ def _read_policy(path: str):
     if isinstance(result, list):
         for err in result:
             print(err.diagnostic(), file=sys.stderr)
-        return None, EXIT_COMPILE
-    try:
-        check_policy_against_catalog(result)
-    except CatalogMismatch as ex:
-        print(f"error: {ex}", file=sys.stderr)
         return None, EXIT_COMPILE
     return result, EXIT_OK
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..catalog import DEVICE_ATTRS
 from ..lang.check import InferenceIssue, LangError, TypeEnv, infer_state_types, type_check
 from ..lang.nodes import Assign, AppendStmt, PruneStmt, SetAttrStmt
 from ..lang.values import VType
@@ -57,7 +58,7 @@ def rule_uses(spec: PolicySpec) -> Tuple[Uses, Uses]:
 def infer_policy_state(spec: PolicySpec, act_uses: Uses) -> Tuple[StateTypes, List[InferenceIssue]]:
     """Kinds of every local/global variable and device attribute the policy
     writes, given `rule_uses`' action map. Attribute kinds are keyed under
-    the "attr" pseudo-namespace."""
+    the "attr" pseudo-namespace, and start from the device's own table."""
     action_envs = [(a, [event_param_env(t, a.side) for t in act_uses[a.name]]) for a in spec.actions]
     types, issues = infer_state_types(
         [
@@ -68,6 +69,7 @@ def infer_policy_state(spec: PolicySpec, act_uses: Uses) -> Tuple[StateTypes, Li
         ]
     )
 
+    types.update((("attr", name), kind) for name, kind in DEVICE_ATTRS.items())
     for action, envs in action_envs:
         for stmt in action.body:
             if not isinstance(stmt, SetAttrStmt):
@@ -87,7 +89,7 @@ def infer_policy_state(spec: PolicySpec, act_uses: Uses) -> Tuple[StateTypes, Li
             prior = types.get(key)
             if prior is not None and prior is not kind:
                 issues.append(
-                    InferenceIssue(stmt.span, f"attribute {stmt.attr} written as both {prior} and {kind}")
+                    InferenceIssue(stmt.span, f"attribute {stmt.attr} is {prior}, written as {kind}")
                 )
             else:
                 types[key] = kind

@@ -1,14 +1,18 @@
-"""Whole-policy validation: name resolution, side scoping, typing.
+"""Whole-policy validation: name resolution, the catalog, side scoping,
+typing.
 
 Collects every error rather than stopping at the first, in a deterministic
-order (category duplicates, event shape, side tags, kind inference, body
-checks in declaration order, then rule checks in declaration order).
+order (category duplicates, event shape and its fit to the device's API
+catalog, side tags, kind inference, body checks in declaration order, then
+rule checks in declaration order). A policy that passes fits the catalog,
+so nothing later checks it again.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Union
 
+from ..catalog import pattern_mismatches
 from ..lang.check import TypeMismatch, UnboundVariable, type_check, check_stmt
 from ..lang.nodes import Assign, AppendStmt, BlockStmt, PruneStmt, VarRef, walk_exprs
 from ..lang.values import VType
@@ -81,6 +85,7 @@ def _check_event(event: EventDecl, errors: List[ValidationError]) -> None:
             )
         seen.add(p.name)
     rb = event.return_binding
+    binding = event.param_named(rb) if rb is not None else None
     positional = event.pattern.params or ()
     if rb is not None:
         if event.phase is Phase.BEFORE:
@@ -91,7 +96,7 @@ def _check_event(event: EventDecl, errors: List[ValidationError]) -> None:
                     event.span,
                 )
             )
-        if event.param_named(rb) is None:
+        if binding is None:
             errors.append(
                 _VE("UnresolvedName", f"uponReturning({rb}) names an undeclared parameter", event.span)
             )
@@ -113,6 +118,12 @@ def _check_event(event: EventDecl, errors: List[ValidationError]) -> None:
                     p.span,
                 )
             )
+    pattern = event.pattern
+    declared = None if pattern.params is None else tuple(p.vtype for p in pattern.params)
+    for mismatch in pattern_mismatches(
+        pattern.api_namespace, pattern.method, declared, binding.vtype if binding is not None else None
+    ):
+        errors.append(_VE("CatalogMismatch", f"event {event.name!r} {mismatch}", event.span))
 
 
 def _side_scan(decl: Union[ConditionDecl, ActionDecl], errors: List[ValidationError]) -> bool:

@@ -29,7 +29,7 @@ from dcmon.dsl import Phase, parse_policy, validate_policy
 from dcmon.engine import Batch, CompiledPolicy
 from dcmon.lang.eval import EvalContext
 from dcmon.lang.values import MS_PER_SECOND, VType
-from dcmon.sim import check_policy_against_catalog, run
+from dcmon.sim import run
 from dcmon.tracegen import PROFILES, make_trace
 
 from conftest import compile_src, phase_plans, plan_rules, replan, send, sends_every
@@ -559,7 +559,6 @@ def policy_source(rule_list) -> str:
 def test_random_policy_plan_matches_one_rule_batches(rule_list, seed):
     cp = validate_policy(parse_policy(policy_source(rule_list)))
     assume(isinstance(cp, CompiledPolicy))
-    check_policy_against_catalog(cp)
     trace = make_trace(seed, max_apps=2, max_events=80)
     assert_same_as_one_rule_batches(cp, trace)
 

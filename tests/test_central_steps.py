@@ -19,7 +19,7 @@ from dcmon.dsl import parse_policy, validate_policy
 from dcmon.engine import CompiledPolicy, Locality
 from dcmon.lang.eval import GLOBAL_SIDE, EvalContext, EvalError, rollback
 from dcmon.lang.values import MS_PER_HOUR, MS_PER_SECOND
-from dcmon.sim import check_policy_against_catalog, run
+from dcmon.sim import run
 from dcmon.tracegen import make_bench_trace, make_trace
 
 from conftest import sends_every
@@ -122,7 +122,6 @@ def test_random_policy_requests_run_like_the_by_rule_loop(rule_list, seed):
     spec = parse_policy(policy_source(rule_list))
     cp = validate_policy(spec)
     assume(isinstance(cp, CompiledPolicy))
-    check_policy_against_catalog(cp)
     res = run(make_trace(seed, max_apps=2, max_events=80), cp)
     requests = [v for req in logged_requests(res) for v in variants(cp, req)]
     assert_steps_match(cp, spec, requests, res.initial_global)

@@ -68,8 +68,11 @@ Conditions { c = { true } }
 Actions { a = { block(); } }
 Rules { e() | c -> a; }
 """
-# the catalog's sendTextMessage takes (string, string)
+# the catalog's sendTextMessage takes (string, string) and returns a bool
 WRONG_PARAMS_SRC = CAMERA_SRC.replace("Camera *.takePicture(...)", "SmsManager *.sendTextMessage(int to, string body)")
+WRONG_RETURN_SRC = CAMERA_SRC.replace(
+    "e() = { Camera *.takePicture(...) }", "e(int sent) = { after SmsManager *.sendTextMessage(...) } uponReturning(sent)"
+).replace("block();", "")
 
 
 @pytest.mark.parametrize(
@@ -80,8 +83,9 @@ WRONG_PARAMS_SRC = CAMERA_SRC.replace("Camera *.takePicture(...)", "SmsManager *
             WRONG_PARAMS_SRC,
             "event 'e' declares parameter types (int, string) but SmsManager.sendTextMessage takes (string, string)",
         ),
+        (WRONG_RETURN_SRC, "event 'e' binds the return of SmsManager.sendTextMessage as int, which returns bool"),
     ],
-    ids=["unknown-api", "parameter-types"],
+    ids=["unknown-api", "parameter-types", "return-binding"],
 )
 @pytest.mark.parametrize("command", ["compile", "run"])
 def test_policy_the_catalog_does_not_match_exit_1(tmp_path, capsys, command, src, message):
@@ -94,7 +98,8 @@ def test_policy_the_catalog_does_not_match_exit_1(tmp_path, capsys, command, src
         "run": ["run", str(policy), str(tmp_path / "missing.jsonl"), "--out", str(out)],
     }[command]
     assert main(argv) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # the one diagnostic format of a policy that does not compile, at event e
+    assert capsys.readouterr() == ("", f"2:10: CatalogMismatch: {message}\n")
     assert not out.exists()
 
 

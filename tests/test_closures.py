@@ -23,7 +23,7 @@ from dcmon.lang import APP_SIDE, GLOBAL_SIDE, EvalContext, EvalError, VarStore, 
 from dcmon.lang.codegen import compile_expr, compile_stmts
 from dcmon.lang.nodes import AppendStmt, Assign, Binary, Call, Literal, PruneStmt, SetAttrStmt, Unary, VarRef, walk_exprs
 from dcmon.lang.values import INT64_MAX, INT64_MIN, MS_PER_SECOND, VType
-from dcmon.sim import check_policy_against_catalog, run
+from dcmon.sim import run
 from dcmon.tracegen import make_bench_trace, make_trace
 
 from conftest import replan, sends_every
@@ -266,5 +266,4 @@ def test_random_policy_runs_like_the_interpreter(rule_list, seed, concurrent_sam
     spec = parse_policy(policy_source(rule_list))
     cp = validate_policy(spec)
     assume(isinstance(cp, CompiledPolicy))
-    check_policy_against_catalog(cp)
     assert_runs_like_the_interpreter(cp, spec, make_trace(seed, max_apps=2, max_events=80), concurrent_same_t)

@@ -13,7 +13,7 @@ from dcmon.engine import CompiledPolicy, Locality, evaluate_guard, rules_for
 from dcmon.lang.codegen import compile_guard
 from dcmon.lang.nodes import Binary, Literal, Unary, VarRef
 from dcmon.lang.values import MS_PER_SECOND, VType
-from dcmon.sim import check_policy_against_catalog, run
+from dcmon.sim import run
 from dcmon.tracegen import make_bench_trace, make_trace
 
 from conftest import EMPTY_SRC, compile_src, phase_plans, plan_rules, sends_every
@@ -174,7 +174,6 @@ def test_every_random_guard_sees_all_its_truth_values(rule_list, seed, concurren
     spec = parse_policy(policy_source(rule_list))
     cp = validate_policy(spec)
     assume(isinstance(cp, CompiledPolicy))
-    check_policy_against_catalog(cp)
     with guards_checked_for_truth_values(guard_cond_ids(cp, spec)):
         run(make_trace(seed, max_apps=2, max_events=80), cp, concurrent_same_t=concurrent_same_t)
 

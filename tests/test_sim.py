@@ -29,7 +29,6 @@ from dcmon.sim import (
     ALLOWED,
     BLOCKED,
     NO_RULE,
-    CatalogMismatch,
     InvalidEvent,
     RunResult,
     TraceEvent,
@@ -40,7 +39,6 @@ from dcmon.sim import (
     _parse_by_line,
     _parse_in_one_call,
     _split_lines,
-    check_policy_against_catalog,
     load_trace,
     parse_trace,
     run,
@@ -528,9 +526,9 @@ def test_policy_pattern_type_mismatch_detected():
     Actions { ApplicationSide { a = { block(); } } }
     Rules { e() | c -> a; }
     """
-    cp = compile_src(src)
-    with pytest.raises(CatalogMismatch):
-        check_policy_against_catalog(cp)
+    assert [e.diagnostic() for e in validate_policy(parse_policy(src))] == [
+        "2:32: CatalogMismatch: event 'e' declares parameter types (string) but WifiManager.setWifiEnabled takes (bool)"
+    ]
 
 
 def test_policy_unknown_api_detected():
@@ -540,8 +538,9 @@ def test_policy_unknown_api_detected():
     Actions { ApplicationSide { a = { block(); } } }
     Rules { e() | c -> a; }
     """
-    with pytest.raises(CatalogMismatch):
-        check_policy_against_catalog(compile_src(src))
+    assert [e.diagnostic() for e in validate_policy(parse_policy(src))] == [
+        "2:32: CatalogMismatch: event 'e' intercepts unknown API Camera.takePicture"
+    ]
 
 
 # run loop
@@ -639,17 +638,6 @@ def test_determinism_byte_identical():
     assert a.channel_lines() == b.channel_lines()
 
 
-def test_concurrent_mode_replays_byte_identical():
-    cp = compile_corpus_policy("MsgCntLmtHr")
-    # five apps sharing timestamps so the grant order matters
-    trace = sends_every(0, 200, apps=[f"App{i}" for i in range(5)])
-    first = run(trace, cp, concurrent_same_t=True)
-    replay = run(trace, cp, arrival_order=first.arrival_order)
-    assert replay.verdict_lines() == first.verdict_lines()
-    assert replay.snapshot == first.snapshot
-    assert replay.channel_lines() == first.channel_lines()
-
-
 def test_concurrent_request_log_rebuilds_snapshot():
     cp = compile_corpus_policy("MsgCntLmtHr")
     trace = sends_every(0, 120, apps=["A", "B", "C"])
@@ -674,27 +662,7 @@ def test_concurrent_schedule_runs_app_by_app(trace, expected):
     cp = compile_corpus_policy("MsgCntLmtHr")
     runs = [run(trace, cp, concurrent_same_t=True) for _ in range(3)]
     assert [r.arrival_order for r in runs] == [expected] * 3
-    assert len({r.verdict_lines() for r in runs}) == 1
-
-
-@pytest.mark.parametrize(
-    "trace, order, accepted",
-    [
-        (sends_every(MS_PER_SECOND, 50), list(reversed(range(50))), False),
-        (sends_every(0, 4, apps=["A", "B"]), [2, 1, 0, 3], False),
-        (sends_every(0, 4, apps=["A", "B"]), [1, 0, 2, 3], True),
-        (sends_every(0, 2, apps=["A", "B"]), [0.0, 1.0], False),
-        (sends_every(0, 2, apps=["A", "B"]), [False, True], False),
-    ],
-    ids=["clock-runs-backwards", "same-app-swapped", "other-apps-swapped", "float-indices", "bool-indices"],
-)
-def test_arrival_order_keeps_time_and_app_order(trace, order, accepted):
-    cp = compile_corpus_policy("MsgCntLmtHr")
-    if accepted:
-        assert run(trace, cp, arrival_order=order).arrival_order == order
-    else:
-        with pytest.raises(ValueError):
-            run(trace, cp, arrival_order=order)
+    assert len({(r.verdict_lines(), r.snapshot, r.channel_lines()) for r in runs}) == 1
 
 
 def test_isolation_local_state_per_app():
@@ -896,7 +864,7 @@ def intercept_every_phase(trace, cp, concurrent_same_t=False) -> RunResult:
     monitors = {app: LocalMonitor(app, app, cp, channel, device.attrs) for app in sorted({ev.app for ev in trace})}
     verdicts = [None] * len(trace)
     faults = []
-    order = list(_execution_order(trace, concurrent_same_t, None))
+    order = list(_execution_order(trace, concurrent_same_t))
     for idx in order:
         ev = trace[idx]
         monitor = monitors[ev.app]
@@ -939,7 +907,6 @@ def test_corpus_matches_intercepting_every_phase(pid, concurrent_same_t):
 def test_random_policy_matches_intercepting_every_phase(rule_list, seed, concurrent_same_t):
     cp = validate_policy(parse_policy(policy_source(rule_list)))
     assume(isinstance(cp, CompiledPolicy))
-    check_policy_against_catalog(cp)
     assert_same_as_every_phase(make_trace(seed, max_apps=2, max_events=80), cp, concurrent_same_t)
 
 

@@ -1,3 +1,5 @@
+import pytest
+
 from dcmon.corpus import build_policy_source
 from dcmon.dsl import analysis, parse_policy, validate_policy
 from dcmon.engine import CompiledPolicy
@@ -251,3 +253,44 @@ def test_unknown_trigger_adds_no_errors_to_the_bodies_it_runs():
         rules="r1 = e() | c -> a; r2 = bogus() | c -> a;",
     )
     assert [(e.code, e.message) for e in errors_of(src)] == [("UnresolvedName", "unknown event 'bogus' in r2")]
+
+
+def at(src: str, text: str):
+    """The span of the first `text` in the one-line `src`."""
+    return (1, src.index(text) + 1)
+
+
+@pytest.mark.parametrize(
+    "event, message",
+    [
+        (
+            "e() = { Camera *.takePicture(...) }",
+            "event 'e' intercepts unknown API Camera.takePicture",
+        ),
+        (
+            "e() = { SmsManager *.sendTextMessage(int to, string body) }",
+            "event 'e' declares parameter types (int, string) but SmsManager.sendTextMessage takes (string, string)",
+        ),
+        (
+            "e(int sent) = { after SmsManager *.sendTextMessage(...) } uponReturning(sent)",
+            "event 'e' binds the return of SmsManager.sendTextMessage as int, which returns bool",
+        ),
+    ],
+    ids=["unknown-api", "parameter-types", "return-binding"],
+)
+def test_event_the_catalog_does_not_offer(event, message):
+    src = wrap(events=f"ApplicationSide {{ {event} }}")
+    assert [(e.code, e.message, e.span) for e in errors_of(src)] == [("CatalogMismatch", message, at(src, "e("))]
+
+
+def test_device_attribute_written_as_another_kind():
+    # the device models wifi_enabled as a bool
+    src = wrap(
+        events=SEND_EVENT,
+        conditions="ApplicationSide { c = { true } }",
+        actions='ApplicationSide { a = { set_attr("wifi_enabled", 5); } }',
+        rules="sendBefore() | c -> a;",
+    )
+    assert [(e.code, e.message, e.span) for e in errors_of(src)] == [
+        ("TypeError", "attribute wifi_enabled is bool, written as int", at(src, "set_attr"))
+    ]
