@@ -2,8 +2,11 @@
 
 Every trace event must name a catalog entry, and every event pattern in a
 policy must match one (namespace, method, parameter types, return type):
-`pattern_mismatches` says how one does not. Executing an entry's effect
-mutates the device and produces the call's return value.
+`pattern_mismatches` says how one does not. Each entry also states its
+effect on the device, as data that `execute_effect` carries out: four
+entries return a constant and touch no state, `setWifiEnabled` writes a
+device attribute from its argument, and `dialCall` and `endCall` set and
+read whether a call is active.
 """
 
 from __future__ import annotations
@@ -25,20 +28,32 @@ _PY_KINDS = {
 # one entry per API, which every trace event of the API shares: equal only to itself
 @dataclass(frozen=True, eq=False, slots=True)
 class ApiCatalogEntry:
+    """A call of the device and its effect. A call returns `returns`, or,
+    when that is None, whether a call was active; it writes its first
+    argument into the device attribute `writes_attr`, and leaves
+    `call_active` at `sets_call`, when these are not None."""
+
     namespace: str
     method: str
     param_types: Tuple[VType, ...]
     return_type: VType
-    effect: str
+    returns: Optional[Value] = True
+    writes_attr: Optional[str] = None
+    sets_call: Optional[bool] = None
     # Derived once: the replay reads the call of every event. `arg_types`
     # holds the Python type of a plain argument of each parameter; arguments
     # of exactly these types match, others are checked by `arg_matches`.
+    # `constant_return` is the return of an entry that touches no state,
+    # None for one that does.
     call: str = field(init=False, repr=False)
     arg_types: Tuple[Optional[type], ...] = field(init=False, repr=False)
+    constant_return: Optional[Value] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "call", f"{self.namespace}.{self.method}")
         object.__setattr__(self, "arg_types", tuple(_PY_KINDS.get(vt) for vt in self.param_types))
+        stateless = self.writes_attr is None and self.sets_call is None
+        object.__setattr__(self, "constant_return", self.returns if stateless else None)
 
     @property
     def key(self) -> Tuple[str, str]:
@@ -48,34 +63,13 @@ class ApiCatalogEntry:
 CATALOG: Dict[Tuple[str, str], ApiCatalogEntry] = {
     entry.key: entry
     for entry in (
-        ApiCatalogEntry(
-            "SmsManager", "sendTextMessage", (VType.STRING, VType.STRING), VType.BOOL,
-            "increments the device message tally",
-        ),
-        ApiCatalogEntry(
-            "WifiManager", "setWifiEnabled", (VType.BOOL,), VType.BOOL,
-            "sets the wifi_enabled device attribute",
-        ),
-        ApiCatalogEntry(
-            "TelephonyManager", "dialCall", (VType.STRING,), VType.BOOL,
-            "starts the device call if none is active",
-        ),
-        ApiCatalogEntry(
-            "TelephonyManager", "endCall", (), VType.BOOL,
-            "ends the active call; returns false when none was active",
-        ),
-        ApiCatalogEntry(
-            "WebBrowser", "requestUrl", (VType.STRING,), VType.BOOL,
-            "increments the page request tally",
-        ),
-        ApiCatalogEntry(
-            "FileSystem", "openFile", (VType.STRING, VType.STRING), VType.BOOL,
-            "increments the file open tally",
-        ),
-        ApiCatalogEntry(
-            "AppLauncher", "launchApp", (VType.STRING,), VType.BOOL,
-            "brings the named app to the foreground",
-        ),
+        ApiCatalogEntry("SmsManager", "sendTextMessage", (VType.STRING, VType.STRING), VType.BOOL),
+        ApiCatalogEntry("WifiManager", "setWifiEnabled", (VType.BOOL,), VType.BOOL, writes_attr="wifi_enabled"),
+        ApiCatalogEntry("TelephonyManager", "dialCall", (VType.STRING,), VType.BOOL, sets_call=True),
+        ApiCatalogEntry("TelephonyManager", "endCall", (), VType.BOOL, returns=None, sets_call=False),
+        ApiCatalogEntry("WebBrowser", "requestUrl", (VType.STRING,), VType.BOOL),
+        ApiCatalogEntry("FileSystem", "openFile", (VType.STRING, VType.STRING), VType.BOOL),
+        ApiCatalogEntry("AppLauncher", "launchApp", (VType.STRING,), VType.BOOL),
     )
 }
 
@@ -122,16 +116,11 @@ def arg_matches(vtype: VType, value: Value) -> bool:
 
 @dataclass
 class DeviceState:
-    """Simulator-side device: attribute table plus effect tallies."""
+    """Simulator-side device: the attribute table and whether a call is
+    active, all the state that a catalog effect writes."""
 
     attrs: VarStore = field(default_factory=VarStore)
-    messages_sent: int = 0
-    pages_requested: int = 0
-    files_opened: int = 0
-    calls_dialed: int = 0
-    apps_launched: int = 0
     call_active: bool = False
-    foreground_app: Optional[str] = None
 
     def __post_init__(self) -> None:
         for name, kind in DEVICE_ATTRS.items():
@@ -140,29 +129,10 @@ class DeviceState:
 
 
 def execute_effect(entry: ApiCatalogEntry, args: Tuple[Value, ...], device: DeviceState) -> Value:
-    method = entry.method
-    if method == "sendTextMessage":
-        device.messages_sent += 1
-        return True
-    if method == "setWifiEnabled":
-        device.attrs.set("wifi_enabled", VType.BOOL, args[0])
-        return True
-    if method == "dialCall":
-        device.calls_dialed += 1
-        device.call_active = True
-        return True
-    if method == "endCall":
-        was_active = device.call_active
-        device.call_active = False
-        return was_active
-    if method == "requestUrl":
-        device.pages_requested += 1
-        return True
-    if method == "openFile":
-        device.files_opened += 1
-        return True
-    if method == "launchApp":
-        device.apps_launched += 1
-        device.foreground_app = args[0]
-        return True
-    raise AssertionError(f"no effect for {entry.call}")
+    """Carry out `entry`'s effect on `device`; return the call's value."""
+    ret = device.call_active if entry.returns is None else entry.returns
+    if entry.writes_attr is not None:
+        device.attrs.set(entry.writes_attr, DEVICE_ATTRS[entry.writes_attr], args[0])
+    if entry.sets_call is not None:
+        device.call_active = entry.sets_call
+    return ret

@@ -58,7 +58,8 @@ def rule_uses(spec: PolicySpec) -> Tuple[Uses, Uses]:
 def infer_policy_state(spec: PolicySpec, act_uses: Uses) -> Tuple[StateTypes, List[InferenceIssue]]:
     """Kinds of every local/global variable and device attribute the policy
     writes, given `rule_uses`' action map. Attribute kinds are keyed under
-    the "attr" pseudo-namespace, and start from the device's own table."""
+    the "attr" pseudo-namespace and come from the device's own table: a
+    `set_attr` must name one of its attributes and write it as its kind."""
     action_envs = [(a, [event_param_env(t, a.side) for t in act_uses[a.name]]) for a in spec.actions]
     types, issues = infer_state_types(
         [
@@ -74,6 +75,10 @@ def infer_policy_state(spec: PolicySpec, act_uses: Uses) -> Tuple[StateTypes, Li
         for stmt in action.body:
             if not isinstance(stmt, SetAttrStmt):
                 continue
+            prior = types.get(("attr", stmt.attr))
+            if prior is None:
+                issues.append(InferenceIssue(stmt.span, f"unknown device attribute {stmt.attr!r}", "UnresolvedName"))
+                continue
             kind: Optional[VType] = None
             for env in envs:
                 merged = dict(env)
@@ -83,14 +88,7 @@ def infer_policy_state(spec: PolicySpec, act_uses: Uses) -> Tuple[StateTypes, Li
                     break
                 except LangError:
                     continue
-            if kind is None:
-                continue  # surfaced later as a per-use typing error
-            key = ("attr", stmt.attr)
-            prior = types.get(key)
-            if prior is not None and prior is not kind:
-                issues.append(
-                    InferenceIssue(stmt.span, f"attribute {stmt.attr} is {prior}, written as {kind}")
-                )
-            else:
-                types[key] = kind
+            # a kind of None is surfaced later as a per-use typing error
+            if kind is not None and kind is not prior:
+                issues.append(InferenceIssue(stmt.span, f"attribute {stmt.attr} is {prior}, written as {kind}"))
     return types, issues

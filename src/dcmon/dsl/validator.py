@@ -3,9 +3,10 @@ typing.
 
 Collects every error rather than stopping at the first, in a deterministic
 order (category duplicates, event shape and its fit to the device's API
-catalog, side tags, kind inference, body checks in declaration order, then
-rule checks in declaration order). A policy that passes fits the catalog,
-so nothing later checks it again.
+catalog, side tags, kind inference with the device attribute each set_attr
+names, body checks in declaration order, then rule checks in declaration
+order). A policy that passes fits the catalog and the device, so nothing
+later checks it again.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def validate_policy(spec: PolicySpec):
 
     cond_uses, act_uses = rule_uses(spec)
     state_types, issues = infer_policy_state(spec, act_uses)
-    errors.extend(_VE("TypeError", issue.message, issue.span) for issue in issues)
+    errors.extend(_VE(issue.code, issue.message, issue.span) for issue in issues)
 
     for cond in spec.conditions:
         _check_body(cond, cond_uses[cond.name], state_types, errors)

@@ -177,6 +177,7 @@ def check_stmt(stmt: Stmt, env: TypeEnv) -> None:
 class InferenceIssue:
     span: Span
     message: str
+    code: str = "TypeError"
 
 
 _PROBE_ORDER = (VType.BOOL, VType.INT, VType.STRING, VType.TIMESTAMP, VType.DURATION, VType.TS_LIST)

@@ -9,7 +9,8 @@ monitor runs the before phase's batch plan on the call's arguments, and
 only if no rule blocked it does the catalog effect execute, followed by the
 after phase's plan, which also sees the return value. A blocked call
 therefore leaves no device effect and no after phase. A phase of a call
-that no rule listens to is not intercepted.
+that no rule listens to is not intercepted, and a call whose catalog entry
+touches no state returns the entry's constant without executing anything.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .catalog import API_OF_CALL, ApiCatalogEntry, DeviceState, arg_matches, execute_effect
+from .catalog import API_OF_CALL, CATALOG, ApiCatalogEntry, DeviceState, arg_matches, execute_effect
 # Nothing here calls `check_policy_against_catalog`: `validate_policy`
 # checks a policy against the catalog. The benchmark's tracer hooks the name
 # in this module under `sim.checks` and counts a missing hook, so it stays
@@ -274,18 +275,22 @@ def write_trace(path, trace: List[TraceEvent]) -> None:
 
 
 Plans = Tuple[Tuple[Batch, ...], Tuple[Batch, ...]]  # a call's before and after batch plans
+# a call's before and after batch plans and its constant return, None when
+# its catalog entry touches state
+CallTable = Dict[ApiCatalogEntry, Tuple[Tuple[Batch, ...], Tuple[Batch, ...], Optional[Value]]]
 
 
-def _check_trace_against_catalog(trace: List[TraceEvent], dispatch: Dict[Tuple[str, str], Plans]) -> Dict[ApiCatalogEntry, Plans]:
+def _check_trace_against_catalog(trace: List[TraceEvent], dispatch: Dict[Tuple[str, str], Plans]) -> CallTable:
     """Check the time order, all that a list of checked events can get
-    wrong, and map each called entry to its API's before and after batch
-    plans. (The benchmark's tracer hooks this by its older name.)"""
+    wrong, and map each catalog entry to its API's before and after batch
+    plans and its constant return. (The benchmark's tracer hooks this by
+    its older name.)"""
     last_t = 0
     for idx, ev in enumerate(trace):
         if ev.t < last_t:
             raise UnsortedTrace(idx + 1)
         last_t = ev.t
-    return {api: dispatch.get(api.key, ((), ())) for api in {ev.api for ev in trace}}
+    return {api: (*dispatch.get(key, ((), ())), api.constant_return) for key, api in CATALOG.items()}
 
 
 @dataclass
@@ -335,12 +340,14 @@ def run(
 
     Each event was checked when it was built, and a policy that passed
     `validate_policy` fits the catalog, so the run checks neither again,
-    only the time order of the list. The run maps each API to its
-    batch plans once and hands each phase's plan straight to the app's
-    local monitor, so a call that no rule intercepts costs one dict read
-    and the catalog effect. Every phase appends its faults to one list,
-    which the run empties after each event."""
-    plans = _check_trace_against_catalog(trace, cp.dispatch)
+    only the time order of the list. The run maps each catalog entry to
+    its batch plans and its constant return once, and hands each phase's
+    plan straight to the app's local monitor. So a call that no rule
+    intercepts costs one dict read, and one `execute_effect` call only if
+    its entry touches state (`setWifiEnabled`, `dialCall`, `endCall`).
+    Every phase appends its faults to one list, which the run empties
+    after each event."""
+    table = _check_trace_against_catalog(trace, cp.dispatch)
 
     device = DeviceState()
     gs = GlobalState(vars=VarStore(), attrs=device.attrs)
@@ -364,16 +371,19 @@ def run(
         ev = trace[idx]
         api = ev.api
         # A phase without rules proceeds with no fault and no write, so it
-        # is not intercepted.
-        before_plan, after_plan = plans[api]
-        monitor = monitors[ev.app]
+        # is not intercepted; an entry that touches no state executes nothing.
+        try:
+            before_plan, after_plan, ret = table[api]
+        except KeyError:
+            raise InvalidEvent(f"event {idx} holds an entry for {api.call!r} that is not the catalog's own") from None
         t0 = time.perf_counter_ns() if measure_latency else 0
-        blocked_by = monitor.intercept(before_plan, ev.args, None, ev.t, event_faults) if before_plan else None
+        blocked_by = monitors[ev.app].intercept(before_plan, ev.args, None, ev.t, event_faults) if before_plan else None
         if blocked_by is None:
             decision, reason = ALLOWED, NO_RULE
-            ret = execute_effect(api, ev.args, device)
+            if ret is None:
+                ret = execute_effect(api, ev.args, device)
             if after_plan:
-                monitor.intercept(after_plan, ev.args, ret, ev.t, event_faults)
+                monitors[ev.app].intercept(after_plan, ev.args, ret, ev.t, event_faults)
         else:
             decision, reason = BLOCKED, blocked_by
         latency = time.perf_counter_ns() - t0 if measure_latency else 0

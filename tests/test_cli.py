@@ -103,6 +103,28 @@ def test_policy_the_catalog_does_not_match_exit_1(tmp_path, capsys, command, src
     assert not out.exists()
 
 
+BRIGHTNESS_SRC = CAMERA_SRC.replace("Camera *.takePicture(...)", "SmsManager *.sendTextMessage(...)").replace(
+    "block();", 'set_attr("brightnes", 3);'
+)
+
+
+@pytest.mark.parametrize("command", ["compile", "run"])
+def test_set_attr_of_an_unknown_attribute_exit_1(tmp_path, capsys, command):
+    # the device has no attribute "brightnes", so no run writes it
+    policy = tmp_path / "p.dcp"
+    policy.write_text(BRIGHTNESS_SRC, encoding="utf-8")
+    trace = tmp_path / "trace.jsonl"
+    write_trace(trace, sends_every(1000, 1))
+    out = tmp_path / "o"
+    argv = {
+        "compile": ["compile", str(policy)],
+        "run": ["run", str(policy), str(trace), "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "4:17: UnresolvedName: unknown device attribute 'brightnes'\n")
+    assert not out.exists()
+
+
 def test_compile_missing_file_exit_2(capsys):
     assert main(["compile", "/nonexistent/policy.dcp"]) == 2
 

@@ -8,7 +8,8 @@ event parameters so that nothing folds: it must validate, and its code must
 return or raise what the tree interpreter of `reference_eval.py` returns or
 raises. So must policies whose strings and names look like Python, or like
 the generator's own names: policy text reaches the generated source only as
-the repr of a value or of a key.
+the repr of a value or of a key. A `set_attr` may name only a device
+attribute, so such a string there is an error whose diagnostic quotes it.
 """
 
 import gc
@@ -131,7 +132,7 @@ def dsl_string(text):
 
 # Event parameters, conditions, actions and state variables named like
 # Python words and like the generator's own names; every string literal
-# above appears in a comparison, a builtin call and a set_attr key.
+# above appears in a comparison, a builtin call and a set_attr value.
 NAMES_SRC = """
 Events {{ ApplicationSide {{
     send() = {{ SmsManager *.sendTextMessage(string ctx, string None) }}
@@ -169,7 +170,7 @@ Rules {{
 
 def names_source():
     matches = " || ".join(f"ctx == {dsl_string(s)} || contains(None, {dsl_string(s)})" for s in STRINGS)
-    set_attrs = " ".join(f"set_attr({dsl_string(s)}, ctx == {dsl_string(s)});" for s in STRINGS)
+    set_attrs = " ".join(f'set_attr("wifi_enabled", ctx == {dsl_string(s)});' for s in STRINGS)
     return NAMES_SRC.format(matches=matches, set_attrs=set_attrs)
 
 
@@ -186,8 +187,25 @@ def test_policy_text_is_data():
     for concurrent_same_t in (False, True):
         res = assert_runs_like_the_interpreter(cp, spec, trace, concurrent_same_t)
         assert any(v.decision == "Blocked" for v in res.verdicts)
-    # every attribute key is written, as the text it was
-    assert {name for name, _, _ in res.device.attrs.items_typed()} >= set(STRINGS)
+    # the device's attributes are all that set_attr writes
+    assert [name for name, _, _ in res.device.attrs.items_typed()] == ["wifi_enabled"]
+
+
+def test_attribute_name_is_quoted_in_its_diagnostic():
+    """A string that names no device attribute is one error at its
+    `set_attr`, whose one-line diagnostic quotes it as a Python repr."""
+    set_attrs = " ".join(f"set_attr({dsl_string(s)}, true);" for s in STRINGS)
+    src = (
+        "Events { e() = { SmsManager *.sendTextMessage(...) } } Conditions { c = { true } } "
+        f"Actions {{ a = {{ {set_attrs} }} }} Rules {{ e() | c -> a; }}"
+    )
+    errors = validate_policy(parse_policy(src))
+    starts = [i + 1 for i in range(len(src)) if src.startswith("set_attr(", i)]
+    assert [(e.code, e.message, e.span) for e in errors] == [
+        ("UnresolvedName", f"unknown device attribute {s!r}", (1, col)) for s, col in zip(STRINGS, starts)
+    ]
+    for e in errors:
+        assert len(e.diagnostic().splitlines()) == 1
 
 
 @pytest.mark.parametrize("text", STRINGS)

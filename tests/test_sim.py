@@ -4,12 +4,13 @@ effect gating, rule atomicity and channel outages."""
 import dataclasses
 import json
 import re
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from dcmon.catalog import API_OF_CALL, CATALOG, DeviceState, execute_effect
+from dcmon.catalog import API_OF_CALL, CATALOG, DEVICE_ATTRS, DeviceState, execute_effect
 from dcmon.central_monitor import (
     Channel,
     ChannelError,
@@ -47,7 +48,7 @@ from dcmon.sim import (
 from dcmon import engine, local_monitor, sim
 from dcmon.tracegen import make_bench_trace, make_trace
 
-from conftest import Occurrence, compile_src, dial, intercept, phase_plans, plan_rules, send, sends_every, wifi
+from conftest import Occurrence, compile_src, dial, end_call, intercept, phase_plans, plan_rules, send, sends_every, wifi
 from test_batch_plan import policy_source, rule_lists
 
 
@@ -572,15 +573,62 @@ def test_msg_gap_policy_blocks_at_30s_allows_at_61s():
     assert res.decisions() == ["Allowed", "Allowed"]
 
 
-def test_effect_gating_blocked_send_leaves_no_device_effect():
-    cp = compile_corpus_policy("MsgCntLmt")
-    trace = sends_every(MS_PER_SECOND, 502)
-    res = run(trace, cp)
+# every dial after the first is blocked; local.ended keeps what the last
+# endCall returned: whether a call was active
+DIAL_ONCE_SRC = """
+Events { ApplicationSide {
+    dialB() = { TelephonyManager *.dialCall(...) }
+    endA(bool ended) = { after TelephonyManager *.endCall(...) } uponReturning(ended)
+} }
+Conditions { ApplicationSide { dialed = { local.dials >= 1 } always = { true } } }
+Actions { ApplicationSide {
+    deny = { block(); }
+    count = { local.dials := local.dials + 1; }
+    record = { local.ended := event.ended; }
+} }
+Rules { dialB() | dialed -> deny; dialB() | always -> count; endA() | always -> record; }
+"""
+
+
+def test_effect_gating_blocked_call_leaves_no_device_effect():
+    cp = compile_src(DIAL_ONCE_SRC)
+    res = run([dial(0), end_call(1), dial(2)], cp)
+    assert res.decisions() == ["Allowed", "Allowed", "Blocked"]
+    assert res.local_states["Messenger"].get("ended", VType.BOOL) is True
+    # the blocked dial started no call, so the endCall after it finds none
+    assert res.device.call_active is False
+    res = run([dial(0), end_call(1), dial(2), end_call(3)], cp)
+    assert res.decisions() == ["Allowed", "Allowed", "Blocked", "Allowed"]
+    assert res.local_states["Messenger"].get("ended", VType.BOOL) is False
+    # after occurrences exist only for executed calls: the counter is capped
+    res = run(sends_every(MS_PER_SECOND, 502), compile_corpus_policy("MsgCntLmt"))
     assert res.decisions().count("Blocked") == 2
-    # device tally only counts executed sends
-    assert res.device.messages_sent == 500
-    # after occurrences exist only for executed calls: counter capped too
     assert res.global_state.vars.get("msgCount", VType.INT) == 500
+
+
+# the device model: each catalog entry states its effect, which
+# execute_effect carries out; four entries touch no state
+STATELESS = {"sendTextMessage", "requestUrl", "openFile", "launchApp"}
+SAMPLE_ARG = {VType.BOOL: True, VType.STRING: "21234567"}
+
+
+@pytest.mark.parametrize("entry", list(CATALOG.values()), ids=lambda entry: entry.call)
+@pytest.mark.parametrize("call_active", [False, True])
+def test_catalog_entry_declares_what_execute_effect_does(entry, call_active):
+    args = tuple(SAMPLE_ARG[vt] for vt in entry.param_types)
+    device = DeviceState(call_active=call_active)
+    want = DeviceState(call_active=call_active if entry.sets_call is None else entry.sets_call)
+    if entry.writes_attr is not None:
+        want.attrs.set(entry.writes_attr, DEVICE_ATTRS[entry.writes_attr], args[0])
+    ret = execute_effect(entry, args, device)
+    assert ret is (call_active if entry.returns is None else entry.returns)
+    assert type(ret) is bool and entry.return_type is VType.BOOL
+    assert device == want
+    if entry.method in STATELESS:
+        assert (entry.constant_return, entry.writes_attr, entry.sets_call) == (True, None, None)
+    else:
+        assert entry.constant_return is None
+        assert (entry.writes_attr, entry.sets_call) != (None, None)
 
 
 def test_wifi_block_prevents_attribute_change():
@@ -597,6 +645,13 @@ def test_unsorted_trace_rejected_by_run():
     cp = compile_corpus_policy("MsgCntLmt")
     with pytest.raises(UnsortedTrace):
         run([send(10), send(0)], cp)
+
+
+def test_event_of_an_entry_that_is_not_the_catalogs_rejected_by_run():
+    # run() maps the catalog's own entries, which compare by identity
+    copy = dataclasses.replace(CATALOG["SmsManager", "sendTextMessage"])
+    with pytest.raises(InvalidEvent, match="event 1 holds an entry for 'SmsManager.sendTextMessage' that is not"):
+        run([send(0), TraceEvent(1, "Messenger", copy, ("21234567", "hi"))], compile_corpus_policy("MsgCntLmt"))
 
 
 def test_run_unmonitored_all_allowed_and_channel_silent():
@@ -930,6 +985,30 @@ def test_replay_looks_up_no_plan(monkeypatch, concurrent_same_t):
     monkeypatch.setattr(local_monitor, "rules_for", no_lookup)
     for pid, cp in policies.items():
         assert outputs(run(BENCH_TRACE, cp, concurrent_same_t=concurrent_same_t)) == want[pid], pid
+
+
+@pytest.mark.parametrize("concurrent_same_t", [False, True], ids=["sequential", "concurrent"])
+def test_replay_executes_only_effects_with_state(monkeypatch, concurrent_same_t):
+    """An allowed call of an entry that touches no state returns the
+    entry's constant: the replay calls `execute_effect`, through the name
+    `dcmon.sim` binds, once per allowed setWifiEnabled, dialCall and
+    endCall and for nothing else."""
+    policies = {pid: compile_corpus_policy(pid) for pid in CORPUS_IDS}
+    want = {pid: outputs(run(BENCH_TRACE, cp, concurrent_same_t=concurrent_same_t)) for pid, cp in policies.items()}
+    called = Counter()
+
+    def counting(entry, args, device):
+        called[entry.method] += 1
+        return execute_effect(entry, args, device)
+
+    monkeypatch.setattr(sim, "execute_effect", counting)
+    for pid, cp in policies.items():
+        called.clear()
+        res = run(BENCH_TRACE, cp, concurrent_same_t=concurrent_same_t)
+        assert outputs(res) == want[pid], pid
+        allowed = Counter(BENCH_TRACE[i].method for i, v in enumerate(res.verdicts) if v.decision == ALLOWED)
+        assert called == Counter({m: n for m, n in allowed.items() if m not in STATELESS}), pid
+        assert set(called) == {"setWifiEnabled", "dialCall", "endCall"}, pid
 
 
 # sittings

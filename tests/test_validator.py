@@ -294,3 +294,16 @@ def test_device_attribute_written_as_another_kind():
     assert [(e.code, e.message, e.span) for e in errors_of(src)] == [
         ("TypeError", "attribute wifi_enabled is bool, written as int", at(src, "set_attr"))
     ]
+
+
+def test_set_attr_of_an_attribute_the_device_lacks():
+    # the device's attributes are catalog.DEVICE_ATTRS, wifi_enabled alone
+    src = wrap(
+        events=SEND_EVENT,
+        conditions="ApplicationSide { c = { true } }",
+        actions='ApplicationSide { a = { set_attr("brightnes", 3); } }',
+        rules="sendBefore() | c -> a;",
+    )
+    assert [(e.code, e.message, e.span) for e in errors_of(src)] == [
+        ("UnresolvedName", "unknown device attribute 'brightnes'", at(src, "set_attr"))
+    ]
