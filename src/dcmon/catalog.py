@@ -116,23 +116,24 @@ def arg_matches(vtype: VType, value: Value) -> bool:
 
 @dataclass
 class DeviceState:
-    """Simulator-side device: the attribute table and whether a call is
-    active, all the state that a catalog effect writes."""
+    """Simulator-side device: the attributes, a store over `DEVICE_ATTRS`,
+    and whether a call is active, all the state a catalog effect writes."""
 
-    attrs: VarStore = field(default_factory=VarStore)
+    attrs: VarStore = field(default_factory=lambda: VarStore(DEVICE_ATTRS))
     call_active: bool = False
 
     def __post_init__(self) -> None:
         for name, kind in DEVICE_ATTRS.items():
             if name not in self.attrs:
-                self.attrs.set(name, kind, typed_zero(kind))
+                self.attrs.set(name, typed_zero(kind))
 
 
 def execute_effect(entry: ApiCatalogEntry, args: Tuple[Value, ...], device: DeviceState) -> Value:
-    """Carry out `entry`'s effect on `device`; return the call's value."""
+    """Carry out `entry`'s effect on `device`; return the call's value. An
+    attribute is written as a value only: its kind is `DEVICE_ATTRS`'s."""
     ret = device.call_active if entry.returns is None else entry.returns
     if entry.writes_attr is not None:
-        device.attrs.set(entry.writes_attr, DEVICE_ATTRS[entry.writes_attr], args[0])
+        device.attrs.set(entry.writes_attr, args[0])
     if entry.sets_call is not None:
         device.call_active = entry.sets_call
     return ret

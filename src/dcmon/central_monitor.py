@@ -25,9 +25,10 @@ its fault is set from the start.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
+from .catalog import DEVICE_ATTRS
 from .engine import CentralStep, CompiledPolicy, central_step, eval_expr, evaluate_guard, exec_stmts
 from .lang.eval import GLOBAL_SIDE, EvalContext, EvalError, rollback
 from .lang.state import VarStore
@@ -43,8 +44,13 @@ class ChannelError(Exception):
 
 @dataclass
 class GlobalState:
-    vars: VarStore = field(default_factory=VarStore)
-    attrs: VarStore = field(default_factory=VarStore)
+    vars: VarStore
+    attrs: VarStore
+
+    @classmethod
+    def empty(cls, kinds) -> "GlobalState":
+        """Nothing stored yet: stores over `kinds` and over `DEVICE_ATTRS`."""
+        return cls(VarStore(kinds), VarStore(DEVICE_ATTRS))
 
     def copy(self) -> "GlobalState":
         return GlobalState(vars=self.vars.copy(), attrs=self.attrs.copy())
@@ -317,7 +323,7 @@ def replay_requests(
     Device-side attribute writes (catalog effects, app-side set_attr) are
     not channel traffic; start from `initial` when the trace includes them.
     """
-    gs = initial.copy() if initial is not None else GlobalState()
+    gs = initial.copy() if initial is not None else GlobalState.empty(cp.global_kinds)
     central = CentralMonitor(cp, gs)
     for e in entries:
         if e.direction == APP_TO_CENTRAL:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
-from .lang.values import MS_PER_SECOND
+from .lang.values import INT64_MAX, MS_PER_SECOND
 
 
 class ConfigError(Exception):
@@ -41,6 +41,8 @@ class SimConfig:
             raise ConfigError(f"msg_gap_anchor must be 'allowed' or 'attempt', not {self.msg_gap_anchor!r}")
         if self.idle_threshold_ms <= 0:
             raise ConfigError("idle_threshold_ms must be positive")
+        if self.idle_threshold_ms > INT64_MAX:
+            raise ConfigError(f"idle_threshold_ms must be at most {INT64_MAX}, not {self.idle_threshold_ms}")
         if self.idle_threshold_ms % MS_PER_SECOND:
             # a policy writes the threshold with seconds() or minutes()
             raise ConfigError(f"idle_threshold_ms must be a whole number of seconds, not {self.idle_threshold_ms}")

@@ -52,7 +52,7 @@ from .dsl.ast import (
 from .lang.codegen import Code, compile_bodies
 from .lang.eval import EvalContext
 from .lang.nodes import AppendStmt, Assign, BlockStmt, PruneStmt, VarRef, walk_exprs
-from .lang.values import Value
+from .lang.values import Value, VType
 
 
 class Locality(enum.Enum):
@@ -159,10 +159,17 @@ class CompiledPolicy:
     # each batch that sends a request, by its full rule ids; derived from
     # `dispatch`, so that `dataclasses.replace` rebuilds it with the plans
     requests: Dict[Tuple[int, ...], Batch] = field(init=False, repr=False)
+    # the kinds tables of an app's local store and of the global store, by
+    # name; derived from `state_types`
+    local_kinds: Dict[str, VType] = field(init=False, repr=False)
+    global_kinds: Dict[str, VType] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         requests = {b.rule_ids: b for plans in self.dispatch.values() for plan in plans for b in plan if b.sent}
         object.__setattr__(self, "requests", requests)
+        for ns in ("local", "global"):
+            kinds = {name: kind for (n, name), kind in self.state_types.items() if n == ns}
+            object.__setattr__(self, f"{ns}_kinds", kinds)
 
 
 def compile_policy(spec: PolicySpec, state_types: StateTypes) -> CompiledPolicy:

@@ -18,9 +18,9 @@ operands are known at compile time is folded to its value, bottom up,
 unless computing it raises, so that `minutes(0 - 1)` still faults when the
 body runs.
 
-`append` and `prune_older` edit a stored ts_list in place. Their undo record
-puts back the slice they changed instead of the whole list (see
-`eval.rollback`).
+A store holds values only; a write logs `(store._vals, name, old)`, and
+`append` and `prune_older`, which edit a stored ts_list in place, log
+`(lst, slice(i, j), items)`, the slice they changed (see `eval.rollback`).
 
 Policy text reaches the generated source only as the `repr` of a literal
 value or of a key; every name in it is the generator's own. A function
@@ -36,7 +36,7 @@ import operator
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .check import BUILTINS as SIGNATURES
-from .eval import APP_SIDE, EvalError, SideFault, _checked_int, duration, trunc_div
+from .eval import ABSENT, APP_SIDE, EvalError, SideFault, _checked_int, duration, trunc_div
 from .nodes import (
     CMP_OPS,
     NS_COND,
@@ -193,12 +193,11 @@ _PROLOGUE = (
 
 # the globals of a generated module
 _NAMESPACE = {
+    "ABSENT": ABSENT,
     "EvalError": EvalError,
     "SideFault": SideFault,
     "bisect_left": bisect.bisect_left,
     "bisect_right": bisect.bisect_right,
-    "insort": bisect.insort,
-    **{kind.name: kind for kind in VType},
 }
 
 
@@ -481,16 +480,15 @@ class _Function:
             if isinstance(stmt.value, VarRef) and stmt.value.ns != NS_CTX:
                 # a list is copied, so that no two variables share one
                 value = f"list({value}) if isinstance({value}, list) else {value}"
-            self.write(self.writable(stmt.ns), stmt.name, kind, value)
+            self.write(self.writable(stmt.ns), stmt.name, value)
         elif isinstance(stmt, AppendStmt):
             self.append(stmt)
         elif isinstance(stmt, PruneStmt):
             self.prune(stmt)
         elif isinstance(stmt, SetAttrStmt):
-            kind = self.state_types.get(("attr", stmt.attr), VType.BOOL)
-            value = self.typed(stmt.value, kind).src
+            value = self.typed(stmt.value, self.state_types[("attr", stmt.attr)]).src
             self.require("at", "SideFault('no attribute store in this context')")
-            self.write("at", stmt.attr, kind, value)
+            self.write("at", stmt.attr, value)
         else:
             raise AssertionError(f"unknown statement node {stmt!r}")
 
@@ -508,18 +506,16 @@ class _Function:
             if self.depth == 1:
                 self.present.add(store)
 
-    def write(self, store: str, name: str, kind: VType, value: str) -> None:
-        """Log what `store` holds under `name`, then store `value` there. A
-        store holds a name in both of its dicts or in neither, so an absent
-        name logs (None, None)."""
+    def write(self, store: str, name: str, value: str) -> None:
+        """Log what `store` holds under `name`, ABSENT if nothing, then store
+        `value` there."""
         self.uses.add("undo")
-        self.emit(f"undo.append(({store}, {name!r}, {store}._kinds.get({name!r}), {store}._vals.get({name!r})))")
+        self.emit(f"undo.append(({store}._vals, {name!r}, {store}._vals.get({name!r}, ABSENT)))")
         self.emit(f"{store}._vals[{name!r}] = {value}")
-        self.emit(f"{store}._kinds[{name!r}] = {kind.name}")
 
     def in_place(self, store: str, name: str) -> _Operand:
         """Open the branch for a stored ts_list, and return the list."""
-        self.emit(f"if {store}._kinds.get({name!r}) is TS_LIST:")
+        self.emit(f"if {name!r} in {store}._vals:")
         self.depth += 1
         return self.assign(f"{store}._vals[{name!r}]")
 
@@ -535,11 +531,9 @@ class _Function:
         lst = self.in_place(store, name).src
         i = self.assign(f"bisect_right({lst}, {ts})").src
         self.emit(f"{lst}.insert({i}, {ts})")
-        self.emit(f"undo.append(({lst}, {i}, {i} + 1, ()))")
+        self.emit(f"undo.append(({lst}, slice({i}, {i} + 1), ()))")
         self.otherwise()
-        lst = self.assign(f"list({store}._vals.get({name!r}, ()))").src
-        self.emit(f"insort({lst}, {ts})")
-        self.write(store, name, VType.TS_LIST, lst)
+        self.write(store, name, f"[{ts}]")
         self.depth -= 1
 
     def prune(self, stmt: PruneStmt) -> None:
@@ -549,9 +543,8 @@ class _Function:
         cutoff = self.assign(f"now - {horizon}").src
         lst = self.in_place(store, name).src
         cut = self.assign(f"bisect_left({lst}, {cutoff})").src
-        self.emit(f"undo.append(({lst}, 0, 0, {lst}[:{cut}]))")
+        self.emit(f"undo.append(({lst}, slice(0, 0), {lst}[:{cut}]))")
         self.emit(f"del {lst}[:{cut}]")
         self.otherwise()
-        kept = self.assign(f"[t for t in {store}._vals.get({name!r}, ()) if t >= {cutoff}]").src
-        self.write(store, name, VType.TS_LIST, kept)
+        self.write(store, name, "[]")
         self.depth -= 1

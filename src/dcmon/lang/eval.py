@@ -12,10 +12,10 @@ caller can roll a faulting rule back to the state it started from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .state import VarStore
-from .values import INT64_MAX, INT64_MIN, Value, VType
+from .values import INT64_MAX, INT64_MIN, Value
 
 APP_SIDE = "app"
 GLOBAL_SIDE = "global"
@@ -31,11 +31,13 @@ class SideFault(Exception):
     """Statement executed on the wrong side; unreachable after validation."""
 
 
-# Either (store, name, overwritten kind or None if the name was absent,
-# overwritten value), or, for a compiled append or prune that edited a
-# stored ts_list in place, (list, start, stop, items): lst[start:stop] = items
-# undoes the edit.
-UndoEntry = Union[Tuple[VarStore, str, Optional[VType], Value], Tuple[list, int, int, Sequence[int]]]
+# the `old` of a write that created its name
+ABSENT = object()
+
+# (container, key, old): a store write logs (store._vals, name, old), and an
+# append or prune that edited a stored ts_list in place (lst, slice(i, j),
+# items), the slice it changed and what the slice held
+UndoEntry = Tuple[Union[dict, list], Union[str, slice], object]
 
 
 @dataclass(slots=True)
@@ -76,13 +78,8 @@ def rollback(undo: List[UndoEntry]) -> None:
     """Undo the logged writes, newest first, and empty the log. A name the
     writes created is removed again."""
     while undo:
-        entry = undo.pop()
-        if type(entry[0]) is list:
-            lst, start, stop, items = entry
-            lst[start:stop] = items
-            continue
-        store, name, kind, value = entry
-        if kind is None:
-            store.discard(name)
+        container, key, old = undo.pop()
+        if old is ABSENT:
+            del container[key]
         else:
-            store.set(name, kind, value)
+            container[key] = old

@@ -62,7 +62,7 @@ class LocalMonitor:
         self.cp = cp
         self.channel = channel
         self.attrs = attrs
-        self.local = VarStore()  # this app's own, never shared
+        self.local = VarStore(cp.local_kinds)  # this app's own, never shared
         # One context for every batch, which sets its time and bindings;
         # each rule clears or rolls back its undo log. Positional: (side,
         # now, app_id, app_name, bindings, local, global_vars, attrs)

@@ -350,7 +350,7 @@ def run(
     table = _check_trace_against_catalog(trace, cp.dispatch)
 
     device = DeviceState()
-    gs = GlobalState(vars=VarStore(), attrs=device.attrs)
+    gs = GlobalState(vars=VarStore(cp.global_kinds), attrs=device.attrs)
     initial = gs.copy()
     log: List[ChannelMessage] = []
     central = CentralMonitor(cp, gs, log)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 
-from dcmon.lang.eval import APP_SIDE, EvalContext, EvalError, SideFault, _checked_int, duration, trunc_div
+from dcmon.lang.eval import ABSENT, APP_SIDE, EvalContext, EvalError, SideFault, _checked_int, duration, trunc_div
 from dcmon.lang.codegen import StateTypes
 from dcmon.lang.state import VarStore
 from dcmon.lang.nodes import (
@@ -52,10 +52,9 @@ def writable(ctx: EvalContext, ns: str) -> VarStore:
     return store
 
 
-def write(ctx: EvalContext, store: VarStore, name: str, kind: VType, value: Value) -> None:
-    old_kind = store.kind_of(name)
-    ctx.undo.append((store, name, old_kind, None if old_kind is None else store.get(name, old_kind)))
-    store.set(name, kind, value)
+def write(ctx: EvalContext, store: VarStore, name: str, value: Value) -> None:
+    ctx.undo.append((store._vals, name, store._vals.get(name, ABSENT)))
+    store.set(name, value)
 
 
 def _timestamp(n: int) -> int:
@@ -183,25 +182,24 @@ def exec_stmt(stmt: Stmt, ctx: EvalContext, state_types: StateTypes) -> bool:
     if isinstance(stmt, Assign):
         kind = state_types[(stmt.ns, stmt.name)]
         value = eval_typed(stmt.value, ctx, state_types, kind)
-        write(ctx, writable(ctx, stmt.ns), stmt.name, kind, copy_value(value))
+        write(ctx, writable(ctx, stmt.ns), stmt.name, copy_value(value))
     elif isinstance(stmt, AppendStmt):
         store = writable(ctx, stmt.ns)
         ts = eval_typed(stmt.value, ctx, state_types, VType.TIMESTAMP)
         lst = list(store.get(stmt.name, VType.TS_LIST))
         bisect.insort(lst, ts)
-        write(ctx, store, stmt.name, VType.TS_LIST, lst)
+        write(ctx, store, stmt.name, lst)
     elif isinstance(stmt, PruneStmt):
         store = writable(ctx, stmt.ns)
         horizon = eval_typed(stmt.horizon, ctx, state_types, VType.DURATION)
         cutoff = ctx.now - horizon
         kept = [t for t in store.get(stmt.name, VType.TS_LIST) if t >= cutoff]
-        write(ctx, store, stmt.name, VType.TS_LIST, kept)
+        write(ctx, store, stmt.name, kept)
     elif isinstance(stmt, SetAttrStmt):
-        kind = state_types.get(("attr", stmt.attr), VType.BOOL)
-        value = eval_typed(stmt.value, ctx, state_types, kind)
+        value = eval_typed(stmt.value, ctx, state_types, state_types[("attr", stmt.attr)])
         if ctx.attrs is None:
             raise SideFault("no attribute store in this context")
-        write(ctx, ctx.attrs, stmt.attr, kind, value)
+        write(ctx, ctx.attrs, stmt.attr, value)
     else:
         raise AssertionError(f"unknown statement node {stmt!r}")
     return False

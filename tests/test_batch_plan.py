@@ -137,7 +137,7 @@ def test_a_rebuilt_policy_answers_with_its_own_batches(msg_quota_policy):
         lambda plan: tuple(Batch([rules[r.rule_id] for r in b.rules]) for b in plan),
     )
     for policy, guard in ((cp, False), (rebuilt, True)):
-        reply = Channel(CentralMonitor(policy, GlobalState())).request("Messenger", (0,), 0, {}, {})
+        reply = Channel(CentralMonitor(policy, GlobalState.empty(policy.global_kinds))).request("Messenger", (0,), 0, {}, {})
         assert reply.guard_results == (guard,)
     assert run([send(0)], cp).decisions() == ["Allowed"]
     assert run([send(0)], rebuilt).decisions() == ["Blocked"]

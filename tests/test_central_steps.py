@@ -165,5 +165,5 @@ def test_each_kind_of_request_runs_like_the_by_rule_loop(case):
         requests = logged_requests(run(sends_every(MS_PER_SECOND, 4), cp))
     else:
         requests = requests_of(cp)
-    replies = assert_steps_match(cp, spec, requests, GlobalState())
+    replies = assert_steps_match(cp, spec, requests, GlobalState.empty(cp.global_kinds))
     assert any(map(shows_case, replies)), replies

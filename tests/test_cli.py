@@ -383,6 +383,18 @@ def test_bench_sub_second_idle_threshold_exit_2(tmp_path, capsys, small_trace_fi
     assert capsys.readouterr().err.startswith(f"error: bad config {config}: ")
 
 
+def test_bench_idle_threshold_above_int64_max_exit_2(tmp_path, capsys, small_trace_file):
+    config = tmp_path / "big.json"
+    config.write_text('{"idle_threshold_ms": 10000000000000000000000}', encoding="utf-8")
+    report = tmp_path / "r.json"
+    argv = ["bench", "--policies", "OneHrPerSittingOnly", "--trace", str(small_trace_file), "--config", str(config)]
+    assert main(argv + ["--out", str(report)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: bad config {config}: ") and err.count("\n") == 1
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("bad_input", ["run_trace", "bench_trace", "bench_config", "report"])
 def test_undecodable_input_exit_2(tmp_path, capsys, msg_policy_file, small_trace_file, bad_input):
     bad = tmp_path / "utf16.bin"

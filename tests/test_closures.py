@@ -59,29 +59,30 @@ VALUES = {
 any_value = st.sampled_from(sorted(VALUES, key=str)).flatmap(lambda kind: VALUES[kind])
 
 
-def draw_context(data, nodes, targets=()):
+def draw_context(data, nodes, targets=(), lists=()):
     """`(ctx, state_types)`: a context binding some of the variables that
-    the expressions or statements `nodes` read, and random kinds for some
-    of them; the stored values are random too, and the rest are unbound.
-    Each `(ns, name)` of `targets` gets a kind, as validation gives every
-    written variable."""
+    the expressions or statements `nodes` read. Each state variable gets a
+    random kind in its store's table, and `state_types` types some of them;
+    some are stored, with a random value of their kind, and the rest are
+    unbound. Each `(ns, name)` of `targets` is typed, as validation types
+    every written variable, and each of `lists` is a ts_list."""
     refs = {(v.ns, v.name) for node in nodes for v in walk_exprs(node) if isinstance(v, VarRef)}
     refs = sorted(refs | set(targets))
     state_types = {}
-    stores = {"local": VarStore(), "global": VarStore(), "attr": VarStore()}
+    kinds = {"local": {}, "global": {}, "attr": {}}
+    stores = {ns: VarStore(table) for ns, table in kinds.items()}
     bindings = {}
     for ns, name in refs:
         if ns == "event":
             if data.draw(st.booleans()):
                 bindings[name] = data.draw(any_value)
         elif ns in stores:
-            kind = data.draw(st.sampled_from(sorted(VALUES, key=str)))
+            kind = VType.TS_LIST if (ns, name) in lists else data.draw(st.sampled_from(sorted(VALUES, key=str)))
+            kinds[ns][name] = kind
             if (ns, name) in targets or data.draw(st.booleans()):
                 state_types[(ns, name)] = kind
             if data.draw(st.booleans()):
-                # usually of the kind it is typed with, but not always
-                stored = data.draw(st.sampled_from([kind, kind, *sorted(VALUES, key=str)]))
-                stores[ns].set(name, stored, data.draw(VALUES[stored]))
+                stores[ns].set(name, data.draw(VALUES[kind]))
     ctx = EvalContext(
         data.draw(st.sampled_from([APP_SIDE, GLOBAL_SIDE])),
         data.draw(st.integers(0, 10**10)),
@@ -116,7 +117,14 @@ def stores_of(ctx: EvalContext):
 def test_compiled_statements_match_interpreter(stmts, data):
     targets = {(s.ns, s.name) for s in stmts if isinstance(s, (Assign, AppendStmt, PruneStmt))}
     targets |= {("attr", s.attr) for s in stmts if isinstance(s, SetAttrStmt)}
-    ctx, state_types = draw_context(data, stmts, targets)
+    # an appended or pruned variable is a ts_list; after validation only a
+    # ts_list variable is assigned to it, so that one is a ts_list too
+    lists = {(s.ns, s.name) for s in stmts if isinstance(s, (AppendStmt, PruneStmt))}
+    assigned = [s for s in stmts if isinstance(s, Assign)]
+    for _ in stmts:
+        lists |= {(s.value.ns, s.value.name) for s in assigned if (s.ns, s.name) in lists and isinstance(s.value, VarRef)}
+    assume(all(isinstance(s.value, VarRef) and s.value.ns in ("local", "global") for s in assigned if (s.ns, s.name) in lists))
+    ctx, state_types = draw_context(data, stmts, targets, lists)
     pre = [None if store is None else store.copy() for store in stores_of(ctx)]
     reference = copied(ctx)
     code = compile_stmts(tuple(stmts), state_types)
@@ -126,6 +134,31 @@ def test_compiled_statements_match_interpreter(stmts, data):
     assert len(ctx.undo) == len(reference.undo)
     rollback(ctx.undo)
     assert stores_of(ctx) == pre
+
+
+@pytest.mark.parametrize("stored", [False, True])
+@pytest.mark.parametrize(
+    "edit", [AppendStmt("global", "a", VarRef("ctx", "now")), PruneStmt("global", "a", Call("seconds", (Literal(VType.INT, 1),)))]
+)
+def test_list_assigned_and_edited_in_place(edit, stored):
+    # an assignment copies global.b into global.a, so the edits after it
+    # leave global.b as it was; rolling back undoes each edit's slice and
+    # the assignment, in reverse order
+    state_types = {("global", "a"): VType.TS_LIST, ("global", "b"): VType.TS_LIST}
+    gv = VarStore({"a": VType.TS_LIST, "b": VType.TS_LIST})
+    gv.set("b", [1_000, 5_000])
+    if stored:
+        gv.set("a", [4_000])
+    ctx = EvalContext(GLOBAL_SIDE, 6_000, None, None, {}, None, gv, None)
+    stmts = (edit, Assign("global", "a", VarRef("global", "b")), edit, edit)
+    pre = gv.copy()
+    reference = copied(ctx)
+    code = compile_stmts(stmts, state_types)
+    assert outcome(lambda: code(ctx)) == outcome(lambda: exec_stmts(stmts, reference, state_types))
+    assert stores_of(ctx) == stores_of(reference) and len(ctx.undo) == len(reference.undo)
+    assert gv.get("b", VType.TS_LIST) == [1_000, 5_000]
+    rollback(ctx.undo)
+    assert gv == pre and ("a" in gv) is stored
 
 
 def lit(n):
@@ -162,8 +195,8 @@ EDGE_CASES = [
 def test_edge_expression_matches_interpreter(build, n, operand):
     # a constant operand lets the compiler fold; an event parameter does not
     e = build(lit(n) if operand == "constant" else VarRef("event", "x"))
-    gv = VarStore()
-    gv.set("xs", VType.TS_LIST, [0, 5_000_000, 7_000_000])
+    gv = VarStore({"xs": VType.TS_LIST})
+    gv.set("xs", [0, 5_000_000, 7_000_000])
     ctx = EvalContext(GLOBAL_SIDE, 7_200_000, None, None, {"x": n}, None, gv, None)
     state_types = {("global", "xs"): VType.TS_LIST}
     # compiling raises nothing: a constant that faults is left to fault here
@@ -176,7 +209,7 @@ def test_edge_expression_matches_interpreter(build, n, operand):
 @pytest.mark.parametrize("operand", ["constant", "event"])
 def test_range_check_of_a_write(kind, n, operand):
     value = lit(n) if operand == "constant" else VarRef("event", "x")
-    ctx = EvalContext(GLOBAL_SIDE, 0, None, None, {"x": n}, None, VarStore(), None)
+    ctx = EvalContext(GLOBAL_SIDE, 0, None, None, {"x": n}, None, VarStore({"t": kind}), None)
     state_types = {("global", "t"): kind}
     stmts = (Assign("global", "t", value),)
     reference = copied(ctx)

@@ -80,14 +80,15 @@ def shape_source(where, text):
     return SHAPES_SRC.format(**parts)
 
 
-def contexts():
+def contexts(kinds):
     """Global-side contexts over every mix of the stored values, with and
-    without the event parameter, and one without a global store."""
+    without the event parameter, and one without a global store; `kinds`
+    is the global store's table."""
     for b, n, on in itertools.product((False, True), (0, 1, 2, 2**62), (False, True, None)):
-        gv = VarStore()
-        gv.set("b", VType.BOOL, b)
-        gv.set("n", VType.INT, n)
-        gv.set("d", VType.DURATION, 3 * MS_PER_DAY + n)
+        gv = VarStore(kinds)
+        gv.set("b", b)
+        gv.set("n", n)
+        gv.set("d", 3 * MS_PER_DAY + n)
         yield EvalContext(GLOBAL_SIDE, 10 * MS_PER_DAY + 7, None, None, None if on is None else {"on": on}, None, gv, None)
     yield EvalContext(GLOBAL_SIDE, 0, None, None, {}, None, None, None)
 
@@ -105,7 +106,7 @@ def test_shape_at_its_cap_runs_like_the_interpreter(shape):
         for truth in ({0: a, 1: b, 2: c} for a, b, c in itertools.product((False, True), repeat=3)):
             assert cp.rules[0].guard(truth) is guard_value(spec.rules[0].guard, {"c": 0, "a": 1, "b": 2}, truth)
         return
-    for ctx in contexts():
+    for ctx in contexts(cp.global_kinds):
         if where == "condition":
             body = spec.conditions[0].body
             got = outcome(lambda: cp.condition_code[0](ctx))
@@ -234,6 +235,23 @@ def test_one_compile_per_policy(monkeypatch):
         calls.clear()
         validate_policy(parse_policy(build_policy_source(pid)))
         assert len(calls) == 1, pid
+
+
+def test_generated_code_stores_no_kinds(monkeypatch):
+    # a variable's kind is fixed at compile time: the corpus's generated
+    # source writes values only, two lines per write
+    sources = []
+
+    def keeping(*args, **kwargs):
+        sources.append(args[0])
+        return compile(*args, **kwargs)
+
+    monkeypatch.setattr(codegen, "compile", keeping, raising=False)
+    for pid in CORPUS_IDS:
+        validate_policy(parse_policy(build_policy_source(pid)))
+    joined = "\n".join(sources)
+    assert "_kinds" not in joined
+    assert len(joined.splitlines()) <= 480
 
 
 def test_identical_bodies_share_one_function():

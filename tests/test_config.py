@@ -3,6 +3,9 @@ import json
 import pytest
 
 from dcmon.config import ConfigError, DEFAULT_CONFIG, SimConfig, config_from_dict, load_config
+from dcmon.corpus import compile_corpus_policy
+from dcmon.engine import CompiledPolicy
+from dcmon.lang.values import INT64_MAX, MS_PER_MINUTE, MS_PER_SECOND
 
 
 def test_roundtrip_through_dict():
@@ -40,6 +43,21 @@ def test_sub_second_idle_threshold_rejected():
         SimConfig(idle_threshold_ms=1500)
     with pytest.raises(ConfigError, match="whole number of seconds"):
         config_from_dict({"idle_threshold_ms": 1500})
+
+
+def test_idle_threshold_above_int64_max_rejected():
+    with pytest.raises(ConfigError, match="at most 9223372036854775807"):
+        config_from_dict({"idle_threshold_ms": 10**22})
+    with pytest.raises(ConfigError, match="at most"):
+        SimConfig(idle_threshold_ms=10**22)
+
+
+@pytest.mark.parametrize("unit_ms", [MS_PER_SECOND, MS_PER_MINUTE])
+def test_largest_idle_threshold_compiles(unit_ms):
+    # the largest whole number of seconds, and of minutes, that the bound
+    # admits renders as a duration literal that validation accepts
+    cfg = SimConfig(idle_threshold_ms=INT64_MAX - INT64_MAX % unit_ms)
+    assert isinstance(compile_corpus_policy("OneHrPerSittingOnly", cfg), CompiledPolicy)
 
 
 def test_authorized_apps_must_reference_protected_prefix():

@@ -8,6 +8,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from dcmon.catalog import DEVICE_ATTRS
 from dcmon.lang import (
     APP_SIDE,
     GLOBAL_SIDE,
@@ -31,7 +32,7 @@ from dcmon.lang.nodes import (
     VarRef,
 )
 from dcmon.lang.codegen import compile_expr, compile_stmts
-from dcmon.lang.eval import SideFault
+from dcmon.lang.eval import ABSENT, SideFault
 from dcmon.lang.values import MS_PER_HOUR, VType
 from dcmon.sim import run
 
@@ -172,10 +173,10 @@ def test_is_pm():
 
 
 def test_count_within_99_in_last_hour():
-    gv = VarStore()
+    gv = VarStore({"sendTimes": VType.TS_LIST})
     now = 10 * MS_PER_HOUR
     times = sorted(now - (i * 30_000) for i in range(99))  # all within the hour
-    gv.set("sendTimes", VType.TS_LIST, times)
+    gv.set("sendTimes", times)
     e = Call("count_within", (VarRef("global", "sendTimes"), Call("hours", (lit(1),))))
     c = ctx(side=GLOBAL_SIDE, now=now, global_vars=gv)
     assert evaluate(e, c, {("global", "sendTimes"): VType.TS_LIST}) == 99
@@ -234,17 +235,17 @@ def test_negative_duration_constructor_rejected():
 
 
 def test_uninitialized_state_reads_typed_zero():
-    gv = VarStore()
+    kinds = {("global", "msgCount"): VType.INT, ("global", "xs"): VType.TS_LIST, ("global", "flag"): VType.BOOL}
+    gv = VarStore({name: kind for (_, name), kind in kinds.items()})
     c = ctx(side=GLOBAL_SIDE, global_vars=gv)
-    assert evaluate(VarRef("global", "msgCount"), c, {("global", "msgCount"): VType.INT}) == 0
-    kinds = {("global", "xs"): VType.TS_LIST, ("global", "flag"): VType.BOOL}
+    assert evaluate(VarRef("global", "msgCount"), c, kinds) == 0
     assert evaluate(VarRef("global", "xs"), c, kinds) == []
     assert evaluate(VarRef("global", "flag"), c, kinds) is False
 
 
 def test_eval_is_pure():
-    gv = VarStore()
-    gv.set("n", VType.INT, 41)
+    gv = VarStore({"n": VType.INT})
+    gv.set("n", 41)
     e = Binary("+", VarRef("global", "n"), lit(1))
     c = ctx(side=GLOBAL_SIDE, global_vars=gv)
     kinds = {("global", "n"): VType.INT}
@@ -255,48 +256,48 @@ def test_eval_is_pure():
 # statements
 
 def test_increment_produces_state_write():
-    gv = VarStore()
-    gv.set("msgCount", VType.INT, 41)
+    gv = VarStore({"msgCount": VType.INT})
+    gv.set("msgCount", 41)
     stmt = Assign("global", "msgCount", Binary("+", VarRef("global", "msgCount"), lit(1)))
     c = ctx(side=GLOBAL_SIDE, global_vars=gv)
     assert execute([stmt], c, {("global", "msgCount"): VType.INT}) is False
-    assert gv.get("msgCount", VType.INT) == 42 and gv.kind_of("msgCount") is VType.INT
-    assert c.undo == [(gv, "msgCount", VType.INT, 41)]
+    assert list(gv.items_typed()) == [("msgCount", VType.INT, 42)]
+    assert c.undo == [(gv._vals, "msgCount", 41)]
 
 
 def test_block_in_app_context():
-    lv = VarStore()
+    lv = VarStore({})
     c = ctx(local=lv)
     assert execute([BlockStmt()], c) is True
-    assert len(lv) == 0 and c.undo == []
+    assert lv == VarStore({}) and c.undo == []
 
 
 def test_block_in_global_context_is_side_fault():
     with pytest.raises(SideFault):
-        execute([BlockStmt()], ctx(side=GLOBAL_SIDE, global_vars=VarStore()))
+        execute([BlockStmt()], ctx(side=GLOBAL_SIDE, global_vars=VarStore({})))
 
 
 def test_set_attr_effect():
     stmt = SetAttrStmt("wifi_enabled", lit(False))
-    attrs = VarStore()
-    c = ctx(side=GLOBAL_SIDE, global_vars=VarStore(), attrs=attrs)
+    attrs = VarStore(DEVICE_ATTRS)
+    c = ctx(side=GLOBAL_SIDE, global_vars=VarStore({}), attrs=attrs)
     assert execute([stmt], c, {("attr", "wifi_enabled"): VType.BOOL}) is False
-    assert attrs.get("wifi_enabled", VType.BOOL) is False and attrs.kind_of("wifi_enabled") is VType.BOOL
+    assert list(attrs.items_typed()) == [("wifi_enabled", VType.BOOL, False)]
     # the name was absent before, so rolling back removes it
-    assert c.undo == [(attrs, "wifi_enabled", None, None)]
+    assert c.undo == [(attrs._vals, "wifi_enabled", ABSENT)]
 
 
 def test_append_keeps_list_sorted():
-    gv = VarStore()
-    gv.set("xs", VType.TS_LIST, [5, 10])
+    gv = VarStore({"xs": VType.TS_LIST})
+    gv.set("xs", [5, 10])
     c = ctx(side=GLOBAL_SIDE, now=7, global_vars=gv)
     execute([AppendStmt("global", "xs", VarRef("ctx", "now"))], c, {("global", "xs"): VType.TS_LIST})
     assert gv.get("xs", VType.TS_LIST) == [5, 7, 10]
 
 
 def test_prune_removes_strictly_older():
-    gv = VarStore()
-    gv.set("xs", VType.TS_LIST, [0, 40, 60, 100])
+    gv = VarStore({"xs": VType.TS_LIST})
+    gv.set("xs", [0, 40, 60, 100])
     c = ctx(side=GLOBAL_SIDE, now=100, global_vars=gv)
     execute([PruneStmt("global", "xs", Call("seconds", (lit(0),)))], c, {("global", "xs"): VType.TS_LIST})
     # horizon 0: keep exactly now - t <= 0, i.e. t >= 100
@@ -310,32 +311,29 @@ durations = st.integers(min_value=0, max_value=10**10)
 nows = st.integers(min_value=0, max_value=10**10)
 
 # Statements write "n" and "xs" in the local and global stores and the
-# attributes "bright" and "wifi_enabled". A drawn pre-state may lack any of
-# them, or hold a scalar name under another kind than the one written.
+# attributes "bright" and "wifi_enabled"; "m", which none writes, stands
+# beside them. A drawn pre-state may lack any of them, and holds each one
+# it has as a value of its kind in its store's table.
 ROLLBACK_TYPES = {
     ("local", "n"): VType.INT,
     ("global", "n"): VType.INT,
+    ("local", "m"): VType.DURATION,
+    ("global", "m"): VType.BOOL,
     ("local", "xs"): VType.TS_LIST,
     ("global", "xs"): VType.TS_LIST,
     ("attr", "bright"): VType.INT,
     ("attr", "wifi_enabled"): VType.BOOL,
 }
-scalars = st.one_of(
-    st.booleans().map(lambda v: (VType.BOOL, v)),
-    st.integers(-5, 5).map(lambda v: (VType.INT, v)),
-    durations.map(lambda v: (VType.DURATION, v)),
-)
+VALUES = {VType.BOOL: st.booleans(), VType.INT: st.integers(-5, 5), VType.DURATION: durations, VType.TS_LIST: timestamps}
 
 
 @st.composite
-def stores(draw, scalar_names, list_names=()):
-    store = VarStore()
-    for name in scalar_names:
+def stores(draw, ns):
+    """A store of namespace `ns` over its kinds in ROLLBACK_TYPES."""
+    store = VarStore({name: kind for (n, name), kind in ROLLBACK_TYPES.items() if n == ns})
+    for name, kind in store.kinds.items():
         if draw(st.booleans()):
-            store.set(name, *draw(scalars))
-    for name in list_names:
-        if draw(st.booleans()):
-            store.set(name, VType.TS_LIST, draw(timestamps))
+            store.set(name, draw(VALUES[kind]))
     return store
 
 
@@ -355,9 +353,9 @@ statements = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    lv=stores(("n", "m"), ("xs",)),
-    gv=stores(("n", "m"), ("xs",)),
-    attrs=stores(("bright", "wifi_enabled")),
+    lv=stores("local"),
+    gv=stores("global"),
+    attrs=stores("attr"),
     stmts=statements,
     now=nows,
 )
@@ -368,16 +366,16 @@ def test_rollback_restores_pre_state(lv, gv, attrs, stmts, now):
         execute([stmt], c, ROLLBACK_TYPES)
     assert len(c.undo) == sum(not isinstance(s, BlockStmt) for s in stmts)
     rollback(c.undo)
-    # VarStore equality compares the kinds too
+    # the same values under the same names: each name a statement created is gone
     assert [lv, gv, attrs] == pre
     assert c.undo == []
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    lv=stores(("n", "m"), ("xs",)),
-    gv=stores(("n", "m"), ("xs",)),
-    attrs=stores(("bright", "wifi_enabled")),
+    lv=stores("local"),
+    gv=stores("global"),
+    attrs=stores("attr"),
     stmts=statements,
     now=nows,
 )
@@ -396,28 +394,57 @@ def test_compiled_rollback_restores_pre_state(lv, gv, attrs, stmts, now):
     assert c.undo == []
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    lv=stores("local"),
+    gv=stores("global"),
+    attrs=stores("attr"),
+    stmts=statements,
+    now=nows,
+)
+def test_every_undo_record_is_container_key_old(lv, gv, attrs, stmts, now):
+    names = [set(store._vals) for store in (lv, gv, attrs)]
+    lists = [(store, store._vals["xs"], list(store._vals["xs"])) for store in (lv, gv) if "xs" in store]
+    c = ctx(now=now, local=lv, global_vars=gv, attrs=attrs)
+    execute(stmts, c, ROLLBACK_TYPES)
+    for record in c.undo:
+        # a store's dict and a name, or a stored ts_list and the slice edited in place
+        assert type(record) is tuple and len(record) == 3
+        container, key, old = record
+        if type(container) is dict:
+            assert any(container is store._vals for store in (lv, gv, attrs)) and type(key) is str
+        else:
+            assert any(container is store._vals.get("xs") for store in (lv, gv)) and type(key) is slice
+    rollback(c.undo)
+    # the names the statements created are deleted again
+    assert [set(store._vals) for store in (lv, gv, attrs)] == names
+    # and each ts_list edited in place holds its items again, as the same list
+    for store, value, items in lists:
+        assert store._vals["xs"] is value and value == items
+
+
 def test_compiled_append_inserts_in_place():
-    gv = VarStore()
+    gv = VarStore({"xs": VType.TS_LIST})
     xs = [5, 7, 10]
-    gv.set("xs", VType.TS_LIST, xs)
+    gv.set("xs", xs)
     c = ctx(side=GLOBAL_SIDE, now=7, global_vars=gv)
     execute([AppendStmt("global", "xs", VarRef("ctx", "now"))], c, {("global", "xs"): VType.TS_LIST})
     assert gv.get("xs", VType.TS_LIST) is xs and xs == [5, 7, 7, 10]
     # the undo record deletes the inserted index instead of copying the list
-    assert c.undo == [(xs, 2, 3, ())]
+    assert c.undo == [(xs, slice(2, 3), ())]
     rollback(c.undo)
     assert gv.get("xs", VType.TS_LIST) is xs and xs == [5, 7, 10]
 
 
 def test_compiled_prune_drops_the_prefix_in_place():
-    gv = VarStore()
+    gv = VarStore({"xs": VType.TS_LIST})
     xs = [0, 40, 60, 100]
-    gv.set("xs", VType.TS_LIST, xs)
+    gv.set("xs", xs)
     c = ctx(side=GLOBAL_SIDE, now=100, global_vars=gv)
     execute([PruneStmt("global", "xs", Literal(VType.DURATION, 40))], c, {("global", "xs"): VType.TS_LIST})
     assert gv.get("xs", VType.TS_LIST) is xs and xs == [60, 100]
     # the undo record holds the dropped prefix only
-    assert c.undo == [(xs, 0, 0, [0, 40])]
+    assert c.undo == [(xs, slice(0, 0), [0, 40])]
     rollback(c.undo)
     assert gv.get("xs", VType.TS_LIST) is xs and xs == [0, 40, 60, 100]
 
@@ -425,8 +452,8 @@ def test_compiled_prune_drops_the_prefix_in_place():
 @settings(max_examples=200, deadline=None)
 @given(times=timestamps, horizon=durations, now=nows)
 def test_count_within_matches_brute_force(times, horizon, now):
-    gv = VarStore()
-    gv.set("xs", VType.TS_LIST, list(times))
+    gv = VarStore({"xs": VType.TS_LIST})
+    gv.set("xs", list(times))
     e = Call("count_within", (VarRef("global", "xs"), Literal(VType.DURATION, horizon)))
     c = ctx(side=GLOBAL_SIDE, now=now, global_vars=gv)
     brute = sum(1 for t in times if now - t <= horizon)
@@ -436,8 +463,8 @@ def test_count_within_matches_brute_force(times, horizon, now):
 @settings(max_examples=200, deadline=None)
 @given(times=timestamps, horizon=durations, now=nows)
 def test_prune_matches_brute_force_and_keeps_sorted(times, horizon, now):
-    gv = VarStore()
-    gv.set("xs", VType.TS_LIST, list(times))
+    gv = VarStore({"xs": VType.TS_LIST})
+    gv.set("xs", list(times))
     c = ctx(side=GLOBAL_SIDE, now=now, global_vars=gv)
     execute([PruneStmt("global", "xs", Literal(VType.DURATION, horizon))], c, {("global", "xs"): VType.TS_LIST})
     kept = gv.get("xs", VType.TS_LIST)

@@ -19,6 +19,7 @@ from dcmon.central_monitor import (
     snapshot,
     state_size,
 )
+from dcmon.catalog import DEVICE_ATTRS
 from dcmon.dsl import Phase
 from dcmon.local_monitor import LocalMonitor
 from dcmon.lang.eval import APP_SIDE
@@ -44,7 +45,7 @@ def send_after(t=0, ret=True):
 
 @pytest.fixture()
 def quota_setup(msg_quota_policy):
-    gs = GlobalState()
+    gs = GlobalState.empty(msg_quota_policy.global_kinds)
     central = CentralMonitor(msg_quota_policy, gs)
     channel = Channel(central)
     monitor = LocalMonitor("Messenger", "Messenger", msg_quota_policy, channel, gs.attrs)
@@ -70,7 +71,7 @@ def recording_conditions(cp):
 
 
 def intercepting(cp):
-    monitor = LocalMonitor("Messenger", "Messenger", cp, Channel(CentralMonitor(cp, GlobalState())), VarStore())
+    monitor = LocalMonitor("Messenger", "Messenger", cp, Channel(CentralMonitor(cp, GlobalState.empty(cp.global_kinds))), VarStore(DEVICE_ATTRS))
     return lambda occurrence: intercept(monitor, occurrence)
 
 
@@ -107,7 +108,7 @@ def test_bind_wildcard_no_params():
 
 def test_quota_reached_reply_instructs_block(quota_setup):
     cp, gs, central, channel, _ = quota_setup
-    gs.vars.set("msgCount", VType.INT, 500)
+    gs.vars.set("msgCount", 500)
     reply = channel.request("Messenger", (0,), 0, {}, {})
     assert reply.guard_results == (True,)
     assert reply.appside_actions_to_run == ((0,),)  # blockRequest
@@ -117,7 +118,7 @@ def test_quota_reached_reply_instructs_block(quota_setup):
 
 def test_increment_request_mutates_state(quota_setup):
     cp, gs, central, channel, _ = quota_setup
-    gs.vars.set("msgCount", VType.INT, 41)
+    gs.vars.set("msgCount", 41)
     successful_id = next(i for i, c in enumerate(cp.conditions) if c.name == "successful")
     reply = channel.request("Messenger", (1,), 0, {successful_id: True}, {})
     assert reply.guard_results == (True,)
@@ -152,9 +153,9 @@ Rules {
 
 def test_central_fault_rolls_back_before_the_next_rule_of_the_batch():
     cp = compile_src(GSTEP_BATCH_SRC)
-    gs = GlobalState()
-    gs.vars.set("g", VType.INT, 1)
-    gs.vars.set("q", VType.INT, -100)
+    gs = GlobalState.empty(cp.global_kinds)
+    gs.vars.set("g", 1)
+    gs.vars.set("q", -100)
     channel = Channel(CentralMonitor(cp, gs))
     reply = channel.request("Messenger", (0, 1), 0, {}, {})
     assert reply.faults == ("EvalFault:DivisionByZero", None)
@@ -203,7 +204,7 @@ def test_extra_truth_value_is_stale(quota_setup):
 def test_batch_request_answers_each_rule_in_order(quota_setup):
     cp, gs, _, channel, _ = quota_setup
     successful_id = next(i for i, c in enumerate(cp.conditions) if c.name == "successful")
-    gs.vars.set("msgCount", VType.INT, 499)
+    gs.vars.set("msgCount", 499)
     # rule 1 counts the send, so rule 0 sees the quota reached
     reply = channel.request("Messenger", (1, 0), 0, {successful_id: True}, {})
     assert reply.guard_results == (True, True)
@@ -214,7 +215,7 @@ def test_batch_request_answers_each_rule_in_order(quota_setup):
 
 def test_unknown_rule_in_batch_faults_alone(quota_setup):
     _, gs, _, channel, _ = quota_setup
-    gs.vars.set("msgCount", VType.INT, 500)
+    gs.vars.set("msgCount", 500)
     reply = channel.request("Messenger", (99, 0), 0, {}, {})
     assert reply.faults == ("UnknownRule", None)
     assert reply.guard_results == (False, True)
@@ -238,7 +239,7 @@ def test_batch_log_entries_carry_rule_ids_and_parallel_results(quota_setup):
 
 def test_block_at_quota_via_intercept(quota_setup):
     _, gs, _, _, monitor = quota_setup
-    gs.vars.set("msgCount", VType.INT, 500)
+    gs.vars.set("msgCount", 500)
     result = intercept(monitor, send_before())
     assert result.blocked
     assert result.reason == "rule#0"
@@ -270,8 +271,8 @@ def test_fail_closed_on_disconnected_channel(quota_setup):
 
 
 def test_local_only_policy_ignores_channel_state(wifi_listing_policy):
-    attrs = VarStore()
-    channel = Channel(CentralMonitor(wifi_listing_policy, GlobalState()))
+    attrs = VarStore(DEVICE_ATTRS)
+    channel = Channel(CentralMonitor(wifi_listing_policy, GlobalState.empty(wifi_listing_policy.global_kinds)))
     channel.disconnect()
     monitor = LocalMonitor("Maps", "Maps", wifi_listing_policy, channel=channel, attrs=attrs)
     blocked = intercept(monitor, occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,), t=14 * MS_PER_HOUR))
@@ -287,7 +288,7 @@ def test_reply_fault_blocks_only_blocking_rules(quota_setup):
     # Corrupt the request path: the central monitor of a different policy
     # will report UnknownRule for rule ids it does not have.
     empty_cp = compile_src("Events { } Conditions { } Actions { } Rules { }")
-    channel.central = CentralMonitor(empty_cp, GlobalState())
+    channel.central = CentralMonitor(empty_cp, GlobalState.empty(empty_cp.global_kinds))
     before = intercept(monitor, send_before())
     assert before.blocked and before.reason == "UnknownRule"  # rule blocks
     after = intercept(monitor, send_after())
@@ -315,8 +316,8 @@ def test_explicit_arity_pattern_gates_rule_matching():
     }
     """
     cp = compile_src(src)
-    channel = Channel(CentralMonitor(cp, GlobalState()))
-    monitor = LocalMonitor("Maps", "Maps", cp, channel=channel, attrs=VarStore())
+    channel = Channel(CentralMonitor(cp, GlobalState.empty(cp.global_kinds)))
+    monitor = LocalMonitor("Maps", "Maps", cp, channel=channel, attrs=VarStore(DEVICE_ATTRS))
     intercept(monitor, occ("WifiManager", "setWifiEnabled", Phase.BEFORE, (True,)))
     assert monitor.local.get("typed", VType.INT) == 1
     assert monitor.local.get("any", VType.INT) == 1
@@ -373,7 +374,7 @@ def test_asymmetry_checker_flags_unsolicited():
 def test_requests_serialize_under_contention(msg_quota_policy):
     # a Channel serves one caller at a time; four apps' requests arrive
     # interleaved, in a seeded order
-    gs = GlobalState()
+    gs = GlobalState.empty(msg_quota_policy.global_kinds)
     central = CentralMonitor(msg_quota_policy, gs)
     channel = Channel(central)
     cp = msg_quota_policy
@@ -393,8 +394,8 @@ def test_repeated_rule_ids_answer_like_a_fresh_monitor(msg_quota_policy):
     # from one request of a tuple to the next
     cp = msg_quota_policy
     successful_id = next(i for i, c in enumerate(cp.conditions) if c.name == "successful")
-    gs = GlobalState()
-    gs.vars.set("msgCount", VType.INT, 498)
+    gs = GlobalState.empty(cp.global_kinds)
+    gs.vars.set("msgCount", 498)
     channel = Channel(CentralMonitor(cp, gs))
     fresh_truth = {successful_id: True}
     sends = [((1, 0), {}), ((1, 0), fresh_truth), ((1, 0), {}), ((99, 1), fresh_truth), ((99, 1), fresh_truth)]
@@ -423,8 +424,8 @@ def test_full_batch_tuples_answer_like_a_fresh_monitor(msg_quota_policy):
     successful_id = next(i for i, c in enumerate(cp.conditions) if c.name == "successful")
     quota_id = next(i for i, c in enumerate(cp.conditions) if c.name == "maximumQuotaReached")
     assert sorted(cp.requests) == [(0,), (1,)]
-    gs = GlobalState()
-    gs.vars.set("msgCount", VType.INT, 498)
+    gs = GlobalState.empty(cp.global_kinds)
+    gs.vars.set("msgCount", 498)
     channel = Channel(CentralMonitor(cp, gs))
     fresh_truth = {successful_id: True}
     extra_truth = {successful_id: True, quota_id: False}
@@ -479,7 +480,7 @@ def test_one_central_context_carries_nothing_between_requests():
     # write: neither the time, the bindings nor the undo log may carry over
     cp = compile_src(FORWARDING_SRC)
     (rule_ids,) = cp.requests
-    gs = GlobalState()
+    gs = GlobalState.empty(cp.global_kinds)
     central = CentralMonitor(cp, gs)
     channel = Channel(central)
     sends = [(0, {"dest": "+35621123456"}), (2 * MS_PER_HOUR, {"dest": "21234567"})]
@@ -537,15 +538,15 @@ def test_one_app_context_carries_nothing_between_batches(open_guard):
     cp = compile_src(APP_CONTEXT_SRC.replace(" OPEN", open_guard))
     (batch,) = cp.dispatch["SmsManager", "sendTextMessage"][0]
     assert batch.all_sent == bool(open_guard)
-    gs = GlobalState()
+    gs = GlobalState.empty(cp.global_kinds)
     monitor = LocalMonitor("Messenger", "Messenger", cp, Channel(CentralMonitor(cp, gs)), gs.attrs)
     sends = [(0, "+35621123456"), (2 * MS_PER_HOUR, "21234567")]
     results = []
     for t, dest in sends:
         fresh_gs = gs.copy()
         fresh = LocalMonitor("Messenger", "Messenger", cp, Channel(CentralMonitor(cp, fresh_gs)), fresh_gs.attrs)
-        for name, kind, value in monitor.local.items_typed():
-            fresh.local.set(name, kind, value)
+        for name, _, value in monitor.local.items_typed():
+            fresh.local.set(name, value)
         occurrence = occ("SmsManager", "sendTextMessage", Phase.BEFORE, (dest, "hi"), t=t)
         want = intercept(fresh, occurrence)
         got = intercept(monitor, occurrence)
@@ -570,38 +571,38 @@ def test_replay_requests_reproduces_snapshot(quota_setup):
 # snapshot and accounting
 
 def test_fresh_snapshot_canonical():
-    assert snapshot(GlobalState()) == '{"attrs":{},"vars":{}}'
+    assert snapshot(GlobalState.empty({})) == '{"attrs":{},"vars":{}}'
 
 
 def test_snapshot_equality_tracks_state_equality():
-    a, b = GlobalState(), GlobalState()
-    a.vars.set("n", VType.INT, 1)
-    b.vars.set("n", VType.INT, 1)
+    a, b = GlobalState.empty({"n": VType.INT}), GlobalState.empty({"n": VType.INT})
+    a.vars.set("n", 1)
+    b.vars.set("n", 1)
     assert snapshot(a) == snapshot(b)
-    b.vars.set("n", VType.INT, 2)
+    b.vars.set("n", 2)
     assert snapshot(a) != snapshot(b)
 
 
 def test_snapshot_restore_roundtrip():
-    gs = GlobalState()
-    gs.vars.set("xs", VType.TS_LIST, [1, 2, 3])
-    gs.vars.set("flag", VType.BOOL, True)
+    gs = GlobalState.empty({"xs": VType.TS_LIST, "flag": VType.BOOL})
+    gs.vars.set("xs", [1, 2, 3])
+    gs.vars.set("flag", True)
     doc = json.loads(snapshot(gs))
-    rebuilt = GlobalState()
+    rebuilt = GlobalState.empty({name: VType(row["kind"]) for name, row in doc["vars"].items()})
     for name, row in doc["vars"].items():
-        rebuilt.vars.set(name, VType(row["kind"]), row["value"])
+        rebuilt.vars.set(name, row["value"])
     assert snapshot(rebuilt) == snapshot(gs)
 
 
 def test_state_size_fresh_all_zero():
-    report = state_size(GlobalState())
+    report = state_size(GlobalState.empty({}))
     assert report == {"vars": {}, "attrs": {}, "total_bytes": 0}
 
 
 def test_state_size_counts_list_elements():
-    gs = GlobalState()
-    gs.vars.set("sendTimes", VType.TS_LIST, list(range(5)))
-    gs.vars.set("msgCount", VType.INT, 300)
+    gs = GlobalState.empty({"sendTimes": VType.TS_LIST, "msgCount": VType.INT})
+    gs.vars.set("sendTimes", list(range(5)))
+    gs.vars.set("msgCount", 300)
     report = state_size(gs)
     assert report["vars"]["sendTimes"] == {"kind": "ts_list", "elements": 5, "bytes": 40}
     assert report["vars"]["msgCount"] == {"kind": "int", "elements": 1, "bytes": 8}

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from dcmon.catalog import API_OF_CALL, CATALOG, DEVICE_ATTRS, DeviceState, execute_effect
+from dcmon.catalog import API_OF_CALL, CATALOG, DeviceState, execute_effect
 from dcmon.central_monitor import (
     Channel,
     ChannelError,
@@ -619,7 +619,7 @@ def test_catalog_entry_declares_what_execute_effect_does(entry, call_active):
     device = DeviceState(call_active=call_active)
     want = DeviceState(call_active=call_active if entry.sets_call is None else entry.sets_call)
     if entry.writes_attr is not None:
-        want.attrs.set(entry.writes_attr, DEVICE_ATTRS[entry.writes_attr], args[0])
+        want.attrs.set(entry.writes_attr, args[0])
     ret = execute_effect(entry, args, device)
     assert ret is (call_active if entry.returns is None else entry.returns)
     assert type(ret) is bool and entry.return_type is VType.BOOL
@@ -912,7 +912,7 @@ def intercept_every_phase(trace, cp, concurrent_same_t=False) -> RunResult:
     """run() as it was before it skipped phases without rules: both phases
     of every call are intercepted. The reference for run()."""
     device = DeviceState()
-    gs = GlobalState(vars=VarStore(), attrs=device.attrs)
+    gs = GlobalState(vars=VarStore(cp.global_kinds), attrs=device.attrs)
     initial = gs.copy()
     log = []
     channel = Channel(CentralMonitor(cp, gs, log))
