@@ -14,12 +14,13 @@ one-value summaries of a reply, for the benchmark's tracer, which reads
 them by name.
 
 The central monitor evaluates every request in one context, built once. A
-full request, a batch's rule ids with its truth keys, runs the steps that
-batch holds from compile time, with no per-rule test, and a reply in which
-no rule faulted shares the batch's all-None faults tuple. Any other request
-derives its steps from the rules it names, once, and runs the same loop:
-an unknown id or a stale truth map makes a rule's step run nothing, and
-its fault is set from the start.
+full request, a batch's rule ids with its truth keys, is answered by that
+batch's generated central function (see `engine.py`), with no per-rule
+loop, and a reply in which no rule faulted shares the batch's all-None
+faults tuple. Any other request, and a full one for a batch built outside
+`compile_policy`, derives its steps from the rules it names, once, and
+runs the rule-by-rule loop: an unknown id or a stale truth map makes a
+rule's step run nothing, and its fault is set from the start.
 """
 
 from __future__ import annotations
@@ -30,16 +31,12 @@ from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
 from .catalog import DEVICE_ATTRS
 from .engine import CentralStep, CompiledPolicy, central_step, eval_expr, evaluate_guard, exec_stmts
-from .lang.eval import GLOBAL_SIDE, EvalContext, EvalError, rollback
+from .lang.eval import GLOBAL_SIDE, ChannelError, EvalContext, EvalError, rule_fault
 from .lang.state import VarStore
 from .lang.values import Value, VType, value_to_json
 
 APP_TO_CENTRAL = "AppToCentral"
 CENTRAL_TO_APP = "CentralToApp"
-
-
-class ChannelError(Exception):
-    """The central monitor is unreachable."""
 
 
 @dataclass
@@ -223,14 +220,15 @@ class CentralMonitor:
     def _evaluate(self, req: MonitorRequest) -> MonitorReply:
         """Run the request's steps in order in one context. A condition is
         evaluated once until a rule's GlobalSide actions run. A rule that
-        faults leaves no write behind."""
+        faults leaves no write behind. A full request is answered by its
+        batch's generated function, any other by the loop below."""
         cp = self.cp
         appside = req.appside_truth
         batch = cp.requests.get(req.rule_id)
-        if batch is not None and batch.truth_keys == appside.keys():
-            steps, faults = batch.steps, batch.no_faults
-        else:
-            steps, faults = _named_steps(cp, req)
+        if batch is not None and batch.central is not None and batch.truth_keys == appside.keys():
+            guards, actions, faults = batch.central(self, batch, req, eval_expr, exec_stmts)
+            return MonitorReply(req.seq, req.app_id, req.rule_id, req.t, guards, actions, faults)
+        steps, faults = _named_steps(cp, req)
         condition_code, action_code = cp.condition_code, cp.action_code
         ctx = self._ctx
         ctx.now = req.t
@@ -253,9 +251,7 @@ class CentralMonitor:
                     actions.append(app_action_ids)
                     continue
             except EvalError as ex:
-                rollback(ctx.undo)
-                k = len(guards)
-                faults = (*faults[:k], f"EvalFault:{ex}", *faults[k + 1 :])
+                faults = rule_fault(ctx.undo, faults, len(guards), ex)
             guards.append(False)
             actions.append(())
         return MonitorReply(req.seq, req.app_id, req.rule_id, req.t, tuple(guards), tuple(actions), faults)
@@ -270,12 +266,12 @@ _REFUSED: CentralStep = ((), _refused, (), ())
 
 
 def _named_steps(cp: CompiledPolicy, req: MonitorRequest) -> Tuple[Tuple[CentralStep, ...], Tuple[Optional[str], ...]]:
-    """The steps and the starting faults of a request that is not a batch's
-    full tuple with its truth keys: a shorter tuple, after an app-side
-    condition faulted, one that names no batch, or a stale truth map. Each
-    named rule runs, unless it is unknown (UnknownRule) or the truth map's
-    keys are not those of the named rules' app-side conditions
-    (StaleTruthMap)."""
+    """The steps and the starting faults of a request that no batch function
+    answers: a shorter tuple, after an app-side condition faulted, one that
+    names no batch, a stale truth map, or a batch's full tuple when the
+    batch has no function. Each named rule runs, unless it is unknown
+    (UnknownRule) or the truth map's keys are not those of the named rules'
+    app-side conditions (StaleTruthMap)."""
     n = len(cp.rules)
     rules = [cp.rules[rid] if 0 <= rid < n else None for rid in req.rule_id]
     expected = {cid for rule in rules if rule is not None for cid in rule.app_condition_ids}

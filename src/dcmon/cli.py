@@ -63,7 +63,9 @@ def _read_trace(path: str):
         return None, EXIT_TRACE
 
 
-def _read_config(path: Optional[str]) -> Optional[SimConfig]:
+def read_config(path: Optional[str]) -> Optional[SimConfig]:
+    """The config at `path`, the default one if None, or None after one
+    `error: bad config PATH: …` line on stderr when it cannot be read."""
     if path is None:
         return DEFAULT_CONFIG
     try:
@@ -131,7 +133,7 @@ def cmd_bench(args) -> int:
     if args.reps < MIN_REPETITIONS:
         print(f"error: --reps must be at least {MIN_REPETITIONS}", file=sys.stderr)
         return EXIT_IO
-    config = _read_config(args.config)
+    config = read_config(args.config)
     if config is None:
         return EXIT_IO
     trace, code = _read_trace(args.trace)

@@ -12,32 +12,46 @@ rules of a batch share one channel round trip per occurrence, and a batch
 without any sends nothing; a batch ends only where running its rules in
 two phases (every app-side condition first, every outcome afterwards)
 could change what a rule sees, and where two triggers bind an occurrence
-differently. Each rule carries what its trigger binds, so the local monitor
-binds a batch's occurrence from its first rule, with no event declaration
-at hand. Each batch also lists what its full request carries: the
-ids of its sent rules' app-side conditions, the truth map's keys, and the
-event parameters they forward; and what the central monitor runs for it:
-one step per sent rule (its global condition ids, guard, global action ids
-and app-side action ids) and the faults of a reply in which none faulted.
-The central monitor finds a full request's steps in the batch with those
-rule ids; a shorter or unknown tuple derives its steps from the rules it
-names. Whether every rule of a batch is sent is fixed here too: such a
-batch reads the reply in step with its rules.
+differently. Each rule carries what its trigger binds, so a batch binds
+its occurrence from its first rule, with no event declaration at hand.
+Each batch also lists what its full request carries: the ids of its sent
+rules' app-side conditions, the truth map's keys, and the event parameters
+they forward; and the faults of a reply in which no rule faulted.
 
 `compile_policy` also compiles each condition body, guard and action body
 once, to a Python function generated as source, all of a policy's functions
 in one module (see `lang/codegen.py`): a condition body becomes
 `code(ctx) -> value`, an action body `code(ctx) -> blocked`, and a guard
-`code(truth) -> bool` over the truth values of its conditions. The monitors
-run them through the runners `eval_expr`, `evaluate_guard` and `exec_stmts`
-below.
+`code(truth) -> bool` over the truth values of its conditions. Into the
+same module it writes each batch's two functions, which decide the batch
+on either side of the channel with no per-rule loop:
+
+- the local one, `f(mon, batch, args, rv, t, faults, eval_expr) ->
+  reason`, binds the occurrence by compile-time position, holds each
+  app-side truth value in a local variable, sends the request with its
+  keys fixed and decides each rule in order, its guard inlined; it hands
+  the batch to the local monitor's rule-by-rule loop when an app-side
+  condition faults, and the rules' outcomes when the channel is down or
+  the reply holds a fault;
+- the central one, `f(cm, batch, req, eval_expr, exec_stmts) ->
+  (guard_results, appside_actions_to_run, faults)`, answers the batch's
+  full request: its rules' ids with its truth keys.
+
+Batches alike share both functions: each reads its rules from the batch it
+is handed. Every body runs through the runners `eval_expr` and
+`exec_stmts` below, which the monitors hand the batch functions, and
+through its policy's code slots, read when it runs. The monitors'
+rule-by-rule loops decide a batch built outside `compile_policy`, which
+has no functions, and any other request, and run guards through
+`evaluate_guard`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .dsl.analysis import StateTypes
 from .dsl.ast import (
@@ -49,9 +63,9 @@ from .dsl.ast import (
     Side,
     guard_refs,
 )
-from .lang.codegen import Code, compile_bodies
+from .lang.codegen import Code, Module, dict_source
 from .lang.eval import EvalContext
-from .lang.nodes import AppendStmt, Assign, BlockStmt, PruneStmt, VarRef, walk_exprs
+from .lang.nodes import NS_EVENT, AppendStmt, Assign, BlockStmt, PruneStmt, VarRef, walk_exprs
 from .lang.values import Value, VType
 
 
@@ -63,10 +77,12 @@ class Locality(enum.Enum):
         return self.value
 
 
-# The monitors run compiled code only through these three runners, one call
-# per condition body, guard and action body. They exist only so that the
-# benchmark's tracer, which wraps these names in both monitor modules, can
-# time each layer; they can go once its hooks point elsewhere.
+# Compiled code runs only through these three runners, one call per
+# condition body, guard and action body; the generated batch functions
+# inline their guards, and get the other two from the monitors. They exist
+# only so that the benchmark's tracer, which wraps these names in both
+# monitor modules, can time each layer; they can go once its hooks point
+# elsewhere.
 
 def eval_expr(code: Code, ctx: EvalContext) -> Value:
     return code(ctx)
@@ -121,7 +137,7 @@ class Batch:
     evaluates all their app-side conditions, sends one request for their
     NeedsGlobal rules, then decides each rule in order."""
 
-    __slots__ = ("rules", "sent", "all_sent", "rule_ids", "truth_ids", "truth_keys", "forwarded", "steps", "no_faults")
+    __slots__ = ("rules", "sent", "rule_ids", "truth_ids", "truth_keys", "forwarded", "no_faults", "local", "central")
 
     def __init__(self, rules: Sequence[CompiledRule]):
         self.rules = tuple(rules)
@@ -129,17 +145,19 @@ class Batch:
         # names when no app-side condition faults; empty for a batch of
         # LocalOnly rules, which sends nothing
         self.sent = tuple(r for r in self.rules if r.locality is Locality.NEEDS_GLOBAL)
-        self.all_sent = len(self.sent) == len(self.rules)
         self.rule_ids = tuple(r.rule_id for r in self.sent)
-        # what the central monitor runs for the full request, one step per
-        # sent rule, and the faults of a reply in which no rule faulted
-        self.steps = tuple(map(central_step, self.sent))
+        # the faults of a reply in which no rule faulted
         self.no_faults = (None,) * len(self.sent)
         # the request's truth-map keys and forwarded parameter names, each
         # once, in the order the sent rules name them
         self.truth_ids = tuple(dict.fromkeys(cid for r in self.sent for cid in r.app_condition_ids))
         self.truth_keys = frozenset(self.truth_ids)
         self.forwarded = tuple(dict.fromkeys(p for r in self.sent for p in r.forwarded_params))
+        # the generated functions that decide the batch on each side of the
+        # channel, which `compile_policy` sets; a batch built otherwise is
+        # decided by the monitors' rule-by-rule loops
+        self.local: Optional[Code] = None
+        self.central: Optional[Code] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,14 +197,12 @@ def compile_policy(spec: PolicySpec, state_types: StateTypes) -> CompiledPolicy:
     cond_ids = {c.name: i for i, c in enumerate(spec.conditions)}
     action_ids = {a.name: i for i, a in enumerate(spec.actions)}
 
-    condition_code, action_code, guards = compile_bodies(
-        [c.body for c in spec.conditions],
-        [a.body for a in spec.actions],
-        [r.guard for r in spec.rules],
-        state_types,
-        cond_ids,
-    )
-    rules: List[CompiledRule] = []
+    module = Module(state_types)
+    condition_names = [module.expr(c.body) for c in spec.conditions]
+    action_names = [module.stmts(a.body) for a in spec.actions]
+    guard_names = [module.guard(r.guard, cond_ids) for r in spec.rules]
+    # each rule without its guard's code, which the module holds once built
+    drafts: List[CompiledRule] = []
     for idx, rule in enumerate(spec.rules):
         trigger = spec.events[event_ids[rule.trigger]]
         ref_ids = sorted({cond_ids[r.name] for r in guard_refs(rule.guard)})
@@ -196,42 +212,58 @@ def compile_policy(spec: PolicySpec, state_types: StateTypes) -> CompiledPolicy:
         app_acts = tuple(i for i in acts if spec.actions[i].side is Side.APPLICATION)
         global_acts = tuple(i for i in acts if spec.actions[i].side is Side.GLOBAL)
         local_only = not global_conds and not global_acts
-        forwarded = _forwarded_params(spec, global_conds, global_acts, trigger)
+        declared = {p.name for p in trigger.params}
         blocks = any(
             any(isinstance(s, BlockStmt) for s in spec.actions[i].body) for i in app_acts
         )
-        rules.append(
+        drafts.append(
             CompiledRule(
                 rule_id=idx,
                 name=rule.name or f"rule#{idx}",
                 trigger_id=event_ids[rule.trigger],
                 binding=_bindings(trigger),
-                guard=guards[idx],
+                guard=None,
                 locality=Locality.LOCAL_ONLY if local_only else Locality.NEEDS_GLOBAL,
                 app_condition_ids=app_conds,
                 global_condition_ids=global_conds,
                 app_action_ids=app_acts,
                 global_action_ids=global_acts,
-                forwarded_params=forwarded,
+                forwarded_params=tuple(sorted(_event_refs(spec, global_conds, global_acts) & declared)),
                 blocks=blocks,
             )
         )
 
-    dispatch: Dict[Tuple[str, str], Tuple[List[CompiledRule], List[CompiledRule]]] = {}
+    phases: Dict[Tuple[str, str], Tuple[List[CompiledRule], List[CompiledRule]]] = {}
     for event in spec.events:
-        dispatch.setdefault((event.pattern.api_namespace, event.pattern.method), ([], []))
-    for rule in rules:
+        phases.setdefault((event.pattern.api_namespace, event.pattern.method), ([], []))
+    for rule in drafts:
         event = spec.events[rule.trigger_id]
-        dispatch[event.pattern.api_namespace, event.pattern.method][event.phase is Phase.AFTER].append(rule)
+        phases[event.pattern.api_namespace, event.pattern.method][event.phase is Phase.AFTER].append(rule)
+    plans = {k: (plan_batches(spec, before), plan_batches(spec, after)) for k, (before, after) in phases.items()}
+    batch_names = {
+        batch: (_local_function(module, spec, batch, cond_ids), batch.sent and _central_function(module, spec, batch, cond_ids))
+        for pair in plans.values()
+        for plan in pair
+        for batch in plan
+    }
+
+    functions = module.build()
+    rules = tuple(dataclasses.replace(r, guard=functions[name]) for r, name in zip(drafts, guard_names))
+
+    def compiled(draft: Batch) -> Batch:
+        batch = Batch([rules[r.rule_id] for r in draft.rules])
+        local, central = batch_names[draft]
+        batch.local, batch.central = functions[local], functions.get(central)
+        return batch
 
     return CompiledPolicy(
         events=spec.events,
         conditions=spec.conditions,
         actions=spec.actions,
-        condition_code=condition_code,
-        action_code=action_code,
-        rules=tuple(rules),
-        dispatch={k: (plan_batches(spec, before), plan_batches(spec, after)) for k, (before, after) in dispatch.items()},
+        condition_code=tuple(functions[name] for name in condition_names),
+        action_code=tuple(functions[name] for name in action_names),
+        rules=rules,
+        dispatch={k: tuple(tuple(map(compiled, plan)) for plan in pair) for k, pair in plans.items()},
         state_types=state_types,
     )
 
@@ -266,6 +298,110 @@ def plan_batches(spec: PolicySpec, rules: Sequence[CompiledRule]) -> Tuple[Batch
     return tuple(batches)
 
 
+# Each batch's two generated functions. They call every body through the
+# policy's code slots, which they read from the monitor's policy when they
+# run, and they take the batch as an argument: batches alike share them.
+
+
+def _local_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: Dict[str, int]) -> str:
+    """Write `f(mon, batch, args, rv, t, faults, eval_expr) -> reason`,
+    which decides the batch as `LocalMonitor._run_batch` does, and return
+    its name. It hands the batch to `_run_batch` when an app-side condition
+    faults, and to its second phase `_decide` when the channel is down or
+    the reply holds a fault. Each condition's truth value is a local
+    `c<id>`, and each LocalOnly guard is inlined over them."""
+    names, returned = batch.rules[0].binding
+    sources = {} if names is None else {name: f"args[{i}]" for i, name in enumerate(names)}
+    if returned is not None:
+        sources[returned] = "rv"
+    cids = tuple(dict.fromkeys(cid for r in batch.rules for cid in r.app_condition_ids))
+    app_actions = [aid for r in batch.rules for aid in r.app_action_ids]
+    # a batch whose bodies read no parameter clears the bindings
+    read = batch.forwarded or _event_refs(spec, cids, app_actions)
+    lines = [] if names is None else [f"if len(args) != {len(names)}: return None"]
+    lines += ["ctx = mon._ctx", "ctx.now = t", f"ctx.event_bindings = {dict_source(sources.items() if read else ())}"]
+    if cids:
+        lines += ["cc = mon.cp.condition_code", "try:"]
+        lines += [f"    c{cid} = not not eval_expr(cc[{cid}], ctx)" for cid in cids]
+        lines += ["except EvalError:", "    return mon._run_batch(batch, args, rv, t, faults)"]
+    if batch.sent:
+        truth = dict_source((cid, f"c{cid}") for cid in batch.truth_ids)
+        forwarded = dict_source((p, sources[p]) for p in batch.forwarded)
+        values = dict_source((cid, f"c{cid}") for cid in cids)
+        lines += [
+            "try:",
+            f"    reply = mon.channel.request(mon.app_id, batch.rule_ids, t, {truth}, {forwarded})",
+            "except ChannelError:",
+            f"    return mon._decide(batch, {values}, None, None, faults)",
+            "if reply.faults is not batch.no_faults:",
+            f"    return mon._decide(batch, {values}, None, reply, faults)",
+        ]
+        if any(r.app_action_ids for r in batch.sent):
+            lines.append("ok, acts = reply.guard_results, reply.appside_actions_to_run")
+    # each rule that may run app-side actions: the test that calls for
+    # them, its index and the source of the actions' ids
+    decided = []
+    sent = 0
+    for i, rule in enumerate(batch.rules):
+        if rule.locality is Locality.LOCAL_ONLY:
+            leaves = {cid: f"c{cid}" for cid in rule.app_condition_ids}
+            guard = module.guard_source(spec.rules[rule.rule_id].guard, cond_ids, leaves)
+            decided.append((guard, i, repr(rule.app_action_ids)))
+        else:
+            if rule.app_action_ids:
+                decided.append((f"ok[{sent}]", i, f"acts[{sent}]"))
+            sent += 1
+    lines += ["reason = None"] if decided else []
+    for n, (test, i, action_ids) in enumerate(decided):
+        run = f"mon._run_app_actions(batch.rules[{i}], {action_ids}, faults)"
+        lines.append(f"if {test}:")
+        lines += [f"    reason = {run}"] if n == 0 else [f"    blocked = {run}", "    reason = reason or blocked"]
+    lines.append(f"return {'reason' if decided else 'None'}")
+    return module.add("mon, batch, args, rv, t, faults, eval_expr", ["    " + line for line in lines])
+
+
+def _central_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: Dict[str, int]) -> str:
+    """Write `f(cm, batch, req, eval_expr, exec_stmts) -> (guard_results,
+    appside_actions_to_run, faults)`, which answers the batch's full
+    request as the central monitor's rule-by-rule loop does, and return its
+    name. Each global
+    condition's truth value is a local `c<id>`, None until it is evaluated
+    and again once a rule's GlobalSide actions run; each app-side one is
+    read from the request's truth map."""
+    lines = ["ctx = cm._ctx", "ctx.now = req.t", "ctx.event_bindings = req.forwarded_bindings", "undo = ctx.undo"]
+    global_ids = tuple(dict.fromkeys(cid for r in batch.sent for cid in r.global_condition_ids))
+    if global_ids:
+        lines += ["cc = cm.cp.condition_code", "".join(f"c{cid} = " for cid in global_ids) + "None"]
+    if any(r.global_action_ids for r in batch.sent):
+        lines.append("ac = cm.cp.action_code")
+    if batch.truth_ids:
+        lines.append("app = req.appside_truth")
+    lines.append("faults = batch.no_faults")
+    lines.append("".join(f"r{k} = " for k in range(len(batch.sent))) + "False")
+    evaluated: List[int] = []
+    for k, rule in enumerate(batch.sent):
+        lines.append("try:")
+        for cid in rule.global_condition_ids:
+            test = f"if c{cid} is None: " if cid in evaluated else ""
+            lines.append(f"    {test}c{cid} = not not eval_expr(cc[{cid}], ctx)")
+        evaluated += [cid for cid in rule.global_condition_ids if cid not in evaluated]
+        leaves = {cid: f"app[{cid}]" for cid in rule.app_condition_ids}
+        leaves.update((cid, f"c{cid}") for cid in rule.global_condition_ids)
+        guard = module.guard_source(spec.rules[rule.rule_id].guard, cond_ids, leaves)
+        if rule.global_action_ids:
+            lines.append(f"    if {guard}:")
+            lines += ["        " + "".join(f"c{cid} = " for cid in evaluated) + "None"] if evaluated else []
+            lines += [f"        exec_stmts(ac[{aid}], ctx)" for aid in rule.global_action_ids]
+            lines += ["        undo.clear()", f"        r{k} = True"]
+        else:
+            lines.append(f"    if {guard}: r{k} = True")
+        lines += ["except EvalError as ex:", f"    faults = rule_fault(undo, faults, {k}, ex)"]
+    guards = "".join(f"r{k}, " for k in range(len(batch.sent)))
+    actions = "".join(f"{r.app_action_ids!r} if r{k} else (), " if r.app_action_ids else "(), " for k, r in enumerate(batch.sent))
+    lines.append(f"return ({guards}), ({actions}), faults")
+    return module.add("cm, batch, req, eval_expr, exec_stmts", ["    " + line for line in lines])
+
+
 def _local_reads(spec: PolicySpec, rule: CompiledRule) -> FrozenSet[str]:
     return frozenset(
         e.name
@@ -292,19 +428,8 @@ def _bindings(event: EventDecl) -> Binding:
     return (None if params is None else tuple(p.name for p in params)), event.return_binding
 
 
-def _forwarded_params(
-    spec: PolicySpec,
-    global_conds: Tuple[int, ...],
-    global_acts: Tuple[int, ...],
-    trigger: EventDecl,
-) -> Tuple[str, ...]:
-    names = set()
-    for cid in global_conds:
-        names.update(
-            e.name for e in walk_exprs(spec.conditions[cid].body) if isinstance(e, VarRef) and e.ns == "event"
-        )
-    for aid in global_acts:
-        for stmt in spec.actions[aid].body:
-            names.update(e.name for e in walk_exprs(stmt) if isinstance(e, VarRef) and e.ns == "event")
-    declared = {p.name for p in trigger.params}
-    return tuple(sorted(names & declared))
+def _event_refs(spec: PolicySpec, cond_ids: Sequence[int], action_ids: Sequence[int]) -> Set[str]:
+    """The event parameters that the bodies of these conditions and actions read."""
+    exprs = [e for cid in cond_ids for e in walk_exprs(spec.conditions[cid].body)]
+    exprs += [e for aid in action_ids for stmt in spec.actions[aid].body for e in walk_exprs(stmt)]
+    return {e.name for e in exprs if isinstance(e, VarRef) and e.ns == NS_EVENT}

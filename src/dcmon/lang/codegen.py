@@ -1,8 +1,11 @@
 """Condition bodies, guards and action bodies compiled to Python source.
 
 `compile_policy` writes each body of a policy as one Python function, puts
-all of a policy's functions in one module and compiles that module with one
-`compile()` call; bodies with identical source share one function. This
+all of a policy's functions in one `Module` and compiles that module with
+one `compile()` call; functions with identical source share one. Beside
+the bodies and guards, the module holds the functions that `engine.py`
+writes for each batch with `Module.add`, their guards inlined by
+`Module.guard_source` over the truth values they hold in locals. This
 carries the idea of Feeley & Lapalme, *Using Closures for Code Generation*
 (1987), one step further: instead of one closure per node, a body runs as
 one Python frame, with no dispatch on node types and no call per node.
@@ -24,19 +27,20 @@ A store holds values only; a write logs `(store._vals, name, old)`, and
 
 Policy text reaches the generated source only as the `repr` of a literal
 value or of a key; every name in it is the generator's own. A function
-nests at most `_MAX_DEPTH` blocks (a body) or parentheses (a guard); a
-deeper subtree becomes a function of its own, so the source stays inside
-CPython's limits on indentation and nested parentheses.
+nests at most `_MAX_DEPTH` blocks (a body) or parentheses (a guard, also
+one inlined into a batch's function); a deeper subtree becomes a function
+of its own, so the source stays inside CPython's limits on indentation and
+nested parentheses.
 """
 
 from __future__ import annotations
 
 import bisect
 import operator
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Tuple
 
 from .check import BUILTINS as SIGNATURES
-from .eval import ABSENT, APP_SIDE, EvalError, SideFault, _checked_int, duration, trunc_div
+from .eval import ABSENT, APP_SIDE, ChannelError, EvalError, SideFault, _checked_int, duration, rule_fault, trunc_div
 from .nodes import (
     CMP_OPS,
     NS_COND,
@@ -64,43 +68,31 @@ Code = Callable[[Any], Any]
 StateTypes = Mapping[Tuple[str, str], VType]
 
 
-def compile_bodies(
-    conditions: Sequence[Expr],
-    actions: Sequence[Tuple[Stmt, ...]],
-    guards: Sequence[Expr],
-    state_types: StateTypes,
-    cond_ids: Mapping[str, int],
-) -> Tuple[Tuple[Code, ...], Tuple[Code, ...], Tuple[Code, ...]]:
-    """The code of each condition body, action body and guard, in order,
-    from one generated module. State variables are read as `state_types`
-    types them; a guard reads the truth value of condition `name` at
-    `truth[cond_ids[name]]`. A guard is `!`, `&&` and `||` over
-    `VarRef(NS_COND, name)` leaves; any other node in a guard, and any
-    unknown node in a body, raises AssertionError."""
-    module = _Module(state_types)
-    names = (
-        [module.body(lambda f, e=e: f.expr(e)) for e in conditions],
-        [module.body(lambda f, s=s: f.stmts(s)) for s in actions],
-        [module.guard(g, cond_ids) for g in guards],
-    )
-    functions = module.build()
-    return tuple(tuple(functions[name] for name in group) for group in names)
-
-
 def compile_expr(expr: Expr, state_types: StateTypes) -> Code:
     """`code(ctx) -> value`, reading state variables as `state_types` types them."""
-    return compile_bodies([expr], [], [], state_types, {})[0][0]
+    module = Module(state_types)
+    name = module.expr(expr)
+    return module.build()[name]
 
 
 def compile_guard(guard: Expr, cond_ids: Mapping[str, int]) -> Code:
     """`code(truth) -> bool` over a map from condition id to truth value."""
-    return compile_bodies([], [], [guard], {}, cond_ids)[2][0]
+    module = Module({})
+    name = module.guard(guard, cond_ids)
+    return module.build()[name]
 
 
 def compile_stmts(stmts: Tuple[Stmt, ...], state_types: StateTypes) -> Code:
     """`code(ctx) -> blocked` for an action body: runs its statements in
     order and returns whether one of them was block()."""
-    return compile_bodies([], [stmts], [], state_types, {})[1][0]
+    module = Module(state_types)
+    name = module.stmts(stmts)
+    return module.build()[name]
+
+
+def dict_source(items) -> str:
+    """The source of a dict display of `(key, value source)` pairs."""
+    return "{" + ", ".join(f"{key!r}: {src}" for key, src in items) + "}"
 
 
 # the most nested blocks (in a body) or parentheses (in a guard) that one
@@ -194,58 +186,80 @@ _PROLOGUE = (
 # the globals of a generated module
 _NAMESPACE = {
     "ABSENT": ABSENT,
+    "ChannelError": ChannelError,
     "EvalError": EvalError,
     "SideFault": SideFault,
     "bisect_left": bisect.bisect_left,
     "bisect_right": bisect.bisect_right,
+    "rule_fault": rule_fault,
 }
 
 
-class _Module:
+class Module:
     """The functions of one generated module, each source once."""
 
     def __init__(self, state_types: StateTypes):
         self.state_types = state_types
-        self.names: Dict[str, str] = {}  # a function's parameter and body -> its name
+        self.names: Dict[str, str] = {}  # a function's parameters and body -> its name
         self.called: set = set()  # the functions that generated code calls
 
-    def add(self, param: str, body: List[str]) -> str:
-        key = f"({param}):\n" + "\n".join(body)
+    def add(self, params: str, body: List[str]) -> str:
+        """Add the function of `params` whose indented lines are `body`,
+        unless one with the same source is there; return its name."""
+        key = f"({params}):\n" + "\n".join(body)
         name = self.names.get(key)
         if name is None:
             name = self.names[key] = f"f{len(self.names)}"
         return name
 
-    def body(self, emit: Callable[["_Function"], "_Operand | None"]) -> str:
-        """Add the function that `emit` writes, which returns the body's
-        value, or None when it wrote its own `return`."""
+    def expr(self, expr: Expr) -> str:
+        """Add `code(ctx) -> value` for a condition body."""
         f = _Function(self)
-        return f.finish(emit(f))
+        return f.finish(f.expr(expr))
+
+    def stmts(self, stmts: Tuple[Stmt, ...]) -> str:
+        """Add `code(ctx) -> blocked` for an action body."""
+        f = _Function(self)
+        f.stmts(stmts)
+        return f.finish()
 
     def guard(self, guard: Expr, cond_ids: Mapping[str, int]) -> str:
-        return self.add("truth", ["    return " + self._guard(guard, cond_ids, 0)])
+        """Add `code(truth) -> bool` for a guard."""
+        return self.add("truth", ["    return " + self.guard_source(guard, cond_ids)])
 
-    def _guard(self, expr: Expr, cond_ids: Mapping[str, int], depth: int) -> str:
-        """The source of a guard expression inside `depth` parentheses."""
+    def guard_source(
+        self, expr: Expr, cond_ids: Mapping[str, int], leaves: "Mapping[int, str] | None" = None, depth: int = 0
+    ) -> str:
+        """The source of a guard expression inside `depth` parentheses. It
+        reads the truth value of condition `name` as `truth[cond_ids[name]]`,
+        or, given `leaves`, as the source `leaves[cond_ids[name]]`. A guard
+        is `!`, `&&` and `||` over `VarRef(NS_COND, name)` leaves; any other
+        node raises AssertionError."""
         if isinstance(expr, VarRef) and expr.ns == NS_COND:
-            return f"truth[{cond_ids[expr.name]!r}]"
+            cid = cond_ids[expr.name]
+            return f"truth[{cid!r}]" if leaves is None else leaves[cid]
         if isinstance(expr, Unary) and expr.op == "!":
-            return "not " + self._operand(expr.operand, _NOT, cond_ids, depth)
+            return "not " + self._operand(expr.operand, _NOT, cond_ids, leaves, depth)
         if isinstance(expr, Binary) and expr.op in _LOGIC:
             prec = _LOGIC[expr.op]
-            left = self._operand(expr.left, prec, cond_ids, depth)
-            return f"{left} {_PYTHON[expr.op]} {self._operand(expr.right, prec, cond_ids, depth)}"
+            left = self._operand(expr.left, prec, cond_ids, leaves, depth)
+            return f"{left} {_PYTHON[expr.op]} {self._operand(expr.right, prec, cond_ids, leaves, depth)}"
         raise AssertionError(f"unknown guard node {expr!r}")
 
-    def _operand(self, expr: Expr, prec: int, cond_ids: Mapping[str, int], depth: int) -> str:
+    def _operand(
+        self, expr: Expr, prec: int, cond_ids: Mapping[str, int], leaves: "Mapping[int, str] | None", depth: int
+    ) -> str:
         """The source of `expr` as an operand of an operator of precedence
         `prec`. `and` and `or` are associative, so only an `or` under an
-        `and`, or either under a `not`, needs parentheses."""
+        `and`, or either under a `not`, needs parentheses. Past
+        `_MAX_DEPTH` parentheses the operand is a guard function of its
+        own, called on a truth map of `leaves`."""
         if _precedence(expr) >= prec:
-            return self._guard(expr, cond_ids, depth)
+            return self.guard_source(expr, cond_ids, leaves, depth)
         if depth >= _MAX_DEPTH:
-            return f"{self.call(self.guard(expr, cond_ids))}(truth)"
-        return f"({self._guard(expr, cond_ids, depth + 1)})"
+            truth = "truth" if leaves is None else dict_source(leaves.items())
+            return f"{self.call(self.guard(expr, cond_ids))}({truth})"
+        return f"({self.guard_source(expr, cond_ids, leaves, depth + 1)})"
 
     def call(self, name: str) -> str:
         """`name`, which generated code calls."""
@@ -267,7 +281,7 @@ class _Module:
 class _Function:
     """The body of one generated function `f(ctx)`, as it is written."""
 
-    def __init__(self, module: _Module):
+    def __init__(self, module: Module):
         self.module = module
         self.state_types = module.state_types
         self.lines: List[str] = []

@@ -2,7 +2,9 @@
 
 The monitors run the functions that `codegen.py` generates. This module
 holds what that code and the monitors share: the evaluation context, the
-faults, the checked arithmetic that folds constants, and `rollback`.
+faults (`ChannelError` too, which a batch's generated function catches),
+the checked arithmetic that folds constants, `rollback`, and `rule_fault`,
+which rolls back a faulting rule of a request and records its fault.
 
 A statement writes the stores attached to the context in place, and
 records in the context's undo log what each write overwrote, so that a
@@ -29,6 +31,10 @@ class EvalError(Exception):
 
 class SideFault(Exception):
     """Statement executed on the wrong side; unreachable after validation."""
+
+
+class ChannelError(Exception):
+    """The central monitor is unreachable."""
 
 
 # the `old` of a write that created its name
@@ -83,3 +89,10 @@ def rollback(undo: List[UndoEntry]) -> None:
             del container[key]
         else:
             container[key] = old
+
+
+def rule_fault(undo: List[UndoEntry], faults: Tuple[Optional[str], ...], k: int, ex: EvalError) -> Tuple[Optional[str], ...]:
+    """Roll back the writes of the k-th rule of a request, which raised
+    `ex`, and return the reply's `faults` with that rule's fault set."""
+    rollback(undo)
+    return (*faults[:k], f"EvalFault:{ex}", *faults[k + 1 :])

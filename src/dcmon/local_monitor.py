@@ -11,13 +11,21 @@ bindings) to the central monitor in one request, and then, rule by rule,
 runs the ApplicationSide actions its guard or the reply calls for: the
 rule's own ApplicationSide actions for a LocalOnly rule whose guard holds,
 the reply's list for a NeedsGlobal rule. A batch of LocalOnly rules is
-decided entirely here and sends nothing. A batch whose every rule is sent,
-a compile-time fact, sends its condition values as the truth map and reads
-the reply's columns in step with its rules, unless a condition faulted or
-the channel is down.
+decided entirely here and sends nothing.
+
+`intercept` runs each batch's generated local function (see `engine.py`),
+which does all this with no per-rule loop while no app-side condition
+faults and the reply holds no fault. The rule-by-rule loop below,
+`_run_batch` and its second phase `_decide`, takes over a batch after one
+of its app-side conditions faults: condition bodies write nothing, so it
+evaluates them again. `_decide` alone decides each rule when the channel
+is down or the reply holds a fault, before any rule of the batch has
+run. A batch built outside `compile_policy` has no function, and the loop
+decides it.
 
 A monitor evaluates every batch in one app-side context, built once, which
-each batch gives its time and bindings; each rule's writes are kept or
+each batch gives its time and bindings (none, when no body of the batch
+and no forwarded parameter reads one); each rule's writes are kept or
 rolled back before the next rule runs, so nothing carries over.
 
 The plan puts only triggers that bind alike in one batch, so a batch binds
@@ -41,7 +49,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .central_monitor import Channel, ChannelError
+from .central_monitor import Channel, ChannelError, MonitorReply
 from .engine import Batch, CompiledPolicy, CompiledRule, Locality, eval_expr, evaluate_guard, exec_stmts
 # Nothing here calls `rules_for`: `sim.run` hands `intercept` each phase's
 # plan. The benchmark's tracer hooks the name in this module and counts a
@@ -77,7 +85,10 @@ class LocalMonitor:
         call, or None; appends each fault to `faults`."""
         reason = None
         for batch in plan:
-            blocked_by = self._run_batch(batch, args, return_value, t, faults)
+            if batch.local is None:
+                blocked_by = self._run_batch(batch, args, return_value, t, faults)
+            else:
+                blocked_by = batch.local(self, batch, args, return_value, t, faults, eval_expr)
             reason = reason or blocked_by
         return reason
 
@@ -86,6 +97,9 @@ class LocalMonitor:
     def _run_batch(
         self, batch: Batch, args: Tuple[Value, ...], return_value: Optional[Value], t: int, faults: List[str]
     ) -> Optional[str]:
+        """Decide the batch rule by rule: its generated function hands it
+        here after an app-side condition faults, and a batch built outside
+        `compile_policy` has none."""
         # The call and phase decide everything the triggers match on except
         # arity, and the plan gives every trigger of the batch the same
         # binding: the first one binds the occurrence for all.
@@ -118,40 +132,32 @@ class LocalMonitor:
                 faulted[rule.rule_id] = f"EvalError:{ex.code}"
 
         # One round trip for the batch's NeedsGlobal rules whose conditions
-        # did not fault; a batch of LocalOnly rules sends none. When every
-        # rule is sent and none faulted, `values` is the truth map: the
-        # same keys, in the same order.
-        whole = faulted is None and batch.all_sent
+        # did not fault; a batch of LocalOnly rules sends none.
         reply = None
-        request = batch
-        if faulted is not None:
-            request = Batch([r for r in batch.sent if r.rule_id not in faulted])
+        request = batch if faulted is None else Batch([r for r in batch.sent if r.rule_id not in faulted])
         if request.sent:
-            truth = values if whole else {cid: values[cid] for cid in request.truth_ids}
+            truth = {cid: values[cid] for cid in request.truth_ids}
             forwarded = {p: bindings[p] for p in request.forwarded}
             try:
                 reply = self.channel.request(self.app_id, request.rule_ids, t, truth, forwarded)
             except ChannelError:
                 pass
+        return self._decide(batch, values, faulted, reply, faults)
 
-        # Phase 2: each rule's outcome, in declaration order; the reply's
-        # k-th entry is the k-th rule sent, so a whole batch reads the
-        # reply's columns in step with its rules. Every fault blocks the
-        # call, but a reply's fault only when its rule blocks.
+    def _decide(
+        self,
+        batch: Batch,
+        values: Dict[int, bool],
+        faulted: Optional[Dict[int, str]],
+        reply: Optional[MonitorReply],
+        faults: List[str],
+    ) -> Optional[str]:
+        """Phase 2: each rule's outcome, in declaration order, from the
+        condition values, the faulted rules and the reply, None if the
+        channel is down. The reply's k-th entry is the k-th rule sent.
+        Every fault blocks the call, but a reply's fault only when its rule
+        blocks."""
         reason = None
-        if whole and reply is not None:
-            for rule, guard, action_ids, fault in zip(
-                batch.rules, reply.guard_results, reply.appside_actions_to_run, reply.faults
-            ):
-                if fault is not None:
-                    faults.append(fault)
-                    blocked_by = fault if rule.blocks else None
-                elif guard:
-                    blocked_by = self._run_app_actions(rule, action_ids, faults)
-                else:
-                    continue
-                reason = reason or blocked_by
-            return reason
         k = 0
         for rule in batch.rules:
             blocked_by = None

@@ -14,6 +14,7 @@ attribute, so such a string there is an error whose diagnostic quotes it.
 
 import gc
 import itertools
+import re
 import weakref
 
 import pytest
@@ -237,9 +238,8 @@ def test_one_compile_per_policy(monkeypatch):
         assert len(calls) == 1, pid
 
 
-def test_generated_code_stores_no_kinds(monkeypatch):
-    # a variable's kind is fixed at compile time: the corpus's generated
-    # source writes values only, two lines per write
+def corpus_functions(monkeypatch) -> list:
+    """The source of every function generated for the ten corpus policies."""
     sources = []
 
     def keeping(*args, **kwargs):
@@ -249,9 +249,27 @@ def test_generated_code_stores_no_kinds(monkeypatch):
     monkeypatch.setattr(codegen, "compile", keeping, raising=False)
     for pid in CORPUS_IDS:
         validate_policy(parse_policy(build_policy_source(pid)))
-    joined = "\n".join(sources)
-    assert "_kinds" not in joined
-    assert len(joined.splitlines()) <= 480
+    return [f for source in sources for f in re.split(r"^(?=def )", source, flags=re.M) if f]
+
+
+def test_generated_code_stores_no_kinds(monkeypatch):
+    # a variable's kind is fixed at compile time: the corpus's generated
+    # source writes values only, two lines per write. The bound is on the
+    # bodies and guards, the functions of `ctx` or `truth`; each batch's
+    # two functions write nothing themselves
+    functions = corpus_functions(monkeypatch)
+    assert not any("_kinds" in f for f in functions)
+    bodies = [f for f in functions if re.match(r"def f\d+\((ctx|truth)\):", f)]
+    assert sum(len(f.splitlines()) for f in bodies) <= 480
+
+
+def test_batch_functions_stay_short(monkeypatch):
+    # compile() costs about 8 us per generated line: the 22 batch functions
+    # of the corpus add at most 520 lines to the bodies' and guards' 476
+    functions = corpus_functions(monkeypatch)
+    batches = [f for f in functions if re.match(r"def f\d+\((mon|cm), ", f)]
+    assert len(batches) == 22
+    assert sum(len(f.splitlines()) for f in batches) <= 520
 
 
 def test_identical_bodies_share_one_function():
@@ -267,6 +285,30 @@ def test_a_dropped_policy_leaves_no_cycle():
     # with the last reference to the policy, without the collector
     cp = compile_corpus_policy("MsgCntLmtHr")
     functions = [weakref.ref(f) for f in (*cp.condition_code, *cp.action_code, *(r.guard for r in cp.rules))]
+    gc.disable()
+    try:
+        del cp
+        assert all(ref() is None for ref in functions)
+    finally:
+        gc.enable()
+
+
+def test_alike_batches_share_their_functions():
+    # OneHrPerSittingOnly's seven batches differ only in their rules' ids
+    # and names, which each function reads from the batch it is handed
+    cp = compile_corpus_policy("OneHrPerSittingOnly")
+    batches = [b for plans in cp.dispatch.values() for plan in plans for b in plan]
+    assert len(batches) == 7
+    assert len({b.local for b in batches} | {b.central for b in batches}) == 2
+
+
+def test_a_dropped_policy_leaves_no_cycle_through_its_batches():
+    # a batch holds its functions, which hold no batch
+    cp = compile_corpus_policy("MsgCntLmtHr")
+    batches = [b for plans in cp.dispatch.values() for plan in plans for b in plan]
+    functions = [weakref.ref(f) for b in batches for f in (b.local, b.central) if f is not None]
+    assert len(functions) == 2 * len(batches)
+    del batches
     gc.disable()
     try:
         del cp

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+import re
 from contextlib import contextmanager
 
 import hypothesis.strategies as st
@@ -9,14 +11,15 @@ from hypothesis import HealthCheck, assume, given, settings
 from dcmon import central_monitor, local_monitor
 from dcmon.corpus import CORPUS_IDS, build_policy_source, compile_corpus_policy
 from dcmon.dsl import Phase, guard_refs, parse_policy, validate_policy
-from dcmon.engine import CompiledPolicy, Locality, evaluate_guard, rules_for
+from dcmon.engine import Batch, CompiledPolicy, Locality, evaluate_guard, rules_for
+from dcmon.lang import codegen
 from dcmon.lang.codegen import compile_guard
 from dcmon.lang.nodes import Binary, Literal, Unary, VarRef
 from dcmon.lang.values import MS_PER_SECOND, VType
 from dcmon.sim import run
 from dcmon.tracegen import make_bench_trace, make_trace
 
-from conftest import EMPTY_SRC, compile_src, phase_plans, plan_rules, sends_every
+from conftest import EMPTY_SRC, compile_src, phase_plans, plan_rules, replan, sends_every
 from test_batch_plan import CENTRAL_FAULT_SRC, policy_source, rule_lists
 
 
@@ -123,12 +126,23 @@ def test_lower_guard_rejects_other_nodes(node):
 
 
 # every guard run() reaches has a truth value for each condition it names
+#
+# A batch built by `compile_policy` is decided by its two generated
+# functions, whose guards are inlined over truth values held in locals:
+# their source is checked statically. The monitors' rule-by-rule loops
+# call `evaluate_guard`, which is checked at run time on the same policies
+# with batches built by `replan`, which have no generated functions.
 
 def guard_cond_ids(cp, spec):
     """Each compiled guard of `cp` mapped to the ids of the conditions that
     its expression in `spec` names."""
     cond_ids = {c.name: i for i, c in enumerate(spec.conditions)}
     return {rule.guard: {cond_ids[r.name] for r in guard_refs(spec.rules[rule.rule_id].guard)} for rule in cp.rules}
+
+
+def generic_batches(cp):
+    """The same policy with batches built by hand: no generated functions."""
+    return replan(cp, lambda plan: tuple(Batch(b.rules) for b in plan))
 
 
 @contextmanager
@@ -150,6 +164,107 @@ def guards_checked_for_truth_values(refs):
         yield checked
 
 
+def generated_sources(src):
+    """What `validate_policy` returns for `src`, and the source it
+    compiled: one module for a policy, nothing for a list of errors."""
+    sources = []
+
+    def keeping(*args, **kwargs):
+        sources.append(args[0])
+        return compile(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codegen, "compile", keeping, raising=False)
+        cp = validate_policy(parse_policy(src))
+    assert len(sources) == isinstance(cp, CompiledPolicy)
+    return cp, "".join(sources)
+
+
+TRUTH_VALUE = re.compile(r"c\d+")
+
+
+def truth_reads(node):
+    """The truth-value locals `node` reads, besides a test `cX is None`."""
+    if isinstance(node, ast.Compare) and isinstance(node.comparators[0], ast.Constant) and node.comparators[0].value is None:
+        return set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and TRUTH_VALUE.fullmatch(node.id):
+        return {node.id}
+    return set().union(*map(truth_reads, ast.iter_child_nodes(node)))
+
+
+def evaluated_into(stmt):
+    """`cX` if `stmt` is `cX = not not eval_expr(cc[X], ctx)`, else None."""
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name):
+        name = stmt.targets[0].id
+        if ast.unparse(stmt.value) == f"not not eval_expr(cc[{name[1:]}], ctx)":
+            return name
+    return None
+
+
+def check_reads(stmts, valid, where):
+    """Walk `stmts` in order with `valid`, the truth-value locals known to
+    hold their condition's value; fail on a read of any other. Returns the
+    locals known valid after `stmts`."""
+    valid = set(valid)
+    for stmt in stmts:
+        if isinstance(stmt, ast.Try):
+            after = check_reads(stmt.body, valid, where)
+            for handler in stmt.handlers:
+                check_reads(handler.body, valid, where)
+            # a handler that returns leaves the try's values behind it
+            if all(isinstance(h.body[-1], ast.Return) for h in stmt.handlers):
+                valid = after
+            continue
+        if isinstance(stmt, ast.If):
+            unread = truth_reads(stmt.test) - valid
+            assert not unread, f"{where}: `{ast.unparse(stmt.test)}` reads {sorted(unread)} unevaluated"
+            body = check_reads(stmt.body, valid, where)
+            orelse = check_reads(stmt.orelse, valid, where)
+            # `if cX is None: cX = ...` leaves cX evaluated on both paths
+            valid = (body & orelse) | {n for n in map(evaluated_into, stmt.body) if n and not stmt.orelse}
+            continue
+        unread = truth_reads(stmt) - valid - {evaluated_into(stmt)}
+        assert not unread, f"{where}: `{ast.unparse(stmt)}` reads {sorted(unread)} unevaluated"
+        name = evaluated_into(stmt)
+        if name is not None:
+            valid.add(name)
+        elif isinstance(stmt, ast.Assign):
+            valid -= {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    return valid
+
+
+def assert_batch_guards_read_evaluated_values(cp, source):
+    """Every guard and truth map in each batch function of `cp` reads only
+    truth values that the function evaluated before it, and that no
+    GlobalSide action reset since; each app-side value it reads is a key
+    of the request's truth map."""
+    functions = {node.name: node for node in ast.parse(source).body}
+    batches = [b for plans in cp.dispatch.values() for plan in plans for b in plan]
+    assert batches and all(b.local is not None and (b.central is not None) == bool(b.sent) for b in batches)
+    for batch in batches:
+        for fn in filter(None, (batch.local, batch.central)):
+            tree = functions[fn.__name__]
+            check_reads(tree.body, set(), fn.__name__)
+            read = {node.slice.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "app"}
+            assert read <= batch.truth_keys, (fn.__name__, read)
+
+
+def test_batch_guard_check_fails_a_guard_whose_condition_is_not_evaluated():
+    # the check itself: WiFiLmt's guard `c0 and c1` with c1 never evaluated
+    cp, source = generated_sources(build_policy_source("WiFiLmt"))
+    assert_batch_guards_read_evaluated_values(cp, source)
+    broken = source.replace("        c1 = not not eval_expr(cc[1], ctx)\n", "", 1)
+    assert broken != source
+    with pytest.raises(AssertionError, match=r"reads \['c1'\] unevaluated"):
+        assert_batch_guards_read_evaluated_values(cp, broken)
+
+
+def test_every_generated_guard_reads_evaluated_truth_values():
+    for src in [build_policy_source(pid) for pid in CORPUS_IDS] + [CENTRAL_FAULT_SRC]:
+        assert_batch_guards_read_evaluated_values(*generated_sources(src))
+
+
 @pytest.mark.parametrize("concurrent_same_t", [False, True], ids=["sequential", "concurrent"])
 def test_every_corpus_guard_sees_all_its_truth_values(concurrent_same_t):
     trace = make_bench_trace(per_kind=120)
@@ -161,9 +276,9 @@ def test_every_corpus_guard_sees_all_its_truth_values(concurrent_same_t):
         refs.update(guard_cond_ids(cp, spec))
     with guards_checked_for_truth_values(refs) as checked:
         for cp, _ in policies:
-            run(trace, cp, concurrent_same_t=concurrent_same_t)
+            run(trace, generic_batches(cp), concurrent_same_t=concurrent_same_t)
         # a global condition that faults on every send, before its guard runs
-        res = run(sends_every(MS_PER_SECOND, 4), fault_cp, concurrent_same_t=concurrent_same_t)
+        res = run(sends_every(MS_PER_SECOND, 4), generic_batches(fault_cp), concurrent_same_t=concurrent_same_t)
     assert res.faults and checked
 
 
@@ -171,11 +286,12 @@ def test_every_corpus_guard_sees_all_its_truth_values(concurrent_same_t):
 @given(rule_lists(), st.integers(0, 10_000), st.booleans())
 def test_every_random_guard_sees_all_its_truth_values(rule_list, seed, concurrent_same_t):
     # the pools hold conditions and actions that fault
-    spec = parse_policy(policy_source(rule_list))
-    cp = validate_policy(spec)
+    cp, source = generated_sources(policy_source(rule_list))
     assume(isinstance(cp, CompiledPolicy))
+    assert_batch_guards_read_evaluated_values(cp, source)
+    spec = parse_policy(policy_source(rule_list))
     with guards_checked_for_truth_values(guard_cond_ids(cp, spec)):
-        run(make_trace(seed, max_apps=2, max_events=80), cp, concurrent_same_t=concurrent_same_t)
+        run(make_trace(seed, max_apps=2, max_events=80), generic_batches(cp), concurrent_same_t=concurrent_same_t)
 
 
 def _random_guard(rng, depth, n_conds):

@@ -537,7 +537,7 @@ def test_one_app_context_carries_nothing_between_batches(open_guard):
     # write: neither the time, the bindings nor the undo log may carry over
     cp = compile_src(APP_CONTEXT_SRC.replace(" OPEN", open_guard))
     (batch,) = cp.dispatch["SmsManager", "sendTextMessage"][0]
-    assert batch.all_sent == bool(open_guard)
+    assert (batch.sent == batch.rules) == bool(open_guard)
     gs = GlobalState.empty(cp.global_kinds)
     monitor = LocalMonitor("Messenger", "Messenger", cp, Channel(CentralMonitor(cp, gs)), gs.attrs)
     sends = [(0, "+35621123456"), (2 * MS_PER_HOUR, "21234567")]
