@@ -22,9 +22,13 @@ they forward; and the faults of a reply in which no rule faulted.
 once, to a Python function generated as source, all of a policy's functions
 in one module (see `lang/codegen.py`): a condition body becomes
 `code(ctx) -> value`, an action body `code(ctx) -> blocked`, and a guard
-`code(truth) -> bool` over the truth values of its conditions. Into the
-same module it writes each batch's two functions, which decide the batch
-on either side of the channel with no per-rule loop:
+`code(truth) -> bool` over the truth values of its conditions. They are the
+policy's code slots, `condition_code`, `action_code` and `guard_code`,
+parallel to its conditions, actions and rules; a `CompiledRule` holds no
+code, so each rule and each batch is built once. Into the same module it
+writes each batch's two functions, which decide the batch on either side
+of the channel with no per-rule loop, and it sets them on the batch once
+the module is built:
 
 - the local one, `f(mon, batch, args, rv, t, faults, eval_expr) ->
   reason`, binds the occurrence by compile-time position, holds each
@@ -42,13 +46,12 @@ is handed. Every body runs through the runners `eval_expr` and
 `exec_stmts` below, which the monitors hand the batch functions, and
 through its policy's code slots, read when it runs. The monitors'
 rule-by-rule loops decide a batch built outside `compile_policy`, which
-has no functions, and any other request, and run guards through
-`evaluate_guard`.
+has no functions, and any other request; they read each guard from
+`guard_code` and run it through `evaluate_guard`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -107,8 +110,6 @@ class CompiledRule:
     # what the trigger binds: its positional parameter names (None for
     # `(...)`) and its uponReturning name
     binding: Binding
-    # code(truth) -> bool over the truth values of the rule's conditions
-    guard: Code
     locality: Locality
     app_condition_ids: Tuple[int, ...]
     global_condition_ids: Tuple[int, ...]
@@ -120,15 +121,6 @@ class CompiledRule:
     # whether any app-side action of this rule blocks the call; used for
     # the fail-closed treatment of reply-level faults
     blocks: bool
-
-
-# What the central monitor runs for one named rule: (global_condition_ids,
-# guard, global_action_ids, app_action_ids)
-CentralStep = Tuple[Tuple[int, ...], Code, Tuple[int, ...], Tuple[int, ...]]
-
-
-def central_step(rule: CompiledRule) -> CentralStep:
-    return rule.global_condition_ids, rule.guard, rule.global_action_ids, rule.app_action_ids
 
 
 class Batch:
@@ -170,6 +162,9 @@ class CompiledPolicy:
     condition_code: Tuple[Code, ...]
     action_code: Tuple[Code, ...]
     rules: Tuple[CompiledRule, ...]
+    # each rule's guard as code(truth) -> bool over the truth values of its
+    # conditions, parallel to `rules`
+    guard_code: Tuple[Code, ...]
     # each call's (before, after) batch plans; a plan's batches cover the
     # phase's rules in order
     dispatch: Dict[Tuple[str, str], Tuple[Tuple[Batch, ...], Tuple[Batch, ...]]]
@@ -201,8 +196,7 @@ def compile_policy(spec: PolicySpec, state_types: StateTypes) -> CompiledPolicy:
     condition_names = [module.expr(c.body) for c in spec.conditions]
     action_names = [module.stmts(a.body) for a in spec.actions]
     guard_names = [module.guard(r.guard, cond_ids) for r in spec.rules]
-    # each rule without its guard's code, which the module holds once built
-    drafts: List[CompiledRule] = []
+    rules: List[CompiledRule] = []
     for idx, rule in enumerate(spec.rules):
         trigger = spec.events[event_ids[rule.trigger]]
         ref_ids = sorted({cond_ids[r.name] for r in guard_refs(rule.guard)})
@@ -216,13 +210,12 @@ def compile_policy(spec: PolicySpec, state_types: StateTypes) -> CompiledPolicy:
         blocks = any(
             any(isinstance(s, BlockStmt) for s in spec.actions[i].body) for i in app_acts
         )
-        drafts.append(
+        rules.append(
             CompiledRule(
                 rule_id=idx,
                 name=rule.name or f"rule#{idx}",
                 trigger_id=event_ids[rule.trigger],
                 binding=_bindings(trigger),
-                guard=None,
                 locality=Locality.LOCAL_ONLY if local_only else Locality.NEEDS_GLOBAL,
                 app_condition_ids=app_conds,
                 global_condition_ids=global_conds,
@@ -236,34 +229,29 @@ def compile_policy(spec: PolicySpec, state_types: StateTypes) -> CompiledPolicy:
     phases: Dict[Tuple[str, str], Tuple[List[CompiledRule], List[CompiledRule]]] = {}
     for event in spec.events:
         phases.setdefault((event.pattern.api_namespace, event.pattern.method), ([], []))
-    for rule in drafts:
+    for rule in rules:
         event = spec.events[rule.trigger_id]
         phases[event.pattern.api_namespace, event.pattern.method][event.phase is Phase.AFTER].append(rule)
-    plans = {k: (plan_batches(spec, before), plan_batches(spec, after)) for k, (before, after) in phases.items()}
-    batch_names = {
-        batch: (_local_function(module, spec, batch, cond_ids), batch.sent and _central_function(module, spec, batch, cond_ids))
-        for pair in plans.values()
-        for plan in pair
-        for batch in plan
-    }
+    dispatch = {k: (plan_batches(spec, before), plan_batches(spec, after)) for k, (before, after) in phases.items()}
+    # each batch and the names of its local and central functions; a batch
+    # that sends nothing has no central one
+    batch_names = []
+    for batch in (batch for plans in dispatch.values() for plan in plans for batch in plan):
+        local = _local_function(module, spec, batch, cond_ids)
+        batch_names.append((batch, local, _central_function(module, spec, batch, cond_ids) if batch.sent else None))
 
     functions = module.build()
-    rules = tuple(dataclasses.replace(r, guard=functions[name]) for r, name in zip(drafts, guard_names))
-
-    def compiled(draft: Batch) -> Batch:
-        batch = Batch([rules[r.rule_id] for r in draft.rules])
-        local, central = batch_names[draft]
+    for batch, local, central in batch_names:
         batch.local, batch.central = functions[local], functions.get(central)
-        return batch
-
     return CompiledPolicy(
         events=spec.events,
         conditions=spec.conditions,
         actions=spec.actions,
         condition_code=tuple(functions[name] for name in condition_names),
         action_code=tuple(functions[name] for name in action_names),
-        rules=rules,
-        dispatch={k: tuple(tuple(map(compiled, plan)) for plan in pair) for k, pair in plans.items()},
+        rules=tuple(rules),
+        guard_code=tuple(functions[name] for name in guard_names),
+        dispatch=dispatch,
         state_types=state_types,
     )
 
@@ -318,6 +306,7 @@ def _local_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: Di
     app_actions = [aid for r in batch.rules for aid in r.app_action_ids]
     # a batch whose bodies read no parameter clears the bindings
     read = batch.forwarded or _event_refs(spec, cids, app_actions)
+    calls: List[str] = []  # the module's functions that the inlined guards call
     lines = [] if names is None else [f"if len(args) != {len(names)}: return None"]
     lines += ["ctx = mon._ctx", "ctx.now = t", f"ctx.event_bindings = {dict_source(sources.items() if read else ())}"]
     if cids:
@@ -345,7 +334,7 @@ def _local_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: Di
     for i, rule in enumerate(batch.rules):
         if rule.locality is Locality.LOCAL_ONLY:
             leaves = {cid: f"c{cid}" for cid in rule.app_condition_ids}
-            guard = module.guard_source(spec.rules[rule.rule_id].guard, cond_ids, leaves)
+            guard = module.guard_source(spec.rules[rule.rule_id].guard, cond_ids, calls, leaves)
             decided.append((guard, i, repr(rule.app_action_ids)))
         else:
             if rule.app_action_ids:
@@ -357,7 +346,7 @@ def _local_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: Di
         lines.append(f"if {test}:")
         lines += [f"    reason = {run}"] if n == 0 else [f"    blocked = {run}", "    reason = reason or blocked"]
     lines.append(f"return {'reason' if decided else 'None'}")
-    return module.add("mon, batch, args, rv, t, faults, eval_expr", ["    " + line for line in lines])
+    return module.add("mon, batch, args, rv, t, faults, eval_expr", ["    " + line for line in lines], calls)
 
 
 def _central_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: Dict[str, int]) -> str:
@@ -379,6 +368,7 @@ def _central_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: 
     lines.append("faults = batch.no_faults")
     lines.append("".join(f"r{k} = " for k in range(len(batch.sent))) + "False")
     evaluated: List[int] = []
+    calls: List[str] = []  # the module's functions that the inlined guards call
     for k, rule in enumerate(batch.sent):
         lines.append("try:")
         for cid in rule.global_condition_ids:
@@ -387,7 +377,7 @@ def _central_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: 
         evaluated += [cid for cid in rule.global_condition_ids if cid not in evaluated]
         leaves = {cid: f"app[{cid}]" for cid in rule.app_condition_ids}
         leaves.update((cid, f"c{cid}") for cid in rule.global_condition_ids)
-        guard = module.guard_source(spec.rules[rule.rule_id].guard, cond_ids, leaves)
+        guard = module.guard_source(spec.rules[rule.rule_id].guard, cond_ids, calls, leaves)
         if rule.global_action_ids:
             lines.append(f"    if {guard}:")
             lines += ["        " + "".join(f"c{cid} = " for cid in evaluated) + "None"] if evaluated else []
@@ -399,7 +389,7 @@ def _central_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: 
     guards = "".join(f"r{k}, " for k in range(len(batch.sent)))
     actions = "".join(f"{r.app_action_ids!r} if r{k} else (), " if r.app_action_ids else "(), " for k, r in enumerate(batch.sent))
     lines.append(f"return ({guards}), ({actions}), faults")
-    return module.add("cm, batch, req, eval_expr, exec_stmts", ["    " + line for line in lines])
+    return module.add("cm, batch, req, eval_expr, exec_stmts", ["    " + line for line in lines], calls)
 
 
 def _local_reads(spec: PolicySpec, rule: CompiledRule) -> FrozenSet[str]:

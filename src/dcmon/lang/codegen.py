@@ -30,14 +30,16 @@ value or of a key; every name in it is the generator's own. A function
 nests at most `_MAX_DEPTH` blocks (a body) or parentheses (a guard, also
 one inlined into a batch's function); a deeper subtree becomes a function
 of its own, so the source stays inside CPython's limits on indentation and
-nested parentheses.
+nested parentheses. Its caller binds it as a default argument: no
+generated function is in the module's globals, so a policy dropped leaves
+no reference cycle.
 """
 
 from __future__ import annotations
 
 import bisect
 import operator
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .check import BUILTINS as SIGNATURES
 from .eval import ABSENT, APP_SIDE, ChannelError, EvalError, SideFault, _checked_int, duration, rule_fault, trunc_div
@@ -66,6 +68,8 @@ from .values import INT64_MAX, INT64_MIN, MS_PER_DAY, MS_PER_HOUR, MS_PER_MINUTE
 # body, code(truth) -> bool for a guard
 Code = Callable[[Any], Any]
 StateTypes = Mapping[Tuple[str, str], VType]
+# the source of each condition's truth value in a guard, by condition id
+Leaves = Optional[Mapping[int, str]]
 
 
 def compile_expr(expr: Expr, state_types: StateTypes) -> Code:
@@ -201,11 +205,15 @@ class Module:
     def __init__(self, state_types: StateTypes):
         self.state_types = state_types
         self.names: Dict[str, str] = {}  # a function's parameters and body -> its name
-        self.called: set = set()  # the functions that generated code calls
 
-    def add(self, params: str, body: List[str]) -> str:
+    def add(self, params: str, body: List[str], calls: Sequence[str] = ()) -> str:
         """Add the function of `params` whose indented lines are `body`,
-        unless one with the same source is there; return its name."""
+        unless one with the same source is there; return its name. Each
+        function of the module that `body` calls, listed in `calls`, is
+        bound as a default argument of its own name, so that no function
+        is reached through the module's globals and a policy dropped leaves
+        no reference cycle to the collector; callees are added first."""
+        params += "".join(f", {name}={name}" for name in dict.fromkeys(calls))
         key = f"({params}):\n" + "\n".join(body)
         name = self.names.get(key)
         if name is None:
@@ -225,29 +233,31 @@ class Module:
 
     def guard(self, guard: Expr, cond_ids: Mapping[str, int]) -> str:
         """Add `code(truth) -> bool` for a guard."""
-        return self.add("truth", ["    return " + self.guard_source(guard, cond_ids)])
+        calls: List[str] = []
+        return self.add("truth", ["    return " + self.guard_source(guard, cond_ids, calls)], calls)
 
     def guard_source(
-        self, expr: Expr, cond_ids: Mapping[str, int], leaves: "Mapping[int, str] | None" = None, depth: int = 0
+        self, expr: Expr, cond_ids: Mapping[str, int], calls: List[str], leaves: Leaves = None, depth: int = 0
     ) -> str:
         """The source of a guard expression inside `depth` parentheses. It
         reads the truth value of condition `name` as `truth[cond_ids[name]]`,
-        or, given `leaves`, as the source `leaves[cond_ids[name]]`. A guard
+        or, given `leaves`, as the source `leaves[cond_ids[name]]`, and
+        appends to `calls` each function of the module it calls. A guard
         is `!`, `&&` and `||` over `VarRef(NS_COND, name)` leaves; any other
         node raises AssertionError."""
         if isinstance(expr, VarRef) and expr.ns == NS_COND:
             cid = cond_ids[expr.name]
             return f"truth[{cid!r}]" if leaves is None else leaves[cid]
         if isinstance(expr, Unary) and expr.op == "!":
-            return "not " + self._operand(expr.operand, _NOT, cond_ids, leaves, depth)
+            return "not " + self._operand(expr.operand, _NOT, cond_ids, calls, leaves, depth)
         if isinstance(expr, Binary) and expr.op in _LOGIC:
             prec = _LOGIC[expr.op]
-            left = self._operand(expr.left, prec, cond_ids, leaves, depth)
-            return f"{left} {_PYTHON[expr.op]} {self._operand(expr.right, prec, cond_ids, leaves, depth)}"
+            left = self._operand(expr.left, prec, cond_ids, calls, leaves, depth)
+            return f"{left} {_PYTHON[expr.op]} {self._operand(expr.right, prec, cond_ids, calls, leaves, depth)}"
         raise AssertionError(f"unknown guard node {expr!r}")
 
     def _operand(
-        self, expr: Expr, prec: int, cond_ids: Mapping[str, int], leaves: "Mapping[int, str] | None", depth: int
+        self, expr: Expr, prec: int, cond_ids: Mapping[str, int], calls: List[str], leaves: Leaves, depth: int
     ) -> str:
         """The source of `expr` as an operand of an operator of precedence
         `prec`. `and` and `or` are associative, so only an `or` under an
@@ -255,26 +265,19 @@ class Module:
         `_MAX_DEPTH` parentheses the operand is a guard function of its
         own, called on a truth map of `leaves`."""
         if _precedence(expr) >= prec:
-            return self.guard_source(expr, cond_ids, leaves, depth)
+            return self.guard_source(expr, cond_ids, calls, leaves, depth)
         if depth >= _MAX_DEPTH:
             truth = "truth" if leaves is None else dict_source(leaves.items())
-            return f"{self.call(self.guard(expr, cond_ids))}({truth})"
-        return f"({self.guard_source(expr, cond_ids, leaves, depth + 1)})"
-
-    def call(self, name: str) -> str:
-        """`name`, which generated code calls."""
-        self.called.add(name)
-        return name
+            name = self.guard(expr, cond_ids)
+            calls.append(name)
+            return f"{name}({truth})"
+        return f"({self.guard_source(expr, cond_ids, calls, leaves, depth + 1)})"
 
     def build(self) -> Dict[str, Any]:
-        """Each function by name. The functions are not in their globals,
-        except those that others call, so that a policy dropped leaves no
-        reference cycle to the collector."""
+        """Each function by name. None is in the module's globals."""
         source = "\n".join(f"def {name}{key}" for key, name in self.names.items())
-        namespace = dict(_NAMESPACE)
         functions: Dict[str, Any] = {}
-        exec(compile(source, "<dcmon policy>", "exec", dont_inherit=True), namespace, functions)
-        namespace.update((name, functions[name]) for name in self.called)
+        exec(compile(source, "<dcmon policy>", "exec", dont_inherit=True), dict(_NAMESPACE), functions)
         return functions
 
 
@@ -286,6 +289,7 @@ class _Function:
         self.state_types = module.state_types
         self.lines: List[str] = []
         self.uses: set = set()  # the prologue names the body reads
+        self.calls: List[str] = []  # the split-off functions the body calls
         self.present: set = set()  # the stores checked at the top level so far
         self.depth = 1  # the indentation of the next line
         self.temps = 0
@@ -301,7 +305,7 @@ class _Function:
             else:
                 self.emit(f"return {result.src}")
         prologue = ["    " + line for name, line in _PROLOGUE if name in self.uses]
-        return self.module.add("ctx", prologue + self.lines)
+        return self.module.add("ctx", prologue + self.lines, self.calls)
 
     def emit(self, line: str) -> None:
         self.lines.append("    " * self.depth + line)
@@ -406,7 +410,9 @@ class _Function:
         result = inner.expr(expr)
         if result.known and not inner.lines:
             return result
-        return self.assign(f"{self.module.call(inner.finish(result))}(ctx)")
+        name = inner.finish(result)
+        self.calls.append(name)
+        return self.assign(f"{name}(ctx)")
 
     def binary(self, expr: Binary) -> _Operand:
         op = expr.op

@@ -165,7 +165,7 @@ class LocalMonitor:
                 blocked_by = faulted[rule.rule_id]
                 faults.append(blocked_by)
             elif rule.locality is Locality.LOCAL_ONLY:
-                if evaluate_guard(rule.guard, values):
+                if evaluate_guard(self.cp.guard_code[rule.rule_id], values):
                     blocked_by = self._run_app_actions(rule, rule.app_action_ids, faults)
             elif reply is None:
                 blocked_by = "ChannelError"

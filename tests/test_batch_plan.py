@@ -129,12 +129,12 @@ def test_request_facts_match_the_sent_rules(pid):
 
 def test_a_rebuilt_policy_answers_with_its_own_batches(msg_quota_policy):
     # rule 0 blocks a send once the quota is reached; the rebuilt policy's
-    # copy of it holds always, and its central monitor must use that copy
+    # guard slot for it holds always, and its central monitor must read
+    # that slot
     cp = msg_quota_policy
-    rules = tuple(dataclasses.replace(r, guard=lambda truth: True) if r.rule_id == 0 else r for r in cp.rules)
     rebuilt = replan(
-        dataclasses.replace(cp, rules=rules),
-        lambda plan: tuple(Batch([rules[r.rule_id] for r in b.rules]) for b in plan),
+        dataclasses.replace(cp, guard_code=(lambda truth: True, *cp.guard_code[1:])),
+        lambda plan: tuple(Batch(b.rules) for b in plan),
     )
     for policy, guard in ((cp, False), (rebuilt, True)):
         reply = Channel(CentralMonitor(policy, GlobalState.empty(policy.global_kinds))).request("Messenger", (0,), 0, {}, {})

@@ -1,12 +1,12 @@
-"""The central monitor's steps against the by-rule semantics.
+"""The central monitor's replies against the by-rule semantics.
 
 A request that names a batch's full rule ids with that batch's truth keys
-runs the steps the batch holds from compile time; any other request runs
-steps derived from the rules it names. Either way the reply and the state
-must be what the by-rule loop below gives: each named rule checked for
-being unknown and for a stale truth map, then its GlobalSide conditions,
-its guard and its GlobalSide actions, every body run by the tree
-interpreter of `reference_eval.py`.
+is answered by the batch's generated central function, and any other by
+the central monitor's loop over the rules it names. Either way the reply
+and the state must be what the by-rule loop below gives: each named rule
+checked for being unknown and for a stale truth map, then its GlobalSide
+conditions, its guard and its GlobalSide actions, every body run by the
+tree interpreter of `reference_eval.py`.
 """
 
 import hypothesis.strategies as st
@@ -71,8 +71,10 @@ def expected_truth(cp: CompiledPolicy, rule_ids) -> dict:
 
 def variants(cp: CompiledPolicy, req: MonitorRequest):
     """`req`, then requests that no local monitor sends: its rules but the
-    last, with the truth keys they expect; its rules and an unknown id;
-    its truth map with one key more; and each LocalOnly rule named alone."""
+    last, with the truth keys they expect; its rules reversed; its rules
+    and an unknown id; its rules and a negative id, which must not index
+    from the end; its rules with the first named twice; its truth map with
+    one key more; and each LocalOnly rule named alone."""
     def like(rule_ids, truth):
         return MonitorRequest(req.seq, req.app_id, tuple(rule_ids), req.t, truth, req.forwarded_bindings)
 
@@ -80,7 +82,10 @@ def variants(cp: CompiledPolicy, req: MonitorRequest):
     if len(req.rule_id) > 1:
         yield like(req.rule_id[:-1], {cid: req.appside_truth.get(cid, True)
                                       for cid in expected_truth(cp, req.rule_id[:-1])})
+        yield like(req.rule_id[::-1], req.appside_truth)
     yield like(req.rule_id + (len(cp.rules),), req.appside_truth)
+    yield like(req.rule_id + (-1,), req.appside_truth)
+    yield like(req.rule_id + req.rule_id[:1], req.appside_truth)
     yield like(req.rule_id, {**req.appside_truth, len(cp.conditions): True})
     for rule in cp.rules:
         if rule.locality is Locality.LOCAL_ONLY:

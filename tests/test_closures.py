@@ -238,17 +238,13 @@ def reference_policy(cp: CompiledPolicy, spec: PolicySpec) -> CompiledPolicy:
     """`cp` with its code slots running the tree interpreter and its guards
     evaluating the guard expressions of `spec`."""
     cond_ids = {c.name: i for i, c in enumerate(spec.conditions)}
-    rules = tuple(
-        dataclasses.replace(rule, guard=partial(guard_value, spec.rules[rule.rule_id].guard, cond_ids))
-        for rule in cp.rules
-    )
     reference = dataclasses.replace(
         cp,
         condition_code=tuple(lambda ctx, e=c.body: eval_expr(e, ctx, cp.state_types) for c in cp.conditions),
         action_code=tuple(lambda ctx, b=a.body: exec_stmts(b, ctx, cp.state_types) for a in cp.actions),
-        rules=rules,
+        guard_code=tuple(partial(guard_value, rule.guard, cond_ids) for rule in spec.rules),
     )
-    return replan(reference, lambda plan: tuple(Batch([rules[r.rule_id] for r in b.rules]) for b in plan))
+    return replan(reference, lambda plan: tuple(Batch(b.rules) for b in plan))
 
 
 def outputs(res):

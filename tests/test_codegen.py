@@ -105,7 +105,7 @@ def test_shape_at_its_cap_runs_like_the_interpreter(shape):
     state_types = cp.state_types
     if where == "guard":
         for truth in ({0: a, 1: b, 2: c} for a, b, c in itertools.product((False, True), repeat=3)):
-            assert cp.rules[0].guard(truth) is guard_value(spec.rules[0].guard, {"c": 0, "a": 1, "b": 2}, truth)
+            assert cp.guard_code[0](truth) is guard_value(spec.rules[0].guard, {"c": 0, "a": 1, "b": 2}, truth)
         return
     for ctx in contexts(cp.global_kinds):
         if where == "condition":
@@ -275,22 +275,40 @@ def test_batch_functions_stay_short(monkeypatch):
 def test_identical_bodies_share_one_function():
     cp = compile_corpus_policy("OneHrPerSittingOnly")
     # seven calls, each with the same four guards over the same conditions
-    guards = [rule.guard for rule in cp.rules]
+    guards = cp.guard_code
     assert len(set(map(id, guards))) == 4
     assert guards[0] is guards[4] is guards[24]
 
 
-def test_a_dropped_policy_leaves_no_cycle():
-    # the generated functions are not in their own globals, so they go
-    # with the last reference to the policy, without the collector
-    cp = compile_corpus_policy("MsgCntLmtHr")
-    functions = [weakref.ref(f) for f in (*cp.condition_code, *cp.action_code, *(r.guard for r in cp.rules))]
-    gc.disable()
-    try:
-        del cp
-        assert all(ref() is None for ref in functions)
-    finally:
-        gc.enable()
+# a guard and an action body nested past `_MAX_DEPTH`, each of which calls
+# functions split off from it
+SPLIT_OFF_SRC = SHAPES_SRC.format(
+    condition="true", value=right_nested(27, "global.b", "event.on"), guard=right_nested(40, "a", "b")
+)
+
+
+def test_a_dropped_policy_leaves_no_cycle(monkeypatch):
+    # no generated function is in its module's globals, not even one split
+    # off from a deep body or guard, so all of them go with the last
+    # reference to the policy, without the collector
+    built = []
+    build = codegen.Module.build
+
+    def keeping(module):
+        functions = build(module)
+        built.append([weakref.ref(f) for f in functions.values()])
+        return functions
+
+    monkeypatch.setattr(codegen.Module, "build", keeping)
+    for src in (build_policy_source("MsgCntLmtHr"), SPLIT_OFF_SRC):
+        gc.disable()
+        try:
+            cp = validate_policy(parse_policy(src))
+            assert isinstance(cp, CompiledPolicy), cp
+            del cp
+            assert all(ref() is None for ref in built[-1]), src
+        finally:
+            gc.enable()
 
 
 def test_alike_batches_share_their_functions():

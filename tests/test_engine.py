@@ -137,7 +137,7 @@ def guard_cond_ids(cp, spec):
     """Each compiled guard of `cp` mapped to the ids of the conditions that
     its expression in `spec` names."""
     cond_ids = {c.name: i for i, c in enumerate(spec.conditions)}
-    return {rule.guard: {cond_ids[r.name] for r in guard_refs(spec.rules[rule.rule_id].guard)} for rule in cp.rules}
+    return {code: {cond_ids[r.name] for r in guard_refs(rule.guard)} for code, rule in zip(cp.guard_code, spec.rules)}
 
 
 def generic_batches(cp):
