@@ -187,7 +187,9 @@ class CompiledPolicy:
 
 def compile_policy(spec: PolicySpec, state_types: StateTypes) -> CompiledPolicy:
     """Build the dispatch table of a policy that passed validation, which
-    inferred `state_types`, the kinds of its state variables."""
+    inferred `state_types`, the kinds of its state variables. The code it
+    generates relies on that validation and checks none of it again (see
+    `lang/codegen.py`)."""
     event_ids = {e.name: i for i, e in enumerate(spec.events)}
     cond_ids = {c.name: i for i, c in enumerate(spec.conditions)}
     action_ids = {a.name: i for i, a in enumerate(spec.actions)}

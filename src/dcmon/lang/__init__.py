@@ -23,7 +23,6 @@ from .eval import (
     GLOBAL_SIDE,
     EvalContext,
     EvalError,
-    SideFault,
     rollback,
 )
 

@@ -14,7 +14,15 @@ The semantics are those of the tests' tree interpreter: operands run left
 then right and arguments left to right; `&&` and `||` short-circuit and
 coerce with `bool()`; every fault fires with its code and detail when the
 node that raises it runs; an unwritten variable reads as its typed zero; and
-each statement that writes logs exactly one undo record. A body reads and
+each statement that writes logs exactly one undo record.
+
+The code assumes a policy that `validate_policy` passed, run in a context
+that the monitor of the body's side builds, and tests none of it again:
+the stores of its side are there, an app-side body has the app's name and
+id, only an app-side body blocks, every state variable it reads is typed,
+and each builtin gets its own arity. At run time it tests what values can
+break, and whether an event binding is there, because a logged request
+that `replay_requests` handles again may lack one. A body reads and
 writes the stores' dicts directly, and runs checked arithmetic and range
 checks inline. An operator, `!`, `&&`, `||` or duration builtin whose
 operands are known at compile time is folded to its value, bottom up,
@@ -41,8 +49,7 @@ import bisect
 import operator
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .check import BUILTINS as SIGNATURES
-from .eval import ABSENT, APP_SIDE, ChannelError, EvalError, SideFault, _checked_int, duration, rule_fault, trunc_div
+from .eval import ABSENT, ChannelError, EvalError, _checked_int, duration, rule_fault, trunc_div
 from .nodes import (
     CMP_OPS,
     NS_COND,
@@ -70,28 +77,6 @@ Code = Callable[[Any], Any]
 StateTypes = Mapping[Tuple[str, str], VType]
 # the source of each condition's truth value in a guard, by condition id
 Leaves = Optional[Mapping[int, str]]
-
-
-def compile_expr(expr: Expr, state_types: StateTypes) -> Code:
-    """`code(ctx) -> value`, reading state variables as `state_types` types them."""
-    module = Module(state_types)
-    name = module.expr(expr)
-    return module.build()[name]
-
-
-def compile_guard(guard: Expr, cond_ids: Mapping[str, int]) -> Code:
-    """`code(truth) -> bool` over a map from condition id to truth value."""
-    module = Module({})
-    name = module.guard(guard, cond_ids)
-    return module.build()[name]
-
-
-def compile_stmts(stmts: Tuple[Stmt, ...], state_types: StateTypes) -> Code:
-    """`code(ctx) -> blocked` for an action body: runs its statements in
-    order and returns whether one of them was block()."""
-    module = Module(state_types)
-    name = module.stmts(stmts)
-    return module.build()[name]
 
 
 def dict_source(items) -> str:
@@ -192,7 +177,6 @@ _NAMESPACE = {
     "ABSENT": ABSENT,
     "ChannelError": ChannelError,
     "EvalError": EvalError,
-    "SideFault": SideFault,
     "bisect_left": bisect.bisect_left,
     "bisect_right": bisect.bisect_right,
     "rule_fault": rule_fault,
@@ -290,7 +274,6 @@ class _Function:
         self.lines: List[str] = []
         self.uses: set = set()  # the prologue names the body reads
         self.calls: List[str] = []  # the split-off functions the body calls
-        self.present: set = set()  # the stores checked at the top level so far
         self.depth = 1  # the indentation of the next line
         self.temps = 0
 
@@ -316,12 +299,6 @@ class _Function:
         self.emit(f"{name} = {src}")
         return _Operand(name, temp=True)
 
-    def fault(self, code: str, detail: str) -> _Operand:
-        """Raise EvalError(code, detail) here; the operand it returns is
-        never read."""
-        self.emit(f"raise EvalError({code!r}, {detail!r})")
-        return _Operand("None")
-
     # expressions
 
     def expr(self, expr: Expr) -> _Operand:
@@ -344,22 +321,15 @@ class _Function:
             if name == "now":
                 self.uses.add("now")
                 return _Operand("now")
-            if name not in ("app_name", "app_id"):
-                return self.fault("UnboundVariable", name)
-            value = self.assign(f"ctx.{name}")
-            self.emit(f"if {value.src} is None: raise EvalError('UnboundVariable', {name!r})")
-            return value
+            # app_name or app_id, which only the app side reads
+            return self.assign(f"ctx.{name}")
         if ns == NS_EVENT:
+            # a forwarded binding that a logged request lacks is unbound
             self.uses.add("ev")
-            self.emit(f"if ev is None or {name!r} not in ev: raise EvalError('UnboundVariable', {name!r})")
+            self.emit(f"if {name!r} not in ev: raise EvalError('UnboundVariable', {name!r})")
             return self.assign(f"ev[{name!r}]")
-        # every other namespace reads the global store
-        detail = f"{ns}.{name}"
-        kind = self.state_types.get((ns, name))
-        if kind is None:
-            return self.fault("UnboundVariable", detail)
-        store = "lv" if ns == NS_LOCAL else "gv"
-        self.require(store, f"EvalError('UnboundVariable', {detail!r})")
+        kind = self.state_types[(ns, name)]
+        store = self.store(ns)
         if kind is VType.TS_LIST:
             # a fresh empty list for each read, as VarStore.get gives
             return self.assign(f"{store}._vals[{name!r}] if {name!r} in {store}._vals else []")
@@ -455,15 +425,7 @@ class _Function:
         if func not in _CALLS:
             raise AssertionError(f"unknown builtin {func}")
         args = [self.expr(arg) for arg in expr.args]
-        sources = [arg.src for arg in args]
-        if len(args) != len(SIGNATURES[func][0]):
-            # a tree that validation rejects: index the list of its
-            # arguments, as the interpreter does, so that it fails alike
-            a = self.assign(f"[{', '.join(sources)}]").src
-            if func == "count_within":
-                self.emit(f"_, _ = {a}")
-            sources = [f"{a}[0]", f"{a}[1]"]
-        elif func in _DURATIONS and args[0].known:
+        if func in _DURATIONS and args[0].known:
             try:
                 return _const(duration(args[0].value * _DURATIONS[func]))
             except Exception:
@@ -472,7 +434,7 @@ class _Function:
             self.range_checked(args[1], "NegativeDuration")
         if func == "count_within":
             self.uses.add("now")
-        value = self.assign(_CALLS[func].format(*sources))
+        value = self.assign(_CALLS[func].format(*(arg.src for arg in args)))
         return self.range_checked(value, "NegativeDuration") if func in _DURATIONS else value
 
     def typed(self, expr: Expr, kind: VType) -> _Operand:
@@ -493,44 +455,37 @@ class _Function:
 
     def stmt(self, stmt: Stmt) -> None:
         if isinstance(stmt, BlockStmt):
-            self.emit(f"if ctx.side != {APP_SIDE!r}: raise SideFault('block() outside application side')")
+            pass  # `stmts` returns whether the body blocks
         elif isinstance(stmt, Assign):
             kind = self.state_types[(stmt.ns, stmt.name)]
             value = self.typed(stmt.value, kind).src
-            if isinstance(stmt.value, VarRef) and stmt.value.ns != NS_CTX:
+            if kind is VType.TS_LIST:
                 # a list is copied, so that no two variables share one
-                value = f"list({value}) if isinstance({value}, list) else {value}"
-            self.write(self.writable(stmt.ns), stmt.name, value)
+                value = f"list({value})"
+            self.write(self.store(stmt.ns), stmt.name, value)
         elif isinstance(stmt, AppendStmt):
             self.append(stmt)
         elif isinstance(stmt, PruneStmt):
             self.prune(stmt)
         elif isinstance(stmt, SetAttrStmt):
             value = self.typed(stmt.value, self.state_types[("attr", stmt.attr)]).src
-            self.require("at", "SideFault('no attribute store in this context')")
+            self.uses.add("at")
             self.write("at", stmt.attr, value)
         else:
             raise AssertionError(f"unknown statement node {stmt!r}")
 
-    def writable(self, ns: str) -> str:
+    def store(self, ns: str) -> str:
+        """The name of the local or global store, which the body now uses."""
         store = "lv" if ns == NS_LOCAL else "gv"
-        self.require(store, f"SideFault({f'no writable {ns} store in this context'!r})")
+        self.uses.add(store)
         return store
 
-    def require(self, store: str, fault: str) -> None:
-        """Raise `fault` here when the context has no `store`, unless the
-        store was found present on every path that leads here."""
-        self.uses.add(store)
-        if store not in self.present:
-            self.emit(f"if {store} is None: raise {fault}")
-            if self.depth == 1:
-                self.present.add(store)
-
-    def write(self, store: str, name: str, value: str) -> None:
+    def write(self, store: str, name: str, value: str, old: str = "") -> None:
         """Log what `store` holds under `name`, ABSENT if nothing, then store
-        `value` there."""
+        `value` there; `old` is the source of what it holds, when known."""
         self.uses.add("undo")
-        self.emit(f"undo.append(({store}._vals, {name!r}, {store}._vals.get({name!r}, ABSENT)))")
+        old = old or f"{store}._vals.get({name!r}, ABSENT)"
+        self.emit(f"undo.append(({store}._vals, {name!r}, {old}))")
         self.emit(f"{store}._vals[{name!r}] = {value}")
 
     def in_place(self, store: str, name: str) -> _Operand:
@@ -545,7 +500,7 @@ class _Function:
         self.depth += 1
 
     def append(self, stmt: AppendStmt) -> None:
-        store, name = self.writable(stmt.ns), stmt.name
+        store, name = self.store(stmt.ns), stmt.name
         ts = self.typed(stmt.value, VType.TIMESTAMP).src
         self.uses.add("undo")
         lst = self.in_place(store, name).src
@@ -553,11 +508,11 @@ class _Function:
         self.emit(f"{lst}.insert({i}, {ts})")
         self.emit(f"undo.append(({lst}, slice({i}, {i} + 1), ()))")
         self.otherwise()
-        self.write(store, name, f"[{ts}]")
+        self.write(store, name, f"[{ts}]", "ABSENT")
         self.depth -= 1
 
     def prune(self, stmt: PruneStmt) -> None:
-        store, name = self.writable(stmt.ns), stmt.name
+        store, name = self.store(stmt.ns), stmt.name
         horizon = self.typed(stmt.horizon, VType.DURATION).src
         self.uses.update(("now", "undo"))
         cutoff = self.assign(f"now - {horizon}").src
@@ -566,5 +521,5 @@ class _Function:
         self.emit(f"undo.append(({lst}, slice(0, 0), {lst}[:{cut}]))")
         self.emit(f"del {lst}[:{cut}]")
         self.otherwise()
-        self.write(store, name, "[]")
+        self.write(store, name, "[]", "ABSENT")
         self.depth -= 1

@@ -9,6 +9,11 @@ which rolls back a faulting rule of a request and records its fault.
 A statement writes the stores attached to the context in place, and
 records in the context's undo log what each write overwrote, so that a
 caller can roll a faulting rule back to the state it started from.
+
+Each monitor builds one context for its side, which the generated code
+trusts: an app-side one holds the app's local store, the attribute store
+and the app's name and id, and a global-side one the global and attribute
+stores. `side` is that side's name; no generated line reads it.
 """
 
 from __future__ import annotations
@@ -27,10 +32,6 @@ class EvalError(Exception):
     def __init__(self, code: str, detail: str = ""):
         super().__init__(f"{code}{': ' + detail if detail else ''}")
         self.code = code
-
-
-class SideFault(Exception):
-    """Statement executed on the wrong side; unreachable after validation."""
 
 
 class ChannelError(Exception):

@@ -6,6 +6,7 @@ import pytest
 from dcmon.catalog import CATALOG
 from dcmon.dsl import Phase, parse_policy, validate_policy
 from dcmon.engine import CompiledPolicy, rules_for
+from dcmon.lang.codegen import Module
 from dcmon.lang.values import MS_PER_DAY, MS_PER_HOUR, MS_PER_MINUTE, MS_PER_SECOND
 from dcmon.sim import TraceEvent
 
@@ -126,6 +127,17 @@ def compile_src(src: str) -> CompiledPolicy:
     result = validate_policy(parse_policy(src))
     assert isinstance(result, CompiledPolicy), result
     return result
+
+
+def generate(add, state_types=None):
+    """The one function that `add` writes into a fresh `Module` over
+    `state_types`, compiled alone. `add(module)` returns the function's
+    name, as `Module.expr`, `Module.stmts` and `Module.guard` do. The code
+    assumes what validation proves of a body: a context of the body's side,
+    every state variable it reads typed, and each builtin at its arity."""
+    module = Module(state_types or {})
+    name = add(module)
+    return module.build()[name]
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,9 @@ give: the tests check that code against this interpreter, value for value
 and fault for fault, down to the exception's text. State kinds are an
 explicit argument, `state_types`, the map from `(namespace, name)` to kind
 that validation infers; the generated code fixes them when it is compiled.
+The interpreter also checks what the generated code leaves to validation: a
+store the context lacks, `block()` off the app side, and an unbound name or
+state variable each raise here, while the generated code assumes them away.
 
 Expressions are pure. Statements write the stores attached to the context
 in place and log what each write overwrote in `ctx.undo`, as the generated
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 
-from dcmon.lang.eval import ABSENT, APP_SIDE, EvalContext, EvalError, SideFault, _checked_int, duration, trunc_div
+from dcmon.lang.eval import ABSENT, APP_SIDE, EvalContext, EvalError, _checked_int, duration, trunc_div
 from dcmon.lang.codegen import StateTypes
 from dcmon.lang.state import VarStore
 from dcmon.lang.nodes import (
@@ -43,6 +46,10 @@ from dcmon.lang.values import (
     VType,
     copy_value,
 )
+
+
+class SideFault(Exception):
+    """A statement ran in a context that lacks what its side provides."""
 
 
 def writable(ctx: EvalContext, ns: str) -> VarStore:

@@ -2,8 +2,10 @@
 
 The monitors run the functions that `compile_policy` generates as Python
 source (`dcmon.lang.codegen`); the tree interpreter in `reference_eval.py`,
-which `dcmon` does not ship, is the reference. An expression's code must
-return what the interpreter returns, or raise what it raises. A run must give the same verdicts,
+which `dcmon` does not ship, is the reference. In a context that the
+monitor of the body's side builds, over state variables that validation
+types and builtins called at their arity, an expression's code must return
+what the interpreter returns, or raise what it raises. A run must give the same verdicts,
 snapshot, channel log, faults, local state and arrival order as a copy of
 its policy whose code slots run the interpreter and whose guards evaluate
 the guard expressions directly.
@@ -20,17 +22,30 @@ from dcmon.corpus import CORPUS_IDS, build_policy_source, compile_corpus_policy
 from dcmon.dsl import PolicySpec, parse_policy, validate_policy
 from dcmon.engine import Batch, CompiledPolicy
 from dcmon.lang import APP_SIDE, GLOBAL_SIDE, EvalContext, EvalError, VarStore, rollback
-from dcmon.lang.codegen import compile_expr, compile_stmts
-from dcmon.lang.nodes import AppendStmt, Assign, Binary, Call, Literal, PruneStmt, SetAttrStmt, Unary, VarRef, walk_exprs
+from dcmon.lang.nodes import (
+    AppendStmt,
+    Assign,
+    Binary,
+    BlockStmt,
+    Call,
+    Literal,
+    PruneStmt,
+    SetAttrStmt,
+    Unary,
+    VarRef,
+    walk_exprs,
+)
 from dcmon.lang.values import INT64_MAX, INT64_MIN, MS_PER_SECOND, VType
 from dcmon.sim import run
 from dcmon.tracegen import make_bench_trace, make_trace
 
-from conftest import replan, sends_every
+from conftest import generate, replan, sends_every
 from reference_eval import eval_expr, exec_stmts
 from test_batch_plan import CENTRAL_FAULT_SRC, policy_source, rule_lists
-from test_roundtrip import expr as expressions
-from test_roundtrip import stmt as statements
+from test_roundtrip import expressions_calling, own_arity, statements_over
+
+expressions = expressions_calling(own_arity)
+statements = statements_over(expressions)
 
 
 def outcome(thunk):
@@ -56,18 +71,31 @@ VALUES = {
     # short, because the interpreter computes `xs * n` before its check
     VType.TS_LIST: st.lists(st.integers(0, 10**10), max_size=3).map(sorted),
 }
-any_value = st.sampled_from(sorted(VALUES, key=str)).flatmap(lambda kind: VALUES[kind])
+KINDS = sorted(VALUES, key=str)
+SCALARS = [kind for kind in KINDS if kind is not VType.TS_LIST]
+scalar_value = st.sampled_from(SCALARS).flatmap(lambda kind: VALUES[kind])
 
 
-def draw_context(data, nodes, targets=(), lists=()):
-    """`(ctx, state_types)`: a context binding some of the variables that
-    the expressions or statements `nodes` read. Each state variable gets a
-    random kind in its store's table, and `state_types` types some of them;
-    some are stored, with a random value of their kind, and the rest are
-    unbound. Each `(ns, name)` of `targets` is typed, as validation types
-    every written variable, and each of `lists` is a ts_list."""
+def draw_context(data, nodes, targets=(), lists=(), scalars=()):
+    """`(ctx, state_types)`: a context as the monitor of the side of the
+    expressions or statements `nodes` builds one. A body that reads or
+    writes local state, reads the app's name or id, or blocks is app-side;
+    one that reads or writes global state is global-side, and validation
+    rejects a body that is both. The app side has a local store, the
+    attribute store, an app id and an app name; the global side has the
+    global and attribute stores. `state_types` types every state variable
+    that `nodes` read and each `(ns, name)` of `targets`: each of `lists`
+    as a ts_list, each of `scalars` as a scalar, and the rest at random.
+    Some are stored, with a random value of their kind, and the rest are
+    unbound; so are some event parameters, each with a scalar value."""
     refs = {(v.ns, v.name) for node in nodes for v in walk_exprs(node) if isinstance(v, VarRef)}
     refs = sorted(refs | set(targets))
+    app = any(isinstance(node, BlockStmt) for node in nodes) or any(
+        ns == "local" or (ns, name) in (("ctx", "app_name"), ("ctx", "app_id")) for ns, name in refs
+    )
+    on_global = any(ns == "global" for ns, _ in refs)
+    assume(not (app and on_global))
+    side = APP_SIDE if app else GLOBAL_SIDE if on_global else data.draw(st.sampled_from([APP_SIDE, GLOBAL_SIDE]))
     state_types = {}
     kinds = {"local": {}, "global": {}, "attr": {}}
     stores = {ns: VarStore(table) for ns, table in kinds.items()}
@@ -75,22 +103,21 @@ def draw_context(data, nodes, targets=(), lists=()):
     for ns, name in refs:
         if ns == "event":
             if data.draw(st.booleans()):
-                bindings[name] = data.draw(any_value)
+                bindings[name] = data.draw(scalar_value)
         elif ns in stores:
-            kind = VType.TS_LIST if (ns, name) in lists else data.draw(st.sampled_from(sorted(VALUES, key=str)))
-            kinds[ns][name] = kind
-            if (ns, name) in targets or data.draw(st.booleans()):
-                state_types[(ns, name)] = kind
+            if (ns, name) in lists:
+                kind = VType.TS_LIST
+            else:
+                kind = data.draw(st.sampled_from(SCALARS if (ns, name) in scalars else KINDS))
+            kinds[ns][name] = state_types[(ns, name)] = kind
             if data.draw(st.booleans()):
                 stores[ns].set(name, data.draw(VALUES[kind]))
-    ctx = EvalContext(
-        data.draw(st.sampled_from([APP_SIDE, GLOBAL_SIDE])),
-        data.draw(st.integers(0, 10**10)),
-        data.draw(st.one_of(st.none(), st.just("Maps"))),
-        data.draw(st.one_of(st.none(), st.just("Maps"))),
-        data.draw(st.one_of(st.none(), st.just(bindings))),
-        *(data.draw(st.one_of(st.none(), st.just(stores[ns]))) for ns in ("local", "global", "attr")),
-    )
+    now = data.draw(st.integers(0, 10**10))
+    if side == APP_SIDE:
+        app_id, app_name = data.draw(VALUES[VType.STRING]), data.draw(VALUES[VType.STRING])
+        ctx = EvalContext(side, now, app_id, app_name, bindings, stores["local"], None, stores["attr"])
+    else:
+        ctx = EvalContext(side, now, None, None, bindings, None, stores["global"], stores["attr"])
     return ctx, state_types
 
 
@@ -98,7 +125,7 @@ def draw_context(data, nodes, targets=(), lists=()):
 @given(expressions, st.data())
 def test_compiled_expression_matches_interpreter(e, data):
     ctx, state_types = draw_context(data, [e])
-    code = compile_expr(e, state_types)
+    code = generate(lambda module: module.expr(e), state_types)
     assert outcome(lambda: code(ctx)) == outcome(lambda: eval_expr(e, ctx, state_types))
 
 
@@ -116,18 +143,22 @@ def stores_of(ctx: EvalContext):
 @given(st.lists(statements, max_size=3), st.data())
 def test_compiled_statements_match_interpreter(stmts, data):
     targets = {(s.ns, s.name) for s in stmts if isinstance(s, (Assign, AppendStmt, PruneStmt))}
-    targets |= {("attr", s.attr) for s in stmts if isinstance(s, SetAttrStmt)}
-    # an appended or pruned variable is a ts_list; after validation only a
-    # ts_list variable is assigned to it, so that one is a ts_list too
+    attrs = {("attr", s.attr) for s in stmts if isinstance(s, SetAttrStmt)}
+    # an appended or pruned variable is a ts_list, and validation gives an
+    # assigned variable its value's kind: a ts_list is assigned exactly a
+    # ts_list variable, and the other variables an assignment ties are
+    # scalars, as every attribute is
     lists = {(s.ns, s.name) for s in stmts if isinstance(s, (AppendStmt, PruneStmt))}
     assigned = [s for s in stmts if isinstance(s, Assign)]
+    ties = [((s.ns, s.name), (s.value.ns, s.value.name) if isinstance(s.value, VarRef) else None) for s in assigned]
     for _ in stmts:
-        lists |= {(s.value.ns, s.value.name) for s in assigned if (s.ns, s.name) in lists and isinstance(s.value, VarRef)}
-    assume(all(isinstance(s.value, VarRef) and s.value.ns in ("local", "global") for s in assigned if (s.ns, s.name) in lists))
-    ctx, state_types = draw_context(data, stmts, targets, lists)
+        lists |= {v for tie in ties if lists.intersection(tie) for v in tie}
+    assume(all(v is not None and v[0] in ("local", "global") for v in lists))
+    scalars = {v for tie in ties for v in tie} - lists
+    ctx, state_types = draw_context(data, stmts, targets | attrs, lists, scalars | attrs)
     pre = [None if store is None else store.copy() for store in stores_of(ctx)]
     reference = copied(ctx)
-    code = compile_stmts(tuple(stmts), state_types)
+    code = generate(lambda module: module.stmts(tuple(stmts)), state_types)
     assert outcome(lambda: code(ctx)) == outcome(lambda: exec_stmts(stmts, reference, state_types))
     # the same writes, whether or not a statement faulted, each logged once
     assert stores_of(ctx) == stores_of(reference)
@@ -153,7 +184,7 @@ def test_list_assigned_and_edited_in_place(edit, stored):
     stmts = (edit, Assign("global", "a", VarRef("global", "b")), edit, edit)
     pre = gv.copy()
     reference = copied(ctx)
-    code = compile_stmts(stmts, state_types)
+    code = generate(lambda module: module.stmts(stmts), state_types)
     assert outcome(lambda: code(ctx)) == outcome(lambda: exec_stmts(stmts, reference, state_types))
     assert stores_of(ctx) == stores_of(reference) and len(ctx.undo) == len(reference.undo)
     assert gv.get("b", VType.TS_LIST) == [1_000, 5_000]
@@ -200,7 +231,7 @@ def test_edge_expression_matches_interpreter(build, n, operand):
     ctx = EvalContext(GLOBAL_SIDE, 7_200_000, None, None, {"x": n}, None, gv, None)
     state_types = {("global", "xs"): VType.TS_LIST}
     # compiling raises nothing: a constant that faults is left to fault here
-    code = compile_expr(e, state_types)
+    code = generate(lambda module: module.expr(e), state_types)
     assert outcome(lambda: code(ctx)) == outcome(lambda: eval_expr(e, ctx, state_types))
 
 
@@ -213,7 +244,7 @@ def test_range_check_of_a_write(kind, n, operand):
     state_types = {("global", "t"): kind}
     stmts = (Assign("global", "t", value),)
     reference = copied(ctx)
-    code = compile_stmts(stmts, state_types)
+    code = generate(lambda module: module.stmts(stmts), state_types)
     got = outcome(lambda: code(ctx))
     assert got == outcome(lambda: exec_stmts(stmts, reference, state_types))
     assert got[0] == ("EvalError" if n in (-1, INT64_MAX + 1) else "value")

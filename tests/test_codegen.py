@@ -19,16 +19,16 @@ import weakref
 
 import pytest
 
-from dcmon.catalog import CATALOG
+from dcmon.catalog import CATALOG, DEVICE_ATTRS
 from dcmon.corpus import CORPUS_IDS, build_policy_source, compile_corpus_policy
 from dcmon.dsl import ParseError, parse_policy, validate_policy
 from dcmon.engine import CompiledPolicy
-from dcmon.lang import GLOBAL_SIDE, EvalContext, VarStore
+from dcmon.lang import APP_SIDE, GLOBAL_SIDE, EvalContext, VarStore
 from dcmon.lang import codegen
 from dcmon.lang.values import MS_PER_DAY, VType
 from dcmon.sim import TraceEvent
 
-from conftest import wifi
+from conftest import generate, wifi
 from reference_eval import eval_expr, exec_stmts
 from test_closures import assert_runs_like_the_interpreter, copied, guard_value, outcome, stores_of
 
@@ -82,16 +82,17 @@ def shape_source(where, text):
 
 
 def contexts(kinds):
-    """Global-side contexts over every mix of the stored values, with and
-    without the event parameter, and one without a global store; `kinds`
-    is the global store's table."""
+    """Global-side contexts, as the central monitor builds them, over every
+    mix of the stored values, with and without the event parameter, and
+    one over an empty global store; `kinds` is the global store's table."""
     for b, n, on in itertools.product((False, True), (0, 1, 2, 2**62), (False, True, None)):
         gv = VarStore(kinds)
         gv.set("b", b)
         gv.set("n", n)
         gv.set("d", 3 * MS_PER_DAY + n)
-        yield EvalContext(GLOBAL_SIDE, 10 * MS_PER_DAY + 7, None, None, None if on is None else {"on": on}, None, gv, None)
-    yield EvalContext(GLOBAL_SIDE, 0, None, None, {}, None, None, None)
+        bindings = {} if on is None else {"on": on}
+        yield EvalContext(GLOBAL_SIDE, 10 * MS_PER_DAY + 7, None, None, bindings, None, gv, VarStore(DEVICE_ATTRS))
+    yield EvalContext(GLOBAL_SIDE, 0, None, None, {}, None, VarStore(kinds), VarStore(DEVICE_ATTRS))
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -216,9 +217,10 @@ def test_string_literal_reads_back_as_written(text):
         f"Events {{ }} Conditions {{ c = {{ starts_with(ctx, {dsl_string(text)}) }} }} Actions {{ }} Rules {{ }}"
     )
     body = spec.conditions[0].body
-    code = codegen.compile_expr(body, {})
+    code = generate(lambda module: module.expr(body))
     for value in (text, text + "!", "x" + text, ""):
-        ctx = EvalContext(GLOBAL_SIDE, 0, None, None, {"ctx": value}, None, None, None)
+        # the condition reads an event parameter without `event.`: it is app-side
+        ctx = EvalContext(APP_SIDE, 0, "Maps", "Maps", {"ctx": value}, VarStore({}), None, VarStore(DEVICE_ATTRS))
         assert code(ctx) is value.startswith(text) is eval_expr(body, ctx, {})
 
 
@@ -260,12 +262,21 @@ def test_generated_code_stores_no_kinds(monkeypatch):
     functions = corpus_functions(monkeypatch)
     assert not any("_kinds" in f for f in functions)
     bodies = [f for f in functions if re.match(r"def f\d+\((ctx|truth)\):", f)]
-    assert sum(len(f.splitlines()) for f in bodies) <= 480
+    assert sum(len(f.splitlines()) for f in bodies) <= 432
+
+
+def test_generated_code_retests_nothing_validation_proves(monkeypatch):
+    # a validated body runs only in a context of its side, which holds the
+    # stores, the app's name and id and the event bindings that it reads,
+    # and it reads only typed variables: no generated line tests for them
+    source = "".join(corpus_functions(monkeypatch))
+    for check in ("SideFault", "ctx.side", "is None: raise"):
+        assert check not in source
 
 
 def test_batch_functions_stay_short(monkeypatch):
     # compile() costs about 8 us per generated line: the 22 batch functions
-    # of the corpus add at most 520 lines to the bodies' and guards' 476
+    # of the corpus add at most 520 lines to the bodies' and guards' 432
     functions = corpus_functions(monkeypatch)
     batches = [f for f in functions if re.match(r"def f\d+\((mon|cm), ", f)]
     assert len(batches) == 22

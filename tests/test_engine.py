@@ -13,13 +13,12 @@ from dcmon.corpus import CORPUS_IDS, build_policy_source, compile_corpus_policy
 from dcmon.dsl import Phase, guard_refs, parse_policy, validate_policy
 from dcmon.engine import Batch, CompiledPolicy, Locality, evaluate_guard, rules_for
 from dcmon.lang import codegen
-from dcmon.lang.codegen import compile_guard
 from dcmon.lang.nodes import Binary, Literal, Unary, VarRef
 from dcmon.lang.values import MS_PER_SECOND, VType
 from dcmon.sim import run
 from dcmon.tracegen import make_bench_trace, make_trace
 
-from conftest import EMPTY_SRC, compile_src, phase_plans, plan_rules, replan, sends_every
+from conftest import EMPTY_SRC, compile_src, generate, phase_plans, plan_rules, replan, sends_every
 from test_batch_plan import CENTRAL_FAULT_SRC, policy_source, rule_lists
 
 
@@ -91,6 +90,11 @@ def test_every_rule_under_exactly_one_key():
         cp = compile_corpus_policy(pid)
         seen = [r.rule_id for plan in phase_plans(cp).values() for r in plan_rules(plan)]
         assert sorted(seen) == [r.rule_id for r in cp.rules]
+
+
+def compile_guard(guard, cond_ids):
+    """`code(truth) -> bool` for `guard`, as `compile_policy` writes it."""
+    return generate(lambda module: module.guard(guard, cond_ids))
 
 
 def test_guard_not_and():

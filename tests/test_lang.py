@@ -2,7 +2,7 @@
 
 Expressions and statements run as the monitors run them: generated by
 `dcmon.lang.codegen`, as `compile_policy` compiles condition and action
-bodies."""
+bodies, in a context of the kind the monitor of the body's side builds."""
 
 import pytest
 import hypothesis.strategies as st
@@ -31,12 +31,11 @@ from dcmon.lang.nodes import (
     Unary,
     VarRef,
 )
-from dcmon.lang.codegen import compile_expr, compile_stmts
-from dcmon.lang.eval import ABSENT, SideFault
+from dcmon.lang.eval import ABSENT
 from dcmon.lang.values import MS_PER_HOUR, VType
 from dcmon.sim import run
 
-from conftest import compile_src, sends_every
+from conftest import compile_src, generate, sends_every
 from reference_eval import exec_stmts as reference_exec_stmts
 
 
@@ -58,28 +57,28 @@ def ctx(
     app_name="Maps",
     app_id="Maps",
 ):
-    return EvalContext(
-        side=side,
-        now=now,
-        app_id=app_id,
-        app_name=app_name,
-        event_bindings=bindings or {},
-        local=local,
-        global_vars=global_vars,
-        attrs=attrs,
-    )
+    """A context as the monitor of `side` builds one: the app side has a
+    local store, the attribute store, an app id and an app name, and the
+    global side has the global and attribute stores. A store of the side
+    that is not given is an empty one; the other side's store is dropped."""
+    attrs = VarStore(DEVICE_ATTRS) if attrs is None else attrs
+    if side == APP_SIDE:
+        local = VarStore({}) if local is None else local
+        return EvalContext(side, now, app_id, app_name, bindings or {}, local, None, attrs)
+    global_vars = VarStore({}) if global_vars is None else global_vars
+    return EvalContext(side, now, None, None, bindings or {}, None, global_vars, attrs)
 
 
 def evaluate(expr, c, state_types=None):
     """`expr` compiled as `compile_policy` compiles a condition body, run
     in `c`; `state_types` gives the kinds of the state variables it reads."""
-    return compile_expr(expr, state_types or {})(c)
+    return generate(lambda module: module.expr(expr), state_types)(c)
 
 
 def execute(stmts, c, state_types=None):
     """The action body `stmts`, compiled and run in `c`; returns whether it
     blocked."""
-    return compile_stmts(tuple(stmts), state_types or {})(c)
+    return generate(lambda module: module.stmts(tuple(stmts)), state_types)(c)
 
 
 # typing
@@ -272,11 +271,6 @@ def test_block_in_app_context():
     assert lv == VarStore({}) and c.undo == []
 
 
-def test_block_in_global_context_is_side_fault():
-    with pytest.raises(SideFault):
-        execute([BlockStmt()], ctx(side=GLOBAL_SIDE, global_vars=VarStore({})))
-
-
 def test_set_attr_effect():
     stmt = SetAttrStmt("wifi_enabled", lit(False))
     attrs = VarStore(DEVICE_ATTRS)
@@ -337,18 +331,22 @@ def stores(draw, ns):
     return store
 
 
-namespaces = st.sampled_from(["local", "global"])
-statements = st.lists(
-    st.one_of(
-        st.builds(lambda ns, v: Assign(ns, "n", lit(v)), namespaces, st.integers(-9, 9)),
-        st.builds(lambda ns, t: AppendStmt(ns, "xs", Literal(VType.TIMESTAMP, t)), namespaces, nows),
-        st.builds(lambda ns, d: PruneStmt(ns, "xs", Literal(VType.DURATION, d)), namespaces, durations),
-        st.builds(lambda v: SetAttrStmt("bright", lit(v)), st.integers(-9, 9)),
-        st.builds(lambda v: SetAttrStmt("wifi_enabled", lit(v)), st.booleans()),
-        st.just(BlockStmt()),
-    ),
-    max_size=10,
-)
+@st.composite
+def bodies(draw):
+    """`(side, statements)`: an action body of either side, as validation
+    passes one. It writes its own side's store and the attributes, and only
+    an app-side body blocks."""
+    side = draw(st.sampled_from([APP_SIDE, GLOBAL_SIDE]))
+    ns = "local" if side == APP_SIDE else "global"
+    statement = st.one_of(
+        st.integers(-9, 9).map(lambda v: Assign(ns, "n", lit(v))),
+        nows.map(lambda t: AppendStmt(ns, "xs", Literal(VType.TIMESTAMP, t))),
+        durations.map(lambda d: PruneStmt(ns, "xs", Literal(VType.DURATION, d))),
+        st.integers(-9, 9).map(lambda v: SetAttrStmt("bright", lit(v))),
+        st.booleans().map(lambda v: SetAttrStmt("wifi_enabled", lit(v))),
+        *([st.just(BlockStmt())] if side == APP_SIDE else []),
+    )
+    return side, draw(st.lists(statement, max_size=10))
 
 
 @settings(max_examples=300, deadline=None)
@@ -356,12 +354,13 @@ statements = st.lists(
     lv=stores("local"),
     gv=stores("global"),
     attrs=stores("attr"),
-    stmts=statements,
+    body=bodies(),
     now=nows,
 )
-def test_rollback_restores_pre_state(lv, gv, attrs, stmts, now):
+def test_rollback_restores_pre_state(lv, gv, attrs, body, now):
+    side, stmts = body
     pre = [lv.copy(), gv.copy(), attrs.copy()]
-    c = ctx(now=now, local=lv, global_vars=gv, attrs=attrs)
+    c = ctx(side, now=now, local=lv, global_vars=gv, attrs=attrs)
     for stmt in stmts:
         execute([stmt], c, ROLLBACK_TYPES)
     assert len(c.undo) == sum(not isinstance(s, BlockStmt) for s in stmts)
@@ -376,16 +375,17 @@ def test_rollback_restores_pre_state(lv, gv, attrs, stmts, now):
     lv=stores("local"),
     gv=stores("global"),
     attrs=stores("attr"),
-    stmts=statements,
+    body=bodies(),
     now=nows,
 )
-def test_compiled_rollback_restores_pre_state(lv, gv, attrs, stmts, now):
+def test_compiled_rollback_restores_pre_state(lv, gv, attrs, body, now):
+    side, stmts = body
     pre = [lv.copy(), gv.copy(), attrs.copy()]
     # the reference interpreter on copies gives the state the compiled body
     # must write
     want = [lv.copy(), gv.copy(), attrs.copy()]
-    reference_exec_stmts(stmts, ctx(now=now, local=want[0], global_vars=want[1], attrs=want[2]), ROLLBACK_TYPES)
-    c = ctx(now=now, local=lv, global_vars=gv, attrs=attrs)
+    reference_exec_stmts(stmts, ctx(side, now=now, local=want[0], global_vars=want[1], attrs=want[2]), ROLLBACK_TYPES)
+    c = ctx(side, now=now, local=lv, global_vars=gv, attrs=attrs)
     assert execute(stmts, c, ROLLBACK_TYPES) is any(isinstance(s, BlockStmt) for s in stmts)
     assert [lv, gv, attrs] == want
     assert len(c.undo) == sum(not isinstance(s, BlockStmt) for s in stmts)
@@ -399,13 +399,14 @@ def test_compiled_rollback_restores_pre_state(lv, gv, attrs, stmts, now):
     lv=stores("local"),
     gv=stores("global"),
     attrs=stores("attr"),
-    stmts=statements,
+    body=bodies(),
     now=nows,
 )
-def test_every_undo_record_is_container_key_old(lv, gv, attrs, stmts, now):
+def test_every_undo_record_is_container_key_old(lv, gv, attrs, body, now):
+    side, stmts = body
     names = [set(store._vals) for store in (lv, gv, attrs)]
     lists = [(store, store._vals["xs"], list(store._vals["xs"])) for store in (lv, gv) if "xs" in store]
-    c = ctx(now=now, local=lv, global_vars=gv, attrs=attrs)
+    c = ctx(side, now=now, local=lv, global_vars=gv, attrs=attrs)
     execute(stmts, c, ROLLBACK_TYPES)
     for record in c.undo:
         # a store's dict and a name, or a stored ts_list and the slice edited in place

@@ -116,25 +116,46 @@ varref = st.one_of(
 _OPS = ["||", "&&", "==", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/"]
 
 
-def _extend(children):
-    return st.one_of(
-        children.map(lambda e: Unary("!", e)),
-        st.tuples(st.sampled_from(_OPS), children, children).map(lambda t: Binary(t[0], t[1], t[2])),
-        st.tuples(st.sampled_from(sorted(BUILTINS)), st.lists(children, max_size=2)).map(
-            lambda t: Call(t[0], tuple(t[1]))
-        ),
+def any_arity(children):
+    """A builtin called with zero to two arguments."""
+    return st.tuples(st.sampled_from(sorted(BUILTINS)), st.lists(children, max_size=2)).map(
+        lambda t: Call(t[0], tuple(t[1]))
     )
 
 
-expr = st.recursive(st.one_of(literal, varref), _extend, max_leaves=12)
+def own_arity(children):
+    """A builtin called with as many arguments as it takes."""
+    return st.sampled_from(sorted(BUILTINS)).flatmap(
+        lambda func: st.tuples(*[children] * len(BUILTINS[func][0])).map(lambda args: Call(func, args))
+    )
 
-stmt = st.one_of(
-    st.just(BlockStmt()),
-    st.tuples(st.sampled_from(["local", "global"]), ident, expr).map(lambda t: Assign(t[0], t[1], t[2])),
-    st.tuples(st.sampled_from(["local", "global"]), ident, expr).map(lambda t: AppendStmt(t[0], t[1], t[2])),
-    st.tuples(st.sampled_from(["local", "global"]), ident, expr).map(lambda t: PruneStmt(t[0], t[1], t[2])),
-    st.tuples(string_text, expr).map(lambda t: SetAttrStmt(t[0], t[1])),
-)
+
+def expressions_calling(calls):
+    """Expression trees whose builtin calls `calls(children)` draws."""
+
+    def extend(children):
+        return st.one_of(
+            children.map(lambda e: Unary("!", e)),
+            st.tuples(st.sampled_from(_OPS), children, children).map(lambda t: Binary(t[0], t[1], t[2])),
+            calls(children),
+        )
+
+    return st.recursive(st.one_of(literal, varref), extend, max_leaves=12)
+
+
+def statements_over(expr):
+    """Statements over the expressions `expr` draws."""
+    return st.one_of(
+        st.just(BlockStmt()),
+        st.tuples(st.sampled_from(["local", "global"]), ident, expr).map(lambda t: Assign(t[0], t[1], t[2])),
+        st.tuples(st.sampled_from(["local", "global"]), ident, expr).map(lambda t: AppendStmt(t[0], t[1], t[2])),
+        st.tuples(st.sampled_from(["local", "global"]), ident, expr).map(lambda t: PruneStmt(t[0], t[1], t[2])),
+        st.tuples(string_text, expr).map(lambda t: SetAttrStmt(t[0], t[1])),
+    )
+
+
+expr = expressions_calling(any_arity)
+stmt = statements_over(expr)
 
 param = st.tuples(ident, scalar_type).map(lambda t: Param(t[0], t[1]))
 

@@ -307,3 +307,40 @@ def test_set_attr_of_an_attribute_the_device_lacks():
     assert [(e.code, e.message, e.span) for e in errors_of(src)] == [
         ("UnresolvedName", "unknown device attribute 'brightnes'", at(src, "set_attr"))
     ]
+
+
+# What compiled code assumes and no longer tests at run time: a global-side
+# body runs with no local store and no app name or id, and each builtin
+# gets its own number of arguments (the parser reads a call of nothing
+# else). A policy that breaks one of these fails validation with one error.
+# The tests above cover the other assumptions: an app-side body reads and
+# writes no global state, only an app-side action blocks, a body reads only
+# written state and declared parameters, and a global-side one only
+# forwarded ones.
+ASSUMED = {
+    "global-side-reads-local": (
+        "GlobalSide { c = { local.n >= 1 } }", "ApplicationSide { a = { local.n := 1; } }", "SideViolation",
+    ),
+    "global-side-writes-local": (
+        "GlobalSide { c = { true } }", "GlobalSide { a = { local.n := 1; } }", "SideViolation",
+    ),
+    "global-side-reads-app-name": (
+        'GlobalSide { c = { app_name == "Maps" } }', "GlobalSide { a = { } }", "SideViolation",
+    ),
+    "global-side-reads-app-id": (
+        'GlobalSide { c = { app_id == "Maps" } }', "GlobalSide { a = { } }", "SideViolation",
+    ),
+    "builtin-with-too-few-arguments": (
+        'ApplicationSide { c = { starts_with("x") } }', "ApplicationSide { a = { } }", "TypeError",
+    ),
+    "builtin-with-too-many-arguments": (
+        "ApplicationSide { c = { is_pm(now, now) } }", "ApplicationSide { a = { } }", "TypeError",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", ASSUMED)
+def test_what_compiled_code_assumes_is_validated(shape):
+    conditions, actions, code = ASSUMED[shape]
+    src = wrap(events=SEND_EVENT, conditions=conditions, actions=actions, rules="sendBefore() | c -> a;")
+    assert codes_of(src) == [code]
