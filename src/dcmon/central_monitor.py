@@ -7,37 +7,39 @@ request and repeats that request's seq, app, time and rule ids.
 
 A `Channel` serves one caller at a time and takes no lock: the simulator
 runs every app in one loop. The log holds the `MonitorRequest` and
-`MonitorReply` records themselves, not copies, so a logged request keeps
-its truth map and forwarded bindings as given; the caller must not change
-them after the request. `MonitorReply` keeps `guard_result` and `fault`,
-one-value summaries of a reply, for the benchmark's tracer, which reads
-them by name.
+`MonitorReply` records themselves (see `lang/channel.py`), not copies, and
+records share their maps and tuples: a batch's requests share one truth
+map per vector of truth values, every empty map the monitors send is
+`EMPTY`, and a batch's replies share one pair of guard results and actions
+per vector of guard bits. Nothing may change a logged map or tuple.
+`MonitorReply` keeps `guard_result` and `fault`, one-value summaries of a
+reply, for the benchmark's tracer, which reads them by name.
 
 The central monitor evaluates every request in one context, built once. A
 full request, a batch's rule ids with its truth keys, is answered by that
-batch's generated central function (see `engine.py`), with no per-rule
-loop, and a reply in which no rule faulted shares the batch's all-None
-faults tuple. Any other request, and a full one for a batch built outside
-`compile_policy`, goes to one loop over the rules it names, which reads
-each rule's conditions, guard and actions from the policy's code slots. An
-unknown id or a stale truth map makes a rule run nothing; its fault is set
-before the loop.
+batch's generated central function (see `engine.py`), which builds the
+reply with no per-rule loop: its guard results and actions are the batch's
+shared pair, and a reply in which no rule faulted shares the batch's
+all-None faults tuple. Any other request, and a full one for a batch built
+outside `compile_policy`, goes to one loop over the rules it names, which
+reads each rule's conditions, guard and actions from the policy's code
+slots and builds its reply's tuples of its own. An unknown id or a stale
+truth map makes a rule run nothing; its fault is set before the loop.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .catalog import DEVICE_ATTRS
 from .engine import CompiledPolicy, eval_expr, evaluate_guard, exec_stmts
+from .lang.channel import APP_TO_CENTRAL, MonitorReply, MonitorRequest
+# the log's other direction, for the callers that read the log
+from .lang.channel import CENTRAL_TO_APP  # noqa: F401
 from .lang.eval import GLOBAL_SIDE, ChannelError, EvalContext, EvalError, rule_fault
 from .lang.state import VarStore
-from .lang.values import Value, VType, value_to_json
-
-APP_TO_CENTRAL = "AppToCentral"
-CENTRAL_TO_APP = "CentralToApp"
+from .lang.values import Value, VType, canonical_json, value_to_json
 
 
 @dataclass
@@ -52,11 +54,6 @@ class GlobalState:
 
     def copy(self) -> "GlobalState":
         return GlobalState(vars=self.vars.copy(), attrs=self.attrs.copy())
-
-
-def canonical_json(doc) -> str:
-    """The byte-stable JSON of every dcmon output: sorted keys, no spaces."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def snapshot(gs: GlobalState) -> str:
@@ -91,80 +88,6 @@ def state_size(gs: GlobalState) -> Dict[str, object]:
     attrs_report = {name: _var_row(kind, value) for name, kind, value in gs.attrs.items_typed()}
     total = sum(r["bytes"] for r in vars_report.values()) + sum(r["bytes"] for r in attrs_report.values())
     return {"vars": vars_report, "attrs": attrs_report, "total_bytes": total}
-
-
-class _LoggedMessage:
-    """The channel log's view of a request or a reply: its direction, a
-    class constant, and the seq, time, app and rule ids of the request."""
-
-    __slots__ = ()
-
-    def to_json(self) -> str:
-        return canonical_json(
-            {
-                "direction": self.direction,
-                "seq": self.seq,
-                "t": self.t,
-                "app_id": self.app_id,
-                "rule_id": self.rule_id,
-                "payload": self.payload,
-            }
-        )
-
-
-@dataclass(slots=True)
-class MonitorRequest(_LoggedMessage):
-    """One round trip for the NeedsGlobal rules of one batch. The truth map
-    holds the app-side conditions of all the rules, the bindings every
-    event parameter any of them forwards."""
-
-    direction: ClassVar[str] = APP_TO_CENTRAL
-
-    seq: int
-    app_id: str
-    # the rule ids, in batch order
-    rule_id: Tuple[int, ...]
-    t: int
-    appside_truth: Dict[int, bool]
-    forwarded_bindings: Dict[str, Value]
-
-    @property
-    def payload(self) -> Dict[str, object]:
-        return {"appside_truth": self.appside_truth, "forwarded_bindings": self.forwarded_bindings}
-
-
-@dataclass(slots=True)
-class MonitorReply(_LoggedMessage):
-    """Per-rule results, parallel to the request's rule ids. The reply
-    repeats its request's seq, app, rule ids and time."""
-
-    direction: ClassVar[str] = CENTRAL_TO_APP
-
-    seq: int
-    app_id: str
-    rule_id: Tuple[int, ...]
-    t: int
-    guard_results: Tuple[bool, ...]
-    appside_actions_to_run: Tuple[Tuple[int, ...], ...]
-    faults: Tuple[Optional[str], ...]
-
-    @property
-    def guard_result(self) -> bool:
-        """Whether any rule's guard held."""
-        return True in self.guard_results
-
-    @property
-    def fault(self) -> Optional[str]:
-        """The first rule's fault, if any rule faulted."""
-        return next((f for f in self.faults if f is not None), None)
-
-    @property
-    def payload(self) -> Dict[str, object]:
-        return {
-            "guard_result": self.guard_results,
-            "appside_actions_to_run": self.appside_actions_to_run,
-            "fault": self.faults,
-        }
 
 
 ChannelMessage = Union[MonitorRequest, MonitorReply]
@@ -212,26 +135,21 @@ class CentralMonitor:
         self._ctx = EvalContext(GLOBAL_SIDE, 0, None, None, None, None, gs.vars, gs.attrs)
 
     def handle_request(self, req: MonitorRequest) -> MonitorReply:
+        """Log the request, answer it and log the reply. A full request is
+        answered by its batch's generated function, any other by
+        `_run_rules`; the rules run in order in one context."""
         log = self.log
         log.append(req)
-        reply = self._evaluate(req)
+        batch = self.cp.requests.get(req.rule_id)
+        if batch is not None and batch.central is not None and batch.truth_keys == req.appside_truth.keys():
+            reply = batch.central(self, batch, req, eval_expr, exec_stmts)
+        else:
+            # Inline here, the loop made the branch above 2-5% slower on
+            # the benchmark's NeedsGlobal workloads (Python 3.11), though
+            # that branch runs the same bytecode either way.
+            reply = self._run_rules(req)
         log.append(reply)
         return reply
-
-    def _evaluate(self, req: MonitorRequest) -> MonitorReply:
-        """Run the request's rules in order in one context. A full request
-        is answered by its batch's generated function, any other by
-        `_run_rules`."""
-        cp = self.cp
-        appside = req.appside_truth
-        batch = cp.requests.get(req.rule_id)
-        if batch is not None and batch.central is not None and batch.truth_keys == appside.keys():
-            guards, actions, faults = batch.central(self, batch, req, eval_expr, exec_stmts)
-            return MonitorReply(req.seq, req.app_id, req.rule_id, req.t, guards, actions, faults)
-        # Inline here, the loop made the branch above 2-5% slower on the
-        # benchmark's NeedsGlobal workloads (Python 3.11), though that
-        # branch runs the same bytecode either way.
-        return self._run_rules(req)
 
     def _run_rules(self, req: MonitorRequest) -> MonitorReply:
         """Run each rule the request names, in order: a rule faults

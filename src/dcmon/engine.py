@@ -32,14 +32,18 @@ the module is built:
 
 - the local one, `f(mon, batch, args, rv, t, faults, eval_expr) ->
   reason`, binds the occurrence by compile-time position, holds each
-  app-side truth value in a local variable, sends the request with its
-  keys fixed and decides each rule in order, its guard inlined; it hands
-  the batch to the local monitor's rule-by-rule loop when an app-side
-  condition faults, and the rules' outcomes when the channel is down or
-  the reply holds a fault;
-- the central one, `f(cm, batch, req, eval_expr, exec_stmts) ->
-  (guard_results, appside_actions_to_run, faults)`, answers the batch's
-  full request: its rules' ids with its truth keys.
+  app-side truth value in a local variable, sends the request with the
+  batch's shared truth map for those values and decides each rule in
+  order, its guard inlined; it hands the batch to the local monitor's
+  rule-by-rule loop when an app-side condition faults, and the rules'
+  outcomes when the channel is down or the reply holds a fault;
+- the central one, `f(cm, batch, req, eval_expr, exec_stmts) -> reply`,
+  answers the batch's full request, its rules' ids with its truth keys,
+  with a `MonitorReply` that holds the batch's shared pair of guard
+  results and actions for its guard bits.
+
+Neither builds an empty dict: every empty map they set or send is the
+shared `EMPTY` of `lang/channel.py`, and nothing writes into one.
 
 Batches alike share both functions: each reads its rules from the batch it
 is handed. Every body runs through the runners `eval_expr` and
@@ -127,9 +131,18 @@ class Batch:
     """Consecutive rules of one phase of a call whose triggers bind an
     occurrence alike. The local monitor binds the occurrence once,
     evaluates all their app-side conditions, sends one request for their
-    NeedsGlobal rules, then decides each rule in order."""
+    NeedsGlobal rules, then decides each rule in order.
 
-    __slots__ = ("rules", "sent", "rule_ids", "truth_ids", "truth_keys", "forwarded", "no_faults", "local", "central")
+    A batch that sends keeps what its full requests and their replies
+    share, filled in by its generated functions on first use: `truths`,
+    each truth map by its values in `truth_ids` order, and `outcomes`,
+    each reply's `(guard_results, appside_actions_to_run)` pair by its
+    guard bits. Nothing may change a map or a tuple they hold."""
+
+    __slots__ = (
+        "rules", "sent", "rule_ids", "truth_ids", "truth_keys", "forwarded", "no_faults", "truths", "outcomes",
+        "local", "central",
+    )
 
     def __init__(self, rules: Sequence[CompiledRule]):
         self.rules = tuple(rules)
@@ -145,6 +158,8 @@ class Batch:
         self.truth_ids = tuple(dict.fromkeys(cid for r in self.sent for cid in r.app_condition_ids))
         self.truth_keys = frozenset(self.truth_ids)
         self.forwarded = tuple(dict.fromkeys(p for r in self.sent for p in r.forwarded_params))
+        self.truths: Dict[Tuple[bool, ...], Dict[int, bool]] = {}
+        self.outcomes: Dict[Tuple[bool, ...], Tuple[Tuple[bool, ...], Tuple[Tuple[int, ...], ...]]] = {}
         # the generated functions that decide the batch on each side of the
         # channel, which `compile_policy` sets; a batch built otherwise is
         # decided by the monitors' rule-by-rule loops
@@ -189,7 +204,10 @@ def compile_policy(spec: PolicySpec, state_types: StateTypes) -> CompiledPolicy:
     """Build the dispatch table of a policy that passed validation, which
     inferred `state_types`, the kinds of its state variables. The code it
     generates relies on that validation and checks none of it again (see
-    `lang/codegen.py`)."""
+    `lang/codegen.py`). Each batch it builds starts with empty tables of
+    shared truth maps and reply outcomes, which its functions fill as
+    they run; the tables hold at most one entry per vector of truth
+    values or guard bits."""
     event_ids = {e.name: i for i, e in enumerate(spec.events)}
     cond_ids = {c.name: i for i, c in enumerate(spec.conditions)}
     action_ids = {a.name: i for i, a in enumerate(spec.actions)}
@@ -299,7 +317,9 @@ def _local_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: Di
     its name. It hands the batch to `_run_batch` when an app-side condition
     faults, and to its second phase `_decide` when the channel is down or
     the reply holds a fault. Each condition's truth value is a local
-    `c<id>`, and each LocalOnly guard is inlined over them."""
+    `c<id>`, and each LocalOnly guard is inlined over them. The request's
+    truth map is the one in `batch.truths` for its values, built on their
+    first send."""
     names, returned = batch.rules[0].binding
     sources = {} if names is None else {name: f"args[{i}]" for i, name in enumerate(names)}
     if returned is not None:
@@ -317,6 +337,9 @@ def _local_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: Di
         lines += ["except EvalError:", "    return mon._run_batch(batch, args, rv, t, faults)"]
     if batch.sent:
         truth = dict_source((cid, f"c{cid}") for cid in batch.truth_ids)
+        if batch.truth_ids:
+            key = "(" + "".join(f"c{cid}, " for cid in batch.truth_ids) + ")"
+            truth = f"batch.truths.get({key}) or batch.truths.setdefault({key}, {truth})"
         forwarded = dict_source((p, sources[p]) for p in batch.forwarded)
         values = dict_source((cid, f"c{cid}") for cid in cids)
         lines += [
@@ -352,14 +375,14 @@ def _local_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: Di
 
 
 def _central_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: Dict[str, int]) -> str:
-    """Write `f(cm, batch, req, eval_expr, exec_stmts) -> (guard_results,
-    appside_actions_to_run, faults)`, which answers the batch's full
-    request as the central monitor's rule-by-rule loop does, and return its
-    name. Each global
-    condition's truth value is a local `c<id>`, None until it is evaluated
-    and again once a rule's GlobalSide actions run; each app-side one is
-    read from the request's truth map."""
-    lines = ["ctx = cm._ctx", "ctx.now = req.t", "ctx.event_bindings = req.forwarded_bindings", "undo = ctx.undo"]
+    """Write `f(cm, batch, req, eval_expr, exec_stmts) -> reply`, which
+    answers the batch's full request as the central monitor's rule-by-rule
+    loop does, and return its name. Each global condition's truth value is
+    a local `c<id>`, None until it is evaluated and again once a rule's
+    GlobalSide actions run; each app-side one is read from the request's
+    truth map. Each rule's guard bit is a local `r<k>`; the reply holds the
+    pair in `batch.outcomes` for the bits, built on their first reply."""
+    lines = ["ctx = cm._ctx", "ctx.now = req.t", "ctx.event_bindings = req.forwarded_bindings"]
     global_ids = tuple(dict.fromkeys(cid for r in batch.sent for cid in r.global_condition_ids))
     if global_ids:
         lines += ["cc = cm.cp.condition_code", "".join(f"c{cid} = " for cid in global_ids) + "None"]
@@ -384,13 +407,16 @@ def _central_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: 
             lines.append(f"    if {guard}:")
             lines += ["        " + "".join(f"c{cid} = " for cid in evaluated) + "None"] if evaluated else []
             lines += [f"        exec_stmts(ac[{aid}], ctx)" for aid in rule.global_action_ids]
-            lines += ["        undo.clear()", f"        r{k} = True"]
+            lines += ["        ctx.undo.clear()", f"        r{k} = True"]
         else:
             lines.append(f"    if {guard}: r{k} = True")
-        lines += ["except EvalError as ex:", f"    faults = rule_fault(undo, faults, {k}, ex)"]
-    guards = "".join(f"r{k}, " for k in range(len(batch.sent)))
+        lines += ["except EvalError as ex:", f"    faults = rule_fault(ctx.undo, faults, {k}, ex)"]
+    guards = "(" + "".join(f"r{k}, " for k in range(len(batch.sent))) + ")"
     actions = "".join(f"{r.app_action_ids!r} if r{k} else (), " if r.app_action_ids else "(), " for k, r in enumerate(batch.sent))
-    lines.append(f"return ({guards}), ({actions}), faults")
+    lines += [
+        f"out = batch.outcomes.get({guards}) or batch.outcomes.setdefault({guards}, ({guards}, ({actions})))",
+        "return MonitorReply(req.seq, req.app_id, req.rule_id, req.t, out[0], out[1], faults)",
+    ]
     return module.add("cm, batch, req, eval_expr, exec_stmts", ["    " + line for line in lines], calls)
 
 

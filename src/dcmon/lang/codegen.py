@@ -5,7 +5,9 @@ all of a policy's functions in one `Module` and compiles that module with
 one `compile()` call; functions with identical source share one. Beside
 the bodies and guards, the module holds the functions that `engine.py`
 writes for each batch with `Module.add`, their guards inlined by
-`Module.guard_source` over the truth values they hold in locals. This
+`Module.guard_source` over the truth values they hold in locals; they
+build the channel's replies and send its shared empty map, both from
+`channel.py`. This
 carries the idea of Feeley & Lapalme, *Using Closures for Code Generation*
 (1987), one step further: instead of one closure per node, a body runs as
 one Python frame, with no dispatch on node types and no call per node.
@@ -49,6 +51,7 @@ import bisect
 import operator
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
+from .channel import EMPTY, MonitorReply
 from .eval import ABSENT, ChannelError, EvalError, _checked_int, duration, rule_fault, trunc_div
 from .nodes import (
     CMP_OPS,
@@ -80,8 +83,11 @@ Leaves = Optional[Mapping[int, str]]
 
 
 def dict_source(items) -> str:
-    """The source of a dict display of `(key, value source)` pairs."""
-    return "{" + ", ".join(f"{key!r}: {src}" for key, src in items) + "}"
+    """The source of a dict display of `(key, value source)` pairs, or of
+    the shared `EMPTY` when there are none: no generated code writes a
+    dict it builds."""
+    pairs = ", ".join(f"{key!r}: {src}" for key, src in items)
+    return "{" + pairs + "}" if pairs else "EMPTY"
 
 
 # the most nested blocks (in a body) or parentheses (in a guard) that one
@@ -176,7 +182,9 @@ _PROLOGUE = (
 _NAMESPACE = {
     "ABSENT": ABSENT,
     "ChannelError": ChannelError,
+    "EMPTY": EMPTY,
     "EvalError": EvalError,
+    "MonitorReply": MonitorReply,
     "bisect_left": bisect.bisect_left,
     "bisect_right": bisect.bisect_right,
     "rule_fault": rule_fault,

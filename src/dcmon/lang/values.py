@@ -17,6 +17,7 @@ Kinds:
 from __future__ import annotations
 
 import enum
+import json
 from typing import Union
 
 Value = Union[bool, int, str, list]
@@ -75,3 +76,8 @@ def copy_value(v: Value) -> Value:
 def value_to_json(vt: VType, v: Value):
     """JSON-ready form; lists are copied so snapshots never alias state."""
     return list(v) if vt is VType.TS_LIST else v
+
+
+def canonical_json(doc) -> str:
+    """The byte-stable JSON of every dcmon output: sorted keys, no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

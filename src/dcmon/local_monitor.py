@@ -55,6 +55,7 @@ from .engine import Batch, CompiledPolicy, CompiledRule, Locality, eval_expr, ev
 # plan. The benchmark's tracer hooks the name in this module and counts a
 # missing hook, so it stays bound until those hooks move.
 from .engine import rules_for  # noqa: F401
+from .lang.channel import EMPTY
 from .lang.eval import APP_SIDE, EvalContext, EvalError, rollback
 from .lang.state import VarStore
 from .lang.values import Value
@@ -136,8 +137,9 @@ class LocalMonitor:
         reply = None
         request = batch if faulted is None else Batch([r for r in batch.sent if r.rule_id not in faulted])
         if request.sent:
-            truth = {cid: values[cid] for cid in request.truth_ids}
-            forwarded = {p: bindings[p] for p in request.forwarded}
+            # an empty map is the shared one, as the generated function's
+            truth = {cid: values[cid] for cid in request.truth_ids} or EMPTY
+            forwarded = {p: bindings[p] for p in request.forwarded} or EMPTY
             try:
                 reply = self.channel.request(self.app_id, request.rule_ids, t, truth, forwarded)
             except ChannelError:
