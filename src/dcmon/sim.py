@@ -141,16 +141,36 @@ _JSON_SPACE = " \t"
 
 
 def _split_lines(text: str) -> List[str]:
-    """The lines of `text`, stripped of JSON's space and tab."""
-    for brk in _LINE_BREAKS:
-        text = text.replace(brk, "\n")
-    return [line.strip(_JSON_SPACE) for line in text.split("\n")]
+    """The lines of `text`, stripped of JSON's space and tab. ASCII text
+    holds none of the breaks that `str.splitlines()` adds to
+    `_LINE_BREAKS` and "\n" (U+0085, U+2028 and U+2029), so there it
+    breaks at the same places in one pass; it only drops the empty line
+    after a final break, which names no event."""
+    if text.isascii():
+        lines = text.splitlines()
+    else:
+        for brk in _LINE_BREAKS:
+            text = text.replace(brk, "\n")
+        lines = text.split("\n")
+    return [line.strip(_JSON_SPACE) for line in lines]
 
 
 def _event_checker(append: Callable[[TraceEvent], None]) -> Callable[[dict], TraceEvent]:
     """The check of one decoded object: it resolves the call to its catalog
     entry, then appends and returns the constructor's event, or raises
-    `InvalidEvent`. One call per object, it is also a hook."""
+    `InvalidEvent`. One call per object, it is also a hook.
+
+    Once the constructor has accepted an event, its `app` becomes the first
+    equal string and its `args` the first equal tuple of the same catalog
+    entry that this checker has seen, so a parse holds each distinct value
+    once. The args tables are per entry, and an entry accepts only its
+    parameters' exact types, so equal tuples that share are of equal types
+    too: `(1,)` never stands for `(True,)`. The tables live as long as the
+    checker, one parse."""
+    apps: Dict[str, str] = {}
+    args_of: Dict[ApiCatalogEntry, Dict[Tuple[Value, ...], Tuple[Value, ...]]] = {
+        api: {} for api in CATALOG.values()
+    }
 
     def event_of(doc: dict) -> TraceEvent:
         try:
@@ -167,6 +187,8 @@ def _event_checker(append: Callable[[TraceEvent], None]) -> Callable[[dict], Tra
         if type(args) is not list:
             raise InvalidEvent("args must be a list")
         ev = TraceEvent(t, app, api, tuple(args))
+        ev.app = apps.setdefault(app, app)
+        ev.args = args_of[api].setdefault(ev.args, ev.args)
         append(ev)
         return ev
 
@@ -196,6 +218,10 @@ def parse_trace(text: str) -> List[TraceEvent]:
     Every text is parsed by one `json.loads` call over all its lines. On
     any doubt, such as a bad line or a string with no UTF-8 encoding, the
     per-line loop parses the lines again and decides them.
+
+    The events of one parse share their values: equal apps are one string,
+    and equal args of one catalog entry are one tuple (see
+    `_event_checker`). Compare events by value, never by identity.
     """
     lines = _split_lines(text)
     try:
@@ -214,19 +240,26 @@ def _parse_in_one_call(lines: List[str]) -> List[TraceEvent]:
     """Parse all lines as one JSON array, or raise on any doubt.
 
     Each nonblank line must start with `{` and end with `}`, and these
-    lines are joined with ",\n". No JSON string holds a raw line break,
-    whatever else the text holds, so these braces are structural. The hook
+    lines are joined with ",\n", with the array's brackets on the first and
+    the last line, so that the array's text is built once. No JSON string
+    holds a raw line break, whatever else the text holds, so these braces
+    are structural. The hook
     turns every object into an event, with the per-line loop's checks, so
     as many events as lines means one `{` per line, the one that starts it.
     No object is then open when a line starts, so the `}` that ends the
     line closes the line's own object: each line is exactly one object,
     which the per-line loop would parse alike. (Joined with a bare ",", a
     string could run across a line.)"""
-    if not all(line[0] == "{" and line[-1] == "}" for line in lines if line):
+    nonblank = [line for line in lines if line]
+    if not all(line[0] == "{" and line[-1] == "}" for line in nonblank):
         raise ValueError
+    if not nonblank:
+        return []
+    nonblank[0] = "[" + nonblank[0]
+    nonblank[-1] += "]"
     events: List[TraceEvent] = []
-    json.loads("[" + ",\n".join(filter(None, lines)) + "]", object_hook=_event_checker(events.append))
-    if len(events) != len(lines) - lines.count(""):
+    json.loads(",\n".join(nonblank), object_hook=_event_checker(events.append))
+    if len(events) != len(nonblank):
         raise ValueError
     times = [ev.t for ev in events]
     if times != sorted(times):

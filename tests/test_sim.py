@@ -2,8 +2,10 @@
 effect gating, rule atomicity and channel outages."""
 
 import dataclasses
+import gc
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -36,6 +38,8 @@ from dcmon.sim import (
     TraceFormatError,
     UnsortedTrace,
     VerdictEntry,
+    _JSON_SPACE,
+    _LINE_BREAKS,
     _execution_order,
     _parse_by_line,
     _parse_in_one_call,
@@ -184,14 +188,26 @@ _MATCHING_CALLS = st.sampled_from(list(API_OF_CALL.values())).flatmap(
 
 
 @st.composite
-def _calls(draw):
+def _calls(draw, seen):
     """A catalog call with matching args, or with a float among them, or
-    with the wrong arity, or an unknown call."""
-    call, args = draw(_MATCHING_CALLS)
+    with a bool's int or float look-alike, or with the wrong arity, or an
+    unknown call. Half the time it repeats a call of `seen`, or its args
+    under another call with the same parameter types."""
+    if seen and draw(st.booleans()):
+        call, args = draw(st.sampled_from(seen))
+        api = API_OF_CALL.get(call)
+        if api is not None and draw(st.booleans()):
+            call = draw(st.sampled_from([c for c, a in API_OF_CALL.items() if a.param_types == api.param_types]))
+    else:
+        call, args = draw(_MATCHING_CALLS)
     args = list(args)
     # one line in four has a defect
-    defect = draw(st.sampled_from(["float", "arity", "unknown"])) if draw(st.integers(0, 3)) == 0 else None
-    if defect == "float":
+    defect = draw(st.sampled_from(["float", "lookalike", "arity", "unknown"])) if draw(st.integers(0, 3)) == 0 else None
+    if defect == "lookalike":  # 1 or 1.0 for true, 0 or 0.0 for false, equal and of equal hash
+        pos = draw(st.integers(0, max(len(args) - 1, 0)))
+        value = args[pos] if args and type(args[pos]) is bool else draw(st.booleans())
+        args[pos:pos + 1] = [draw(st.sampled_from([int, float]))(value)]
+    elif defect == "float":
         pos = draw(st.integers(0, len(args)))
         args[pos:pos + 1] = [draw(st.floats())]  # replaces args[pos], or appends
     elif defect == "arity":
@@ -201,17 +217,26 @@ def _calls(draw):
     return call, args
 
 
+_BREAKS = st.sampled_from(("\n",) + _LINE_BREAKS)
+_PADS = st.sampled_from(["", " ", "\t", " \t "])
+
+
 @st.composite
 def trace_texts(draw):
     """A trace text of event lines, then mutated: lines joined or split, a
     brace dropped, args nested, keys duplicated or added, a float, bool,
     negative or too large t_ms, times swapped and blank lines. Some lines
-    call the catalog with args of the wrong type or number, or call an
-    unknown API, and some app names are not ASCII."""
+    call the catalog with args of the wrong type or number, or with an int
+    or float where a bool belongs, or call an unknown API; many repeat an
+    earlier call or its args, and some app names are not ASCII. Lines are
+    padded with JSON's space and tab, and each ends at any of the breaks
+    that end a line, the last one too."""
     times = sorted(draw(st.lists(st.integers(0, 50), max_size=6)))
     lines = []
+    seen = []
     for t in times:
-        call, args = draw(_calls())
+        call, args = draw(_calls(seen))
+        seen.append((call, args))
         doc = {"t_ms": t, "app": draw(st.sampled_from(["A", "Maps", "x y", "M\u00e4ps"])), "call": call, "args": args}
         sep = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
         lines.append(json.dumps(doc, separators=sep, ensure_ascii=draw(st.booleans())))
@@ -241,20 +266,52 @@ def trace_texts(draw):
             lines[i], lines[i + 1] = lines[i + 1], line
         elif kind == 11:  # a blank line
             lines.insert(i, draw(st.sampled_from(["", " \t", "\t"])))
-    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    lines = [draw(_PADS) + line + draw(_PADS) for line in lines]
+    # the last line ends at no break, one or two
+    ends = [draw(_BREAKS) for _ in lines[1:]] + ["".join(draw(st.lists(_BREAKS, max_size=2)))]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _reference_lines(text):
+    """The lines of `text` as `_split_lines` finds them in text that is not
+    ASCII: each break of `_LINE_BREAKS` read as "\n"."""
+    for brk in _LINE_BREAKS:
+        text = text.replace(brk, "\n")
+    return [line.strip(_JSON_SPACE) for line in text.split("\n")]
+
+
+def _sharing(events):
+    """For each event, the first event with an equal app and the first
+    event of the same call with equal args. Asserts that these are the
+    first events whose app and args are the same objects as its own."""
+    firsts = [(next(i for i, e in enumerate(events) if e.app == ev.app),
+               next(i for i, e in enumerate(events) if e.api is ev.api and e.args == ev.args)) for ev in events]
+    assert firsts == [(next(i for i, e in enumerate(events) if e.app is ev.app),
+                       next(i for i, e in enumerate(events) if e.args is ev.args)) for ev in events]
+    return firsts
 
 
 def _outcome(parse, text):
     try:
-        return repr(parse(text))  # repr tells True from 1 and 1.0 from 1
+        events = parse(text)
     except TraceFormatError as ex:
         return type(ex), ex.line, str(ex)
+    return repr(events), _sharing(events)  # repr tells True from 1 and 1.0 from 1
 
 
 @settings(max_examples=400, deadline=None)
 @given(trace_texts())
 def test_parse_trace_matches_the_per_line_loop(text):
-    assert _outcome(parse_trace, text) == _outcome(lambda text: _parse_by_line(_split_lines(text)), text)
+    assert _outcome(parse_trace, text) == _outcome(lambda text: _parse_by_line(_reference_lines(text)), text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("{} \tx\n" + "".join(_LINE_BREAKS), max_size=30))
+def test_ascii_text_splits_into_the_same_nonblank_lines(text):
+    # str.splitlines() on ASCII text, seven replaces and a split elsewhere
+    assert [(n, line) for n, line in enumerate(_split_lines(text), 1) if line] == [
+        (n, line) for n, line in enumerate(_reference_lines(text), 1) if line
+    ]
 
 
 @settings(max_examples=100, deadline=None)
@@ -272,6 +329,71 @@ def test_events_of_one_call_share_its_catalog_entry():
     assert a.api is b.api is CATALOG["SmsManager", "sendTextMessage"]
     # the event holds its entry, and no namespace or method strings
     assert TraceEvent.__slots__ == ("t", "app", "api", "args")
+
+
+# both parse paths: the one-call parse, and the per-line loop it falls back to
+_PARSERS = [pytest.param(parse_trace, id="parse_trace"),
+            pytest.param(lambda text: _parse_by_line(_split_lines(text)), id="per-line")]
+_WIFI_LINE = '{"t_ms": %d, "app": "A", "call": "WifiManager.setWifiEnabled", "args": [%s]}'
+
+
+@pytest.mark.parametrize("parse", _PARSERS)
+@pytest.mark.parametrize("first, second, line", [("true", "1", 2), ("1", "true", 1)])
+def test_equal_args_of_another_type_are_rejected_as_before(parse, first, second, line):
+    # (True,) == (1,) and their hashes are equal, yet no event shares an
+    # args tuple before the constructor has accepted its own
+    with pytest.raises(TraceFormatError) as err:
+        parse(_WIFI_LINE % (0, first) + "\n" + _WIFI_LINE % (1, second))
+    assert type(err.value) is TraceFormatError
+    assert str(err.value) == f"line {line}: argument 0 of 'WifiManager.setWifiEnabled' must be bool, got 1"
+
+
+def _call_line(t, app, call, *args):
+    return json.dumps({"t_ms": t, "app": app, "call": call, "args": list(args)})
+
+
+@pytest.mark.parametrize("parse", _PARSERS)
+def test_events_share_equal_apps_and_the_equal_args_of_one_call(parse):
+    sms, dial_, url = "SmsManager.sendTextMessage", "TelephonyManager.dialCall", "WebBrowser.requestUrl"
+    a, b, c, d, e, f = parse("\n".join([
+        _call_line(0, "Maps", sms, "x", "y"),
+        _call_line(1, "Chat", sms, "x", "y"),
+        _call_line(2, "Maps", dial_, "x"),
+        _call_line(3, "Chat", url, "x"),
+        _call_line(4, "Maps", dial_, "x"),
+        _call_line(5, "Chat", "WifiManager.setWifiEnabled", True),
+    ]))
+    assert a.app is c.app is e.app and b.app is d.app is f.app
+    assert a.args is b.args and c.args is e.args
+    # equal args of two calls are not shared: each catalog entry has its
+    # own table, which holds only tuples of the entry's parameter types
+    assert c.args == d.args and c.args is not d.args
+
+
+def test_hand_built_events_are_left_as_they_are():
+    app, args = "".join(["Ma", "ps"]), tuple(["x", "y"])
+    ev = TraceEvent(0, app, CATALOG["SmsManager", "sendTextMessage"], args)
+    parsed = parse_trace(_call_line(0, "Maps", "SmsManager.sendTextMessage", "x", "y"))
+    twin = TraceEvent(0, "".join(["Ma", "ps"]), ev.api, tuple(["x", "y"]))
+    assert ev.app is app and ev.args is args
+    assert parsed == [ev] == [twin] and twin.app is not app and twin.args is not args
+
+
+def test_a_parsed_trace_retains_at_most_160_bytes_per_event():
+    # without sharing, each event keeps its own app string, argument
+    # strings and args tuple: about 250 bytes per event
+    text = "".join(ev.to_json() + "\n" for ev in make_bench_trace(per_kind=1000))
+    parse_trace(text)  # anything built once per process is built here
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        events = parse_trace(text)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(events) == 7000
+    assert retained / len(events) <= 160
 
 
 @pytest.mark.parametrize(
