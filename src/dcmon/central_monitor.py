@@ -20,11 +20,12 @@ full request, a batch's rule ids with its truth keys, is answered by that
 batch's generated central function (see `engine.py`), which builds the
 reply with no per-rule loop: its guard results and actions are the batch's
 shared pair, and a reply in which no rule faulted shares the batch's
-all-None faults tuple. Any other request, and a full one for a batch built
-outside `compile_policy`, goes to one loop over the rules it names, which
-reads each rule's conditions, guard and actions from the policy's code
-slots and builds its reply's tuples of its own. An unknown id or a stale
-truth map makes a rule run nothing; its fault is set before the loop.
+all-None faults tuple. Every other request, such as a partial one, which
+names only the rules of a batch whose app-side conditions did not fault,
+goes to one loop over the rules it names. The loop reads each rule's
+conditions, guard and actions from the policy's code slots and builds its
+reply's tuples of its own. An unknown id or a stale truth map makes a rule
+run nothing; its fault is set before the loop.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class CentralMonitor:
         log = self.log
         log.append(req)
         batch = self.cp.requests.get(req.rule_id)
-        if batch is not None and batch.central is not None and batch.truth_keys == req.appside_truth.keys():
+        if batch is not None and batch.truth_keys == req.appside_truth.keys():
             reply = batch.central(self, batch, req, eval_expr, exec_stmts)
         else:
             # Inline here, the loop made the branch above 2-5% slower on

@@ -34,9 +34,10 @@ the module is built:
   reason`, binds the occurrence by compile-time position, holds each
   app-side truth value in a local variable, sends the request with the
   batch's shared truth map for those values and decides each rule in
-  order, its guard inlined; it hands the batch to the local monitor's
-  rule-by-rule loop when an app-side condition faults, and the rules'
-  outcomes when the channel is down or the reply holds a fault;
+  order, its guard inlined; it hands the batch, in the context it bound,
+  to the local monitor's rule-by-rule loop when an app-side condition
+  faults, and the rules' outcomes when the channel is down or the reply
+  holds a fault;
 - the central one, `f(cm, batch, req, eval_expr, exec_stmts) -> reply`,
   answers the batch's full request, its rules' ids with its truth keys,
   with a `MonitorReply` that holds the batch's shared pair of guard
@@ -49,9 +50,10 @@ Batches alike share both functions: each reads its rules from the batch it
 is handed. Every body runs through the runners `eval_expr` and
 `exec_stmts` below, which the monitors hand the batch functions, and
 through its policy's code slots, read when it runs. The monitors'
-rule-by-rule loops decide a batch built outside `compile_policy`, which
-has no functions, and any other request; they read each guard from
-`guard_code` and run it through `evaluate_guard`.
+rule-by-rule loops are the functions' fault paths: the local one takes
+over from the local function, in the context it bound, and the central
+one answers every request that is not a batch's full request. They read
+each guard from `guard_code` and run it through `evaluate_guard`.
 """
 
 from __future__ import annotations
@@ -161,8 +163,8 @@ class Batch:
         self.truths: Dict[Tuple[bool, ...], Dict[int, bool]] = {}
         self.outcomes: Dict[Tuple[bool, ...], Tuple[Tuple[bool, ...], Tuple[Tuple[int, ...], ...]]] = {}
         # the generated functions that decide the batch on each side of the
-        # channel, which `compile_policy` sets; a batch built otherwise is
-        # decided by the monitors' rule-by-rule loops
+        # channel, which `compile_policy` sets once its module is built; a
+        # batch that sends nothing has no central one
         self.local: Optional[Code] = None
         self.central: Optional[Code] = None
 
@@ -314,12 +316,14 @@ def plan_batches(spec: PolicySpec, rules: Sequence[CompiledRule]) -> Tuple[Batch
 def _local_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: Dict[str, int]) -> str:
     """Write `f(mon, batch, args, rv, t, faults, eval_expr) -> reason`,
     which decides the batch as `LocalMonitor._run_batch` does, and return
-    its name. It hands the batch to `_run_batch` when an app-side condition
-    faults, and to its second phase `_decide` when the channel is down or
-    the reply holds a fault. Each condition's truth value is a local
-    `c<id>`, and each LocalOnly guard is inlined over them. The request's
-    truth map is the one in `batch.truths` for its values, built on their
-    first send."""
+    its name. It binds the occurrence and sets the monitor's context, with
+    `EMPTY` bindings when no app-side body and no forwarded parameter of
+    the batch reads one. It hands the batch to `_run_batch`, in that
+    context, when an app-side condition faults, and to its second phase
+    `_decide` when the channel is down or the reply holds a fault. Each
+    condition's truth value is a local `c<id>`, and each LocalOnly guard is
+    inlined over them. The request's truth map is the one in `batch.truths`
+    for its values, built on their first send."""
     names, returned = batch.rules[0].binding
     sources = {} if names is None else {name: f"args[{i}]" for i, name in enumerate(names)}
     if returned is not None:
@@ -334,7 +338,7 @@ def _local_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: Di
     if cids:
         lines += ["cc = mon.cp.condition_code", "try:"]
         lines += [f"    c{cid} = not not eval_expr(cc[{cid}], ctx)" for cid in cids]
-        lines += ["except EvalError:", "    return mon._run_batch(batch, args, rv, t, faults)"]
+        lines += ["except EvalError:", "    return mon._run_batch(batch, faults)"]
     if batch.sent:
         truth = dict_source((cid, f"c{cid}") for cid in batch.truth_ids)
         if batch.truth_ids:

@@ -15,18 +15,18 @@ decided entirely here and sends nothing.
 
 `intercept` runs each batch's generated local function (see `engine.py`),
 which does all this with no per-rule loop while no app-side condition
-faults and the reply holds no fault. The rule-by-rule loop below,
-`_run_batch` and its second phase `_decide`, takes over a batch after one
-of its app-side conditions faults: condition bodies write nothing, so it
-evaluates them again. `_decide` alone decides each rule when the channel
-is down or the reply holds a fault, before any rule of the batch has
-run. A batch built outside `compile_policy` has no function, and the loop
-decides it.
+faults and the reply holds no fault. The rule-by-rule loop below is its
+fault path, reached only from it: `_run_batch` and its second phase
+`_decide` take over a batch after one of its app-side conditions faults,
+in the context the function bound, and evaluate the conditions again,
+since condition bodies write nothing. `_decide` alone decides each rule
+when the channel is down or the reply holds a fault, before any rule of
+the batch has run.
 
 A monitor evaluates every batch in one app-side context, built once, which
-each batch gives its time and bindings (none, when no body of the batch
-and no forwarded parameter reads one); each rule's writes are kept or
-rolled back before the next rule runs, so nothing carries over.
+each batch's function gives its time and bindings (none, when no body of
+the batch and no forwarded parameter reads one); each rule's writes are
+kept or rolled back before the next rule runs, so nothing carries over.
 
 The plan puts only triggers that bind alike in one batch, so a batch binds
 the occurrence once, from its first rule's compile-time binding: the
@@ -67,10 +67,8 @@ class LocalMonitor:
 
     def __init__(self, app_id: str, app_name: str, cp: CompiledPolicy, channel: Channel, attrs: VarStore):
         self.app_id = app_id
-        self.app_name = app_name
         self.cp = cp
         self.channel = channel
-        self.attrs = attrs
         self.local = VarStore(cp.local_kinds)  # this app's own, never shared
         # One context for every batch, which sets its time and bindings;
         # each rule clears or rolls back its undo log. Positional: (side,
@@ -86,37 +84,17 @@ class LocalMonitor:
         call, or None; appends each fault to `faults`."""
         reason = None
         for batch in plan:
-            if batch.local is None:
-                blocked_by = self._run_batch(batch, args, return_value, t, faults)
-            else:
-                blocked_by = batch.local(self, batch, args, return_value, t, faults, eval_expr)
+            blocked_by = batch.local(self, batch, args, return_value, t, faults, eval_expr)
             reason = reason or blocked_by
         return reason
 
     # internals
 
-    def _run_batch(
-        self, batch: Batch, args: Tuple[Value, ...], return_value: Optional[Value], t: int, faults: List[str]
-    ) -> Optional[str]:
-        """Decide the batch rule by rule: its generated function hands it
-        here after an app-side condition faults, and a batch built outside
-        `compile_policy` has none."""
-        # The call and phase decide everything the triggers match on except
-        # arity, and the plan gives every trigger of the batch the same
-        # binding: the first one binds the occurrence for all.
-        names, returned = batch.rules[0].binding
-        if names is None:
-            bindings = {}
-        elif len(names) == len(args):
-            bindings = dict(zip(names, args))
-        else:
-            return None
-        if returned is not None:  # only after-phase triggers have one
-            bindings[returned] = return_value
+    def _run_batch(self, batch: Batch, faults: List[str]) -> Optional[str]:
+        """Decide the batch rule by rule, in the context whose time and
+        bindings its generated function set before an app-side condition
+        faulted."""
         ctx = self._ctx
-        ctx.now = t
-        ctx.event_bindings = bindings
-
         # Phase 1: every app-side condition of the batch. The plan
         # guarantees no earlier rule's action writes what these read.
         values: Dict[int, bool] = {}
@@ -133,15 +111,16 @@ class LocalMonitor:
                 faulted[rule.rule_id] = f"EvalError:{ex.code}"
 
         # One round trip for the batch's NeedsGlobal rules whose conditions
-        # did not fault; a batch of LocalOnly rules sends none.
+        # did not fault, its maps in the order those rules name their keys;
+        # a batch of LocalOnly rules sends none.
         reply = None
-        request = batch if faulted is None else Batch([r for r in batch.sent if r.rule_id not in faulted])
-        if request.sent:
+        sent = [r for r in batch.sent if faulted is None or r.rule_id not in faulted]
+        if sent:
             # an empty map is the shared one, as the generated function's
-            truth = {cid: values[cid] for cid in request.truth_ids} or EMPTY
-            forwarded = {p: bindings[p] for p in request.forwarded} or EMPTY
+            truth = {cid: values[cid] for r in sent for cid in r.app_condition_ids} or EMPTY
+            forwarded = {p: ctx.event_bindings[p] for r in sent for p in r.forwarded_params} or EMPTY
             try:
-                reply = self.channel.request(self.app_id, request.rule_ids, t, truth, forwarded)
+                reply = self.channel.request(self.app_id, tuple(r.rule_id for r in sent), ctx.now, truth, forwarded)
             except ChannelError:
                 pass
         return self._decide(batch, values, faulted, reply, faults)

@@ -5,7 +5,7 @@ import pytest
 
 from dcmon.catalog import CATALOG
 from dcmon.dsl import Phase, parse_policy, validate_policy
-from dcmon.engine import CompiledPolicy, rules_for
+from dcmon.engine import Batch, CompiledPolicy, rules_for
 from dcmon.lang.codegen import Module
 from dcmon.lang.values import MS_PER_DAY, MS_PER_HOUR, MS_PER_MINUTE, MS_PER_SECOND
 from dcmon.sim import TraceEvent
@@ -88,6 +88,28 @@ def replan(cp: CompiledPolicy, plan_of) -> CompiledPolicy:
     dispatch table."""
     dispatch = {call: tuple(plan_of(plan) for plan in plans) for call, plans in cp.dispatch.items()}
     return dataclasses.replace(cp, dispatch=dispatch)
+
+
+def by_rules(rules) -> Batch:
+    """A batch of `rules` decided by the monitors' rule-by-rule loops: its
+    local function binds the occurrence as a generated one does, skipping
+    it on an arity mismatch, and hands the batch to `_run_batch`; its
+    central function hands the request to `_run_rules`."""
+    batch = Batch(rules)
+    names, returned = batch.rules[0].binding
+
+    def local(mon, batch, args, rv, t, faults, eval_expr):
+        if names is not None and len(args) != len(names):
+            return None
+        bindings = {} if names is None else dict(zip(names, args))
+        if returned is not None:
+            bindings[returned] = rv
+        mon._ctx.now, mon._ctx.event_bindings = t, bindings
+        return mon._run_batch(batch, faults)
+
+    batch.local = local
+    batch.central = lambda cm, batch, req, eval_expr, exec_stmts: cm._run_rules(req)
+    return batch
 
 
 class Occurrence(NamedTuple):

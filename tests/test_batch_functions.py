@@ -1,15 +1,16 @@
 """Each batch's generated functions against the rule-by-rule loops.
 
 `compile_policy` gives each batch a generated local function, which
-`LocalMonitor.intercept` calls instead of `_run_batch`, and a batch that
-sends a request a generated central function, which answers its full
-request instead of the central monitor's loop. The same policy with every
-batch's local function removed is decided by `_run_batch`, against the
-same central side; with both removed, by the two loops alone. All three
-must block the same calls for the same reasons, raise the same faults and
-leave the same local stores, device attributes, global state and channel
-log. The generated local function hands a batch to the loop only when one
-of its app-side conditions faults, which adds a fault.
+`LocalMonitor.intercept` calls, and a batch that sends a request a
+generated central function, which answers its full request. The loops are
+their fault paths: the local function hands a batch to `_run_batch` only
+when one of its app-side conditions faults, which adds a fault, and the
+central monitor's `_run_rules` answers every other request. The same
+policy with every batch's local function replaced by `conftest.by_rules`
+hands each batch to `_run_batch`, against the same central side; with
+both replaced, the two loops decide everything. All three must block the
+same calls for the same reasons, raise the same faults and leave the same
+local stores, device attributes, global state and channel log.
 """
 
 import hypothesis.strategies as st
@@ -25,18 +26,28 @@ from dcmon.local_monitor import LocalMonitor
 from dcmon.sim import run
 from dcmon.tracegen import make_trace
 
-from conftest import MSG_QUOTA_SRC, compile_src, replan, send, sends_every
-from test_batch_plan import APP_FAULT_SRC, CENTRAL_FAULT_SRC, LOCAL_FIRST_SRC, TRACES, policy_source, rule_lists
+from conftest import MSG_QUOTA_SRC, by_rules, compile_src, replan, send, sends_every
+from test_batch_plan import (
+    APP_FAULT_SRC,
+    CENTRAL_FAULT_SRC,
+    FORWARDED_FAULT_SRC,
+    FORWARDED_SENDS,
+    LOCAL_FIRST_SRC,
+    TRACES,
+    policy_source,
+    rule_lists,
+)
 from test_monitors import APP_CONTEXT_SRC, FORWARDING_SRC
 
 
 def rule_by_rule(cp: CompiledPolicy, keep_central: bool = True) -> CompiledPolicy:
-    """The same policy with no local functions, and no central ones unless
-    `keep_central`: the monitors' loops decide each batch without one."""
+    """The same policy with every batch decided by the local monitor's loop,
+    and by the central monitor's loop too unless `keep_central`."""
 
     def plain(batch: Batch) -> Batch:
-        out = Batch(batch.rules)
-        out.central = batch.central if keep_central else None
+        out = by_rules(batch.rules)
+        if keep_central:
+            out.central = batch.central
         return out
 
     return replan(cp, lambda plan: tuple(map(plain, plan)))
@@ -142,6 +153,24 @@ def test_each_case_decides_like_the_loop(case):
     src, trace, kwargs, shows_case = CASES[case]
     got = assert_like_rule_by_rule(compile_src(src), trace, **kwargs)
     assert shows_case(got), (got.faults, got.verdict_lines(), got.channel_lines())
+
+
+@pytest.mark.parametrize(
+    "src, trace",
+    [(APP_FAULT_SRC, sends_every(MS_PER_SECOND, 6)), (FORWARDED_FAULT_SRC, FORWARDED_SENDS)],
+    ids=["app_fault", "forwarded_fault"],
+)
+def test_a_partial_request_builds_no_batch(src, trace):
+    # an app-side condition faults on some sends, and the loop sends the
+    # unfaulted rules: `plan_batches` builds every batch before the run
+    cp = compile_src(src)
+    built = []
+    init = Batch.__init__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Batch, "__init__", lambda self, rules: built.append(rules) or init(self, rules))
+        res = run(trace, cp)
+    assert built == []
+    assert any(r.rule_id not in cp.requests for r in requests(res))
 
 
 @pytest.mark.parametrize("src", [FORWARDING_SRC, APP_CONTEXT_SRC.replace(" OPEN", "")], ids=["needs_global", "local_only"])

@@ -26,23 +26,23 @@ from dcmon.central_monitor import (
 )
 from dcmon.corpus import CORPUS_IDS, compile_corpus_policy
 from dcmon.dsl import Phase, parse_policy, validate_policy
-from dcmon.engine import Batch, CompiledPolicy
+from dcmon.engine import CompiledPolicy
 from dcmon.lang.eval import EvalContext
 from dcmon.lang.values import MS_PER_SECOND, VType
 from dcmon.sim import run
 from dcmon.tracegen import PROFILES, make_trace
 
-from conftest import compile_src, phase_plans, plan_rules, replan, send, sends_every
+from conftest import by_rules, compile_src, phase_plans, plan_rules, replan, send, sends_every
 
 
 def one_rule_batches(cp: CompiledPolicy) -> CompiledPolicy:
     """The same policy with every batch of its plan cut to one rule."""
-    return replan(cp, lambda plan: tuple(Batch([r]) for r in plan_rules(plan)))
+    return replan(cp, lambda plan: tuple(by_rules([r]) for r in plan_rules(plan)))
 
 
 def single_batch(cp: CompiledPolicy) -> CompiledPolicy:
     """The same policy with each phase's rules forced into one batch."""
-    return replan(cp, lambda plan: (Batch(plan_rules(plan)),) if plan else ())
+    return replan(cp, lambda plan: (by_rules(plan_rules(plan)),) if plan else ())
 
 
 def requests(res) -> int:
@@ -134,7 +134,7 @@ def test_a_rebuilt_policy_answers_with_its_own_batches(msg_quota_policy):
     cp = msg_quota_policy
     rebuilt = replan(
         dataclasses.replace(cp, guard_code=(lambda truth: True, *cp.guard_code[1:])),
-        lambda plan: tuple(Batch(b.rules) for b in plan),
+        lambda plan: tuple(by_rules(b.rules) for b in plan),
     )
     for policy, guard in ((cp, False), (rebuilt, True)):
         reply = Channel(CentralMonitor(policy, GlobalState.empty(policy.global_kinds))).request("Messenger", (0,), 0, {}, {})
@@ -313,6 +313,48 @@ Rules {
     bumpAll = sendB() | small && always -> bump;
 }
 """
+
+# One before-phase batch bound by position, whose partial requests carry a
+# forwarded map: `inverse` faults while local.n is 0, every other send,
+# which drops inverseDeny, and the `event.body` its `many` reads, from the
+# request; homeCount's `fwdHome` reads the forwarded `event.dest`; the
+# LocalOnly flipEach moves local.n between 0 and 2. The after phase's
+# tallySent reads its uponReturning(sent).
+FORWARDED_FAULT_SRC = """
+Events { ApplicationSide {
+    sendT() = { SmsManager *.sendTextMessage(string dest, string body) }
+    sentT(boolean sent) = { after SmsManager *.sendTextMessage(string dest, string body) } uponReturning(sent)
+} }
+Conditions {
+    ApplicationSide {
+        inverse = { 10 / local.n > 2 }
+        small = { local.n < 5 }
+        succeeded = { sent == true }
+    }
+    GlobalSide {
+        many = { global.homes >= 3 && event.body == "hi" }
+        fwdHome = { starts_with(event.dest, "+356") }
+    }
+}
+Actions {
+    ApplicationSide {
+        flip = { local.n := 2 - local.n; }
+        deny = { block(); }
+    }
+    GlobalSide {
+        countHome = { global.homes := global.homes + 1; }
+        tally = { global.delivered := global.delivered + 1; }
+    }
+}
+Rules {
+    inverseDeny = sendT() | inverse && many -> deny;
+    homeCount = sendT() | fwdHome -> countHome;
+    flipEach = sendT() | small -> flip;
+    tallySent = sentT() | succeeded -> tally;
+}
+"""
+# every third send goes to a "+356" number
+FORWARDED_SENDS = [send(i * MS_PER_SECOND, dest="+35621123456" if i % 3 == 0 else "21234567") for i in range(9)]
 
 # A LocalOnly blocking rule ahead of the NeedsGlobal rules: it is decided
 # here and takes no entry of the reply, so the reply's entries still line

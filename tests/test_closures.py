@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, assume, given, settings
 
 from dcmon.corpus import CORPUS_IDS, build_policy_source, compile_corpus_policy
 from dcmon.dsl import PolicySpec, parse_policy, validate_policy
-from dcmon.engine import Batch, CompiledPolicy
+from dcmon.engine import CompiledPolicy
 from dcmon.lang import APP_SIDE, GLOBAL_SIDE, EvalContext, EvalError, VarStore, rollback
 from dcmon.lang.nodes import (
     AppendStmt,
@@ -39,7 +39,7 @@ from dcmon.lang.values import INT64_MAX, INT64_MIN, MS_PER_SECOND, VType
 from dcmon.sim import run
 from dcmon.tracegen import make_bench_trace, make_trace
 
-from conftest import generate, replan, sends_every
+from conftest import by_rules, generate, replan, sends_every
 from reference_eval import eval_expr, exec_stmts
 from test_batch_plan import CENTRAL_FAULT_SRC, policy_source, rule_lists
 from test_roundtrip import expressions_calling, own_arity, statements_over
@@ -275,7 +275,7 @@ def reference_policy(cp: CompiledPolicy, spec: PolicySpec) -> CompiledPolicy:
         action_code=tuple(lambda ctx, b=a.body: exec_stmts(b, ctx, cp.state_types) for a in cp.actions),
         guard_code=tuple(partial(guard_value, rule.guard, cond_ids) for rule in spec.rules),
     )
-    return replan(reference, lambda plan: tuple(Batch(b.rules) for b in plan))
+    return replan(reference, lambda plan: tuple(by_rules(b.rules) for b in plan))
 
 
 def outputs(res):

@@ -11,14 +11,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from dcmon import central_monitor, local_monitor
 from dcmon.corpus import CORPUS_IDS, build_policy_source, compile_corpus_policy
 from dcmon.dsl import Phase, guard_refs, parse_policy, validate_policy
-from dcmon.engine import Batch, CompiledPolicy, Locality, evaluate_guard, rules_for
+from dcmon.engine import CompiledPolicy, Locality, evaluate_guard, rules_for
 from dcmon.lang import codegen
 from dcmon.lang.nodes import Binary, Literal, Unary, VarRef
 from dcmon.lang.values import MS_PER_SECOND, VType
 from dcmon.sim import run
 from dcmon.tracegen import make_bench_trace, make_trace
 
-from conftest import EMPTY_SRC, compile_src, generate, phase_plans, plan_rules, replan, sends_every
+from conftest import EMPTY_SRC, by_rules, compile_src, generate, phase_plans, plan_rules, replan, sends_every
 from test_batch_plan import CENTRAL_FAULT_SRC, policy_source, rule_lists
 
 
@@ -135,7 +135,7 @@ def test_lower_guard_rejects_other_nodes(node):
 # functions, whose guards are inlined over truth values held in locals:
 # their source is checked statically. The monitors' rule-by-rule loops
 # call `evaluate_guard`, which is checked at run time on the same policies
-# with batches built by `replan`, which have no generated functions.
+# with batches that `conftest.by_rules` hands to those loops.
 
 def guard_cond_ids(cp, spec):
     """Each compiled guard of `cp` mapped to the ids of the conditions that
@@ -145,8 +145,8 @@ def guard_cond_ids(cp, spec):
 
 
 def generic_batches(cp):
-    """The same policy with batches built by hand: no generated functions."""
-    return replan(cp, lambda plan: tuple(Batch(b.rules) for b in plan))
+    """The same policy with every batch decided by the rule-by-rule loops."""
+    return replan(cp, lambda plan: tuple(by_rules(b.rules) for b in plan))
 
 
 @contextmanager
