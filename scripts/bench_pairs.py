@@ -19,9 +19,12 @@ medians in %. Untraced runs go under ``final``, ``--trace 1`` runs under
 ``traced``; any other key of an existing ``--out`` file is kept. Once the
 report is written, one line per workload and end-to-end metric goes to
 stdout: both medians, the parent's interquartile range, the change of the
-medians in %, the pairs won and lost, and whether the change's median is
+medians in %, the pairs won and lost, whether the change's median is
 worse than the parent's by more than the metric's ``bound`` in
-``BENCHMARK.json``. After a ``--trace 1`` run, one more line per workload
+``BENCHMARK.json``, and the two tests a claimed gain must pass: that the
+change won at least 9 in 10 of the pairs, ties counting for neither side,
+and that the medians differ by more than the parent's interquartile range.
+After a ``--trace 1`` run, one more line per workload
 says whether every per-layer ``.calls`` count, ``channel_requests_per_event``
 and ``trace.missing_hooks`` read the same on both sides in every pair, and
 names each that did not: a change that does the same work keeps them all.
@@ -104,7 +107,10 @@ def summary_lines(workloads: dict, bounds: dict, better: dict) -> list:
     sides, the parent's interquartile range, the change of the medians, the
     pairs the change won and lost, and whether the change's median is worse
     than the parent's by more than the metric's bound, a fraction of the
-    parent's median."""
+    parent's median. Each line ends with the rule for claiming a gain:
+    whether the change won at least 9 in 10 of the pairs (a tie is no win)
+    and whether its median is further from the parent's than the parent's
+    interquartile range."""
     lines = []
     for workload, summaries in workloads.items():
         for name, bound in bounds.items():
@@ -115,10 +121,13 @@ def summary_lines(workloads: dict, bounds: dict, better: dict) -> list:
             change = s["change_q1_median_q3"][1]
             sign = 1 if better[name] == "lower" else -1
             verdict = "worse by more than" if sign * (change - parent) > bound * abs(parent) else "within"
-            lines.append(f"{workload} {name}: parent {parent:g} (IQR {round(q3 - q1, 6):g}), "
+            pairs, iqr = len(s["parent"]), round(q3 - q1, 6)
+            won = "yes" if 10 * s["change_better"] >= 9 * pairs else "no"
+            apart = "yes" if abs(change - parent) > iqr else "no"
+            lines.append(f"{workload} {name}: parent {parent:g} (IQR {iqr:g}), "
                          f"change {change:g} ({s['median_change_pct']:+.1f}%), "
-                         f"won {s['change_better']}, lost {s['change_worse']} of {len(s['parent'])} pairs; "
-                         f"{verdict} its {bound:.0%} bound")
+                         f"won {s['change_better']}, lost {s['change_worse']} of {pairs} pairs; "
+                         f"{verdict} its {bound:.0%} bound; won 9 in 10: {won}; medians apart by more than the IQR: {apart}")
     return lines
 
 

@@ -25,7 +25,9 @@ names only the rules of a batch whose app-side conditions did not fault,
 goes to one loop over the rules it names. The loop reads each rule's
 conditions, guard and actions from the policy's code slots and builds its
 reply's tuples of its own. An unknown id or a stale truth map makes a rule
-run nothing; its fault is set before the loop.
+run nothing; its fault is set before the loop. Both build their reply, as
+`Channel.request` builds the request, through `lang/channel.py`'s record
+builders, which skip the class call.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .catalog import DEVICE_ATTRS
 from .engine import CompiledPolicy, eval_expr, evaluate_guard, exec_stmts
-from .lang.channel import APP_TO_CENTRAL, MonitorReply, MonitorRequest
+from .lang.channel import APP_TO_CENTRAL, MonitorReply, MonitorRequest, build_reply, build_request
 # the log's other direction, for the callers that read the log
 from .lang.channel import CENTRAL_TO_APP  # noqa: F401
 from .lang.eval import GLOBAL_SIDE, ChannelError, EvalContext, EvalError, rule_fault
@@ -192,7 +194,7 @@ class CentralMonitor:
                     faults = rule_fault(ctx.undo, faults, len(guards), ex)
             guards.append(False)
             actions.append(())
-        return MonitorReply(req.seq, req.app_id, req.rule_id, req.t, tuple(guards), tuple(actions), faults)
+        return build_reply(req.seq, req.app_id, req.rule_id, req.t, tuple(guards), tuple(actions), faults)
 
 
 class Channel:
@@ -214,13 +216,15 @@ class Channel:
         appside_truth: Dict[int, bool],
         forwarded_bindings: Dict[str, Value],
     ) -> MonitorReply:
-        """One round trip for the rules `rule_ids`."""
+        """One round trip for the rules `rule_ids`. The request is built by
+        `build_request`, which the replay calls in place of the class
+        `MonitorRequest` (see `lang/channel.py`'s `record_builder`)."""
         if not self.connected:
             raise ChannelError("central monitor unreachable")
         seq = self._next_seq
         self._next_seq = seq + 1
         # positional: (seq, app_id, rule_id, t, appside_truth, forwarded_bindings)
-        return self.central.handle_request(MonitorRequest(seq, app_id, rule_ids, t, appside_truth, forwarded_bindings))
+        return self.central.handle_request(build_request(seq, app_id, rule_ids, t, appside_truth, forwarded_bindings))
 
 
 def replay_requests(

@@ -350,9 +350,9 @@ def _local_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: Di
             "try:",
             f"    reply = mon.channel.request(mon.app_id, batch.rule_ids, t, {truth}, {forwarded})",
             "except ChannelError:",
-            f"    return mon._decide(batch, {values}, None, None, faults)",
+            f"    return mon._decide(batch, {values}, EMPTY, None, faults)",
             "if reply.faults is not batch.no_faults:",
-            f"    return mon._decide(batch, {values}, None, reply, faults)",
+            f"    return mon._decide(batch, {values}, EMPTY, reply, faults)",
         ]
         if any(r.app_action_ids for r in batch.sent):
             lines.append("ok, acts = reply.guard_results, reply.appside_actions_to_run")
@@ -385,7 +385,9 @@ def _central_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: 
     a local `c<id>`, None until it is evaluated and again once a rule's
     GlobalSide actions run; each app-side one is read from the request's
     truth map. Each rule's guard bit is a local `r<k>`; the reply holds the
-    pair in `batch.outcomes` for the bits, built on their first reply."""
+    pair in `batch.outcomes` for the bits, built on their first reply. Its
+    one `return` line builds the reply with `build_reply` of
+    `lang/channel.py`, which skips the class call of `MonitorReply`."""
     lines = ["ctx = cm._ctx", "ctx.now = req.t", "ctx.event_bindings = req.forwarded_bindings"]
     global_ids = tuple(dict.fromkeys(cid for r in batch.sent for cid in r.global_condition_ids))
     if global_ids:
@@ -419,7 +421,7 @@ def _central_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: 
     actions = "".join(f"{r.app_action_ids!r} if r{k} else (), " if r.app_action_ids else "(), " for k, r in enumerate(batch.sent))
     lines += [
         f"out = batch.outcomes.get({guards}) or batch.outcomes.setdefault({guards}, ({guards}, ({actions})))",
-        "return MonitorReply(req.seq, req.app_id, req.rule_id, req.t, out[0], out[1], faults)",
+        "return build_reply(req.seq, req.app_id, req.rule_id, req.t, out[0], out[1], faults)",
     ]
     return module.add("cm, batch, req, eval_expr, exec_stmts", ["    " + line for line in lines], calls)
 

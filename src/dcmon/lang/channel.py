@@ -10,12 +10,18 @@ map per vector of truth values, its replies one `(guard_results,
 appside_actions_to_run)` pair per vector of guard bits, and every empty
 truth or forwarded map the monitors send is `EMPTY`. Nothing may change a
 map or a tuple of a record, once built.
+
+The replay builds every record it keeps through `record_builder`, not
+through the class call: `build_request` and `build_reply` here, and the
+verdict's builder in `sim.py`. The class call stays the public
+constructor, and both give equal records.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import Callable, ClassVar, Dict, Optional, Tuple
 
 from .values import Value, canonical_json
 
@@ -25,6 +31,37 @@ CENTRAL_TO_APP = "CentralToApp"
 # the one empty truth or forwarded map of the requests the monitors send,
 # and the empty bindings of a batch's local function; nothing writes it
 EMPTY: Dict = {}
+
+
+def record_builder(cls: type) -> Callable[..., object]:
+    """A function `build(<the fields of cls, in order>)` that returns an
+    instance of `cls`, a slotted dataclass, built with `object.__new__`
+    and one slot store per field.
+
+    It returns what the class call returns, without it: in CPython 3.11 a
+    class whose `__init__` is Python code runs that `__init__` in an
+    evaluation of its own, through `type_call` and `slot_tp_init`, while a
+    call from one Python function to another stays in the caller's. So a
+    record costs 35-110 ns less (CPython 3.11.7, a shared 2-CPU Linux
+    host). A field with a default, a non-init field or a `__post_init__`
+    would make the two calls differ, and a field named `new`, `cls` or
+    `record` would hide the builder's own names, so such a class raises
+    TypeError, as one with no slots does."""
+    fields = dataclasses.fields(cls)
+    if "__slots__" not in cls.__dict__ or hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__} is not a slotted dataclass without __post_init__")
+    for f in fields:
+        if not f.init or f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name} has a default or is not an init field")
+        if f.name in ("new", "cls", "record"):
+            raise TypeError(f"{cls.__name__}.{f.name} takes a name the builder uses")
+    names = [f.name for f in fields]
+    lines = [f"def build({', '.join(names)}):", "    record = new(cls)"]
+    lines += [f"    record.{name} = {name}" for name in names]
+    lines.append("    return record")
+    namespace: Dict[str, object] = {}
+    exec("\n".join(lines), {"new": object.__new__, "cls": cls}, namespace)
+    return namespace["build"]
 
 
 class _LoggedMessage:
@@ -99,3 +136,8 @@ class MonitorReply(_LoggedMessage):
             "appside_actions_to_run": self.appside_actions_to_run,
             "fault": self.faults,
         }
+
+
+# the replay's constructors of the two records (see `record_builder`)
+build_request = record_builder(MonitorRequest)
+build_reply = record_builder(MonitorReply)

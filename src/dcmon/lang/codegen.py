@@ -6,8 +6,8 @@ one `compile()` call; functions with identical source share one. Beside
 the bodies and guards, the module holds the functions that `engine.py`
 writes for each batch with `Module.add`, their guards inlined by
 `Module.guard_source` over the truth values they hold in locals; they
-build the channel's replies and send its shared empty map, both from
-`channel.py`. This
+build the channel's replies through its `build_reply` and send its shared
+empty map, both from `channel.py`. This
 carries the idea of Feeley & Lapalme, *Using Closures for Code Generation*
 (1987), one step further: instead of one closure per node, a body runs as
 one Python frame, with no dispatch on node types and no call per node.
@@ -51,7 +51,7 @@ import bisect
 import operator
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .channel import EMPTY, MonitorReply
+from .channel import EMPTY, build_reply
 from .eval import ABSENT, ChannelError, EvalError, _checked_int, duration, rule_fault, trunc_div
 from .nodes import (
     CMP_OPS,
@@ -184,9 +184,9 @@ _NAMESPACE = {
     "ChannelError": ChannelError,
     "EMPTY": EMPTY,
     "EvalError": EvalError,
-    "MonitorReply": MonitorReply,
     "bisect_left": bisect.bisect_left,
     "bisect_right": bisect.bisect_right,
+    "build_reply": build_reply,
     "rule_fault": rule_fault,
 }
 

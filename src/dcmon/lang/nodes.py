@@ -112,26 +112,26 @@ class SetAttrStmt(Stmt):
 
 
 def walk_exprs(node) -> "list[Expr]":
-    """All Expr nodes under an Expr or Stmt, preorder."""
+    """All Expr nodes under an Expr or Stmt, preorder. The walk keeps its
+    own stack, children pushed right to left, so that it leaves nothing
+    for the garbage collector (a recursive closure would hold itself
+    through its cell, a cycle per call)."""
+    if isinstance(node, Expr):
+        stack = [node]
+    elif isinstance(node, (Assign, AppendStmt, SetAttrStmt)):
+        stack = [node.value]
+    elif isinstance(node, PruneStmt):
+        stack = [node.horizon]
+    else:
+        return []
     out: list[Expr] = []
-
-    def go(e: Expr) -> None:
+    while stack:
+        e = stack.pop()
         out.append(e)
         if isinstance(e, Unary):
-            go(e.operand)
+            stack.append(e.operand)
         elif isinstance(e, Binary):
-            go(e.left)
-            go(e.right)
+            stack += (e.right, e.left)
         elif isinstance(e, Call):
-            for a in e.args:
-                go(a)
-
-    if isinstance(node, Expr):
-        go(node)
-    elif isinstance(node, (Assign, AppendStmt)):
-        go(node.value)
-    elif isinstance(node, PruneStmt):
-        go(node.horizon)
-    elif isinstance(node, SetAttrStmt):
-        go(node.value)
+            stack += reversed(e.args)
     return out

@@ -98,7 +98,8 @@ class LocalMonitor:
         # Phase 1: every app-side condition of the batch. The plan
         # guarantees no earlier rule's action writes what these read.
         values: Dict[int, bool] = {}
-        faulted: Optional[Dict[int, str]] = None  # rule id -> its condition's fault
+        # rule id -> its condition's fault; a fresh map, since it is written
+        faulted: Dict[int, str] = {}
         condition_code = self.cp.condition_code
         for rule in batch.rules:
             try:
@@ -106,15 +107,13 @@ class LocalMonitor:
                     if cid not in values:
                         values[cid] = bool(eval_expr(condition_code[cid], ctx))
             except EvalError as ex:
-                if faulted is None:
-                    faulted = {}
                 faulted[rule.rule_id] = f"EvalError:{ex.code}"
 
         # One round trip for the batch's NeedsGlobal rules whose conditions
         # did not fault, its maps in the order those rules name their keys;
         # a batch of LocalOnly rules sends none.
         reply = None
-        sent = [r for r in batch.sent if faulted is None or r.rule_id not in faulted]
+        sent = [r for r in batch.sent if r.rule_id not in faulted]
         if sent:
             # an empty map is the shared one, as the generated function's
             truth = {cid: values[cid] for r in sent for cid in r.app_condition_ids} or EMPTY
@@ -129,20 +128,20 @@ class LocalMonitor:
         self,
         batch: Batch,
         values: Dict[int, bool],
-        faulted: Optional[Dict[int, str]],
+        faulted: Dict[int, str],
         reply: Optional[MonitorReply],
         faults: List[str],
     ) -> Optional[str]:
         """Phase 2: each rule's outcome, in declaration order, from the
-        condition values, the faulted rules and the reply, None if the
-        channel is down. The reply's k-th entry is the k-th rule sent.
-        Every fault blocks the call, but a reply's fault only when its rule
-        blocks."""
+        condition values, the faulted rules (the shared `EMPTY` when none
+        faulted) and the reply, None if the channel is down. The reply's
+        k-th entry is the k-th rule sent. Every fault blocks the call, but
+        a reply's fault only when its rule blocks."""
         reason = None
         k = 0
         for rule in batch.rules:
             blocked_by = None
-            if faulted is not None and rule.rule_id in faulted:
+            if rule.rule_id in faulted:
                 blocked_by = faulted[rule.rule_id]
                 faults.append(blocked_by)
             elif rule.locality is Locality.LOCAL_ONLY:

@@ -38,6 +38,7 @@ from .central_monitor import (
 from .config import SimConfig
 from .dsl.ast import PolicySpec
 from .engine import Batch, CompiledPolicy, compile_policy
+from .lang.channel import record_builder
 from .lang.state import VarStore
 from .lang.values import INT64_MAX, Value
 from .local_monitor import LocalMonitor
@@ -129,6 +130,10 @@ class VerdictEntry:
                 "latency_ns": self.latency_ns,
             }
         )
+
+
+# the replay's constructor of a verdict (see `lang/channel.py`'s `record_builder`)
+build_verdict = record_builder(VerdictEntry)
 
 
 # The line breaks of str.splitlines() that JSON cannot hold raw inside a
@@ -379,7 +384,9 @@ def run(
     intercepts costs one dict read, and one `execute_effect` call only if
     its entry touches state (`setWifiEnabled`, `dialCall`, `endCall`).
     Every phase appends its faults to one list, which the run empties
-    after each event."""
+    after each event. Each verdict is built by `build_verdict`, with no
+    class call (see `lang/channel.py`'s `record_builder`), and a measured
+    latency reads the clock bound once per run."""
     table = _check_trace_against_catalog(trace, cp.dispatch)
 
     device = DeviceState()
@@ -399,6 +406,7 @@ def run(
     verdicts: List[Optional[VerdictEntry]] = [None] * len(trace)
     faults: List[Tuple[int, str]] = []
     event_faults: List[str] = []  # the current event's, in the order they arise
+    clock = time.perf_counter_ns
     order = _execution_order(trace, concurrent_same_t)
     for idx in order:
         ev = trace[idx]
@@ -409,7 +417,7 @@ def run(
             before_plan, after_plan, ret = table[api]
         except KeyError:
             raise InvalidEvent(f"event {idx} holds an entry for {api.call!r} that is not the catalog's own") from None
-        t0 = time.perf_counter_ns() if measure_latency else 0
+        t0 = clock() if measure_latency else 0
         blocked_by = monitors[ev.app].intercept(before_plan, ev.args, None, ev.t, event_faults) if before_plan else None
         if blocked_by is None:
             decision, reason = ALLOWED, NO_RULE
@@ -419,8 +427,8 @@ def run(
                 monitors[ev.app].intercept(after_plan, ev.args, ret, ev.t, event_faults)
         else:
             decision, reason = BLOCKED, blocked_by
-        latency = time.perf_counter_ns() - t0 if measure_latency else 0
-        verdicts[idx] = VerdictEntry(ev.t, ev.app, api.call, decision, reason, latency)
+        latency = clock() - t0 if measure_latency else 0
+        verdicts[idx] = build_verdict(ev.t, ev.app, api.call, decision, reason, latency)
         if event_faults:
             faults.extend((idx, f) for f in event_faults)
             event_faults.clear()

@@ -50,7 +50,7 @@ def test_summary_lines_name_medians_and_pairs():
                                        {"replay_us_per_event": "lower", "peak_rss_mib": "lower"})
     assert lines == [
         "local_sparse replay_us_per_event: parent 2.9 (IQR 0.1), change 2.1 (-27.6%), "
-        "won 2, lost 1 of 3 pairs; within its 25% bound"
+        "won 2, lost 1 of 3 pairs; within its 25% bound; won 9 in 10: no; medians apart by more than the IQR: yes"
     ]
 
 
@@ -60,18 +60,36 @@ def test_summary_lines_state_the_gate_by_direction_and_bound():
     # 1.0 -> 1.3 is 30% worse: beyond a 25% bound, inside a 35% one
     assert bench_pairs.summary_lines({"w": lower}, {"setup_s": 0.25}, {"setup_s": "lower"}) == [
         "w setup_s: parent 1 (IQR 0.1), change 1.3 (+30.0%), won 0, lost 3 of 3 pairs; "
-        "worse by more than its 25% bound"
+        "worse by more than its 25% bound; won 9 in 10: no; medians apart by more than the IQR: yes"
     ]
-    assert bench_pairs.summary_lines({"w": lower}, {"setup_s": 0.35}, {"setup_s": "lower"})[0].endswith(
-        "; within its 35% bound"
-    )
+    assert "; within its 35% bound;" in bench_pairs.summary_lines({"w": lower}, {"setup_s": 0.35}, {"setup_s": "lower"})[0]
     # for a metric where higher is better, a fall is what counts as worse
-    assert bench_pairs.summary_lines({"w": higher}, {"ratio": 0.1}, {"ratio": "higher"})[0].endswith(
-        "; worse by more than its 10% bound"
-    )
-    assert bench_pairs.summary_lines({"w": higher}, {"ratio": 0.1}, {"ratio": "lower"})[0].endswith(
-        "; within its 10% bound"
-    )
+    assert "; worse by more than its 10% bound;" in bench_pairs.summary_lines(
+        {"w": higher}, {"ratio": 0.1}, {"ratio": "higher"}
+    )[0]
+    assert "; within its 10% bound;" in bench_pairs.summary_lines({"w": higher}, {"ratio": 0.1}, {"ratio": "lower"})[0]
+
+
+def claim(parent, change, better="lower") -> str:
+    """The claim part of the one summary line of a metric with these runs."""
+    s = {"m": bench_pairs.summarize(parent, change, better)}
+    (line,) = bench_pairs.summary_lines({"w": s}, {"m": 0.25}, {"m": better})
+    return line[line.index("; won 9 in 10"):]
+
+
+def test_summary_lines_state_whether_a_gain_is_shown():
+    parent = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.01]
+    # 9 of 10 pairs won, and the medians 0.1 apart, past an IQR under 0.02
+    shown = [0.9] * 9 + [1.05]
+    assert claim(parent, shown) == "; won 9 in 10: yes; medians apart by more than the IQR: yes"
+    # the same runs, read where higher is better, win only one pair
+    assert claim(parent, shown, "higher") == "; won 9 in 10: no; medians apart by more than the IQR: yes"
+    # a tie is no win: 8 won, 2 tied
+    tied = [0.9] * 8 + parent[8:]
+    assert claim(parent, tied) == "; won 9 in 10: no; medians apart by more than the IQR: yes"
+    # every pair won by a hair: the medians sit inside the parent's spread
+    hair = [p - 0.001 for p in parent]
+    assert claim(parent, hair) == "; won 9 in 10: yes; medians apart by more than the IQR: no"
 
 
 def test_benchmark_spec_reads_each_end_to_end_bound():
