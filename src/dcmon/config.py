@@ -90,6 +90,10 @@ def config_from_dict(doc: dict) -> SimConfig:
         ):
             raise ConfigError("authorized_apps must map path prefixes to lists of app ids")
         kwargs["authorized_apps"] = {k: tuple(v) for k, v in raw.items()}
+    elif "protected_paths" in doc:
+        # the default grants of the prefixes that the document protects
+        protected = kwargs["protected_paths"]
+        kwargs["authorized_apps"] = {p: apps for p, apps in DEFAULT_CONFIG.authorized_apps.items() if p in protected}
     if "idle_threshold_ms" in doc:
         value = doc["idle_threshold_ms"]
         if not isinstance(value, int) or isinstance(value, bool):

@@ -114,7 +114,11 @@ def tokenize(text: str) -> List[Token]:
     return tokens
 
 
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+# the character after a backslash -> the character it stands for
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+# the escape that `escape_string` writes for each of those characters; a raw
+# carriage return would read back from a file as a line break
+_ESCAPED = {c: "\\" + e for e, c in _ESCAPES.items()}
 
 
 def _scan_string(text: str, i: int, line: int, col: int):
@@ -140,20 +144,8 @@ def _scan_string(text: str, i: int, line: int, col: int):
 
 
 def escape_string(value: str) -> str:
-    out = ['"']
-    for c in value:
-        if c == "\\":
-            out.append("\\\\")
-        elif c == '"':
-            out.append('\\"')
-        elif c == "\n":
-            out.append("\\n")
-        elif c == "\t":
-            out.append("\\t")
-        else:
-            out.append(c)
-    out.append('"')
-    return "".join(out)
+    """`value` as a string literal that `_scan_string` reads back."""
+    return '"' + "".join(_ESCAPED.get(c, c) for c in value) + '"'
 
 
 def side_tag(tok: Token) -> Optional[str]:

@@ -316,7 +316,8 @@ def plan_batches(spec: PolicySpec, rules: Sequence[CompiledRule]) -> Tuple[Batch
 def _local_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: Dict[str, int]) -> str:
     """Write `f(mon, batch, args, rv, t, faults, eval_expr) -> reason`,
     which decides the batch as `LocalMonitor._run_batch` does, and return
-    its name. It binds the occurrence and sets the monitor's context, with
+    its name. It binds the occurrence by position, whose arity the trace
+    event's check and validation fix, and sets the monitor's context, with
     `EMPTY` bindings when no app-side body and no forwarded parameter of
     the batch reads one. It hands the batch to `_run_batch`, in that
     context, when an app-side condition faults, and to its second phase
@@ -333,8 +334,7 @@ def _local_function(module: Module, spec: PolicySpec, batch: Batch, cond_ids: Di
     # a batch whose bodies read no parameter clears the bindings
     read = batch.forwarded or _event_refs(spec, cids, app_actions)
     calls: List[str] = []  # the module's functions that the inlined guards call
-    lines = [] if names is None else [f"if len(args) != {len(names)}: return None"]
-    lines += ["ctx = mon._ctx", "ctx.now = t", f"ctx.event_bindings = {dict_source(sources.items() if read else ())}"]
+    lines = ["ctx = mon._ctx", "ctx.now = t", f"ctx.event_bindings = {dict_source(sources.items() if read else ())}"]
     if cids:
         lines += ["cc = mon.cp.condition_code", "try:"]
         lines += [f"    c{cid} = not not eval_expr(cc[{cid}], ctx)" for cid in cids]

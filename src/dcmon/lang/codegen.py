@@ -26,10 +26,10 @@ and each builtin gets its own arity. At run time it tests what values can
 break, and whether an event binding is there, because a logged request
 that `replay_requests` handles again may lack one. A body reads and
 writes the stores' dicts directly, and runs checked arithmetic and range
-checks inline. An operator, `!`, `&&`, `||` or duration builtin whose
-operands are known at compile time is folded to its value, bottom up,
-unless computing it raises, so that `minutes(0 - 1)` still faults when the
-body runs.
+checks inline. Only a duration builtin of a constant argument is folded
+to its value, unless computing it overflows, which then faults when the
+body runs; every operator, `!`, `&&` and `||` runs when the body runs, on
+constants too, as the tree interpreter's does.
 
 A store holds values only; a write logs `(store._vals, name, old)`, and
 `append` and `prune_older`, which edit a stored ts_list in place, log
@@ -48,11 +48,10 @@ no reference cycle.
 from __future__ import annotations
 
 import bisect
-import operator
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .channel import EMPTY, build_reply
-from .eval import ABSENT, ChannelError, EvalError, _checked_int, duration, rule_fault, trunc_div
+from .eval import ABSENT, ChannelError, EvalError, duration, rule_fault
 from .nodes import (
     CMP_OPS,
     NS_COND,
@@ -152,20 +151,6 @@ _CALLS = {
     "starts_with": "({0}).startswith({1})",
     "contains": "{1} in {0}",
     **{func: f"{{0}} * {ms}" for func, ms in _DURATIONS.items()},
-}
-
-# the value of each binary operator other than `&&` and `||`, to fold it
-_VALUES: Dict[str, Callable[[Any, Any], Any]] = {
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "+": lambda a, b: _checked_int(a + b),
-    "-": lambda a, b: _checked_int(a - b),
-    "*": lambda a, b: _checked_int(a * b),
-    "/": trunc_div,
 }
 
 # what a generated function binds first, for the names its body uses
@@ -315,8 +300,7 @@ class _Function:
         if isinstance(expr, VarRef):
             return self.read(expr)
         if isinstance(expr, Unary) and expr.op == "!":
-            operand = self.expr(expr.operand)
-            return _const(not operand.value) if operand.known else self.assign(f"not {operand.src}")
+            return self.assign(f"not {self.expr(expr.operand).src}")
         if isinstance(expr, Binary):
             return self.logic(expr) if expr.op in _LOGIC else self.binary(expr)
         if isinstance(expr, Call):
@@ -344,38 +328,20 @@ class _Function:
         return self.assign(f"{store}._vals.get({name!r}, {typed_zero(kind)!r})")
 
     def truth(self, expr: Expr, operand: _Operand) -> _Operand:
-        """`bool()` of `operand`, the unknown value of `expr`, in a name of
-        its own."""
-        if _yields_bool(expr):
-            return operand if operand.temp else self.assign(operand.src)
-        return self.assign(f"not not {operand.src}")
+        """`bool()` of `operand`, the value of `expr`, in a name that no
+        other node reads: a bool-valued node's value is already in one."""
+        return operand if _yields_bool(expr) else self.assign(f"not not {operand.src}")
 
     def logic(self, expr: Binary) -> _Operand:
         # the left operand's truth value that decides the result
         decides = expr.op == "||"
-        left = self.expr(expr.left)
-        if left.known:
-            if bool(left.value) is decides:
-                return _const(decides)
-            right = self.expr(expr.right)
-            return _const(bool(right.value)) if right.known else self.truth(expr.right, right)
-        result = self.truth(expr.left, left)
-        mark = len(self.lines)
+        result = self.truth(expr.left, self.expr(expr.left))
         self.emit(f"if {'not ' if decides else ''}{result.src}:")
         self.depth += 1
-        right = self.nested(expr.right)
-        if right.known and len(self.lines) == mark + 1:
-            # the right operand is a constant: no block is needed
-            self.depth -= 1
-            del self.lines[mark:]
-            return _const(decides) if bool(right.value) is decides else result
-        if right.known:
-            right_truth = repr(bool(right.value))
-        elif _yields_bool(expr.right):
-            right_truth = right.src
-        else:
-            right_truth = f"not not {right.src}"
-        self.emit(f"{result.src} = {right_truth}")
+        right = self.nested(expr.right).src
+        if not _yields_bool(expr.right):
+            right = f"not not {right}"
+        self.emit(f"{result.src} = {right}")
         self.depth -= 1
         return result
 
@@ -385,30 +351,20 @@ class _Function:
         if self.depth <= _MAX_DEPTH:
             return self.expr(expr)
         inner = _Function(self.module)
-        result = inner.expr(expr)
-        if result.known and not inner.lines:
-            return result
-        name = inner.finish(result)
+        name = inner.finish(inner.expr(expr))
         self.calls.append(name)
         return self.assign(f"{name}(ctx)")
 
     def binary(self, expr: Binary) -> _Operand:
         op = expr.op
-        if op not in _VALUES:
-            raise AssertionError(f"unknown operator {op}")
-        left = self.expr(expr.left)
-        right = self.expr(expr.right)
-        if left.known and right.known:
-            try:
-                return _const(_VALUES[op](left.value, right.value))
-            except Exception:
-                pass  # the fault fires when the body runs
-        a, b = left.src, right.src
+        a, b = self.expr(expr.left).src, self.expr(expr.right).src
         if op in CMP_OPS:
             return self.assign(f"{a} {op} {b}")
-        if op != "/":
+        if op in ("+", "-", "*"):
             return self.checked(self.assign(f"{a} {op} {b}"))
-        # truncating division, as eval.trunc_div
+        if op != "/":
+            raise AssertionError(f"unknown operator {op}")
+        # truncating division; INT64_MIN / -1 is the one quotient out of range
         self.emit(f"if {b} == 0: raise EvalError('DivisionByZero')")
         q = self.assign(f"abs({a}) // abs({b})")
         return self.checked(self.assign(f"{q.src} if ({a} >= 0) == ({b} >= 0) else -{q.src}"))

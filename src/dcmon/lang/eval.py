@@ -3,8 +3,9 @@
 The monitors run the functions that `codegen.py` generates. This module
 holds what that code and the monitors share: the evaluation context, the
 faults (`ChannelError` too, which a batch's generated function catches),
-the checked arithmetic that folds constants, `rollback`, and `rule_fault`,
-which rolls back a faulting rule of a request and records its fault.
+the checked `duration` that folds a duration builtin of a constant,
+`rollback`, and `rule_fault`, which rolls back a faulting rule of a
+request and records its fault.
 
 A statement writes the stores attached to the context in place, and
 records in the context's undo log what each write overwrote, so that a
@@ -65,14 +66,6 @@ def _checked_int(n: int) -> int:
     if not (INT64_MIN <= n <= INT64_MAX):
         raise EvalError("Overflow")
     return n
-
-
-def trunc_div(a: int, b: int) -> int:
-    if b == 0:
-        raise EvalError("DivisionByZero")
-    q = abs(a) // abs(b)
-    # INT64_MIN / -1 is the one quotient out of range
-    return _checked_int(q if (a >= 0) == (b >= 0) else -q)
 
 
 def duration(n: int) -> int:

@@ -31,10 +31,9 @@ kept or rolled back before the next rule runs, so nothing carries over.
 The plan puts only triggers that bind alike in one batch, so a batch binds
 the occurrence once, from its first rule's compile-time binding: the
 arguments, in order, to the trigger's positional names (none for `(...)`),
-and the return value to its uponReturning name. The `TraceEvent`
-constructor checks each call's arity against the catalog, which the
-triggers match; arguments from a direct caller whose arity differs from
-the binding's skip the batch.
+and the return value to its uponReturning name. It tests no arity: the
+`TraceEvent` constructor checks each call's arity against the catalog,
+which validation makes every explicit pattern match.
 
 A rule is atomic: if one of its actions faults, its local-variable and
 device-attribute writes are rolled back and its block() is dropped, and the

@@ -92,15 +92,13 @@ def replan(cp: CompiledPolicy, plan_of) -> CompiledPolicy:
 
 def by_rules(rules) -> Batch:
     """A batch of `rules` decided by the monitors' rule-by-rule loops: its
-    local function binds the occurrence as a generated one does, skipping
-    it on an arity mismatch, and hands the batch to `_run_batch`; its
-    central function hands the request to `_run_rules`."""
+    local function binds the occurrence as a generated one does and hands
+    the batch to `_run_batch`; its central function hands the request to
+    `_run_rules`."""
     batch = Batch(rules)
     names, returned = batch.rules[0].binding
 
     def local(mon, batch, args, rv, t, faults, eval_expr):
-        if names is not None and len(args) != len(names):
-            return None
         bindings = {} if names is None else dict(zip(names, args))
         if returned is not None:
             bindings[returned] = rv

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 
-from dcmon.lang.eval import ABSENT, APP_SIDE, EvalContext, EvalError, _checked_int, duration, trunc_div
+from dcmon.lang.eval import ABSENT, APP_SIDE, EvalContext, EvalError, _checked_int, duration
 from dcmon.lang.codegen import StateTypes
 from dcmon.lang.state import VarStore
 from dcmon.lang.nodes import (
@@ -62,6 +62,14 @@ def writable(ctx: EvalContext, ns: str) -> VarStore:
 def write(ctx: EvalContext, store: VarStore, name: str, value: Value) -> None:
     ctx.undo.append((store._vals, name, store._vals.get(name, ABSENT)))
     store.set(name, value)
+
+
+def trunc_div(a: int, b: int) -> int:
+    if b == 0:
+        raise EvalError("DivisionByZero")
+    q = abs(a) // abs(b)
+    # INT64_MIN / -1 is the one quotient out of range
+    return _checked_int(q if (a >= 0) == (b >= 0) else -q)
 
 
 def _timestamp(n: int) -> int:

@@ -17,7 +17,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from dcmon.central_monitor import APP_TO_CENTRAL, CentralMonitor, Channel, GlobalState
+from dcmon.central_monitor import APP_TO_CENTRAL
 from dcmon.corpus import CORPUS_IDS, compile_corpus_policy
 from dcmon.dsl import parse_policy, validate_policy
 from dcmon.engine import Batch, CompiledPolicy
@@ -171,22 +171,3 @@ def test_a_partial_request_builds_no_batch(src, trace):
         res = run(trace, cp)
     assert built == []
     assert any(r.rule_id not in cp.requests for r in requests(res))
-
-
-@pytest.mark.parametrize("src", [FORWARDING_SRC, APP_CONTEXT_SRC.replace(" OPEN", "")], ids=["needs_global", "local_only"])
-@pytest.mark.parametrize("args", [("+35621123456",), ("+35621123456", "hi", "extra")], ids=["fewer", "more"])
-def test_an_arity_mismatch_from_a_direct_caller_skips_the_batch(src, args):
-    # the trace's events match the catalog's arity; a direct caller's need
-    # not, and neither side then binds, sends or decides anything
-    outcomes = []
-    for cp in (compile_src(src), rule_by_rule(compile_src(src))):
-        gs = GlobalState.empty(cp.global_kinds)
-        central = CentralMonitor(cp, gs)
-        monitor = LocalMonitor("Messenger", "Messenger", cp, Channel(central), gs.attrs)
-        ((plan, _),) = cp.dispatch.values()
-        faults = []
-        reason = monitor.intercept(plan, args, None, 0, faults)
-        outcomes.append((reason, faults, central.log, monitor.local, monitor._ctx.undo))
-    got, want = outcomes
-    assert got == want
-    assert got[:3] == (None, [], [])

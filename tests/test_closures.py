@@ -193,7 +193,7 @@ def test_list_assigned_and_edited_in_place(edit, stored):
 
 
 def lit(n):
-    return Literal(VType.INT, n)
+    return Literal(VType.BOOL if isinstance(n, bool) else VType.INT, n)
 
 
 def neg(n):
@@ -218,13 +218,24 @@ EDGE_CASES = [
     (lambda x: Call("count_within", (VarRef("global", "xs"), x)), 3_600_000),
     (lambda x: Binary("&&", Binary("==", x, lit(2)), DIV_BY_ZERO), 1),
     (lambda x: Binary("||", Binary("==", x, lit(1)), DIV_BY_ZERO), 1),
+    # `&&`, `||` and `!` over a bool operand: on the left, short-circuiting
+    # past a fault or not; on the right; and under `!`
+    (lambda x: Binary("&&", x, DIV_BY_ZERO), False),
+    (lambda x: Binary("||", x, DIV_BY_ZERO), True),
+    (lambda x: Binary("&&", x, DIV_BY_ZERO), True),
+    (lambda x: Binary("||", x, DIV_BY_ZERO), False),
+    (lambda x: Binary("&&", Binary("==", lit(1), lit(1)), x), False),
+    (lambda x: Binary("||", Binary("==", lit(1), lit(2)), x), True),
+    (lambda x: Unary("!", x), True),
 ]
 
 
 @pytest.mark.parametrize("operand", ["constant", "event"])
 @pytest.mark.parametrize("build,n", EDGE_CASES, ids=[str(i) for i in range(len(EDGE_CASES))])
 def test_edge_expression_matches_interpreter(build, n, operand):
-    # a constant operand lets the compiler fold; an event parameter does not
+    # only a duration builtin folds a constant operand, and nothing folds an
+    # event parameter: either way the code computes and faults as the
+    # interpreter does
     e = build(lit(n) if operand == "constant" else VarRef("event", "x"))
     gv = VarStore({"xs": VType.TS_LIST})
     gv.set("xs", [0, 5_000_000, 7_000_000])

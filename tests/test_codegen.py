@@ -4,9 +4,8 @@ stay data.
 `compile_policy` writes every body and guard of a policy as Python source
 and compiles it once (`dcmon.lang.codegen`). Each shape that
 `test_parser.py` caps is taken here at its cap, over state variables and
-event parameters so that nothing folds: it must validate, and its code must
-return or raise what the tree interpreter of `reference_eval.py` returns or
-raises. So must policies whose strings and names look like Python, or like
+event parameters: it must validate, and its code must return or raise what
+the tree interpreter of `reference_eval.py` returns or raises. So must policies whose strings and names look like Python, or like
 the generator's own names: policy text reaches the generated source only as
 the repr of a value or of a key. A `set_attr` may name only a device
 attribute, so such a string there is an error whose diagnostic quotes it.
@@ -268,9 +267,10 @@ def test_generated_code_stores_no_kinds(monkeypatch):
 def test_generated_code_retests_nothing_validation_proves(monkeypatch):
     # a validated body runs only in a context of its side, which holds the
     # stores, the app's name and id and the event bindings that it reads,
-    # and it reads only typed variables: no generated line tests for them
+    # and it reads only typed variables; a checked trace event has its
+    # call's catalog arity: no generated line tests for them
     source = "".join(corpus_functions(monkeypatch))
-    for check in ("SideFault", "ctx.side", "is None: raise"):
+    for check in ("SideFault", "ctx.side", "is None: raise", "len(args)"):
         assert check not in source
 
 

@@ -60,6 +60,18 @@ def test_largest_idle_threshold_compiles(unit_ms):
     assert isinstance(compile_corpus_policy("OneHrPerSittingOnly", cfg), CompiledPolicy)
 
 
+def test_protected_paths_alone_keep_the_default_grants_they_protect():
+    # a document without authorized_apps drops each default grant whose
+    # prefix it does not protect
+    assert config_from_dict({"protected_paths": ["/secret"]}).authorized_apps == {}
+    both = config_from_dict({"protected_paths": ["/secret", "/work/confidential"]})
+    assert both.authorized_apps == DEFAULT_CONFIG.authorized_apps
+    assert isinstance(compile_corpus_policy("FileAccessLmt", both), CompiledPolicy)
+    # an explicit grant of an unprotected prefix is still an error
+    with pytest.raises(ConfigError, match="unprotected prefix '/work/confidential'"):
+        config_from_dict({"protected_paths": ["/secret"], "authorized_apps": {"/work/confidential": ["A"]}})
+
+
 def test_authorized_apps_must_reference_protected_prefix():
     with pytest.raises(ConfigError):
         SimConfig(protected_paths=(), authorized_apps={"/x": ("A",)})

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from dcmon.config import DEFAULT_CONFIG
+from dcmon.config import DEFAULT_CONFIG, config_from_dict
 from dcmon.corpus import (
     CORPUS_IDS,
     UnknownPolicyId,
@@ -13,6 +13,7 @@ from dcmon.corpus import (
     compile_corpus_policy,
     list_corpus,
     oracle_verdicts,
+    write_policy_files,
 )
 from dcmon.lang.values import MS_PER_DAY, MS_PER_HOUR, MS_PER_MINUTE, MS_PER_SECOND, VType
 from dcmon.sim import run
@@ -91,6 +92,23 @@ def test_corpus_sources_roundtrip_through_printer():
     for pid in CORPUS_IDS:
         spec = parse_policy(build_policy_source(pid))
         assert parse_policy(pretty_print(spec)) == spec, pid
+
+
+def test_written_policy_files_parse_back_with_a_carriage_return_in_config(tmp_path):
+    # reading a file turns a raw carriage return into a line break, which
+    # ends a string literal: each config string is written escaped
+    from dcmon.dsl import parse_policy
+
+    cfg = config_from_dict({
+        "home_country_code": "+3\r56",
+        "url_blocklist": ["cas\rino"],
+        "protected_paths": ["/work\r/x"],
+        "authorized_apps": {"/work\r/x": ["Stock\rControl"]},
+    })
+    write_policy_files(tmp_path, cfg)
+    for pid in CORPUS_IDS:
+        text = (tmp_path / f"{pid}.dcp").read_text(encoding="utf-8")
+        assert parse_policy(text) == parse_policy(build_policy_source(pid, cfg)), pid
 
 
 # PhoneExtBlk

@@ -97,7 +97,7 @@ side = st.sampled_from([Side.APPLICATION, Side.GLOBAL])
 scalar_type = st.sampled_from([VType.BOOL, VType.INT, VType.STRING, VType.TIMESTAMP, VType.DURATION])
 
 string_text = st.text(
-    alphabet=st.sampled_from(list("abz09 _-/.\"\\\n\té")), max_size=8
+    alphabet=st.sampled_from(list("abz09 _-/.\"\\\n\r\té")), max_size=8
 )
 
 literal = st.one_of(
